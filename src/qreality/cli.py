@@ -2,7 +2,8 @@
 
 Commands: measure, sweep, slit, verify.  Exit codes: 0 success,
 1 verification failure, 2 usage/parse error, 3 invalid input state,
-4 I/O error.  Diagnostics go to stderr; results go to stdout or --output.
+4 I/O error, 5 failed cross-check (two forms of one measure disagree).
+Diagnostics go to stderr; results go to stdout or --output.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INVALID_STATE = 3
 EXIT_IO = 4
+EXIT_CROSS_CHECK = 5
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -260,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ArithmeticError as exc:
+        print(f"cross-check failed: {exc}", file=sys.stderr)
+        return EXIT_CROSS_CHECK
 
 
 if __name__ == "__main__":

@@ -18,7 +18,9 @@ so a grid scan needs no eigendecompositions at all.  The heavy loops are
 compiled with numba when available; setting the environment variable
 ``QREALITY_DISABLE_NUMBA`` (to anything but ``0``) selects the pure-numpy
 vectorized fallback instead.  Both backends are importable side by side for
-testing and benchmarking (see ``benchmarks/bench_kernels.py``).
+testing.  The repository benchmark times the grid stage end to end:
+``python3 perfbench/run.py --workload pair_min`` (``--trace 1`` for per-layer
+figures, see ``perfbench/NOTES.md``).
 
 The matrix route (projector dephasing plus Hermitian eigendecomposition in
 :mod:`qreality.measures`) is kept fully independent of this module and is used
@@ -35,6 +37,8 @@ import numpy as np
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 ZERO_WEIGHT = 1e-15
+# Rows of the joint-entropy grid evaluated per block by the numpy backend.
+JOINT_BLOCK_ROWS = 64
 
 _flag = os.environ.get("QREALITY_DISABLE_NUMBA", "")
 NUMBA_DISABLED = _flag not in ("", "0")
@@ -165,10 +169,10 @@ def _joint_entropy_loops(axes_a, axes_b, r1, r2, tmat):
 # ---------------------------------------------------------------------------
 
 def _entropy_terms_numpy(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    mask = p > ZERO_WEIGHT
-    out[mask] = -p[mask] * np.log(p[mask])
-    return out
+    # -p ln p elementwise, 0 at or below ZERO_WEIGHT; the log is taken of a
+    # copy with those cells set to 1 so it never sees a zero or negative.
+    live = p > ZERO_WEIGHT
+    return np.where(live, -p * np.log(np.where(live, p, 1.0)), 0.0)
 
 
 def _side_entropies_numpy(axes, r_here, r_there, m):
@@ -186,13 +190,25 @@ def _side_entropies_numpy(axes, r_here, r_there, m):
 
 
 def _joint_entropy_numpy(axes_a, axes_b, r1, r2, tmat):
+    # The four -p ln p terms are evaluated JOINT_BLOCK_ROWS rows at a time, so
+    # temporaries stay block-sized whatever the grid.  c = u.T v is computed
+    # once, straight into the output, by the full-size product: BLAS may round
+    # a product over a subset of rows differently in the last bit.  Per cell
+    # the arithmetic is that of the one-shot form (the terms summed onto zero
+    # in the same order), so every cell is bitwise the same.
     a = (axes_a @ r1)[:, None]
     b = (axes_b @ r2)[None, :]
-    c = axes_a @ tmat @ axes_b.T
-    out = np.zeros(c.shape)
-    for s in (1.0, -1.0):
-        for t in (1.0, -1.0):
-            out += _entropy_terms_numpy((1.0 + s * a + t * b + s * t * c) / 4.0)
+    out = np.empty((axes_a.shape[0], axes_b.shape[0]))
+    np.matmul(axes_a @ tmat, axes_b.T, out=out)
+    for start in range(0, out.shape[0], JOINT_BLOCK_ROWS):
+        rows = slice(start, start + JOINT_BLOCK_ROWS)
+        block = out[rows]
+        c = block.copy()
+        block[...] = 0.0
+        for s in (1.0, -1.0):
+            for t in (1.0, -1.0):
+                block += _entropy_terms_numpy(
+                    (1.0 + s * a[rows] + t * b + s * t * c) / 4.0)
     return out
 
 

@@ -40,10 +40,11 @@ def _as_square_complex(mat: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix with a subsystem layout.
 
-    Construction validates (and where legitimate, repairs) the state:
-    Hermiticity and unit trace within 1e-10 are required; eigenvalues in
-    [-1e-10, 0) are clamped to zero with the spectrum renormalized, while
-    anything more negative raises :class:`StateValidationError`.
+    Construction validates (and where legitimate, repairs) the state: finite
+    entries, and Hermiticity and unit trace within 1e-10, are required;
+    eigenvalues in [-1e-10, 0) are clamped to zero with the spectrum
+    renormalized, while anything more negative raises
+    :class:`StateValidationError`.
     """
 
     mat: np.ndarray
@@ -60,7 +61,12 @@ class DensityMatrix:
                 f"dims {dims} do not factor a {mat.shape[0]}-dimensional matrix",
             )
 
-        herm_residual = float(np.max(np.abs(mat - mat.conj().T)))
+        # Non-finite exactly when some entry is NaN or infinite.
+        with np.errstate(invalid="ignore"):
+            herm_residual = float(np.max(np.abs(mat - mat.conj().T)))
+        if not math.isfinite(herm_residual):
+            raise StateValidationError(
+                "finite-entries", herm_residual, "matrix has NaN or infinite entries")
         if herm_residual > HERMITICITY_TOL:
             raise StateValidationError("hermiticity", herm_residual)
         mat = (mat + mat.conj().T) / 2.0

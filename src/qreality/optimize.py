@@ -76,13 +76,27 @@ def _half_spacing(cfg: OptimizerConfig) -> tuple[float, float]:
     return d_theta, d_phi
 
 
+def _lowest_cells(values: np.ndarray, k: int) -> np.ndarray:
+    # Linear indices of the k smallest values, exactly the head of
+    # np.argsort(values, kind="stable"): ties are ordered by linear index.
+    # np.partition finds the k-th value; only cells at or below it are sorted.
+    flat = values.reshape(-1)
+    if k >= flat.size:
+        return np.argsort(flat, kind="stable")
+    kth = np.partition(flat, k - 1)[k - 1]
+    candidates = np.flatnonzero(flat <= kth)
+    order = np.lexsort((candidates, flat[candidates]))
+    return candidates[order[:k]]
+
+
 def _refine(fun, starts, cfg: OptimizerConfig):
-    # Nelder-Mead from each start; returns (best x, best value, nfev, success).
+    # Nelder-Mead from each start; returns (x, value, nfev, success) of the
+    # best start, with nfev summed over all starts.
     d_theta, d_phi = _half_spacing(cfg)
     steps = [d_theta if k % 2 == 0 else d_phi for k in range(len(starts[0]))]
     best_x, best_val = None, math.inf
     nfev = 0
-    any_success = False
+    best_success = False
     for x0 in starts:
         x0 = np.asarray(x0, dtype=float)
         simplex = np.vstack([x0] + [x0 + step * basis for step, basis in
@@ -97,11 +111,11 @@ def _refine(fun, starts, cfg: OptimizerConfig):
             },
         )
         nfev += int(res.nfev)
-        any_success = any_success or bool(res.success)
         if res.fun < best_val:
             best_val = float(res.fun)
             best_x = np.asarray(res.x, dtype=float)
-    return best_x, best_val, nfev, any_success
+            best_success = bool(res.success)
+    return best_x, best_val, nfev, best_success
 
 
 def _two_qubit_data(rho: DensityMatrix):
@@ -151,15 +165,15 @@ def minimize_single(
 
         grid_values = np.array([fun((t, p)) for t, p in zip(thetas, phis)])
 
-    order = np.argsort(grid_values, kind="stable")
-    grid_best = float(grid_values[order[0]])
-    starts = [(thetas[k], phis[k]) for k in order[: cfg.refine_starts]]
+    cells = _lowest_cells(grid_values, cfg.refine_starts)
+    grid_best = float(grid_values[cells[0]])
+    starts = [(thetas[k], phis[k]) for k in cells]
     best_x, best_val, nfev, success = _refine(fun, starts, cfg)
 
     if best_val <= grid_best:
         value, argmin_x, converged = best_val, best_x, success
     else:
-        value, argmin_x, converged = grid_best, np.array(starts[0]), success
+        value, argmin_x, converged = grid_best, np.array(starts[0]), False
     return OptimizationResult(
         value=value,
         argmin=(_canonical_angles(argmin_x[0], argmin_x[1]),),
@@ -198,12 +212,11 @@ def minimize_pair(
             ub = kernels.axis_from_angles(x[2], x[3])
             return kernels.pair_discord_value(ua, ub, r1, r2, tmat, mi)
 
-    flat = grid_values.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    grid_best = float(flat[order[0]])
+    cells = _lowest_cells(grid_values, cfg.refine_starts)
+    grid_best = float(grid_values.flat[cells[0]])
     n_axes = axes.shape[0]
     starts = []
-    for k in order[: cfg.refine_starts]:
+    for k in cells:
         i, j = divmod(int(k), n_axes)
         starts.append((thetas[i], phis[i], thetas[j], phis[j]))
     best_x, best_val, nfev, success = _refine(fun, starts, cfg)
@@ -211,7 +224,7 @@ def minimize_pair(
     if best_val <= grid_best:
         value, argmin_x, converged = best_val, best_x, success
     else:
-        value, argmin_x, converged = grid_best, np.array(starts[0]), success
+        value, argmin_x, converged = grid_best, np.array(starts[0]), False
     return OptimizationResult(
         value=value,
         argmin=(
@@ -219,7 +232,7 @@ def minimize_pair(
             _canonical_angles(argmin_x[2], argmin_x[3]),
         ),
         grid_best=grid_best,
-        evaluations=int(flat.size + nfev),
+        evaluations=int(grid_values.size + nfev),
         converged=converged,
     )
 

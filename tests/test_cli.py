@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qreality.cli import main
+from qreality.cli import EXIT_CROSS_CHECK, main
 from qreality.statefile import save_state
 from qreality.states import werner
 
@@ -91,6 +91,25 @@ def test_measure_exit_codes(capsys, tmp_path):
     capsys.readouterr()
     assert main(["measure", "singlet", "zbasis@0", "zbasis@1", "xbasis@1"]) == 2
     capsys.readouterr()
+
+
+def test_measure_non_finite_file_state(tmp_path, capsys):
+    nan_state = tmp_path / "nan.json"
+    nan_state.write_text(
+        '{"dims": [2], "matrix": [[[0.5, 0.0], [NaN, 0.0]], [[NaN, 0.0], [0.5, 0.0]]]}')
+    assert main(["measure", f"file:{nan_state}", "zbasis@0"]) == 3
+    assert "finite-entries" in capsys.readouterr().err
+
+
+def test_cross_check_failure_exits_five(monkeypatch, capsys):
+    from qreality import measures
+
+    # Every cross-asserted form now "disagrees", so the real check raises.
+    monkeypatch.setattr(measures, "FORM_AGREEMENT_TOL", -1.0)
+    assert main(["measure", "werner:f=0.5", "zbasis@0"]) == EXIT_CROSS_CHECK == 5
+    err = capsys.readouterr().err
+    assert err.startswith("cross-check failed: ")
+    assert "mutual-information forms disagree" in err
 
 
 def test_usage_error_exits_two():

@@ -106,6 +106,63 @@ def test_grids_match_scalar_reference(backend):
                 abs=1e-12)
 
 
+def _entropy_terms_reference(p):
+    # The boolean-mask form the elementwise numpy terms must reproduce.
+    out = np.zeros_like(p)
+    mask = p > kernels.ZERO_WEIGHT
+    out[mask] = -p[mask] * np.log(p[mask])
+    return out
+
+
+def _joint_entropy_reference(axes_a, axes_b, r1, r2, tmat):
+    # One-shot joint grid: full-size temporaries, the four terms summed at once.
+    a = (axes_a @ r1)[:, None]
+    b = (axes_b @ r2)[None, :]
+    c = axes_a @ tmat @ axes_b.T
+    out = np.zeros(c.shape)
+    for s in (1.0, -1.0):
+        for t in (1.0, -1.0):
+            out += _entropy_terms_reference((1.0 + s * a + t * b + s * t * c) / 4.0)
+    return out
+
+
+def test_entropy_terms_match_mask_form_bitwise():
+    rng = np.random.default_rng(113)
+    p = np.concatenate([
+        rng.uniform(-0.1, 1.1, 500),
+        [0.0, -0.0, 1e-15, np.nextafter(1e-15, 1.0), 1.0, -1e-17, np.nan, np.inf],
+    ])
+    for shaped in (p, p.reshape(-1, 4)):
+        got = kernels._entropy_terms_numpy(shaped)
+        want = _entropy_terms_reference(shaped)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("rows", [
+    1,
+    kernels.JOINT_BLOCK_ROWS - 1,
+    2 * kernels.JOINT_BLOCK_ROWS,
+    kernels.JOINT_BLOCK_ROWS + 1,
+])
+@pytest.mark.parametrize("cols", [1, 300, 600])
+def test_blocked_joint_grid_is_bitwise_one_shot(rows, cols):
+    # 300 columns is a width where BLAS rounds a product over a subset of rows
+    # differently from the full product, on at least one OpenBLAS build.
+    rng = np.random.default_rng(rows * 1000 + cols)
+    axes_a = rng.normal(size=(rows, 3))
+    axes_a /= np.linalg.norm(axes_a, axis=1)[:, None]
+    axes_b = rng.normal(size=(cols, 3))
+    axes_b /= np.linalg.norm(axes_b, axis=1)[:, None]
+    for rank in (1, 2, 4):
+        rho = random_density(4, rank, rng, dims=(2, 2))
+        r1, r2, tmat = kernels.bloch_correlations(rho.mat)
+        got = kernels._joint_entropy_numpy(axes_a, axes_b, r1, r2, tmat)
+        want = _joint_entropy_reference(axes_a, axes_b, r1, r2, tmat)
+        assert got.shape == (rows, cols)
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend unavailable")
 def test_backends_agree():
     rng = np.random.default_rng(109)

@@ -156,6 +156,17 @@ def test_density_matrix_rejects_non_hermitian():
     assert err.value.residual == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_density_matrix_rejects_non_finite_entries(entry, where):
+    mat = np.eye(2, dtype=complex) / 2
+    mat[where] = entry
+    with pytest.raises(StateValidationError) as err:
+        DensityMatrix(mat, (2,))
+    assert err.value.invariant == "finite-entries"
+    assert not math.isfinite(err.value.residual)
+
+
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(StateValidationError) as err:
         DensityMatrix(np.eye(2, dtype=complex), (2,))

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from qreality import kernels
 from qreality.linalg import DensityMatrix, tensor_product
-from qreality.measures import nonlocality
+from qreality.measures import entropy, nonlocality
 from qreality.optimize import (
     OptimizerConfig,
+    _lowest_cells,
+    _refine,
     brute_force_single,
     minimize_pair,
     minimize_single,
@@ -157,3 +160,69 @@ def test_minimize_pair_matches_closed_form_for_werner():
     expected_d = s_side - s_rho  # joint dephasing entropy is minimal on matched axes
     res_d = minimize_pair(werner(f), "discord")
     assert res_d.value == pytest.approx(expected_d, abs=1e-7)
+
+
+def _stable_head(values, k):
+    return np.argsort(values.reshape(-1), kind="stable")[:k]
+
+
+def test_lowest_cells_is_head_of_stable_sort():
+    rng = np.random.default_rng(217)
+    random_grid = rng.normal(size=(37, 41))
+    for k in (1, 2, 5, 40):
+        assert np.array_equal(_lowest_cells(random_grid, k), _stable_head(random_grid, k))
+
+    # Exact ties straddling the k-th value, scattered out of index order.
+    tied = rng.integers(0, 4, size=(20, 30)).astype(float)
+    tied.flat[[599, 3, 250, 17]] = -1.0
+    for k in (1, 3, 4, 5, 6, 80, 599):
+        assert np.array_equal(_lowest_cells(tied, k), _stable_head(tied, k))
+
+    # k at or above the cell count returns the full stable order.
+    for k in (tied.size, tied.size + 7):
+        assert np.array_equal(_lowest_cells(tied, k), _stable_head(tied, tied.size))
+
+    side = rng.normal(size=600)
+    side[[5, 77, 300]] = side.min() - 1.0
+    assert np.array_equal(_lowest_cells(side, 5), _stable_head(side, 5))
+
+
+@pytest.mark.parametrize("rho", [werner(0.5), alpha_state(0.3)], ids=["werner", "alpha"])
+def test_lowest_cells_on_tied_bell_diagonal_grids(rho):
+    # The Bell-diagonal landscapes have many exactly tied cells.
+    axes, _, _ = kernels.axis_grid(25, 24)
+    r1, r2, tmat = kernels.bloch_correlations(rho.mat)
+    grid = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, entropy(rho))
+    assert np.sum(grid == grid.min()) > 1
+    for k in (1, 5, 17):
+        assert np.array_equal(_lowest_cells(grid, k), _stable_head(grid, k))
+
+
+def test_converged_reports_the_winning_start():
+    # The first start sits on a plateau and converges at once; the second
+    # lies on a steep slope, finds the lower value and runs out of iterations.
+    cfg = OptimizerConfig(refine_tolerance=0.5, max_refine_iterations=2)
+
+    def fun(x):
+        return 0.0 if x[0] < 1.0 else -1000.0 * x[0]
+
+    x, value, nfev, converged = _refine(fun, [(0.0, 0.0), (2.0, 0.0)], cfg)
+    assert value < -2000.0 and x[0] > 2.0
+    assert nfev > 0
+    assert converged is False
+    assert _refine(fun, [(0.0, 0.0)], cfg)[3] is True
+
+
+def test_converged_is_false_when_the_grid_best_wins(monkeypatch):
+    # A refinement that ends above the grid best (and claims success) loses
+    # to the grid cell, which no refinement converged on.
+    from qreality import optimize
+
+    def worse_refine(fun, starts, cfg):
+        return np.array(starts[0]), math.inf, 0, True
+
+    monkeypatch.setattr(optimize, "_refine", worse_refine)
+    rho = random_density(4, 3, 11, dims=(2, 2))
+    for res in (minimize_pair(rho, "nonlocality", cfg=FAST), minimize_single(rho, 0, cfg=FAST)):
+        assert res.value == res.grid_best
+        assert res.converged is False
