@@ -44,11 +44,8 @@ EXIT_IO = 4
 EXIT_CROSS_CHECK = 5
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=7, help="seed for randomized runs")
+def _output_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="write results to this path instead of stdout")
-    parser.add_argument("--format", choices=("human", "records", "csv"),
-                        default="human", help="measure-report output format")
 
 
 def _optimizer_flags(parser: argparse.ArgumentParser) -> None:
@@ -170,7 +167,6 @@ def cmd_sweep(args) -> int:
         stop=args.stop,
         points=args.points,
         optimizer=_config(args),
-        seed=args.seed,
     )
     rows = sweep_rows(spec)
     write_sweep_csv(rows, args.output)
@@ -217,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("state", help="state spec, e.g. werner:f=0.5 or file:rho.json")
     p_measure.add_argument("bases", nargs="+",
                            help="basis specs, e.g. zbasis@0 bloch:theta=1.57,phi=0@1")
-    _common_flags(p_measure)
+    p_measure.add_argument("--format", choices=("human", "records", "csv"),
+                           default="human", help="report output format")
+    _output_flag(p_measure)
     p_measure.set_defaults(func=cmd_measure)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
@@ -226,20 +224,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--stop", type=float, default=1.0)
     p_sweep.add_argument("--points", type=int, default=51)
     p_sweep.add_argument("--plot-script", help="also emit a gnuplot script here")
-    _common_flags(p_sweep)
+    _output_flag(p_sweep)
     _optimizer_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_slit = sub.add_parser("slit", help="slit-overlap irreality curve to CSV")
     p_slit.add_argument("--points", type=int, default=21)
-    _common_flags(p_slit)
+    _output_flag(p_slit)
     p_slit.set_defaults(func=cmd_slit)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument("suite", help=f"one of: all, {', '.join(SUITES)}")
     p_verify.add_argument("--count", type=int, default=None,
                           help="override the suite's case count")
-    _common_flags(p_verify)
+    p_verify.add_argument("--seed", type=int, default=7, help="seed for the suite's random cases")
+    _output_flag(p_verify)
     _optimizer_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -274,22 +274,26 @@ def _entropy_sum(weights) -> float:
     return s
 
 
-def _side_values(axis, r_here, r_there, m) -> tuple[float, float]:
-    a = float(axis @ r_here)
+def _side_entropy(a, axis, r_there, m) -> float:
+    # S(Ph_u rho) for the axis u on this side, a = u . r_here.  sqrt(v @ v) is
+    # the dot product np.linalg.norm takes the root of, so it is bitwise equal.
     w = axis @ m
-    mp = float(np.linalg.norm(r_there + w))
-    mm = float(np.linalg.norm(r_there - w))
-    s = _entropy_sum(
+    plus = r_there + w
+    minus = r_there - w
+    mp = math.sqrt(plus @ plus)
+    mm = math.sqrt(minus @ minus)
+    return _entropy_sum(
         ((1.0 + a + mp) / 4.0, (1.0 + a - mp) / 4.0,
          (1.0 - a + mm) / 4.0, (1.0 - a - mm) / 4.0)
     )
-    h = _entropy_sum(((1.0 + a) / 2.0, (1.0 - a) / 2.0))
-    return s, h
 
 
-def _joint_value(axis_a, axis_b, r1, r2, tmat) -> float:
-    a = float(axis_a @ r1)
-    b = float(axis_b @ r2)
+def _marginal_entropy(a) -> float:
+    # Binary entropy of the dephased marginal, a = u . r_here.
+    return _entropy_sum(((1.0 + a) / 2.0, (1.0 - a) / 2.0))
+
+
+def _joint_value(a, b, axis_a, axis_b, tmat) -> float:
     c = float(axis_a @ tmat @ axis_b)
     return _entropy_sum(
         ((1.0 + a + b + c) / 4.0, (1.0 + a - b - c) / 4.0,
@@ -298,17 +302,23 @@ def _joint_value(axis_a, axis_b, r1, r2, tmat) -> float:
 
 
 def nonlocality_value(axis_a, axis_b, r1, r2, tmat, base_entropy) -> float:
-    s_a, _ = _side_values(axis_a, r1, r2, tmat)
-    s_b, _ = _side_values(axis_b, r2, r1, tmat.T)
-    return s_a + s_b - _joint_value(axis_a, axis_b, r1, r2, tmat) - base_entropy
+    a = float(axis_a @ r1)
+    b = float(axis_b @ r2)
+    s_a = _side_entropy(a, axis_a, r2, tmat)
+    s_b = _side_entropy(b, axis_b, r1, tmat.T)
+    return s_a + s_b - _joint_value(a, b, axis_a, axis_b, tmat) - base_entropy
 
 
 def pair_discord_value(axis_a, axis_b, r1, r2, tmat, mutual_info) -> float:
-    _, h_a = _side_values(axis_a, r1, r2, tmat)
-    _, h_b = _side_values(axis_b, r2, r1, tmat.T)
-    return mutual_info - h_a - h_b + _joint_value(axis_a, axis_b, r1, r2, tmat)
+    a = float(axis_a @ r1)
+    b = float(axis_b @ r2)
+    h_a = _marginal_entropy(a)
+    h_b = _marginal_entropy(b)
+    return mutual_info - h_a - h_b + _joint_value(a, b, axis_a, axis_b, tmat)
 
 
 def single_discord_value(axis, r1, r2, tmat, mutual_info, env_entropy) -> float:
-    s_a, h_a = _side_values(axis, r1, r2, tmat)
+    a = float(axis @ r1)
+    s_a = _side_entropy(a, axis, r2, tmat)
+    h_a = _marginal_entropy(a)
     return mutual_info - h_a - env_entropy + s_a

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -63,7 +64,7 @@ class DensityMatrix:
 
         # Non-finite exactly when some entry is NaN or infinite.
         with np.errstate(invalid="ignore"):
-            herm_residual = float(np.max(np.abs(mat - mat.conj().T)))
+            herm_residual = float(np.abs(mat - mat.conj().T).max())
         if not math.isfinite(herm_residual):
             raise StateValidationError(
                 "finite-entries", herm_residual, "matrix has NaN or infinite entries")
@@ -71,7 +72,7 @@ class DensityMatrix:
             raise StateValidationError("hermiticity", herm_residual)
         mat = (mat + mat.conj().T) / 2.0
 
-        trace_residual = abs(complex(np.trace(mat)) - 1.0)
+        trace_residual = abs(complex(mat.trace()) - 1.0)
         if trace_residual > TRACE_TOL:
             raise StateValidationError("unit-trace", trace_residual)
 
@@ -119,6 +120,27 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+@lru_cache(maxsize=256)
+def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
+    # einsum subscripts that trace every subsystem not in ``keep`` (sorted)
+    # out of an n-subsystem (rows..., cols...) tensor.
+    row_sub, col_sub, out_sub = [], [], []
+    fresh = iter(_LETTERS)
+    for k in range(n):
+        a = next(fresh)
+        if k in keep:
+            b = next(fresh)
+            row_sub.append(a)
+            col_sub.append(b)
+            out_sub.append((a, b))
+        else:
+            row_sub.append(a)
+            col_sub.append(a)
+    out_rows = "".join(a for a, _ in out_sub)
+    out_cols = "".join(b for _, b in out_sub)
+    return "".join(row_sub + col_sub) + "->" + out_rows + out_cols
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int] | int) -> DensityMatrix:
     """Reduced state on the kept subsystems, in their original order."""
     if isinstance(keep, (int, np.integer)):
@@ -131,22 +153,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int] | int) -> DensityMatri
         raise ValueError(f"keep indices {keep_set} out of range for {n} subsystems")
 
     tensor = rho.mat.reshape(rho.dims + rho.dims)
-    row_sub, col_sub, out_sub = [], [], []
-    fresh = iter(_LETTERS)
-    for k in range(n):
-        a = next(fresh)
-        if k in keep_set:
-            b = next(fresh)
-            row_sub.append(a)
-            col_sub.append(b)
-            out_sub.append((a, b))
-        else:
-            row_sub.append(a)
-            col_sub.append(a)
-    out_rows = "".join(a for a, _ in out_sub)
-    out_cols = "".join(b for _, b in out_sub)
-    subscripts = "".join(row_sub + col_sub) + "->" + out_rows + out_cols
-    reduced = np.einsum(subscripts, tensor)
+    reduced = np.einsum(_trace_subscripts(n, tuple(keep_set)), tensor)
 
     kept_dims = tuple(rho.dims[k] for k in keep_set)
     d = math.prod(kept_dims)
@@ -184,4 +191,10 @@ def embed_operator(op: np.ndarray, subsystem: int, dims: tuple[int, ...]) -> np.
         )
     left = np.eye(math.prod(dims[:subsystem]), dtype=complex)
     right = np.eye(math.prod(dims[subsystem + 1:]), dtype=complex)
-    return np.kron(np.kron(left, op), right)
+    # np.kron(np.kron(left, op), right) as one broadcast product: the same
+    # complex multiplications in the same order, so every entry is bitwise
+    # equal (signed zeros included), without kron's per-call reshaping.
+    full = ((left[:, None, None, :, None, None] * op[None, :, None, None, :, None])
+            * right[None, None, :, None, None, :])
+    n = math.prod(dims)
+    return full.reshape(n, n)

@@ -67,7 +67,7 @@ class IrrealityDecomposition(NamedTuple):
 def shannon_entropy(probs: np.ndarray) -> float:
     """-sum p ln p over the given weights, with 0 ln 0 = 0."""
     total = 0.0
-    for p in np.asarray(probs, dtype=float).reshape(-1):
+    for p in np.asarray(probs, dtype=float).reshape(-1).tolist():
         if p > ZERO_EIGENVALUE:
             total -= p * math.log(p)
     return total

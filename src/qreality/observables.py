@@ -35,11 +35,12 @@ class ProjectiveBasis:
         vecs = np.asarray(self.vectors, dtype=complex)
         if vecs.ndim != 2 or vecs.shape[0] != vecs.shape[1]:
             raise ValueError(f"basis vectors must form a square matrix, got {vecs.shape}")
+        eye = np.eye(vecs.shape[0])
         gram = vecs.conj().T @ vecs
-        residual = float(np.max(np.abs(gram - np.eye(vecs.shape[0]))))
+        residual = float(np.abs(gram - eye).max())
         if residual > ORTHONORMALITY_TOL:
             raise StateValidationError("basis-orthonormality", residual)
-        completeness = float(np.max(np.abs(vecs @ vecs.conj().T - np.eye(vecs.shape[0]))))
+        completeness = float(np.abs(vecs @ vecs.conj().T - eye).max())
         if completeness > ORTHONORMALITY_TOL:
             raise StateValidationError("basis-completeness", completeness)
         labels = self.labels
@@ -58,7 +59,7 @@ class ProjectiveBasis:
 
     def projector(self, k: int) -> np.ndarray:
         v = self.vectors[:, k]
-        return np.outer(v, v.conj())
+        return v[:, None] * v.conj()[None, :]  # np.outer(v, v.conj())
 
 
 @dataclass(frozen=True)

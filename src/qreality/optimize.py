@@ -29,6 +29,10 @@ from .observables import ProjectiveBasis, fourier_of, qubit_basis, schmidt_decom
 OBJECTIVE_NONLOCALITY = "nonlocality"
 OBJECTIVE_DISCORD = "discord"
 
+# Largest pair grid minimize_pair accepts, in cells: about 64 MB per float64
+# grid.  The default 25 x 24 grid per side is 360,000 cells.
+MAX_PAIR_GRID_CELLS = 2**23
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -193,6 +197,11 @@ def minimize_pair(
         raise ValueError(f"unsupported pair objective '{objective}'")
     if rho.dims != (2, 2):
         raise ValueError(f"pair optimization needs two qubits, got {rho.dims}")
+    grid_cells = (cfg.grid_points_theta * cfg.grid_points_phi) ** 2
+    if grid_cells > MAX_PAIR_GRID_CELLS:
+        raise ValueError(
+            f"pair grid of {grid_cells} cells exceeds the budget of "
+            f"{MAX_PAIR_GRID_CELLS} cells; lower the grid points per side")
 
     r1, r2, tmat, s_rho, _, _, mi = _two_qubit_data(rho)
     axes, thetas, phis = kernels.axis_grid(cfg.grid_points_theta, cfg.grid_points_phi)

@@ -38,7 +38,6 @@ class SweepSpec:
     stop: float = 1.0
     points: int = 51
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if self.family not in FAMILIES:

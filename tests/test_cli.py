@@ -158,6 +158,32 @@ def test_sweep_requires_output():
     assert main(["sweep", "--family", "werner", "--points", "2", *FAST_FLAGS]) == 2
 
 
+def test_sweep_over_the_pair_grid_budget_exits_two(tmp_path, capsys, monkeypatch):
+    from qreality import optimize
+
+    # FAST_FLAGS give 7 x 6 = 42 axes per side, 1764 pair cells.
+    monkeypatch.setattr(optimize, "MAX_PAIR_GRID_CELLS", 1000)
+    out = tmp_path / "w.csv"
+    assert main(["sweep", "--family", "werner", "--points", "2", *FAST_FLAGS,
+                 "--output", str(out)]) == 2
+    assert "1764 cells exceeds the budget of 1000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "werner", "--output", "x.csv", "--seed", "1"],
+    ["sweep", "--family", "werner", "--output", "x.csv", "--format", "csv"],
+    ["slit", "--output", "x.csv", "--seed", "1"],
+    ["verify", "singlet", "--format", "records"],
+    ["measure", "singlet", "zbasis@0", "--seed", "1"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_slit_curve(tmp_path):
     out = tmp_path / "slit.csv"
     assert main(["slit", "--points", "5", "--output", str(out)]) == 0

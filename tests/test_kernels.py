@@ -197,3 +197,50 @@ def test_disable_flag_selects_numpy_backend():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.split() == ["numpy", "False"]
+
+
+def _old_side_values(axis, r_here, r_there, m):
+    # The single side helper the scalar objectives used to share.
+    a = float(axis @ r_here)
+    w = axis @ m
+    mp = float(np.linalg.norm(r_there + w))
+    mm = float(np.linalg.norm(r_there - w))
+    s = kernels._entropy_sum(
+        ((1.0 + a + mp) / 4.0, (1.0 + a - mp) / 4.0,
+         (1.0 - a + mm) / 4.0, (1.0 - a - mm) / 4.0)
+    )
+    h = kernels._entropy_sum(((1.0 + a) / 2.0, (1.0 - a) / 2.0))
+    return s, h
+
+
+def _old_joint_value(axis_a, axis_b, r1, r2, tmat):
+    a = float(axis_a @ r1)
+    b = float(axis_b @ r2)
+    c = float(axis_a @ tmat @ axis_b)
+    return kernels._entropy_sum(
+        ((1.0 + a + b + c) / 4.0, (1.0 + a - b - c) / 4.0,
+         (1.0 - a + b - c) / 4.0, (1.0 - a - b + c) / 4.0)
+    )
+
+
+def test_scalar_values_match_side_values_composition_bitwise():
+    rng = np.random.default_rng(97)
+    states = [random_density(4, 1 + k % 4, 500 + k, dims=(2, 2)) for k in range(12)]
+    states += [werner(0.5), singlet()]
+    for rho in states:
+        r1, r2, tmat, s_rho, mi, s_env = _state_data(rho)
+        for _ in range(40):
+            ua, ub = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+            s_a, h_a = _old_side_values(ua, r1, r2, tmat)
+            s_b, h_b = _old_side_values(ub, r2, r1, tmat.T)
+            joint = _old_joint_value(ua, ub, r1, r2, tmat)
+            pairs = (
+                (kernels.nonlocality_value(ua, ub, r1, r2, tmat, s_rho),
+                 s_a + s_b - joint - s_rho),
+                (kernels.pair_discord_value(ua, ub, r1, r2, tmat, mi),
+                 mi - h_a - h_b + joint),
+                (kernels.single_discord_value(ua, r1, r2, tmat, mi, s_env),
+                 mi - h_a - s_env + s_a),
+            )
+            for got, want in pairs:
+                assert got.hex() == want.hex()

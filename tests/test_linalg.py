@@ -211,3 +211,56 @@ def test_embed_operator():
         embed_operator(z, 3, (2, 2))
     with pytest.raises(ValueError):
         embed_operator(np.eye(3, dtype=complex), 0, (2, 2))
+
+
+def _bits(x):
+    # Raw IEEE words, so that signed zeros and every last bit count.
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2)])
+def test_embed_operator_is_bitwise_nested_kron(dims):
+    rng = np.random.default_rng(len(dims) * 10 + sum(dims))
+    for subsystem, d in enumerate(dims):
+        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        left = np.eye(math.prod(dims[:subsystem]), dtype=complex)
+        right = np.eye(math.prod(dims[subsystem + 1:]), dtype=complex)
+        reference = np.kron(np.kron(left, op), right)
+        got = embed_operator(op, subsystem, dims)
+        assert got.shape == reference.shape
+        np.testing.assert_array_equal(_bits(got), _bits(reference))
+
+
+def _fresh_trace_subscripts(n, keep_set):
+    # The subscripts partial_trace built inline on every call before they
+    # were cached; the einsum label order fixes the summation order.
+    letters = iter("abcdefghijklmnopqrstuvwxyz")
+    row_sub, col_sub, out_sub = [], [], []
+    for k in range(n):
+        a = next(letters)
+        if k in keep_set:
+            b = next(letters)
+            row_sub.append(a)
+            col_sub.append(b)
+            out_sub.append((a, b))
+        else:
+            row_sub.append(a)
+            col_sub.append(a)
+    out_rows = "".join(a for a, _ in out_sub)
+    out_cols = "".join(b for _, b in out_sub)
+    return "".join(row_sub + col_sub) + "->" + out_rows + out_cols
+
+
+@pytest.mark.parametrize("keep", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
+def test_partial_trace_matches_fresh_einsum(keep):
+    dims = (2, 3, 2)
+    rho = random_density(12, 5, 17, dims=dims)
+    tensor = rho.mat.reshape(dims + dims)
+    reduced = np.einsum(_fresh_trace_subscripts(3, keep), tensor)
+    kept_dims = tuple(dims[k] for k in keep)
+    d = math.prod(kept_dims)
+    reference = DensityMatrix(reduced.reshape(d, d), kept_dims)
+    for spelling in (keep, list(reversed(keep)), keep):
+        got = partial_trace(rho, spelling)
+        assert got.dims == kept_dims
+        np.testing.assert_array_equal(_bits(got.mat), _bits(reference.mat))

@@ -12,6 +12,7 @@ from qreality.linalg import (
     tensor_product,
 )
 from qreality.measures import (
+    ZERO_EIGENVALUE,
     MeasureReport,
     available_information,
     concurrence,
@@ -539,3 +540,17 @@ def test_measure_report_record_format():
     assert line.startswith("name=nonlocality value=0.69314718055994")
     assert 'inputs="singlet; zbasis@0; zbasis@1"' in line
     assert "residual.form_gap=0" in line
+
+
+def test_shannon_entropy_matches_numpy_scalar_loop_bitwise():
+    # The reference loops over numpy float64 scalars, as the sum once did.
+    rng = np.random.default_rng(31)
+    for size in (2, 4, 9):
+        for _ in range(50):
+            probs = rng.dirichlet(np.ones(size))
+            probs[rng.integers(size)] = rng.choice([0.0, 1e-16, -1e-17])
+            reference = 0.0
+            for p in probs:
+                if p > ZERO_EIGENVALUE:
+                    reference -= p * math.log(p)
+            assert shannon_entropy(probs).hex() == float(reference).hex()

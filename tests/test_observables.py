@@ -203,3 +203,15 @@ def test_parse_basis_spec():
     for bad in ("nope", "bloch:theta=1", "bloch:theta=a,phi=0", "fourier:d=x", "fourier:n=2"):
         with pytest.raises(SpecParseError):
             parse_basis_spec(bad)
+
+
+def test_projector_is_bitwise_outer_product():
+    rng = np.random.default_rng(23)
+    bases = [qubit_basis(*rng.uniform(0, math.pi, 2)) for _ in range(20)]
+    bases += [fourier_basis(3), fourier_basis(5)]
+    for basis in bases:
+        for k in range(basis.dim):
+            v = basis.vectors[:, k]
+            reference = np.outer(v, v.conj())
+            np.testing.assert_array_equal(
+                basis.projector(k).view(np.uint64), reference.view(np.uint64))

@@ -226,3 +226,41 @@ def test_converged_is_false_when_the_grid_best_wins(monkeypatch):
     for res in (minimize_pair(rho, "nonlocality", cfg=FAST), minimize_single(rho, 0, cfg=FAST)):
         assert res.value == res.grid_best
         assert res.converged is False
+
+
+def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
+    from qreality import measures, optimize
+
+    calls = {"qubit_basis": 0, "dephase": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(optimize, "qubit_basis", counted("qubit_basis", optimize.qubit_basis))
+    monkeypatch.setattr(measures, "dephase", counted("dephase", measures.dephase))
+    rho = random_density(4, 3, 41, dims=(2, 2))
+    for subsystem in (0, 1):
+        calls.update(qubit_basis=0, dephase=0)
+        brute_force_single(rho, subsystem, n_theta=4, n_phi=5)
+        assert calls == {"qubit_basis": 20, "dephase": 20}
+
+
+def test_minimize_pair_rejects_grids_over_the_budget(monkeypatch):
+    from qreality import optimize
+
+    # A 6 x 6 grid per side is 36**2 = 1296 pair cells.
+    monkeypatch.setattr(optimize, "MAX_PAIR_GRID_CELLS", 1295)
+
+    def no_work(*args):
+        raise AssertionError("the budget check must come before any grid work")
+
+    monkeypatch.setattr(kernels, "bloch_correlations", no_work)
+    cfg = OptimizerConfig(grid_points_theta=6, grid_points_phi=6, refine_starts=2)
+    with pytest.raises(ValueError, match=r"1296 cells exceeds the budget of 1295"):
+        minimize_pair(werner(0.5), "nonlocality", cfg)
+    monkeypatch.undo()
+    monkeypatch.setattr(optimize, "MAX_PAIR_GRID_CELLS", 1296)
+    assert minimize_pair(werner(0.5), "nonlocality", cfg).value >= -1e-9
