@@ -4,8 +4,13 @@ Strategy: exhaustive scan of a fixed (theta, phi) grid per optimized side,
 followed by Nelder-Mead refinement started from the best grid cells.  The
 objective landscapes are smooth but multimodal, so the grid bounds how far a
 global optimum can hide and the simplex sharpens the best cells to tolerance.
-Everything is deterministic: fixed grid order, ties broken by lowest linear
-grid index, fixed initial simplexes.
+The refinement is an in-house Nelder-Mead on plain Python floats that repeats
+the arithmetic of scipy's ``minimize(method="Nelder-Mead")`` step for step, so
+its iterates match scipy's bit for bit and the package needs only numpy.
+Everything is deterministic on a given machine: fixed grid order, ties broken
+by lowest linear grid index, fixed initial simplexes.  (Vertex order within
+the simplex follows ``np.argsort``, whose order for tied values can differ
+between numpy builds and CPUs.)
 
 Two-qubit states are evaluated through the closed-form Bloch kernels in
 :mod:`qreality.kernels`; :func:`brute_force_single` deliberately avoids them
@@ -19,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _nelder_mead
 
 from . import kernels
 from .linalg import DensityMatrix, partial_trace
@@ -32,6 +36,9 @@ OBJECTIVE_DISCORD = "discord"
 # Largest pair grid minimize_pair accepts, in cells: about 64 MB per float64
 # grid.  The default 25 x 24 grid per side is 360,000 cells.
 MAX_PAIR_GRID_CELLS = 2**23
+# Largest side grid minimize_single accepts, in grid points: its (points, 3)
+# float64 axis array is 48 MB, within one pair grid's size.
+MAX_SIDE_GRID_POINTS = 2**21
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,79 @@ def _lowest_cells(values: np.ndarray, k: int) -> np.ndarray:
     return candidates[order[:k]]
 
 
+def _by_value(sim, fsim):
+    # Vertices in np.argsort order of their values (what np.argsort(fsim)
+    # computes, without its list wrapper).
+    order = np.array(fsim).argsort().tolist()
+    return [sim[k] for k in order], [fsim[k] for k in order]
+
+
+def _nelder_mead(fun, simplex, cfg: OptimizerConfig):
+    # scipy.optimize.minimize(method="Nelder-Mead") with adaptive=False, no
+    # bounds, no maxfev, xatol = fatol = refine_tolerance and maxiter =
+    # max_refine_iterations, replayed on lists of floats: the same
+    # coefficients written the same way, the centroid as a sum of rows from
+    # 0.0 divided by N, the same stopping test, and vertices reordered by
+    # np.argsort (not a stable sort), so every iterate matches scipy's.
+    # Returns (x, value, nfev, success).
+    tol, maxiter = cfg.refine_tolerance, cfg.max_refine_iterations
+    n = len(simplex) - 1
+    sim = [list(vertex) for vertex in simplex]
+    fsim = [fun(vertex) for vertex in sim]
+    nfev = n + 1
+    for _ in range(2):  # scipy sorts the starting simplex twice
+        sim, fsim = _by_value(sim, fsim)
+    iterations = 1
+    while iterations < maxiter:
+        s0, f0 = sim[0], fsim[0]
+        if (all(abs(x - x0) <= tol for row in sim[1:] for x, x0 in zip(row, s0))
+                and all(abs(f0 - f) <= tol for f in fsim[1:])):
+            break
+        total = [0.0] * n
+        for row in sim[:-1]:
+            total = [t + x for t, x in zip(total, row)]
+        xbar = [t / n for t in total]
+        worst = sim[-1]
+        xr = [2 * b - 1 * w for b, w in zip(xbar, worst)]
+        fxr = fun(xr)
+        nfev += 1
+        shrink = False
+        if fxr < fsim[0]:
+            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
+            fxe = fun(xe)
+            nfev += 1
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+            fxc = fun(xc)
+            nfev += 1
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+            fxcc = fun(xcc)
+            nfev += 1
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = [x0 + 0.5 * (x - x0) for x, x0 in zip(sim[j], s0)]
+                fsim[j] = fun(sim[j])
+            nfev += n
+        iterations += 1
+        sim, fsim = _by_value(sim, fsim)
+    return sim[0], float(np.min(fsim)), nfev, iterations < maxiter
+
+
 def _refine(fun, starts, cfg: OptimizerConfig):
     # Nelder-Mead from each start; returns (x, value, nfev, success) of the
     # best start, with nfev summed over all starts.
@@ -102,23 +182,13 @@ def _refine(fun, starts, cfg: OptimizerConfig):
     nfev = 0
     best_success = False
     for x0 in starts:
-        x0 = np.asarray(x0, dtype=float)
-        simplex = np.vstack([x0] + [x0 + step * basis for step, basis in
-                                    zip(steps, np.eye(len(x0)))])
-        res = _nelder_mead(
-            fun, x0, method="Nelder-Mead",
-            options={
-                "xatol": cfg.refine_tolerance,
-                "fatol": cfg.refine_tolerance,
-                "maxiter": cfg.max_refine_iterations,
-                "initial_simplex": simplex,
-            },
-        )
-        nfev += int(res.nfev)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = np.asarray(res.x, dtype=float)
-            best_success = bool(res.success)
+        x0 = [float(x) for x in x0]
+        simplex = [x0] + [[x + (step if i == k else 0.0) for i, x in enumerate(x0)]
+                          for k, step in enumerate(steps)]
+        x, value, calls, success = _nelder_mead(fun, simplex, cfg)
+        nfev += calls
+        if value < best_val:
+            best_val, best_x, best_success = value, np.array(x), success
     return best_x, best_val, nfev, best_success
 
 
@@ -146,6 +216,11 @@ def minimize_single(
         raise ValueError(f"subsystem must be 0 or 1, got {subsystem}")
     if rho.dims[subsystem] != 2:
         raise ValueError("the optimized subsystem must be a qubit")
+    grid_points = cfg.grid_points_theta * cfg.grid_points_phi
+    if grid_points > MAX_SIDE_GRID_POINTS:
+        raise ValueError(
+            f"side grid of {grid_points} points exceeds the budget of "
+            f"{MAX_SIDE_GRID_POINTS} points; lower the grid points per side")
 
     axes, thetas, phis = kernels.axis_grid(cfg.grid_points_theta, cfg.grid_points_phi)
 

@@ -462,6 +462,8 @@ def run_suite(
 ) -> VerifySuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite '{name}' (known: {', '.join(sorted(SUITES))})")
+    if count is not None and count < 1:
+        raise ValueError(f"suite case count must be at least 1, got {count}")
     runner, default_count = SUITES[name]
     return runner(seed, default_count if count is None else count, cfg)
 

@@ -227,3 +227,21 @@ def test_verify_reports_failures(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "1 failures" in out
     assert "broken case" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_count_below_one_exits_two(count, capsys):
+    for suite in ("dephasing", "all"):
+        assert main(["verify", suite, "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert f"got {count}" in captured.err
+        assert "0 failures" not in captured.out
+
+
+def test_verify_oracle_over_the_side_grid_budget_exits_two(capsys, monkeypatch):
+    from qreality import optimize
+
+    # FAST_FLAGS give 7 x 6 = 42 points per side.
+    monkeypatch.setattr(optimize, "MAX_SIDE_GRID_POINTS", 41)
+    assert main(["verify", "oracle", *FAST_FLAGS]) == 2
+    assert "42 points exceeds the budget of 41" in capsys.readouterr().err

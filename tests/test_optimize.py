@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qreality import kernels
-from qreality.linalg import DensityMatrix, tensor_product
+from qreality.linalg import DensityMatrix, partial_trace, tensor_product
 from qreality.measures import entropy, nonlocality
 from qreality.optimize import (
     OptimizerConfig,
@@ -264,3 +268,150 @@ def test_minimize_pair_rejects_grids_over_the_budget(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(optimize, "MAX_PAIR_GRID_CELLS", 1296)
     assert minimize_pair(werner(0.5), "nonlocality", cfg).value >= -1e-9
+
+
+def test_minimize_single_rejects_grids_over_the_side_budget(monkeypatch):
+    from qreality import optimize
+
+    # A 6 x 6 side grid is 36 points.
+    monkeypatch.setattr(optimize, "MAX_SIDE_GRID_POINTS", 35)
+
+    def no_grid(*args):
+        raise AssertionError("the budget check must come before the side grid")
+
+    monkeypatch.setattr(kernels, "axis_grid", no_grid)
+    cfg = OptimizerConfig(grid_points_theta=6, grid_points_phi=6, refine_starts=2)
+    for subsystem in (0, 1):
+        with pytest.raises(ValueError, match=r"36 points exceeds the budget of 35"):
+            minimize_single(werner(0.5), subsystem, cfg=cfg)
+    monkeypatch.undo()
+    monkeypatch.setattr(optimize, "MAX_SIDE_GRID_POINTS", 36)
+    assert minimize_single(werner(0.5), 0, cfg=cfg).value >= -1e-9
+
+
+def _scipy_refine(fun, starts, cfg):
+    # The refinement as it was written against scipy.optimize.minimize.
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    d_theta = math.pi / max(cfg.grid_points_theta - 1, 1) / 2.0
+    d_phi = math.pi / cfg.grid_points_phi / 2.0
+    steps = [d_theta if k % 2 == 0 else d_phi for k in range(len(starts[0]))]
+    best_x, best_val = None, math.inf
+    nfev = 0
+    best_success = False
+    for x0 in starts:
+        x0 = np.asarray(x0, dtype=float)
+        simplex = np.vstack([x0] + [x0 + step * basis for step, basis in
+                                    zip(steps, np.eye(len(x0)))])
+        res = minimize(
+            fun, x0, method="Nelder-Mead",
+            options={
+                "xatol": cfg.refine_tolerance,
+                "fatol": cfg.refine_tolerance,
+                "maxiter": cfg.max_refine_iterations,
+                "initial_simplex": simplex,
+            },
+        )
+        nfev += int(res.nfev)
+        if res.fun < best_val:
+            best_val = float(res.fun)
+            best_x = np.asarray(res.x, dtype=float)
+            best_success = bool(res.success)
+    return best_x, best_val, nfev, best_success
+
+
+def _words(result):
+    x, value, nfev, success = result
+    return np.asarray(x, dtype=float).view(np.uint64).tolist(), value.hex(), nfev, success
+
+
+def _pair_objective(rho, which):
+    r1, r2, tmat = kernels.bloch_correlations(rho.mat)
+    if which == "nonlocality":
+        base = entropy(rho)
+        value = kernels.nonlocality_value
+    else:
+        base = entropy(partial_trace(rho, 0)) + entropy(partial_trace(rho, 1)) - entropy(rho)
+        value = kernels.pair_discord_value
+
+    def fun(x):
+        ua = kernels.axis_from_angles(x[0], x[1])
+        ub = kernels.axis_from_angles(x[2], x[3])
+        return value(ua, ub, r1, r2, tmat, base)
+    return fun
+
+
+def _single_objective(rho):
+    r1, r2, tmat = kernels.bloch_correlations(rho.mat)
+    s2 = entropy(partial_trace(rho, 1))
+    mi = entropy(partial_trace(rho, 0)) + s2 - entropy(rho)
+
+    def fun(x):
+        axis = kernels.axis_from_angles(x[0], x[1])
+        return kernels.single_discord_value(axis, r1, r2, tmat, mi, s2)
+    return fun
+
+
+def _nelder_mead_cases():
+    rng = np.random.default_rng(223)
+    cfg = OptimizerConfig()
+    states = [werner(0.5), alpha_state(0.3)]
+    states += [random_density(4, 1 + k % 4, rng, dims=(2, 2)) for k in range(6)]
+    for rho in states:
+        starts4 = [tuple(rng.uniform(0.0, math.pi, 4)) for _ in range(3)]
+        starts2 = [tuple(rng.uniform(0.0, math.pi, 2)) for _ in range(3)]
+        yield _pair_objective(rho, "nonlocality"), starts4, cfg
+        yield _pair_objective(rho, "discord"), starts4, cfg
+        yield _single_objective(rho), starts2, cfg
+
+    def flat(x):
+        # Piecewise constant: whole simplexes of exactly tied values.
+        return float(math.floor(2.0 * sum(v * v for v in x)))
+
+    yield flat, [(0.1, 0.2, 0.3, 0.4), (1.0, 1.0, 0.5, 0.0)], cfg
+    yield flat, [(0.7, 0.3)], cfg
+
+    def cusp(x):
+        return math.sqrt(abs(x[0] - 0.3)) + math.sqrt(abs(x[1] + 0.2))
+
+    yield cusp, [(0.0, 0.0), (1.0, 2.0)], cfg
+    # The iteration cap: success is False.
+    capped = OptimizerConfig(max_refine_iterations=7)
+    yield _pair_objective(states[2], "nonlocality"), [(0.3, 0.4, 1.2, 2.0)], capped
+    yield _single_objective(states[3]), [(2.0, 0.1)], capped
+
+
+def test_nelder_mead_is_bitwise_scipy():
+    pytest.importorskip("scipy.optimize")
+    outcomes = set()
+    for fun, starts, cfg in _nelder_mead_cases():
+        ours = _refine(fun, starts, cfg)
+        assert _words(ours) == _words(_scipy_refine(fun, starts, cfg))
+        outcomes.add(ours[3])
+    assert outcomes == {True, False}
+
+    # Lowest only at the start vertex itself: reflection and inside
+    # contraction both tie the worst vertex, so every iteration shrinks
+    # towards the start until the cap ends the run.
+    start = (0.25, 1.5)
+    calls = []
+
+    def well(x):
+        calls.append(tuple(x))
+        return 0.0 if tuple(x) == start else 1.0
+
+    cfg = OptimizerConfig(max_refine_iterations=30)
+    ours = _refine(well, [start], cfg)
+    d_theta = math.pi / (cfg.grid_points_theta - 1) / 2.0
+    assert (start[0] + 0.5 * ((start[0] + d_theta) - start[0]), start[1]) in calls
+    assert ours[3] is False
+    assert _words(ours) == _words(_scipy_refine(well, [start], cfg))
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import qreality, sys; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -61,3 +61,12 @@ def test_determinism_of_suites():
     a = run_suite("decomposition", seed=5, count=5)
     b = run_suite("decomposition", seed=5, count=5)
     assert a == b
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_count_below_one_is_rejected(count):
+    # A suite that checks no case must not report success.
+    with pytest.raises(ValueError, match=rf"at least 1, got {count}"):
+        run_suite("dephasing", count=count)
+    with pytest.raises(ValueError, match=rf"got {count}"):
+        run_all(count=count)
