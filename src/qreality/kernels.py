@@ -14,11 +14,13 @@ because dephasing along a Bloch axis u produces a block-diagonal state whose
     S(Ph_u^A Ph_v^B rho):  weights (1 + s u.r1 + t v.r2 + s t u.T v)/4
     dephased marginals:  binary entropy of (1 + u.r1)/2 (resp. v.r2)
 
-so a grid scan needs no eigendecompositions at all.  The heavy loops are
-compiled with numba when available; setting the environment variable
-``QREALITY_DISABLE_NUMBA`` (to anything but ``0``) selects the pure-numpy
-vectorized fallback instead.  Both backends are importable side by side for
-testing.  The repository benchmark times the grid stage end to end:
+so a grid scan needs no eigendecompositions at all.  The grids are vectorized
+numpy and the only backend.  Each pair grid is one fused pass: the joint
+entropy and the objective are formed ``JOINT_BLOCK_ROWS`` rows at a time in
+block-sized scratch buffers, with every cell computed by the same floating
+point operations, in the same order, as the unfused composition of side and
+joint grids.  The scalar ``*_value`` functions are the refinement objectives.
+The repository benchmark times the grid stage end to end:
 ``python3 perfbench/run.py --workload pair_min`` (``--trace 1`` for per-layer
 figures, see ``perfbench/NOTES.md``).
 
@@ -30,34 +32,19 @@ to cross-check it.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 ZERO_WEIGHT = 1e-15
-# Rows of the joint-entropy grid evaluated per block by the numpy backend.
+# Rows of a pair grid evaluated per block.
 JOINT_BLOCK_ROWS = 64
-
-_flag = os.environ.get("QREALITY_DISABLE_NUMBA", "")
-NUMBA_DISABLED = _flag not in ("", "0")
-try:
-    if NUMBA_DISABLED:
-        raise ImportError
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    njit = None
-    NUMBA_ENABLED = False
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
 
 
 def backend() -> str:
-    """Active kernel backend: 'numba' or 'numpy'."""
-    return BACKEND
+    """Kernel backend: always 'numpy'."""
+    return "numpy"
 
 
 def bloch_correlations(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,80 +79,7 @@ def axis_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 # ---------------------------------------------------------------------------
-# loop implementations (numba-compiled when the backend is 'numba')
-# ---------------------------------------------------------------------------
-
-def _side_entropies_loops(axes, r_here, r_there, m):
-    # For each axis x: entropy of the state dephased on this side, and the
-    # binary entropy of the dephased marginal.  m is T for side A and T^t
-    # (contiguous) for side B.
-    n = axes.shape[0]
-    s_out = np.empty(n)
-    h_out = np.empty(n)
-    for i in range(n):
-        x0 = axes[i, 0]
-        x1 = axes[i, 1]
-        x2 = axes[i, 2]
-        a = x0 * r_here[0] + x1 * r_here[1] + x2 * r_here[2]
-        w0 = x0 * m[0, 0] + x1 * m[1, 0] + x2 * m[2, 0]
-        w1 = x0 * m[0, 1] + x1 * m[1, 1] + x2 * m[2, 1]
-        w2 = x0 * m[0, 2] + x1 * m[1, 2] + x2 * m[2, 2]
-        p0 = r_there[0] + w0
-        p1 = r_there[1] + w1
-        p2 = r_there[2] + w2
-        mp = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
-        q0 = r_there[0] - w0
-        q1 = r_there[1] - w1
-        q2 = r_there[2] - w2
-        mm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2)
-        s = 0.0
-        for w in ((1.0 + a + mp) / 4.0, (1.0 + a - mp) / 4.0,
-                  (1.0 - a + mm) / 4.0, (1.0 - a - mm) / 4.0):
-            if w > ZERO_WEIGHT:
-                s -= w * math.log(w)
-        s_out[i] = s
-        h = 0.0
-        pa = (1.0 + a) / 2.0
-        if pa > ZERO_WEIGHT:
-            h -= pa * math.log(pa)
-        pb = 1.0 - pa
-        if pb > ZERO_WEIGHT:
-            h -= pb * math.log(pb)
-        h_out[i] = h
-    return s_out, h_out
-
-
-def _joint_entropy_loops(axes_a, axes_b, r1, r2, tmat):
-    # Entropy of the state dephased on both sides: Shannon entropy of the
-    # four outcome probabilities (1 + s u.r1 + t v.r2 + s t u.T v)/4.
-    na = axes_a.shape[0]
-    nb = axes_b.shape[0]
-    out = np.empty((na, nb))
-    for i in range(na):
-        u0 = axes_a[i, 0]
-        u1 = axes_a[i, 1]
-        u2 = axes_a[i, 2]
-        a = u0 * r1[0] + u1 * r1[1] + u2 * r1[2]
-        t0 = u0 * tmat[0, 0] + u1 * tmat[1, 0] + u2 * tmat[2, 0]
-        t1 = u0 * tmat[0, 1] + u1 * tmat[1, 1] + u2 * tmat[2, 1]
-        t2 = u0 * tmat[0, 2] + u1 * tmat[1, 2] + u2 * tmat[2, 2]
-        for j in range(nb):
-            v0 = axes_b[j, 0]
-            v1 = axes_b[j, 1]
-            v2 = axes_b[j, 2]
-            b = v0 * r2[0] + v1 * r2[1] + v2 * r2[2]
-            c = t0 * v0 + t1 * v1 + t2 * v2
-            s = 0.0
-            for p in ((1.0 + a + b + c) / 4.0, (1.0 + a - b - c) / 4.0,
-                      (1.0 - a + b - c) / 4.0, (1.0 - a - b + c) / 4.0):
-                if p > ZERO_WEIGHT:
-                    s -= p * math.log(p)
-            out[i, j] = s
-    return out
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy implementations (the fallback backend)
+# grid building blocks
 # ---------------------------------------------------------------------------
 
 def _entropy_terms_numpy(p: np.ndarray) -> np.ndarray:
@@ -176,6 +90,9 @@ def _entropy_terms_numpy(p: np.ndarray) -> np.ndarray:
 
 
 def _side_entropies_numpy(axes, r_here, r_there, m):
+    # For each axis: entropy of the state dephased on this side, and the
+    # binary entropy of the dephased marginal.  m is T for side A and T^t
+    # (contiguous) for side B.
     a = axes @ r_here
     w = axes @ m
     mp = np.linalg.norm(r_there + w, axis=1)
@@ -189,76 +106,88 @@ def _side_entropies_numpy(axes, r_here, r_there, m):
     return s_out, h_out
 
 
-def _joint_entropy_numpy(axes_a, axes_b, r1, r2, tmat):
-    # The four -p ln p terms are evaluated JOINT_BLOCK_ROWS rows at a time, so
-    # temporaries stay block-sized whatever the grid.  c = u.T v is computed
-    # once, straight into the output, by the full-size product: BLAS may round
-    # a product over a subset of rows differently in the last bit.  Per cell
-    # the arithmetic is that of the one-shot form (the terms summed onto zero
-    # in the same order), so every cell is bitwise the same.
-    a = (axes_a @ r1)[:, None]
-    b = (axes_b @ r2)[None, :]
-    out = np.empty((axes_a.shape[0], axes_b.shape[0]))
+def _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
+    # Entropy of the state dephased on both sides: Shannon entropy of the four
+    # outcome probabilities (1 + s u.r1 + t v.r2 + s t u.T v)/4.  Fills out
+    # with c = u.T v by the full-size product (BLAS may round a product over a
+    # subset of rows differently in the last bit), then yields (rows, S_AB of
+    # those rows) per JOINT_BLOCK_ROWS rows.  out[rows] holds c until its
+    # S_AB is yielded; the caller then overwrites it.  The yielded array is
+    # scratch, reused by the next block.
+    #
+    # Per cell this is the arithmetic of the one-shot form
+    # sum over (s, t) of where(p > ZERO_WEIGHT, -p ln p, 0) onto zero:
+    # p = ((1 + s a) + t b) + s t c, then x/4 == x*0.25; ln is taken of
+    # q = where(p > ZERO_WEIGHT, p, 1) (just p when every cell is live), so a
+    # dead cell subtracts 1*ln 1 = +0.0, and acc - q ln q == acc + (-q) ln q.
+    # The sum never holds -0.0, so both zero terms leave it unchanged.
     np.matmul(axes_a @ tmat, axes_b.T, out=out)
+    a = axes_a @ r1
+    b = axes_b @ r2
+    sides = ((1.0 + a)[:, None], (1.0 - a)[:, None])
+    shape = (min(JOINT_BLOCK_ROWS, out.shape[0]), out.shape[1])
+    p_buf, lq_buf, acc_buf = np.empty(shape), np.empty(shape), np.empty(shape)
     for start in range(0, out.shape[0], JOINT_BLOCK_ROWS):
         rows = slice(start, start + JOINT_BLOCK_ROWS)
-        block = out[rows]
-        c = block.copy()
-        block[...] = 0.0
-        for s in (1.0, -1.0):
-            for t in (1.0, -1.0):
-                block += _entropy_terms_numpy(
-                    (1.0 + s * a[rows] + t * b + s * t * c) / 4.0)
+        c = out[rows]
+        n = c.shape[0]
+        p, lq, acc = p_buf[:n], lq_buf[:n], acc_buf[:n]
+        acc.fill(0.0)
+        for s, side in enumerate(sides):
+            for t, add_b in enumerate((np.add, np.subtract)):
+                add_b(side[rows], b, out=p)
+                # s t = +1 when s and t have the same sign
+                (np.add if s == t else np.subtract)(p, c, out=p)
+                np.multiply(p, 0.25, out=p)
+                # min is NaN when any cell is, which takes the where path
+                q = p if p.min() > ZERO_WEIGHT else np.where(p > ZERO_WEIGHT, p, 1.0)
+                np.log(q, out=lq)
+                np.multiply(q, lq, out=lq)
+                np.subtract(acc, lq, out=acc)
+        yield rows, acc
+
+
+def _joint_entropy_numpy(axes_a, axes_b, r1, r2, tmat):
+    out = np.empty((axes_a.shape[0], axes_b.shape[0]))
+    for rows, s_ab in _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
+        out[rows] = s_ab
     return out
-
-
-if NUMBA_ENABLED:
-    _side_entropies_jit = njit(cache=True)(_side_entropies_loops)
-    _joint_entropy_jit = njit(cache=True)(_joint_entropy_loops)
-else:
-    _side_entropies_jit = None
-    _joint_entropy_jit = None
-
-
-def _impl(backend_name: str | None):
-    name = BACKEND if backend_name is None else backend_name
-    if name == "numba":
-        if not NUMBA_ENABLED:
-            raise RuntimeError("numba backend requested but not available")
-        return _side_entropies_jit, _joint_entropy_jit
-    if name == "numpy":
-        return _side_entropies_numpy, _joint_entropy_numpy
-    raise ValueError(f"unknown kernel backend '{backend_name}'")
 
 
 # ---------------------------------------------------------------------------
 # objective grids
 # ---------------------------------------------------------------------------
 
-def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy, backend=None):
+def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy):
     """N over all axis pairs: S_A + S_B - S_AB - S(rho)."""
-    side, joint = _impl(backend)
-    tmat_t = np.ascontiguousarray(tmat.T)
-    s_a, _ = side(axes_a, r1, r2, tmat)
-    s_b, _ = side(axes_b, r2, r1, tmat_t)
-    s_ab = joint(axes_a, axes_b, r1, r2, tmat)
-    return s_a[:, None] + s_b[None, :] - s_ab - base_entropy
+    s_a, _ = _side_entropies_numpy(axes_a, r1, r2, tmat)
+    s_b, _ = _side_entropies_numpy(axes_b, r2, r1, np.ascontiguousarray(tmat.T))
+    s_a = s_a[:, None]
+    out = np.empty((axes_a.shape[0], axes_b.shape[0]))
+    for rows, s_ab in _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
+        block = out[rows]
+        np.add(s_a[rows], s_b, out=block)
+        block -= s_ab
+        block -= base_entropy
+    return out
 
 
-def pair_discord_grid(axes_a, axes_b, r1, r2, tmat, mutual_info, backend=None):
+def pair_discord_grid(axes_a, axes_b, r1, r2, tmat, mutual_info):
     """Two-sided discord-like drop over all axis pairs."""
-    side, joint = _impl(backend)
-    tmat_t = np.ascontiguousarray(tmat.T)
-    _, h_a = side(axes_a, r1, r2, tmat)
-    _, h_b = side(axes_b, r2, r1, tmat_t)
-    s_ab = joint(axes_a, axes_b, r1, r2, tmat)
-    return mutual_info - h_a[:, None] - h_b[None, :] + s_ab
+    _, h_a = _side_entropies_numpy(axes_a, r1, r2, tmat)
+    _, h_b = _side_entropies_numpy(axes_b, r2, r1, np.ascontiguousarray(tmat.T))
+    head = (mutual_info - h_a)[:, None]
+    out = np.empty((axes_a.shape[0], axes_b.shape[0]))
+    for rows, s_ab in _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
+        block = out[rows]
+        np.subtract(head[rows], h_b, out=block)
+        block += s_ab
+    return out
 
 
-def single_discord_grid(axes, r1, r2, tmat, mutual_info, env_entropy, backend=None):
+def single_discord_grid(axes, r1, r2, tmat, mutual_info, env_entropy):
     """One-sided discord-like drop over axes on the dephased side."""
-    side, _ = _impl(backend)
-    s_a, h_a = side(axes, r1, r2, tmat)
+    s_a, h_a = _side_entropies_numpy(axes, r1, r2, tmat)
     return mutual_info - h_a - env_entropy + s_a
 
 
@@ -267,6 +196,9 @@ def single_discord_grid(axes, r1, r2, tmat, mutual_info, env_entropy, backend=No
 # ---------------------------------------------------------------------------
 
 def _entropy_sum(weights) -> float:
+    # Shannon entropy of outcome weights, skipping those at or below
+    # ZERO_WEIGHT: the loop the unrolled sums below repeat term for term,
+    # kept as the reference the tests compare them with.
     s = 0.0
     for w in weights:
         if w > ZERO_WEIGHT:
@@ -274,51 +206,77 @@ def _entropy_sum(weights) -> float:
     return s
 
 
-def _side_entropy(a, axis, r_there, m) -> float:
-    # S(Ph_u rho) for the axis u on this side, a = u . r_here.  sqrt(v @ v) is
-    # the dot product np.linalg.norm takes the root of, so it is bitwise equal.
-    w = axis @ m
+def _entropy4(w0, w1, w2, w3) -> float:
+    # _entropy_sum of four weights, unrolled.
+    s = 0.0
+    if w0 > ZERO_WEIGHT:
+        s -= w0 * math.log(w0)
+    if w1 > ZERO_WEIGHT:
+        s -= w1 * math.log(w1)
+    if w2 > ZERO_WEIGHT:
+        s -= w2 * math.log(w2)
+    if w3 > ZERO_WEIGHT:
+        s -= w3 * math.log(w3)
+    return s
+
+
+def _side_entropy(a, w, r_there) -> float:
+    # S(Ph_u rho) for the axis u on this side, a = u . r_here and w = u m.
+    # sqrt(v . v) is the dot product np.linalg.norm takes the root of, so it
+    # is bitwise equal.
     plus = r_there + w
     minus = r_there - w
-    mp = math.sqrt(plus @ plus)
-    mm = math.sqrt(minus @ minus)
-    return _entropy_sum(
-        ((1.0 + a + mp) / 4.0, (1.0 + a - mp) / 4.0,
-         (1.0 - a + mm) / 4.0, (1.0 - a - mm) / 4.0)
-    )
+    mp = math.sqrt(plus.dot(plus))
+    mm = math.sqrt(minus.dot(minus))
+    return _entropy4((1.0 + a + mp) / 4.0, (1.0 + a - mp) / 4.0,
+                     (1.0 - a + mm) / 4.0, (1.0 - a - mm) / 4.0)
 
 
 def _marginal_entropy(a) -> float:
     # Binary entropy of the dephased marginal, a = u . r_here.
-    return _entropy_sum(((1.0 + a) / 2.0, (1.0 - a) / 2.0))
+    s = 0.0
+    w = (1.0 + a) / 2.0
+    if w > ZERO_WEIGHT:
+        s -= w * math.log(w)
+    w = (1.0 - a) / 2.0
+    if w > ZERO_WEIGHT:
+        s -= w * math.log(w)
+    return s
 
 
-def _joint_value(a, b, axis_a, axis_b, tmat) -> float:
-    c = float(axis_a @ tmat @ axis_b)
-    return _entropy_sum(
-        ((1.0 + a + b + c) / 4.0, (1.0 + a - b - c) / 4.0,
-         (1.0 - a + b - c) / 4.0, (1.0 - a - b + c) / 4.0)
-    )
+def _joint_value(a, b, c) -> float:
+    # S_AB for a = u.r1, b = v.r2 and c = u.T v.
+    return _entropy4((1.0 + a + b + c) / 4.0, (1.0 + a - b - c) / 4.0,
+                     (1.0 - a + b - c) / 4.0, (1.0 - a - b + c) / 4.0)
 
+
+# The scalar objectives take their products with ndarray.dot: for these 1-D
+# and 1-D by 2-D operands it makes the same BLAS call (ddot or dgemv) as the
+# @ operator, without the matmul ufunc's dispatch, so the bits are the same.
 
 def nonlocality_value(axis_a, axis_b, r1, r2, tmat, base_entropy) -> float:
-    a = float(axis_a @ r1)
-    b = float(axis_b @ r2)
-    s_a = _side_entropy(a, axis_a, r2, tmat)
-    s_b = _side_entropy(b, axis_b, r1, tmat.T)
-    return s_a + s_b - _joint_value(a, b, axis_a, axis_b, tmat) - base_entropy
+    a = float(axis_a.dot(r1))
+    b = float(axis_b.dot(r2))
+    # u T, once: the side entropy of A needs it, and u.T v is (u T) v, the
+    # product axis_a @ tmat @ axis_b evaluates.
+    w_a = axis_a.dot(tmat)
+    s_a = _side_entropy(a, w_a, r2)
+    s_b = _side_entropy(b, axis_b.dot(tmat.T), r1)
+    joint = _joint_value(a, b, float(w_a.dot(axis_b)))
+    return s_a + s_b - joint - base_entropy
 
 
 def pair_discord_value(axis_a, axis_b, r1, r2, tmat, mutual_info) -> float:
-    a = float(axis_a @ r1)
-    b = float(axis_b @ r2)
+    a = float(axis_a.dot(r1))
+    b = float(axis_b.dot(r2))
     h_a = _marginal_entropy(a)
     h_b = _marginal_entropy(b)
-    return mutual_info - h_a - h_b + _joint_value(a, b, axis_a, axis_b, tmat)
+    joint = _joint_value(a, b, float(axis_a.dot(tmat).dot(axis_b)))
+    return mutual_info - h_a - h_b + joint
 
 
 def single_discord_value(axis, r1, r2, tmat, mutual_info, env_entropy) -> float:
-    a = float(axis @ r1)
-    s_a = _side_entropy(a, axis, r2, tmat)
+    a = float(axis.dot(r1))
+    s_a = _side_entropy(a, axis.dot(tmat), r2)
     h_a = _marginal_entropy(a)
     return mutual_info - h_a - env_entropy + s_a

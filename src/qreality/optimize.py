@@ -8,9 +8,14 @@ The refinement is an in-house Nelder-Mead on plain Python floats that repeats
 the arithmetic of scipy's ``minimize(method="Nelder-Mead")`` step for step, so
 its iterates match scipy's bit for bit and the package needs only numpy.
 Everything is deterministic on a given machine: fixed grid order, ties broken
-by lowest linear grid index, fixed initial simplexes.  (Vertex order within
-the simplex follows ``np.argsort``, whose order for tied values can differ
-between numpy builds and CPUs.)
+by lowest linear grid index, fixed initial simplexes.  Vertex order within the
+simplex is ``np.argsort``'s.  When the values are distinct every sort gives
+that order, so it comes from Python's sort, or from moving the one new vertex
+into place; ties (``+0.0`` against ``-0.0`` among them) and NaN go to
+``np.argsort`` itself, whose order for tied values is not stable and can
+differ between numpy builds and CPUs.  Where the objective ties at simplex
+vertices (the Bell-diagonal werner and alpha landscapes) the refinement path
+is therefore the same as scipy's on the same machine, not across machines.
 
 Two-qubit states are evaluated through the closed-form Bloch kernels in
 :mod:`qreality.kernels`; :func:`brute_force_single` deliberately avoids them
@@ -21,7 +26,10 @@ oracle for the fast path.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -53,8 +61,11 @@ class OptimizerConfig:
         if min(self.grid_points_theta, self.grid_points_phi, self.refine_starts,
                self.max_refine_iterations) < 1:
             raise ValueError("optimizer config fields must be positive")
-        if self.refine_tolerance <= 0.0:
-            raise ValueError("refine_tolerance must be positive")
+        # NaN would make every start run all max_refine_iterations, and inf
+        # would stop every start at its first simplex.
+        if not (0.0 < self.refine_tolerance < math.inf):
+            raise ValueError(
+                f"refine_tolerance must be positive and finite, got {self.refine_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -90,21 +101,51 @@ def _half_spacing(cfg: OptimizerConfig) -> tuple[float, float]:
 def _lowest_cells(values: np.ndarray, k: int) -> np.ndarray:
     # Linear indices of the k smallest values, exactly the head of
     # np.argsort(values, kind="stable"): ties are ordered by linear index.
-    # np.partition finds the k-th value; only cells at or below it are sorted.
+    # Only cells at or below a bound on the k-th value are sorted.  The bound
+    # is the k-th smallest row minimum: k rows have a cell at or below it, so
+    # the k-th value is too.  Taking it from the row minima spares a
+    # partition of a full-size copy of the grid.
     flat = values.reshape(-1)
     if k >= flat.size:
         return np.argsort(flat, kind="stable")
-    kth = np.partition(flat, k - 1)[k - 1]
-    candidates = np.flatnonzero(flat <= kth)
+    row_min = values.reshape(values.shape[0], -1).min(axis=1)
+    bound = np.partition(row_min, k - 1)[k - 1] if k <= row_min.size else math.nan
+    if bound != bound:  # too few rows, or NaN rows: the k-th value itself
+        bound = np.partition(flat, k - 1)[k - 1]
+    candidates = np.flatnonzero(flat <= bound)
     order = np.lexsort((candidates, flat[candidates]))
     return candidates[order[:k]]
 
 
+def _python_order(fsim):
+    # The permutation that sorts fsim when its values are distinct and none is
+    # NaN (then every sort, np.argsort included, gives it), else None.
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    for j, k in zip(order, order[1:]):
+        if not fsim[j] < fsim[k]:
+            return None
+    return order
+
+
+def _insertion_index(fsim):
+    # With fsim[:-1] strictly increasing: the index the last value takes in
+    # np.argsort order, or None when it is NaN or equals one of the others.
+    f = fsim[-1]
+    head = len(fsim) - 1
+    k = bisect_left(fsim, f, 0, head)
+    if f != f or (k < head and fsim[k] == f):
+        return None
+    return k
+
+
 def _by_value(sim, fsim):
-    # Vertices in np.argsort order of their values (what np.argsort(fsim)
-    # computes, without its list wrapper).
-    order = np.array(fsim).argsort().tolist()
-    return [sim[k] for k in order], [fsim[k] for k in order]
+    # Vertices in np.argsort order of their values, and whether the values are
+    # distinct.
+    order = _python_order(fsim)
+    distinct = order is not None
+    if not distinct:
+        order = np.array(fsim).argsort().tolist()
+    return [sim[k] for k in order], [fsim[k] for k in order], distinct
 
 
 def _nelder_mead(fun, simplex, cfg: OptimizerConfig):
@@ -112,8 +153,10 @@ def _nelder_mead(fun, simplex, cfg: OptimizerConfig):
     # bounds, no maxfev, xatol = fatol = refine_tolerance and maxiter =
     # max_refine_iterations, replayed on lists of floats: the same
     # coefficients written the same way, the centroid as a sum of rows from
-    # 0.0 divided by N, the same stopping test, and vertices reordered by
-    # np.argsort (not a stable sort), so every iterate matches scipy's.
+    # 0.0 divided by N, the same stopping test, and vertices reordered in
+    # np.argsort order (not a stable sort), so every iterate matches scipy's.
+    # When only the worst vertex changed and the others are distinct, it is
+    # moved to its place instead of sorting all of them.
     # Returns (x, value, nfev, success).
     tol, maxiter = cfg.refine_tolerance, cfg.max_refine_iterations
     n = len(simplex) - 1
@@ -121,17 +164,16 @@ def _nelder_mead(fun, simplex, cfg: OptimizerConfig):
     fsim = [fun(vertex) for vertex in sim]
     nfev = n + 1
     for _ in range(2):  # scipy sorts the starting simplex twice
-        sim, fsim = _by_value(sim, fsim)
+        sim, fsim, distinct = _by_value(sim, fsim)
     iterations = 1
     while iterations < maxiter:
         s0, f0 = sim[0], fsim[0]
-        if (all(abs(x - x0) <= tol for row in sim[1:] for x, x0 in zip(row, s0))
-                and all(abs(f0 - f) <= tol for f in fsim[1:])):
+        # scipy tests the x-spread first; both are side-effect free, and the
+        # f-spread is cheaper and usually the one that fails.
+        if (all(abs(f0 - f) <= tol for f in fsim[1:])
+                and all(abs(x - x0) <= tol for row in sim[1:] for x, x0 in zip(row, s0))):
             break
-        total = [0.0] * n
-        for row in sim[:-1]:
-            total = [t + x for t, x in zip(total, row)]
-        xbar = [t / n for t in total]
+        xbar = [reduce(add, column, 0.0) / n for column in zip(*sim[:-1])]
         worst = sim[-1]
         xr = [2 * b - 1 * w for b, w in zip(xbar, worst)]
         fxr = fun(xr)
@@ -169,7 +211,12 @@ def _nelder_mead(fun, simplex, cfg: OptimizerConfig):
                 fsim[j] = fun(sim[j])
             nfev += n
         iterations += 1
-        sim, fsim = _by_value(sim, fsim)
+        k = None if shrink or not distinct else _insertion_index(fsim)
+        if k is None:
+            sim, fsim, distinct = _by_value(sim, fsim)
+        elif k < n:
+            sim.insert(k, sim.pop())
+            fsim.insert(k, fsim.pop())
     return sim[0], float(np.min(fsim)), nfev, iterations < maxiter
 
 

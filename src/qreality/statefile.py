@@ -5,6 +5,9 @@ A state file is a JSON document with two fields:
     dims    list of positive integers (subsystem dimensions)
     matrix  row-major list of rows; every entry is a two-element [re, im] pair
 
+Numbers must be JSON numbers: ``true`` and ``false`` are rejected, not read
+as 1 and 0.
+
 Loading validates the full set of density-matrix invariants; violations raise
 :class:`StateValidationError` naming the invariant and its measured residual,
 while structural problems raise :class:`SpecParseError`.
@@ -21,11 +24,16 @@ from .errors import SpecParseError
 from .linalg import DensityMatrix
 
 
+def _is_number(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _entry(value, row: int, col: int) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
+        or not all(_is_number(v) for v in value)
     ):
         raise SpecParseError(
             f"matrix entry [{row}][{col}] must be a two-element [re, im] pair"
@@ -46,7 +54,8 @@ def loads_state(text: str) -> DensityMatrix:
     if (
         not isinstance(dims, list)
         or not dims
-        or not all(isinstance(d, int) and d > 0 for d in dims)
+        or not all(isinstance(d, int) and not isinstance(d, bool) and d > 0
+                   for d in dims)
     ):
         raise SpecParseError("'dims' must be a nonempty list of positive integers")
 

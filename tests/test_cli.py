@@ -170,6 +170,15 @@ def test_sweep_over_the_pair_grid_budget_exits_two(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_sweep_non_finite_refine_tolerance_exits_two(tol, tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    assert main(["sweep", "--family", "werner", "--points", "2", *FAST_FLAGS,
+                 "--refine-tol", tol, "--output", str(out)]) == 2
+    assert "refine_tolerance must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--family", "werner", "--output", "x.csv", "--seed", "1"],
     ["sweep", "--family", "werner", "--output", "x.csv", "--format", "csv"],

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -10,9 +7,13 @@ from qreality import kernels
 from qreality.linalg import DensityMatrix, partial_trace, tensor_product
 from qreality.measures import discord_like, entropy, mutual_information, nonlocality
 from qreality.observables import qubit_basis
-from qreality.states import pure_from_amplitudes, random_density, singlet, werner
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.NUMBA_ENABLED else [])
+from qreality.states import (
+    alpha_state,
+    pure_from_amplitudes,
+    random_density,
+    singlet,
+    werner,
+)
 
 
 def _state_data(rho):
@@ -84,16 +85,15 @@ def test_single_discord_other_side_via_swap():
     assert fast == pytest.approx(slow, abs=1e-10)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_grids_match_scalar_reference(backend):
+def test_grids_match_scalar_reference():
     rng = np.random.default_rng(107)
     rho = random_density(4, 4, rng, dims=(2, 2))
     r1, r2, tmat, s_rho, mi, s_env = _state_data(rho)
     axes, _, _ = kernels.axis_grid(5, 4)
 
-    n_grid = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho, backend=backend)
-    d_grid = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi, backend=backend)
-    s_grid = kernels.single_discord_grid(axes, r1, r2, tmat, mi, s_env, backend=backend)
+    n_grid = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho)
+    d_grid = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi)
+    s_grid = kernels.single_discord_grid(axes, r1, r2, tmat, mi, s_env)
     for i in range(axes.shape[0]):
         assert s_grid[i] == pytest.approx(
             kernels.single_discord_value(axes[i], r1, r2, tmat, mi, s_env), abs=1e-12)
@@ -163,40 +163,54 @@ def test_blocked_joint_grid_is_bitwise_one_shot(rows, cols):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(109)
-    for _ in range(5):
-        rho = random_density(4, 4, rng, dims=(2, 2))
-        r1, r2, tmat, s_rho, mi, s_env = _state_data(rho)
-        axes, _, _ = kernels.axis_grid(9, 8)
-        for fn, extra in (
-            (kernels.nonlocality_grid, s_rho),
-            (kernels.pair_discord_grid, mi),
-        ):
-            jit = fn(axes, axes, r1, r2, tmat, extra, backend="numba")
-            plain = fn(axes, axes, r1, r2, tmat, extra, backend="numpy")
-            assert np.max(np.abs(jit - plain)) <= 1e-12
-        jit = kernels.single_discord_grid(axes, r1, r2, tmat, mi, s_env, backend="numba")
-        plain = kernels.single_discord_grid(axes, r1, r2, tmat, mi, s_env, backend="numpy")
-        assert np.max(np.abs(jit - plain)) <= 1e-12
+def _unfused_pair_grids(axes_a, axes_b, r1, r2, tmat, s_rho, mi):
+    # The side grids, the one-shot joint grid and the objectives composed
+    # from them, as the pair grids were computed before the fused pass.
+    s_a, h_a = kernels._side_entropies_numpy(axes_a, r1, r2, tmat)
+    s_b, h_b = kernels._side_entropies_numpy(axes_b, r2, r1, np.ascontiguousarray(tmat.T))
+    s_ab = _joint_entropy_reference(axes_a, axes_b, r1, r2, tmat)
+    return (s_a[:, None] + s_b[None, :] - s_ab - s_rho,
+            mi - h_a[:, None] - h_b[None, :] + s_ab)
 
 
-def test_unknown_backend_rejected():
-    axes, _, _ = kernels.axis_grid(2, 2)
-    with pytest.raises(ValueError):
-        kernels.nonlocality_grid(axes, axes, np.zeros(3), np.zeros(3), np.eye(3),
-                                 0.0, backend="torch")
+def _has_dead_weight(axes_a, axes_b, r1, r2, tmat):
+    a = (axes_a @ r1)[:, None]
+    b = (axes_b @ r2)[None, :]
+    c = axes_a @ tmat @ axes_b.T
+    return any(((1.0 + s * a + t * b + s * t * c) / 4.0 <= kernels.ZERO_WEIGHT).any()
+               for s in (1.0, -1.0) for t in (1.0, -1.0))
 
 
-def test_disable_flag_selects_numpy_backend():
-    env = dict(os.environ, QREALITY_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import qreality.kernels as k; print(k.backend(), k.NUMBA_ENABLED)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.split() == ["numpy", "False"]
+@pytest.mark.parametrize("rows", [
+    1,
+    kernels.JOINT_BLOCK_ROWS - 1,
+    kernels.JOINT_BLOCK_ROWS + 1,
+    128,
+])
+@pytest.mark.parametrize("cols", [1, 300, 600])
+def test_fused_pair_grids_are_bitwise_unfused(rows, cols):
+    # Random axes, and grid axes on which the Bell-diagonal werner and alpha
+    # states have outcome weights of exactly zero.
+    rng = np.random.default_rng(rows * 1000 + cols + 7)
+    grid_axes, _, _ = kernels.axis_grid(25, 24)
+    random_axes = rng.normal(size=(max(rows, cols), 3))
+    random_axes /= np.linalg.norm(random_axes, axis=1)[:, None]
+    states = [random_density(4, rank, rng, dims=(2, 2)) for rank in (1, 2, 4)]
+    states += [werner(0.0), werner(0.5), werner(1.0), alpha_state(0.0), alpha_state(0.5)]
+    dead = False
+    for rho in states:
+        r1, r2, tmat, s_rho, mi, _ = _state_data(rho)
+        for axes in (random_axes, grid_axes):
+            axes_a, axes_b = axes[:rows], axes[-cols:]
+            dead |= _has_dead_weight(axes_a, axes_b, r1, r2, tmat)
+            want_n, want_d = _unfused_pair_grids(axes_a, axes_b, r1, r2, tmat, s_rho, mi)
+            got_n = kernels.nonlocality_grid(axes_a, axes_b, r1, r2, tmat, s_rho)
+            got_d = kernels.pair_discord_grid(axes_a, axes_b, r1, r2, tmat, mi)
+            for got, want in ((got_n, want_n), (got_d, want_d)):
+                assert got.shape == (rows, cols)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if cols > 1:
+        assert dead  # the zero-weight cells were exercised
 
 
 def _old_side_values(axis, r_here, r_there, m):

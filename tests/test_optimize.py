@@ -12,6 +12,8 @@ from qreality.linalg import DensityMatrix, partial_trace, tensor_product
 from qreality.measures import entropy, nonlocality
 from qreality.optimize import (
     OptimizerConfig,
+    _by_value,
+    _insertion_index,
     _lowest_cells,
     _refine,
     brute_force_single,
@@ -37,6 +39,12 @@ def test_config_validation():
         OptimizerConfig(grid_points_theta=0)
     with pytest.raises(ValueError):
         OptimizerConfig(refine_tolerance=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_refine_tolerance(tol):
+    with pytest.raises(ValueError, match="finite"):
+        OptimizerConfig(refine_tolerance=tol)
 
 
 def test_objective_and_layout_validation():
@@ -190,6 +198,17 @@ def test_lowest_cells_is_head_of_stable_sort():
     side[[5, 77, 300]] = side.min() - 1.0
     assert np.array_equal(_lowest_cells(side, 5), _stable_head(side, 5))
 
+    # The bound comes from row minima: rows holding several of the lowest
+    # cells, NaN cells (sorted last, as np.argsort does) and NaN rows.
+    clustered = rng.normal(size=(30, 40))
+    clustered[7, [3, 9, 20, 21, 38]] = -10.0 - np.arange(5)
+    clustered[7, 0] = np.nan
+    for k in (1, 3, 5, 6, 30):
+        assert np.array_equal(_lowest_cells(clustered, k), _stable_head(clustered, k))
+    clustered[10:, 0] = np.nan
+    for k in (5, 10, 11, 25):
+        assert np.array_equal(_lowest_cells(clustered, k), _stable_head(clustered, k))
+
 
 @pytest.mark.parametrize("rho", [werner(0.5), alpha_state(0.3)], ids=["werner", "alpha"])
 def test_lowest_cells_on_tied_bell_diagonal_grids(rho):
@@ -200,6 +219,60 @@ def test_lowest_cells_on_tied_bell_diagonal_grids(rho):
     assert np.sum(grid == grid.min()) > 1
     for k in (1, 5, 17):
         assert np.array_equal(_lowest_cells(grid, k), _stable_head(grid, k))
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("values, distinct", [
+    ([0.3, -1.2, 5.0, 0.1, 2.2], True),
+    ([4.0, 3.0, 2.0, 1.0, 0.0], True),
+    ([-math.inf, 1e300, -1e-300, 1e-300, math.inf], True),
+    ([1.0, 1.0, 0.0, 2.0, 1.0], False),
+    ([0.5, 0.5, 0.5, 0.5, 0.5], False),
+    ([0.0, -0.0, 1.0, -1.0, 0.0], False),
+    ([-0.0, 0.0, -0.0], False),
+    ([NAN, 1.0, 0.0, NAN, -1.0], False),
+    ([2.0, NAN, 1.0], False),
+    ([NAN], True),  # one value is trivially in order
+])
+def test_vertex_order_is_argsort(values, distinct):
+    sim = [[float(k)] for k in range(len(values))]
+    got_sim, got_f, got_distinct = _by_value(sim, list(values))
+    want = np.argsort(values).tolist()
+    assert [int(vertex[0]) for vertex in got_sim] == want
+    assert [f.hex() for f in got_f] == [values[k].hex() for k in want]
+    assert got_distinct is distinct
+
+
+def test_vertex_order_is_argsort_on_random_values():
+    rng = np.random.default_rng(229)
+    for size in (3, 5):
+        for _ in range(200):
+            values = rng.choice([-0.0, 0.0, 1.0, -1.0, NAN, 0.5], size).tolist()
+            if rng.random() < 0.5:
+                values = rng.normal(size=size).tolist()
+            sim = [[float(k)] for k in range(size)]
+            got_sim, _, _ = _by_value(sim, values)
+            assert [int(v[0]) for v in got_sim] == np.argsort(values).tolist()
+
+
+@pytest.mark.parametrize("new, placed", [
+    (-5.0, True), (0.05, True), (0.15, True), (9.0, True), (-0.0, True),
+    (0.1, False), (-1.0, False), (NAN, False),
+])
+def test_insertion_index_is_argsort(new, placed):
+    # The others strictly increasing, as after a step that replaced only the
+    # worst vertex; a tie or NaN must be left to np.argsort.
+    for head in ([-1.0, 0.1, 0.2, 3.0], [-1.0, 0.0, 0.1, 0.2], [-1.0, -0.0, 0.1, 3.0]):
+        fsim = head + [new]
+        k = _insertion_index(fsim)
+        ties = any(new == f for f in head) or new != new
+        assert (k is None) == ties
+        if k is not None:
+            order = list(range(k)) + [len(head)] + list(range(k, len(head)))
+            assert order == np.argsort(fsim).tolist()
+    assert (_insertion_index([-1.0, 0.1, 0.2, 3.0, new]) is not None) == placed
 
 
 def test_converged_reports_the_winning_start():

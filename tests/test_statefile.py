@@ -46,6 +46,20 @@ def test_rejects_bad_matrix_shape():
         loads_state('{"dims": [2], "matrix": [[1.0, 0.0], [0.0, 0.0]]}')
 
 
+@pytest.mark.parametrize("doc, match", [
+    ('{"dims": [2, true], "matrix": []}', "dims"),
+    ('{"dims": [true], "matrix": [[[1.0, 0.0]]]}', "dims"),
+    ('{"dims": [2], "matrix": [[[true, 0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}',
+     r"\[re, im\]"),
+    ('{"dims": [2], "matrix": [[[0.5, false], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}',
+     r"\[re, im\]"),
+])
+def test_rejects_json_booleans(doc, match):
+    # bool is an int in Python; true must not be read as 1.
+    with pytest.raises(SpecParseError, match=match):
+        loads_state(doc)
+
+
 def test_rejects_invariant_violations_with_diagnostic():
     bad_trace = '{"dims": [2], "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.4, 0.0]]]}'
     with pytest.raises(StateValidationError) as err:
