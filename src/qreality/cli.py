@@ -56,7 +56,7 @@ def _optimizer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--refine-starts", type=int, default=5,
                         help="grid cells seeding local refinement")
     parser.add_argument("--refine-tol", type=float, default=1e-7,
-                        help="simplex refinement tolerance")
+                        help="refinement tolerance")
 
 
 def _config(args) -> OptimizerConfig:
@@ -244,9 +244,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    # argparse takes a token that starts with '-' for an option unless it is
+    # a plain negative decimal, so "--refine-tol -inf" or "--start -1e-3"
+    # would fail before the value is read and checked.  A number after a
+    # long option is joined to it as "--option=value".
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SpecParseError as exc:

@@ -19,7 +19,9 @@ numpy and the only backend.  Each pair grid is one fused pass: the joint
 entropy and the objective are formed ``JOINT_BLOCK_ROWS`` rows at a time in
 block-sized scratch buffers, with every cell computed by the same floating
 point operations, in the same order, as the unfused composition of side and
-joint grids.  The scalar ``*_value`` functions are the refinement objectives.
+joint grids.  The scalar ``*_value`` functions are the refinement objectives:
+each returns the value and its gradient by the Bloch axes, the gradient in
+plain Python floats (d(-p ln p)/dp = -(1 + ln p) for each live weight).
 The repository benchmark times the grid stage end to end:
 ``python3 perfbench/run.py --workload pair_min`` (``--trace 1`` for per-layer
 figures, see ``perfbench/NOTES.md``).
@@ -66,12 +68,19 @@ def axis_from_angles(theta: float, phi: float) -> np.ndarray:
 
 
 def axis_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Axes for theta in [0, pi] x phi in [0, pi), row-major (theta outer)."""
-    thetas = np.linspace(0.0, math.pi, n_theta)
+    """One axis per basis of the theta in [0, pi] x phi in [0, pi) grid.
+
+    Row-major, theta outer.  At theta = 0 and theta = pi every phi gives the
+    axis +z or -z, and both are the one projective basis {|0>, |1>}; that
+    basis appears once, as the first axis (theta = phi = 0).  The other axes
+    are the inner theta rows across all phi, so there are
+    1 + max(n_theta - 2, 0) * n_phi axes.
+    """
+    thetas = np.linspace(0.0, math.pi, n_theta)[1:-1]
     phis = np.linspace(0.0, math.pi, n_phi, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt = tt.reshape(-1)
-    pp = pp.reshape(-1)
+    tt = np.concatenate([[0.0], tt.reshape(-1)])
+    pp = np.concatenate([[0.0], pp.reshape(-1)])
     axes = np.stack(
         [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=1
     )
@@ -192,7 +201,8 @@ def single_discord_grid(axes, r1, r2, tmat, mutual_info, env_entropy):
 
 
 # ---------------------------------------------------------------------------
-# scalar values (refinement objectives; also the plain reference formulas)
+# scalar values and gradients (refinement objectives; also the plain
+# reference formulas)
 # ---------------------------------------------------------------------------
 
 def _entropy_sum(weights) -> float:
@@ -206,77 +216,126 @@ def _entropy_sum(weights) -> float:
     return s
 
 
-def _entropy4(w0, w1, w2, w3) -> float:
-    # _entropy_sum of four weights, unrolled.
-    s = 0.0
+def _entropy4(w0, w1, w2, w3):
+    # _entropy_sum of four weights, unrolled, and the derivative of each
+    # term, -(1 + ln w).  A weight at or below ZERO_WEIGHT adds nothing to
+    # either, so a dead weight leaves the gradient finite.
+    s = d0 = d1 = d2 = d3 = 0.0
     if w0 > ZERO_WEIGHT:
-        s -= w0 * math.log(w0)
+        log = math.log(w0)
+        s -= w0 * log
+        d0 = -1.0 - log
     if w1 > ZERO_WEIGHT:
-        s -= w1 * math.log(w1)
+        log = math.log(w1)
+        s -= w1 * log
+        d1 = -1.0 - log
     if w2 > ZERO_WEIGHT:
-        s -= w2 * math.log(w2)
+        log = math.log(w2)
+        s -= w2 * log
+        d2 = -1.0 - log
     if w3 > ZERO_WEIGHT:
-        s -= w3 * math.log(w3)
-    return s
+        log = math.log(w3)
+        s -= w3 * log
+        d3 = -1.0 - log
+    return s, d0, d1, d2, d3
 
 
-def _side_entropy(a, w, r_there) -> float:
-    # S(Ph_u rho) for the axis u on this side, a = u . r_here and w = u m.
-    # sqrt(v . v) is the dot product np.linalg.norm takes the root of, so it
-    # is bitwise equal.
+def _side_entropy(a, w, r_there):
+    # S(Ph_u rho) for the axis u on this side, a = u . r_here and w = u m,
+    # with its derivative by a and by w (three floats).  sqrt(v . v) is the
+    # dot product np.linalg.norm takes the root of, so it is bitwise equal.
+    # w enters through mp = |r_there + w| and mm = |r_there - w|; where a
+    # length is zero its two weights are equal, their derivatives cancel and
+    # it contributes nothing.
     plus = r_there + w
     minus = r_there - w
     mp = math.sqrt(plus.dot(plus))
     mm = math.sqrt(minus.dot(minus))
-    return _entropy4((1.0 + a + mp) / 4.0, (1.0 + a - mp) / 4.0,
-                     (1.0 - a + mm) / 4.0, (1.0 - a - mm) / 4.0)
+    s, d0, d1, d2, d3 = _entropy4((1.0 + a + mp) / 4.0, (1.0 + a - mp) / 4.0,
+                                  (1.0 - a + mm) / 4.0, (1.0 - a - mm) / 4.0)
+    kp = (d0 - d1) / (4.0 * mp) if mp > 0.0 else 0.0
+    km = (d2 - d3) / (4.0 * mm) if mm > 0.0 else 0.0
+    d_w = [kp * p - km * m for p, m in zip(plus.tolist(), minus.tolist())]
+    return s, (d0 + d1 - d2 - d3) / 4.0, d_w
 
 
-def _marginal_entropy(a) -> float:
-    # Binary entropy of the dephased marginal, a = u . r_here.
-    s = 0.0
+def _marginal_entropy(a):
+    # Binary entropy of the dephased marginal, a = u . r_here, and its
+    # derivative by a.
+    s = d = 0.0
     w = (1.0 + a) / 2.0
     if w > ZERO_WEIGHT:
-        s -= w * math.log(w)
+        log = math.log(w)
+        s -= w * log
+        d -= (1.0 + log) / 2.0
     w = (1.0 - a) / 2.0
     if w > ZERO_WEIGHT:
-        s -= w * math.log(w)
-    return s
+        log = math.log(w)
+        s -= w * log
+        d += (1.0 + log) / 2.0
+    return s, d
 
 
-def _joint_value(a, b, c) -> float:
-    # S_AB for a = u.r1, b = v.r2 and c = u.T v.
-    return _entropy4((1.0 + a + b + c) / 4.0, (1.0 + a - b - c) / 4.0,
-                     (1.0 - a + b - c) / 4.0, (1.0 - a - b + c) / 4.0)
+def _joint_value(a, b, c):
+    # S_AB for a = u.r1, b = v.r2 and c = u.T v, and its derivatives by a,
+    # b and c.
+    s, d0, d1, d2, d3 = _entropy4((1.0 + a + b + c) / 4.0, (1.0 + a - b - c) / 4.0,
+                                  (1.0 - a + b - c) / 4.0, (1.0 - a - b + c) / 4.0)
+    return (s, (d0 + d1 - d2 - d3) / 4.0, (d0 - d1 + d2 - d3) / 4.0,
+            (d0 - d1 - d2 + d3) / 4.0)
+
+
+def _lift(k, r, rows, x):
+    # k r + M x as three floats, for the 3-vectors r and x and the rows of M.
+    x0, x1, x2 = x
+    return [k * ri + m0 * x0 + m1 * x1 + m2 * x2 for ri, (m0, m1, m2) in zip(r, rows)]
 
 
 # The scalar objectives take their products with ndarray.dot: for these 1-D
 # and 1-D by 2-D operands it makes the same BLAS call (ddot or dgemv) as the
 # @ operator, without the matmul ufunc's dispatch, so the bits are the same.
+# Each returns (value, gradient).  The gradient is taken by the Cartesian
+# components of the axis (or of axis_a, then axis_b) as plain floats; the
+# chain rule onto angles is the caller's.  Every weight is affine in u.r1,
+# v.r2, u.T v, |r2 +- T^t u| and |r1 +- T v|, so each derivative is the chain
+# through those.
 
-def nonlocality_value(axis_a, axis_b, r1, r2, tmat, base_entropy) -> float:
+def nonlocality_value(axis_a, axis_b, r1, r2, tmat, base_entropy) -> tuple[float, tuple]:
     a = float(axis_a.dot(r1))
     b = float(axis_b.dot(r2))
     # u T, once: the side entropy of A needs it, and u.T v is (u T) v, the
     # product axis_a @ tmat @ axis_b evaluates.
     w_a = axis_a.dot(tmat)
-    s_a = _side_entropy(a, w_a, r2)
-    s_b = _side_entropy(b, axis_b.dot(tmat.T), r1)
-    joint = _joint_value(a, b, float(w_a.dot(axis_b)))
-    return s_a + s_b - joint - base_entropy
+    s_a, sa_a, sa_w = _side_entropy(a, w_a, r2)
+    s_b, sb_b, sb_w = _side_entropy(b, axis_b.dot(tmat.T), r1)
+    joint, j_a, j_b, j_c = _joint_value(a, b, float(w_a.dot(axis_b)))
+    value = s_a + s_b - joint - base_entropy
+    # dN/du = (dS_A/da - dJ/da) r1 + T (dS_A/dw - dJ/dc v), and dN/dv alike
+    # with T^t.
+    u, v, rows = axis_a.tolist(), axis_b.tolist(), tmat.tolist()
+    grad_a = _lift(sa_a - j_a, r1.tolist(), rows,
+                   [d - j_c * vk for d, vk in zip(sa_w, v)])
+    grad_b = _lift(sb_b - j_b, r2.tolist(), zip(*rows),
+                   [d - j_c * uk for d, uk in zip(sb_w, u)])
+    return value, (*grad_a, *grad_b)
 
 
-def pair_discord_value(axis_a, axis_b, r1, r2, tmat, mutual_info) -> float:
+def pair_discord_value(axis_a, axis_b, r1, r2, tmat, mutual_info) -> tuple[float, tuple]:
     a = float(axis_a.dot(r1))
     b = float(axis_b.dot(r2))
-    h_a = _marginal_entropy(a)
-    h_b = _marginal_entropy(b)
-    joint = _joint_value(a, b, float(axis_a.dot(tmat).dot(axis_b)))
-    return mutual_info - h_a - h_b + joint
+    h_a, ha_a = _marginal_entropy(a)
+    h_b, hb_b = _marginal_entropy(b)
+    joint, j_a, j_b, j_c = _joint_value(a, b, float(axis_a.dot(tmat).dot(axis_b)))
+    value = mutual_info - h_a - h_b + joint
+    rows = tmat.tolist()
+    grad_a = _lift(j_a - ha_a, r1.tolist(), rows, [j_c * vk for vk in axis_b.tolist()])
+    grad_b = _lift(j_b - hb_b, r2.tolist(), zip(*rows), [j_c * uk for uk in axis_a.tolist()])
+    return value, (*grad_a, *grad_b)
 
 
-def single_discord_value(axis, r1, r2, tmat, mutual_info, env_entropy) -> float:
+def single_discord_value(axis, r1, r2, tmat, mutual_info, env_entropy) -> tuple[float, tuple]:
     a = float(axis.dot(r1))
-    s_a = _side_entropy(a, axis.dot(tmat), r2)
-    h_a = _marginal_entropy(a)
-    return mutual_info - h_a - env_entropy + s_a
+    s_a, sa_a, sa_w = _side_entropy(a, axis.dot(tmat), r2)
+    h_a, ha_a = _marginal_entropy(a)
+    value = mutual_info - h_a - env_entropy + s_a
+    return value, tuple(_lift(sa_a - ha_a, r1.tolist(), tmat.tolist(), sa_w))

@@ -1,35 +1,32 @@
-"""Derivative-free minimization over one or two parameterized qubit bases.
+"""Minimization over one or two parameterized qubit bases.
 
 Strategy: exhaustive scan of a fixed (theta, phi) grid per optimized side,
-followed by Nelder-Mead refinement started from the best grid cells.  The
-objective landscapes are smooth but multimodal, so the grid bounds how far a
-global optimum can hide and the simplex sharpens the best cells to tolerance.
-The refinement is an in-house Nelder-Mead on plain Python floats that repeats
-the arithmetic of scipy's ``minimize(method="Nelder-Mead")`` step for step, so
-its iterates match scipy's bit for bit and the package needs only numpy.
-Everything is deterministic on a given machine: fixed grid order, ties broken
-by lowest linear grid index, fixed initial simplexes.  Vertex order within the
-simplex is ``np.argsort``'s.  When the values are distinct every sort gives
-that order, so it comes from Python's sort, or from moving the one new vertex
-into place; ties (``+0.0`` against ``-0.0`` among them) and NaN go to
-``np.argsort`` itself, whose order for tied values is not stable and can
-differ between numpy builds and CPUs.  Where the objective ties at simplex
-vertices (the Bell-diagonal werner and alpha landscapes) the refinement path
-is therefore the same as scipy's on the same machine, not across machines.
+followed by quasi-Newton BFGS refinement started from the best grid cells.
+The objective landscapes are smooth but multimodal, so the grid bounds how far
+a global optimum can hide and BFGS sharpens the best cells to tolerance.  The
+grid holds one axis per basis: the poles theta = 0 and theta = pi are the one
+basis {|0>, |1>} and appear once.  The refinement is an in-house BFGS on plain
+Python floats with a backtracking (Armijo) line search, so the package needs
+only numpy.  For two qubits each evaluation is one call of a closed-form
+kernel in :mod:`qreality.kernels`, which returns the value and its gradient by
+the Bloch axes; the chain rule through (theta, phi) is applied here.  The
+qubit-qudit matrix route takes its gradient from central differences.  A
+start converges when its gradient falls to ``refine_tolerance`` in every
+coordinate; one that reaches ``max_refine_iterations``, or whose line search
+finds no lower value, has not.  The grid best is a floor: refinement never
+reports a value above it.  Everything is deterministic: fixed grid order, ties
+broken by lowest linear grid index, and ties between starts by start order.
 
-Two-qubit states are evaluated through the closed-form Bloch kernels in
-:mod:`qreality.kernels`; :func:`brute_force_single` deliberately avoids them
-and walks the projector-dephasing route instead, serving as the independent
-oracle for the fast path.
+Two-qubit states are evaluated through the closed-form Bloch kernels;
+:func:`brute_force_single` deliberately avoids them and walks the
+projector-dephasing route instead, serving as the independent oracle for the
+fast path.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -42,11 +39,21 @@ OBJECTIVE_NONLOCALITY = "nonlocality"
 OBJECTIVE_DISCORD = "discord"
 
 # Largest pair grid minimize_pair accepts, in cells: about 64 MB per float64
-# grid.  The default 25 x 24 grid per side is 360,000 cells.
+# grid.  The budget is checked against (theta points * phi points)**2, an
+# upper bound on the cells once the repeated pole axes are dropped: the
+# default 25 x 24 grid per side names 360,000 cells and has 305,809.
 MAX_PAIR_GRID_CELLS = 2**23
 # Largest side grid minimize_single accepts, in grid points: its (points, 3)
 # float64 axis array is 48 MB, within one pair grid's size.
 MAX_SIDE_GRID_POINTS = 2**21
+# Sufficient-decrease constant of the line search (Nocedal & Wright's c1).
+ARMIJO = 1e-4
+# Step halvings after which the line search gives up on a start.
+LINE_SEARCH_HALVINGS = 30
+# Central-difference step, in radians, of the matrix-route objective's
+# gradient: near the cube root of the rounding error, where truncation and
+# cancellation errors balance.
+DIFFERENCE_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ class OptimizerConfig:
                self.max_refine_iterations) < 1:
             raise ValueError("optimizer config fields must be positive")
         # NaN would make every start run all max_refine_iterations, and inf
-        # would stop every start at its first simplex.
+        # would stop every start where it began.
         if not (0.0 < self.refine_tolerance < math.inf):
             raise ValueError(
                 f"refine_tolerance must be positive and finite, got {self.refine_tolerance}")
@@ -117,126 +124,96 @@ def _lowest_cells(values: np.ndarray, k: int) -> np.ndarray:
     return candidates[order[:k]]
 
 
-def _python_order(fsim):
-    # The permutation that sorts fsim when its values are distinct and none is
-    # NaN (then every sort, np.argsort included, gives it), else None.
-    order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    for j, k in zip(order, order[1:]):
-        if not fsim[j] < fsim[k]:
-            return None
-    return order
-
-
-def _insertion_index(fsim):
-    # With fsim[:-1] strictly increasing: the index the last value takes in
-    # np.argsort order, or None when it is NaN or equals one of the others.
-    f = fsim[-1]
-    head = len(fsim) - 1
-    k = bisect_left(fsim, f, 0, head)
-    if f != f or (k < head and fsim[k] == f):
-        return None
-    return k
-
-
-def _by_value(sim, fsim):
-    # Vertices in np.argsort order of their values, and whether the values are
-    # distinct.
-    order = _python_order(fsim)
-    distinct = order is not None
-    if not distinct:
-        order = np.array(fsim).argsort().tolist()
-    return [sim[k] for k in order], [fsim[k] for k in order], distinct
-
-
-def _nelder_mead(fun, simplex, cfg: OptimizerConfig):
-    # scipy.optimize.minimize(method="Nelder-Mead") with adaptive=False, no
-    # bounds, no maxfev, xatol = fatol = refine_tolerance and maxiter =
-    # max_refine_iterations, replayed on lists of floats: the same
-    # coefficients written the same way, the centroid as a sum of rows from
-    # 0.0 divided by N, the same stopping test, and vertices reordered in
-    # np.argsort order (not a stable sort), so every iterate matches scipy's.
-    # When only the worst vertex changed and the others are distinct, it is
-    # moved to its place instead of sorting all of them.
-    # Returns (x, value, nfev, success).
-    tol, maxiter = cfg.refine_tolerance, cfg.max_refine_iterations
-    n = len(simplex) - 1
-    sim = [list(vertex) for vertex in simplex]
-    fsim = [fun(vertex) for vertex in sim]
-    nfev = n + 1
-    for _ in range(2):  # scipy sorts the starting simplex twice
-        sim, fsim, distinct = _by_value(sim, fsim)
-    iterations = 1
-    while iterations < maxiter:
-        s0, f0 = sim[0], fsim[0]
-        # scipy tests the x-spread first; both are side-effect free, and the
-        # f-spread is cheaper and usually the one that fails.
-        if (all(abs(f0 - f) <= tol for f in fsim[1:])
-                and all(abs(x - x0) <= tol for row in sim[1:] for x, x0 in zip(row, s0))):
-            break
-        xbar = [reduce(add, column, 0.0) / n for column in zip(*sim[:-1])]
-        worst = sim[-1]
-        xr = [2 * b - 1 * w for b, w in zip(xbar, worst)]
-        fxr = fun(xr)
-        nfev += 1
-        shrink = False
-        if fxr < fsim[0]:
-            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
-            fxe = fun(xe)
+def _bfgs(fun, x, cfg: OptimizerConfig):
+    # Quasi-Newton BFGS on a list of floats (Nocedal & Wright, Numerical
+    # Optimization, ch. 6): the inverse Hessian H is updated from each step s
+    # and gradient change y, with a backtracking line search that accepts the
+    # first step length alpha = 1, 1/2, 1/4, ... meeting the Armijo condition
+    # f(x + alpha p) <= f(x) + ARMIJO * alpha * g.p with a value strictly
+    # below f(x).  Near a minimum alpha * g.p can fall below the rounding of
+    # f, where the Armijo test alone would accept steps of equal value and
+    # let a gradient of rounding noise walk x for every iteration.  The first
+    # trial step moves no coordinate by more than the grid's half spacing;
+    # after the first accepted step H starts as (s.y / y.y) I, and an update
+    # with s.y <= 0 (no curvature information) is skipped, so H stays
+    # positive definite.
+    # fun(x) returns (value, gradient); every call is one evaluation.
+    # Returns (x, value, nfev, converged): converged is True when the
+    # gradient falls to refine_tolerance in every coordinate, False at
+    # max_refine_iterations or when no step length decreases the value.
+    tol = cfg.refine_tolerance
+    first_step = min(_half_spacing(cfg))
+    n = len(x)
+    f, g = fun(x)
+    nfev = 1
+    h = None
+    for _ in range(cfg.max_refine_iterations):
+        g_max = max(abs(gk) for gk in g)
+        if g_max <= tol:
+            return x, f, nfev, True
+        if h is not None:
+            p = [-sum(hk[j] * g[j] for j in range(n)) for hk in h]
+            slope = sum(gk * pk for gk, pk in zip(g, p))
+        if h is None or not slope < 0.0:
+            # Steepest descent, also when rounding has left H no descent
+            # direction: then H starts afresh.
+            h = None
+            p = [-first_step / g_max * gk for gk in g]
+            slope = sum(gk * pk for gk, pk in zip(g, p))
+        alpha = 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            x_new = [xk + alpha * pk for xk, pk in zip(x, p)]
+            f_new, g_new = fun(x_new)
             nfev += 1
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
-            fxc = fun(xc)
-            nfev += 1
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink = True
+            if f_new < f and f_new <= f + ARMIJO * alpha * slope:
+                break
+            alpha *= 0.5
         else:
-            xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
-            fxcc = fun(xcc)
-            nfev += 1
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
-            for j in range(1, n + 1):
-                sim[j] = [x0 + 0.5 * (x - x0) for x, x0 in zip(sim[j], s0)]
-                fsim[j] = fun(sim[j])
-            nfev += n
-        iterations += 1
-        k = None if shrink or not distinct else _insertion_index(fsim)
-        if k is None:
-            sim, fsim, distinct = _by_value(sim, fsim)
-        elif k < n:
-            sim.insert(k, sim.pop())
-            fsim.insert(k, fsim.pop())
-    return sim[0], float(np.min(fsim)), nfev, iterations < maxiter
+            return x, f, nfev, False
+        s = [a - b for a, b in zip(x_new, x)]
+        y = [a - b for a, b in zip(g_new, g)]
+        sy = sum(sk * yk for sk, yk in zip(s, y))
+        if sy > 0.0:
+            if h is None:
+                scale = sy / sum(yk * yk for yk in y)
+                h = [[scale if i == j else 0.0 for j in range(n)] for i in range(n)]
+            hy = [sum(hk[j] * y[j] for j in range(n)) for hk in h]
+            rho = 1.0 / sy
+            c = rho * (1.0 + rho * sum(yk * hyk for yk, hyk in zip(y, hy)))
+            h = [[h[i][j] + c * s[i] * s[j] - rho * (hy[i] * s[j] + s[i] * hy[j])
+                  for j in range(n)] for i in range(n)]
+        x, f, g = x_new, f_new, g_new
+    return x, f, nfev, False
 
 
 def _refine(fun, starts, cfg: OptimizerConfig):
-    # Nelder-Mead from each start; returns (x, value, nfev, success) of the
-    # best start, with nfev summed over all starts.
-    d_theta, d_phi = _half_spacing(cfg)
-    steps = [d_theta if k % 2 == 0 else d_phi for k in range(len(starts[0]))]
+    # BFGS from each start; returns (x, value, nfev, success) of the best
+    # start (the first of equal values), with nfev summed over all starts.
     best_x, best_val = None, math.inf
     nfev = 0
     best_success = False
     for x0 in starts:
-        x0 = [float(x) for x in x0]
-        simplex = [x0] + [[x + (step if i == k else 0.0) for i, x in enumerate(x0)]
-                          for k, step in enumerate(steps)]
-        x, value, calls, success = _nelder_mead(fun, simplex, cfg)
+        x, value, calls, success = _bfgs(fun, [float(v) for v in x0], cfg)
         nfev += calls
         if value < best_val:
             best_val, best_x, best_success = value, np.array(x), success
     return best_x, best_val, nfev, best_success
+
+
+def _angle_point(theta: float, phi: float):
+    # The axis at (theta, phi), bitwise as kernels.axis_from_angles makes
+    # it, and its derivatives by theta and by phi.  At a pole (sin theta = 0)
+    # the phi derivative is zero.
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    return np.array([st * cp, st * sp, ct]), (ct * cp, ct * sp, -st), (-st * sp, st * cp, 0.0)
+
+
+def _angle_gradient(grad, d_theta, d_phi) -> list[float]:
+    # The chain rule from a gradient by the axis to one by (theta, phi).
+    g0, g1, g2 = grad
+    return [g0 * d_theta[0] + g1 * d_theta[1] + g2 * d_theta[2],
+            g0 * d_phi[0] + g1 * d_phi[1]]
 
 
 def _two_qubit_data(rho: DensityMatrix):
@@ -282,19 +259,33 @@ def minimize_single(
         grid_values = kernels.single_discord_grid(axes, r1, r2, tmat, mi, env_entropy)
 
         def fun(x):
-            axis = kernels.axis_from_angles(x[0], x[1])
-            return kernels.single_discord_value(axis, r1, r2, tmat, mi, env_entropy)
-    else:
-        # Qubit basis against a higher-dimensional partner: walk the matrix route.
-        def fun(x):
-            return discord_like(rho, [(qubit_basis(x[0], x[1]), subsystem)])
+            axis, d_theta, d_phi = _angle_point(x[0], x[1])
+            value, grad = kernels.single_discord_value(axis, r1, r2, tmat, mi, env_entropy)
+            return value, _angle_gradient(grad, d_theta, d_phi)
 
-        grid_values = np.array([fun((t, p)) for t, p in zip(thetas, phis)])
+        calls_per_evaluation = 1
+    else:
+        # Qubit basis against a higher-dimensional partner: walk the matrix
+        # route, with central differences for the gradient.
+        def drop(theta, phi):
+            return discord_like(rho, [(qubit_basis(theta, phi), subsystem)])
+
+        def fun(x):
+            theta, phi = x
+            step = DIFFERENCE_STEP
+            return drop(theta, phi), [
+                (drop(theta + step, phi) - drop(theta - step, phi)) / (2 * step),
+                (drop(theta, phi + step) - drop(theta, phi - step)) / (2 * step),
+            ]
+
+        grid_values = np.array([drop(t, p) for t, p in zip(thetas, phis)])
+        calls_per_evaluation = 5
 
     cells = _lowest_cells(grid_values, cfg.refine_starts)
     grid_best = float(grid_values[cells[0]])
     starts = [(thetas[k], phis[k]) for k in cells]
     best_x, best_val, nfev, success = _refine(fun, starts, cfg)
+    nfev *= calls_per_evaluation
 
     if best_val <= grid_best:
         value, argmin_x, converged = best_val, best_x, success
@@ -330,18 +321,16 @@ def minimize_pair(
 
     if objective == OBJECTIVE_NONLOCALITY:
         grid_values = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho)
-
-        def fun(x):
-            ua = kernels.axis_from_angles(x[0], x[1])
-            ub = kernels.axis_from_angles(x[2], x[3])
-            return kernels.nonlocality_value(ua, ub, r1, r2, tmat, s_rho)
+        value_of, base = kernels.nonlocality_value, s_rho
     else:
         grid_values = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi)
+        value_of, base = kernels.pair_discord_value, mi
 
-        def fun(x):
-            ua = kernels.axis_from_angles(x[0], x[1])
-            ub = kernels.axis_from_angles(x[2], x[3])
-            return kernels.pair_discord_value(ua, ub, r1, r2, tmat, mi)
+    def fun(x):
+        ua, ta, pa = _angle_point(x[0], x[1])
+        ub, tb, pb = _angle_point(x[2], x[3])
+        value, grad = value_of(ua, ub, r1, r2, tmat, base)
+        return value, _angle_gradient(grad[:3], ta, pa) + _angle_gradient(grad[3:], tb, pb)
 
     cells = _lowest_cells(grid_values, cfg.refine_starts)
     grid_best = float(grid_values.flat[cells[0]])

@@ -9,10 +9,10 @@ import time
 
 import numpy as np
 
-from qreality.measures import nonlocality
+from qreality.measures import mutual_information, nonlocality
 from qreality.observables import qubit_basis
 from qreality.optimize import OptimizerConfig
-from qreality.states import werner
+from qreality.states import alpha_state, werner
 from qreality.sweep import SweepSpec, slit_rows, sweep_rows
 from qreality.verify import run_suite
 
@@ -117,6 +117,25 @@ def test_criterion_11_werner_closed_form_anchor():
             residual <= 1e-10, f"value {got:.12f}, residual {residual:.2e}")
 
 
+def _binary_entropy_of_bias(x: float) -> float:
+    # H(x): Shannon entropy of the weights (1 + x)/2 and (1 - x)/2, in nats.
+    return -sum(p * math.log(p) for p in ((1 + x) / 2, (1 - x) / 2) if p > 0.0)
+
+
+def _bell_diagonal_pair_discord(rho, c) -> float:
+    # Minimal two-sided discord-like drop of a Bell-diagonal state
+    # (r1 = r2 = 0, T = diag(c)): I(rho) - ln 2 + H(max |c_i|), after Luo,
+    # PRA 77, 042303 (2008).  No kernel or optimizer is involved.
+    return mutual_information(rho) - LN2 + _binary_entropy_of_bias(max(abs(x) for x in c))
+
+
+def _sweep_correlations(label: str, param: float) -> tuple[float, float, float]:
+    # The diagonal of T for each sweep family.
+    if label == "werner":
+        return (-param, -param, -param)
+    return (param, -param, 2 * param - 1)
+
+
 def test_criterion_12_sweep_reproduction():
     start = time.monotonic()
     werner_rows = sweep_rows(SweepSpec(family="werner", points=51,
@@ -126,10 +145,19 @@ def test_criterion_12_sweep_reproduction():
     elapsed = time.monotonic() - start
 
     problems = []
-    for label, rows in (("werner", werner_rows), ("alpha", alpha_rows)):
+    worst_d12 = 0.0
+    for label, rows, build in (("werner", werner_rows, werner),
+                               ("alpha", alpha_rows, alpha_state)):
         for row in rows:
             if not row.n_min <= row.d12 + 1e-6:
                 problems.append(f"{label} param {row.param}: N_min above pair discord")
+            want = _bell_diagonal_pair_discord(build(row.param),
+                                               _sweep_correlations(label, row.param))
+            gap = abs(row.d12 - want)
+            worst_d12 = max(worst_d12, gap)
+            if not gap <= 1e-9:
+                problems.append(f"{label} param {row.param}: d12 {row.d12!r} != "
+                                f"closed form {want!r}")
     for row in werner_rows:
         if row.param <= 1 / 3 and row.concurrence != 0.0:
             problems.append(f"concurrence nonzero at f={row.param}")
@@ -147,9 +175,10 @@ def test_criterion_12_sweep_reproduction():
     if elapsed > 600.0:
         problems.append(f"sweeps took {elapsed:.0f}s")
 
-    _report(12, "both sweeps reproduce the curve ordering and endpoints",
+    _report(12, "both sweeps reproduce the curve ordering, endpoints and pair discord",
             not problems,
-            f"2x51 points, {elapsed:.1f}s" + ("; " + "; ".join(problems) if problems else ""))
+            f"2x51 points, {elapsed:.1f}s, worst d12 gap {worst_d12:.1e}"
+            + ("; " + "; ".join(problems) if problems else ""))
 
 
 def test_criterion_13_slit_curve():

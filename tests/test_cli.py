@@ -170,8 +170,10 @@ def test_sweep_over_the_pair_grid_budget_exits_two(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 def test_sweep_non_finite_refine_tolerance_exits_two(tol, tmp_path, capsys):
+    # "-inf" starts with '-' and is not a plain negative decimal, which
+    # argparse would take for an option; it must reach the tolerance check.
     out = tmp_path / "w.csv"
     assert main(["sweep", "--family", "werner", "--points", "2", *FAST_FLAGS,
                  "--refine-tol", tol, "--output", str(out)]) == 2

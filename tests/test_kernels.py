@@ -40,13 +40,29 @@ def test_bloch_correlations_product_state():
 
 
 def test_axis_grid_layout():
-    axes, thetas, phis = kernels.axis_grid(3, 4)
-    assert axes.shape == (12, 3)
-    np.testing.assert_allclose(thetas[:4], 0.0, atol=0)
-    np.testing.assert_allclose(phis[:4], [0, math.pi / 4, math.pi / 2, 3 * math.pi / 4])
+    # The poles are one basis and come first, once; then the inner theta
+    # rows across every phi.
+    axes, thetas, phis = kernels.axis_grid(4, 3)
+    assert axes.shape == (1 + 2 * 3, 3)
+    assert thetas[0] == 0.0 and phis[0] == 0.0
+    assert axes[0].tolist() == [0.0, 0.0, 1.0]
+    np.testing.assert_allclose(thetas[1:], np.repeat([math.pi / 3, 2 * math.pi / 3], 3))
+    np.testing.assert_allclose(phis[1:], np.tile([0.0, math.pi / 3, 2 * math.pi / 3], 2))
     np.testing.assert_allclose(np.linalg.norm(axes, axis=1), 1.0, atol=1e-12)
-    assert thetas.max() == pytest.approx(math.pi)
-    assert phis.max() < math.pi
+    for axis, theta, phi in zip(axes, thetas, phis):
+        assert np.array_equal(axis, kernels.axis_from_angles(theta, phi))
+    # No two axes are the same basis (u and -u), and every other grid axis is
+    # one of them.
+    gram = np.abs(axes @ axes.T)
+    assert np.all(gram[~np.eye(len(axes), dtype=bool)] < 1 - 1e-9)
+    for theta in (0.0, math.pi):
+        for phi in np.linspace(0.0, math.pi, 3, endpoint=False):
+            assert np.max(np.abs(axes @ kernels.axis_from_angles(theta, phi))) == 1.0
+    # The default grid: 553 distinct axes where 25 x 24 angle pairs name 600.
+    assert kernels.axis_grid(25, 24)[0].shape == (553, 3)
+    for n_theta in (1, 2):
+        only_pole, _, _ = kernels.axis_grid(n_theta, 5)
+        assert only_pole.tolist() == [[0.0, 0.0, 1.0]]
 
 
 def test_scalar_values_match_matrix_route():
@@ -60,14 +76,14 @@ def test_scalar_values_match_matrix_route():
         basis_a = qubit_basis(ta, pa)
         basis_b = qubit_basis(tb, pb)
 
-        n_fast = kernels.nonlocality_value(ua, ub, r1, r2, tmat, s_rho)
+        n_fast, _ = kernels.nonlocality_value(ua, ub, r1, r2, tmat, s_rho)
         assert n_fast == pytest.approx(nonlocality(basis_a, basis_b, rho), abs=1e-10)
 
-        d_fast = kernels.pair_discord_value(ua, ub, r1, r2, tmat, mi)
+        d_fast, _ = kernels.pair_discord_value(ua, ub, r1, r2, tmat, mi)
         d_slow = discord_like(rho, [(basis_a, 0), (basis_b, 1)])
         assert d_fast == pytest.approx(d_slow, abs=1e-10)
 
-        s_fast = kernels.single_discord_value(ua, r1, r2, tmat, mi, s_env)
+        s_fast, _ = kernels.single_discord_value(ua, r1, r2, tmat, mi, s_env)
         s_slow = discord_like(rho, [(basis_a, 0)])
         assert s_fast == pytest.approx(s_slow, abs=1e-10)
 
@@ -79,7 +95,7 @@ def test_single_discord_other_side_via_swap():
     s_env = entropy(partial_trace(rho, 0))
     theta, phi = rng.uniform(0, math.pi, 2)
     axis = kernels.axis_from_angles(theta, phi)
-    fast = kernels.single_discord_value(
+    fast, _ = kernels.single_discord_value(
         axis, r2, r1, np.ascontiguousarray(tmat.T), mi, s_env)
     slow = discord_like(rho, [(qubit_basis(theta, phi), 1)])
     assert fast == pytest.approx(slow, abs=1e-10)
@@ -96,13 +112,13 @@ def test_grids_match_scalar_reference():
     s_grid = kernels.single_discord_grid(axes, r1, r2, tmat, mi, s_env)
     for i in range(axes.shape[0]):
         assert s_grid[i] == pytest.approx(
-            kernels.single_discord_value(axes[i], r1, r2, tmat, mi, s_env), abs=1e-12)
+            kernels.single_discord_value(axes[i], r1, r2, tmat, mi, s_env)[0], abs=1e-12)
         for j in range(axes.shape[0]):
             assert n_grid[i, j] == pytest.approx(
-                kernels.nonlocality_value(axes[i], axes[j], r1, r2, tmat, s_rho),
+                kernels.nonlocality_value(axes[i], axes[j], r1, r2, tmat, s_rho)[0],
                 abs=1e-12)
             assert d_grid[i, j] == pytest.approx(
-                kernels.pair_discord_value(axes[i], axes[j], r1, r2, tmat, mi),
+                kernels.pair_discord_value(axes[i], axes[j], r1, r2, tmat, mi)[0],
                 abs=1e-12)
 
 
@@ -193,6 +209,7 @@ def test_fused_pair_grids_are_bitwise_unfused(rows, cols):
     # states have outcome weights of exactly zero.
     rng = np.random.default_rng(rows * 1000 + cols + 7)
     grid_axes, _, _ = kernels.axis_grid(25, 24)
+    grid_axes = np.concatenate([grid_axes, grid_axes])  # 553 axes, up to 600 taken
     random_axes = rng.normal(size=(max(rows, cols), 3))
     random_axes /= np.linalg.norm(random_axes, axis=1)[:, None]
     states = [random_density(4, rank, rng, dims=(2, 2)) for rank in (1, 2, 4)]
@@ -256,5 +273,69 @@ def test_scalar_values_match_side_values_composition_bitwise():
                 (kernels.single_discord_value(ua, r1, r2, tmat, mi, s_env),
                  mi - h_a - s_env + s_a),
             )
-            for got, want in pairs:
+            for (got, _), want in pairs:
                 assert got.hex() == want.hex()
+
+
+def _angle_gradient(grad, theta, phi):
+    # The gradient by the axis, taken onto (theta, phi).
+    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
+    g0, g1, g2 = grad
+    return [g0 * ct * cp + g1 * ct * sp - g2 * st, st * (g1 * cp - g0 * sp)]
+
+
+def _kernel_objectives(rho):
+    # (name, f(angles) -> (value, gradient by the axes)) for the three kernels.
+    r1, r2, tmat, s_rho, mi, s_env = _state_data(rho)
+
+    def pair(value_of, base):
+        def f(x):
+            return value_of(kernels.axis_from_angles(x[0], x[1]),
+                            kernels.axis_from_angles(x[2], x[3]), r1, r2, tmat, base)
+        return f
+
+    def single(x):
+        return kernels.single_discord_value(
+            kernels.axis_from_angles(x[0], x[1]), r1, r2, tmat, mi, s_env)
+
+    return (("nonlocality", pair(kernels.nonlocality_value, s_rho)),
+            ("pair discord", pair(kernels.pair_discord_value, mi)),
+            ("single discord", single))
+
+
+def _product_pure_state():
+    up = pure_from_amplitudes([1, 0], (2,))
+    tilted = pure_from_amplitudes([0.6, 0.8j], (2,))
+    return DensityMatrix(tensor_product(up.mat, tilted.mat), (2, 2))
+
+
+def test_gradients_match_central_differences():
+    # Random states of ranks 1-4, axes within 1e-3 of either pole, and states
+    # with dead weights: the singlet and alpha(1) on matched axes (two joint
+    # weights vanish) and a pure product state (two side weights vanish at
+    # every axis).  Dead weights must leave the gradient finite.
+    rng = np.random.default_rng(131)
+    states = [random_density(4, 1 + k % 4, rng, dims=(2, 2)) for k in range(8)]
+    states += [singlet(), alpha_state(1.0), _product_pure_state()]
+    h = 1e-6
+    for rho in states:
+        points = [rng.uniform(0.2, math.pi - 0.2, 4) for _ in range(4)]
+        near_poles = [1e-3, rng.uniform(0, math.pi), math.pi - 1e-3, rng.uniform(0, math.pi)]
+        points += [np.array(near_poles), np.array([0.7, 1.1, 0.7, 1.1]),
+                   np.array([1e-3, 0.4, 1e-3, 0.4])]
+        for name, f in _kernel_objectives(rho):
+            for x in points:
+                n = 2 if name == "single discord" else 4
+                x = x[:n]
+                value, grad = f(x)
+                assert len(grad) == 3 * n // 2
+                assert all(math.isfinite(g) for g in grad)
+                got = _angle_gradient(grad[:3], x[0], x[1])
+                if n == 4:
+                    got += _angle_gradient(grad[3:], x[2], x[3])
+                for k in range(n):
+                    step = np.zeros(n)
+                    step[k] = h
+                    want = (f(x + step)[0] - f(x - step)[0]) / (2 * h)
+                    assert got[k] == pytest.approx(want, abs=1e-6), (name, x, k)
+

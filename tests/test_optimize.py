@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -7,13 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qreality import kernels
+from qreality import kernels, optimize
 from qreality.linalg import DensityMatrix, partial_trace, tensor_product
 from qreality.measures import entropy, nonlocality
 from qreality.optimize import (
     OptimizerConfig,
-    _by_value,
-    _insertion_index,
     _lowest_cells,
     _refine,
     brute_force_single,
@@ -221,73 +221,62 @@ def test_lowest_cells_on_tied_bell_diagonal_grids(rho):
         assert np.array_equal(_lowest_cells(grid, k), _stable_head(grid, k))
 
 
-NAN = math.nan
-
-
-@pytest.mark.parametrize("values, distinct", [
-    ([0.3, -1.2, 5.0, 0.1, 2.2], True),
-    ([4.0, 3.0, 2.0, 1.0, 0.0], True),
-    ([-math.inf, 1e300, -1e-300, 1e-300, math.inf], True),
-    ([1.0, 1.0, 0.0, 2.0, 1.0], False),
-    ([0.5, 0.5, 0.5, 0.5, 0.5], False),
-    ([0.0, -0.0, 1.0, -1.0, 0.0], False),
-    ([-0.0, 0.0, -0.0], False),
-    ([NAN, 1.0, 0.0, NAN, -1.0], False),
-    ([2.0, NAN, 1.0], False),
-    ([NAN], True),  # one value is trivially in order
-])
-def test_vertex_order_is_argsort(values, distinct):
-    sim = [[float(k)] for k in range(len(values))]
-    got_sim, got_f, got_distinct = _by_value(sim, list(values))
-    want = np.argsort(values).tolist()
-    assert [int(vertex[0]) for vertex in got_sim] == want
-    assert [f.hex() for f in got_f] == [values[k].hex() for k in want]
-    assert got_distinct is distinct
-
-
-def test_vertex_order_is_argsort_on_random_values():
-    rng = np.random.default_rng(229)
-    for size in (3, 5):
-        for _ in range(200):
-            values = rng.choice([-0.0, 0.0, 1.0, -1.0, NAN, 0.5], size).tolist()
-            if rng.random() < 0.5:
-                values = rng.normal(size=size).tolist()
-            sim = [[float(k)] for k in range(size)]
-            got_sim, _, _ = _by_value(sim, values)
-            assert [int(v[0]) for v in got_sim] == np.argsort(values).tolist()
-
-
-@pytest.mark.parametrize("new, placed", [
-    (-5.0, True), (0.05, True), (0.15, True), (9.0, True), (-0.0, True),
-    (0.1, False), (-1.0, False), (NAN, False),
-])
-def test_insertion_index_is_argsort(new, placed):
-    # The others strictly increasing, as after a step that replaced only the
-    # worst vertex; a tie or NaN must be left to np.argsort.
-    for head in ([-1.0, 0.1, 0.2, 3.0], [-1.0, 0.0, 0.1, 0.2], [-1.0, -0.0, 0.1, 3.0]):
-        fsim = head + [new]
-        k = _insertion_index(fsim)
-        ties = any(new == f for f in head) or new != new
-        assert (k is None) == ties
-        if k is not None:
-            order = list(range(k)) + [len(head)] + list(range(k, len(head)))
-            assert order == np.argsort(fsim).tolist()
-    assert (_insertion_index([-1.0, 0.1, 0.2, 3.0, new]) is not None) == placed
-
-
 def test_converged_reports_the_winning_start():
-    # The first start sits on a plateau and converges at once; the second
-    # lies on a steep slope, finds the lower value and runs out of iterations.
-    cfg = OptimizerConfig(refine_tolerance=0.5, max_refine_iterations=2)
+    # The first start sits on a plateau, where the gradient is zero, and
+    # converges at once; the second lies on a steep slope, finds the lower
+    # values and runs out of iterations.
+    cfg = OptimizerConfig(max_refine_iterations=2)
 
     def fun(x):
-        return 0.0 if x[0] < 1.0 else -1000.0 * x[0]
+        if x[0] < 1.0:
+            return 0.0, [0.0, 0.0]
+        return -1000.0 * x[0], [-1000.0, 0.0]
 
     x, value, nfev, converged = _refine(fun, [(0.0, 0.0), (2.0, 0.0)], cfg)
     assert value < -2000.0 and x[0] > 2.0
-    assert nfev > 0
+    assert nfev == 1 + 3
     assert converged is False
     assert _refine(fun, [(0.0, 0.0)], cfg)[3] is True
+
+
+def test_refine_stops_when_no_step_decreases_the_value():
+    # A gradient that points the wrong way: every trial step goes uphill,
+    # the line search halves the step until it gives up, and the start
+    # keeps its value without claiming convergence.
+    def fun(x):
+        return x[0], [-1.0, 0.0]
+
+    x, value, nfev, converged = _refine(fun, [(0.5, 0.5)], OptimizerConfig())
+    assert list(x) == [0.5, 0.5] and value == 0.5
+    assert nfev == 1 + optimize.LINE_SEARCH_HALVINGS
+    assert converged is False
+
+    # A plateau whose gradient, like rounding noise, is above the tolerance
+    # but too small to change the value: steps of equal value are no
+    # decrease, so the start ends at once instead of walking for every
+    # iteration.
+    def plateau(x):
+        return 1.0, [1e-12, -1e-12]
+
+    x, value, nfev, converged = _refine(plateau, [(0.5, 0.5)],
+                                        OptimizerConfig(refine_tolerance=1e-13))
+    assert list(x) == [0.5, 0.5] and value == 1.0
+    assert nfev == 1 + optimize.LINE_SEARCH_HALVINGS
+    assert converged is False
+
+
+def test_refine_converges_on_a_quadratic():
+    # An ill-scaled quadratic bowl: BFGS reaches the tolerance test within a
+    # few dozen evaluations.
+    def fun(x):
+        a, b = x[0] - 0.3, x[1] + 0.2
+        return 50.0 * a * a + 0.5 * b * b, [100.0 * a, b]
+
+    x, value, nfev, converged = _refine(fun, [(1.0, 1.0)], OptimizerConfig())
+    assert converged is True
+    assert abs(x[0] - 0.3) <= 1e-8 and abs(x[1] + 0.2) <= 1e-6
+    assert value <= 1e-13
+    assert nfev <= 40
 
 
 def test_converged_is_false_when_the_grid_best_wins(monkeypatch):
@@ -362,122 +351,28 @@ def test_minimize_single_rejects_grids_over_the_side_budget(monkeypatch):
     assert minimize_single(werner(0.5), 0, cfg=cfg).value >= -1e-9
 
 
-def _scipy_refine(fun, starts, cfg):
-    # The refinement as it was written against scipy.optimize.minimize.
-    minimize = pytest.importorskip("scipy.optimize").minimize
-    d_theta = math.pi / max(cfg.grid_points_theta - 1, 1) / 2.0
-    d_phi = math.pi / cfg.grid_points_phi / 2.0
-    steps = [d_theta if k % 2 == 0 else d_phi for k in range(len(starts[0]))]
-    best_x, best_val = None, math.inf
-    nfev = 0
-    best_success = False
-    for x0 in starts:
-        x0 = np.asarray(x0, dtype=float)
-        simplex = np.vstack([x0] + [x0 + step * basis for step, basis in
-                                    zip(steps, np.eye(len(x0)))])
-        res = minimize(
-            fun, x0, method="Nelder-Mead",
-            options={
-                "xatol": cfg.refine_tolerance,
-                "fatol": cfg.refine_tolerance,
-                "maxiter": cfg.max_refine_iterations,
-                "initial_simplex": simplex,
-            },
-        )
-        nfev += int(res.nfev)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = np.asarray(res.x, dtype=float)
-            best_success = bool(res.success)
-    return best_x, best_val, nfev, best_success
+DATA = Path(__file__).resolve().parent / "data"
 
 
-def _words(result):
-    x, value, nfev, success = result
-    return np.asarray(x, dtype=float).view(np.uint64).tolist(), value.hex(), nfev, success
+def test_minima_match_the_nelder_mead_reference():
+    # data/make_refine_reference.py wrote these minima with the Nelder-Mead
+    # refinement this BFGS replaced.  No minimum may end more than 1e-12
+    # above its reference, nor more than 1e-9 away from it.
+    spec = importlib.util.spec_from_file_location(
+        "make_refine_reference", DATA / "make_refine_reference.py")
+    maker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(maker)
+    import qreality
 
-
-def _pair_objective(rho, which):
-    r1, r2, tmat = kernels.bloch_correlations(rho.mat)
-    if which == "nonlocality":
-        base = entropy(rho)
-        value = kernels.nonlocality_value
-    else:
-        base = entropy(partial_trace(rho, 0)) + entropy(partial_trace(rho, 1)) - entropy(rho)
-        value = kernels.pair_discord_value
-
-    def fun(x):
-        ua = kernels.axis_from_angles(x[0], x[1])
-        ub = kernels.axis_from_angles(x[2], x[3])
-        return value(ua, ub, r1, r2, tmat, base)
-    return fun
-
-
-def _single_objective(rho):
-    r1, r2, tmat = kernels.bloch_correlations(rho.mat)
-    s2 = entropy(partial_trace(rho, 1))
-    mi = entropy(partial_trace(rho, 0)) + s2 - entropy(rho)
-
-    def fun(x):
-        axis = kernels.axis_from_angles(x[0], x[1])
-        return kernels.single_discord_value(axis, r1, r2, tmat, mi, s2)
-    return fun
-
-
-def _nelder_mead_cases():
-    rng = np.random.default_rng(223)
-    cfg = OptimizerConfig()
-    states = [werner(0.5), alpha_state(0.3)]
-    states += [random_density(4, 1 + k % 4, rng, dims=(2, 2)) for k in range(6)]
-    for rho in states:
-        starts4 = [tuple(rng.uniform(0.0, math.pi, 4)) for _ in range(3)]
-        starts2 = [tuple(rng.uniform(0.0, math.pi, 2)) for _ in range(3)]
-        yield _pair_objective(rho, "nonlocality"), starts4, cfg
-        yield _pair_objective(rho, "discord"), starts4, cfg
-        yield _single_objective(rho), starts2, cfg
-
-    def flat(x):
-        # Piecewise constant: whole simplexes of exactly tied values.
-        return float(math.floor(2.0 * sum(v * v for v in x)))
-
-    yield flat, [(0.1, 0.2, 0.3, 0.4), (1.0, 1.0, 0.5, 0.0)], cfg
-    yield flat, [(0.7, 0.3)], cfg
-
-    def cusp(x):
-        return math.sqrt(abs(x[0] - 0.3)) + math.sqrt(abs(x[1] + 0.2))
-
-    yield cusp, [(0.0, 0.0), (1.0, 2.0)], cfg
-    # The iteration cap: success is False.
-    capped = OptimizerConfig(max_refine_iterations=7)
-    yield _pair_objective(states[2], "nonlocality"), [(0.3, 0.4, 1.2, 2.0)], capped
-    yield _single_objective(states[3]), [(2.0, 0.1)], capped
-
-
-def test_nelder_mead_is_bitwise_scipy():
-    pytest.importorskip("scipy.optimize")
-    outcomes = set()
-    for fun, starts, cfg in _nelder_mead_cases():
-        ours = _refine(fun, starts, cfg)
-        assert _words(ours) == _words(_scipy_refine(fun, starts, cfg))
-        outcomes.add(ours[3])
-    assert outcomes == {True, False}
-
-    # Lowest only at the start vertex itself: reflection and inside
-    # contraction both tie the worst vertex, so every iteration shrinks
-    # towards the start until the cap ends the run.
-    start = (0.25, 1.5)
-    calls = []
-
-    def well(x):
-        calls.append(tuple(x))
-        return 0.0 if tuple(x) == start else 1.0
-
-    cfg = OptimizerConfig(max_refine_iterations=30)
-    ours = _refine(well, [start], cfg)
-    d_theta = math.pi / (cfg.grid_points_theta - 1) / 2.0
-    assert (start[0] + 0.5 * ((start[0] + d_theta) - start[0]), start[1]) in calls
-    assert ours[3] is False
-    assert _words(ours) == _words(_scipy_refine(well, [start], cfg))
+    entries = json.loads((DATA / "refine_reference.json").read_text())
+    assert len(entries) == len(list(maker.cases()))
+    problems = []
+    for entry in entries:
+        value = maker.minimize(qreality, maker.build_state(qreality, entry["state"]), entry).value
+        ref = float.fromhex(entry["value"])
+        if not (value <= ref + 1e-12 and abs(value - ref) <= 1e-9):
+            problems.append((entry, value - ref))
+    assert not problems
 
 
 def test_import_does_not_load_scipy():
