@@ -119,6 +119,8 @@ def _lowest_cells(values: np.ndarray, k: int) -> np.ndarray:
     bound = np.partition(row_min, k - 1)[k - 1] if k <= row_min.size else math.nan
     if bound != bound:  # too few rows, or NaN rows: the k-th value itself
         bound = np.partition(flat, k - 1)[k - 1]
+    if bound != bound:  # fewer than k cells below NaN: the head takes NaN cells
+        return np.argsort(flat, kind="stable")[:k]
     candidates = np.flatnonzero(flat <= bound)
     order = np.lexsort((candidates, flat[candidates]))
     return candidates[order[:k]]

@@ -221,6 +221,59 @@ def test_lowest_cells_on_tied_bell_diagonal_grids(rho):
         assert np.array_equal(_lowest_cells(grid, k), _stable_head(grid, k))
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize("values, distinct", [
+    ([0.3, -1.2, 5.0, 0.1, 2.2], True),
+    ([4.0, 3.0, 2.0, 1.0, 0.0], True),
+    ([-math.inf, 1e300, -1e-300, 1e-300, math.inf], True),
+    ([1.0, 1.0, 0.0, 2.0, 1.0], False),
+    ([0.5, 0.5, 0.5, 0.5, 0.5], False),
+    ([0.0, -0.0, 1.0, -1.0, 0.0], False),
+    ([-0.0, 0.0, -0.0], False),
+    ([NAN, 1.0, 0.0, NAN, -1.0], False),
+    ([2.0, NAN, 1.0], False),
+    ([NAN], True),  # one value is trivially in order
+])
+def test_vertex_order_is_argsort(values, distinct):
+    # The refinement starts are the lowest grid vertices in stable argsort
+    # order (signed zeros tie, NaN sorts last), for every number of starts.
+    grid = np.array(values)
+    want = _stable_head(grid, grid.size).tolist()
+    for k in range(1, grid.size + 1):
+        assert _lowest_cells(grid, k).tolist() == want[:k]
+    in_order = [values[k] for k in want]
+    assert all(a < b for a, b in zip(in_order, in_order[1:])) is distinct
+    if distinct:
+        # Without ties the order cannot depend on the index tie-break.
+        assert [grid.size - 1 - k for k in _lowest_cells(grid[::-1], grid.size)] == want
+
+    # Each start stops at once on its own value: the first of the lowest
+    # values wins, and a NaN never does.
+    def fun(x):
+        return values[int(x[0])], [0.0]
+
+    x, value, nfev, success = _refine(fun, [(float(k),) for k in range(grid.size)],
+                                      OptimizerConfig())
+    assert nfev == grid.size and success is (x is not None)
+    if values[want[0]] == values[want[0]]:
+        assert int(x[0]) == want[0] and value.hex() == values[want[0]].hex()
+    else:  # only NaN: no start wins, and the caller keeps the grid best
+        assert x is None and value == math.inf
+
+
+def test_vertex_order_is_argsort_on_random_values():
+    rng = np.random.default_rng(229)
+    for size in (3, 5):
+        for _ in range(200):
+            values = rng.choice([-0.0, 0.0, 1.0, -1.0, NAN, 0.5], size)
+            if rng.random() < 0.5:
+                values = rng.normal(size=size)
+            for k in range(1, size + 1):
+                assert np.array_equal(_lowest_cells(values, k), _stable_head(values, k))
+
+
 def test_converged_reports_the_winning_start():
     # The first start sits on a plateau, where the gradient is zero, and
     # converges at once; the second lies on a steep slope, finds the lower
