@@ -19,7 +19,13 @@ numpy and the only backend.  Each pair grid is one fused pass: the joint
 entropy and the objective are formed ``JOINT_BLOCK_ROWS`` rows at a time in
 block-sized scratch buffers, with every cell computed by the same floating
 point operations, in the same order, as the unfused composition of side and
-joint grids.  The scalar ``*_value`` functions are the refinement objectives:
+joint grids.  A caller that minimizes both pair objectives on one state
+(``sweep.sweep_rows`` and ``verify.suite_bounds``) passes both grid calls one
+:class:`JointEntropy`: the first keeps its S_AB, and the second builds its
+grid from it instead of running the joint pass again, which is almost all of a
+pair grid's cost.  A single-objective call keeps nothing: it would hold a
+second full-size grid for no later use.  The scalar ``*_value`` functions are
+the refinement objectives:
 each returns the value and its gradient by the Bloch axes, the gradient in
 plain Python floats (d(-p ln p)/dp = -(1 + ln p) for each live weight).
 The repository benchmark times the grid stage end to end:
@@ -156,24 +162,67 @@ def _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
         yield rows, acc
 
 
-def _joint_entropy_numpy(axes_a, axes_b, r1, r2, tmat):
-    out = np.empty((axes_a.shape[0], axes_b.shape[0]))
-    for rows, s_ab in _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
-        out[rows] = s_ab
-    return out
+class JointEntropy:
+    """S(Ph_A Ph_B rho) over one pair grid, shared by both pair objectives of a state.
+
+    Pass one holder to both pair-grid calls on a state.  The first call runs
+    the joint pass and keeps its S_AB; the second builds its grid from the
+    kept values, cell for cell the same.  A filled holder serves only the
+    Bloch data and axes that filled it: any others raise ``ValueError``.
+    :meth:`clear` empties it for the next state but keeps its buffer.  A
+    caller that walks through many states reuses one holder this way: a new
+    buffer per state would be freed together with that state's grids, and
+    the heap would hand the pages back and fault them in again for the next
+    state, which costs about half of a joint pass.
+    """
+
+    def __init__(self):
+        self._inputs = None
+        self._values = None  # S_AB while _inputs is set; otherwise a free buffer
+
+    def clear(self):
+        """Forget the state that filled the holder; the next grid call refills it."""
+        self._inputs = None
+
+    def _blocks(self, axes_a, axes_b, r1, r2, tmat, out):
+        # (rows, S_AB of those rows) as _joint_entropy_blocks yields them,
+        # while keeping a copy; once filled, one block of all rows.
+        inputs = (axes_a, axes_b, r1, r2, tmat)
+        if self._inputs is not None:
+            if not all(np.array_equal(x, y) for x, y in zip(inputs, self._inputs)):
+                raise ValueError(
+                    "joint entropy holder was filled for other Bloch data or axes")
+            yield slice(None), self._values
+            return
+        if self._values is None or self._values.shape != out.shape:
+            self._values = np.empty_like(out)
+        for rows, s_ab in _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
+            self._values[rows] = s_ab
+            yield rows, s_ab
+        self._inputs = tuple(np.array(x) for x in inputs)
+
+
+def _joint_entropy(axes_a, axes_b, r1, r2, tmat, out, joint):
+    if joint is None:
+        return _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out)
+    return joint._blocks(axes_a, axes_b, r1, r2, tmat, out)
 
 
 # ---------------------------------------------------------------------------
 # objective grids
 # ---------------------------------------------------------------------------
 
-def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy):
-    """N over all axis pairs: S_A + S_B - S_AB - S(rho)."""
+def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy, *, joint=None):
+    """N over all axis pairs: S_A + S_B - S_AB - S(rho).
+
+    ``joint`` is the state's :class:`JointEntropy` when both pair objectives
+    are minimized on it.
+    """
     s_a, _ = _side_entropies_numpy(axes_a, r1, r2, tmat)
     s_b, _ = _side_entropies_numpy(axes_b, r2, r1, np.ascontiguousarray(tmat.T))
     s_a = s_a[:, None]
     out = np.empty((axes_a.shape[0], axes_b.shape[0]))
-    for rows, s_ab in _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
+    for rows, s_ab in _joint_entropy(axes_a, axes_b, r1, r2, tmat, out, joint):
         block = out[rows]
         np.add(s_a[rows], s_b, out=block)
         block -= s_ab
@@ -181,13 +230,14 @@ def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy):
     return out
 
 
-def pair_discord_grid(axes_a, axes_b, r1, r2, tmat, mutual_info):
-    """Two-sided discord-like drop over all axis pairs."""
+def pair_discord_grid(axes_a, axes_b, r1, r2, tmat, mutual_info, *, joint=None):
+    """Two-sided discord-like drop over all axis pairs; ``joint`` as in
+    :func:`nonlocality_grid`."""
     _, h_a = _side_entropies_numpy(axes_a, r1, r2, tmat)
     _, h_b = _side_entropies_numpy(axes_b, r2, r1, np.ascontiguousarray(tmat.T))
     head = (mutual_info - h_a)[:, None]
     out = np.empty((axes_a.shape[0], axes_b.shape[0]))
-    for rows, s_ab in _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
+    for rows, s_ab in _joint_entropy(axes_a, axes_b, r1, r2, tmat, out, joint):
         block = out[rows]
         np.subtract(head[rows], h_b, out=block)
         block += s_ab
@@ -201,25 +251,13 @@ def single_discord_grid(axes, r1, r2, tmat, mutual_info, env_entropy):
 
 
 # ---------------------------------------------------------------------------
-# scalar values and gradients (refinement objectives; also the plain
-# reference formulas)
+# scalar values and gradients (refinement objectives)
 # ---------------------------------------------------------------------------
 
-def _entropy_sum(weights) -> float:
-    # Shannon entropy of outcome weights, skipping those at or below
-    # ZERO_WEIGHT: the loop the unrolled sums below repeat term for term,
-    # kept as the reference the tests compare them with.
-    s = 0.0
-    for w in weights:
-        if w > ZERO_WEIGHT:
-            s -= w * math.log(w)
-    return s
-
-
 def _entropy4(w0, w1, w2, w3):
-    # _entropy_sum of four weights, unrolled, and the derivative of each
-    # term, -(1 + ln w).  A weight at or below ZERO_WEIGHT adds nothing to
-    # either, so a dead weight leaves the gradient finite.
+    # Shannon entropy of four weights, skipping those at or below
+    # ZERO_WEIGHT, and the derivative of each term, -(1 + ln w).  A dead
+    # weight adds nothing to either, so it leaves the gradient finite.
     s = d0 = d1 = d2 = d3 = 0.0
     if w0 > ZERO_WEIGHT:
         log = math.log(w0)

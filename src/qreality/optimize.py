@@ -21,6 +21,13 @@ Two-qubit states are evaluated through the closed-form Bloch kernels;
 :func:`brute_force_single` deliberately avoids them and walks the
 projector-dephasing route instead, serving as the independent oracle for the
 fast path.
+
+The two pair objectives share their costliest part, the entropy of the state
+dephased on both sides.  Callers that minimize both on one state (the sweep
+rows and the bounds suite) hand :func:`minimize_pair` one
+:class:`kernels.JointEntropy` for both calls.  A call on its own runs the
+fused single pass and keeps nothing: holding the joint grid would cost a
+second full-size grid and save nothing.
 """
 
 from __future__ import annotations
@@ -108,22 +115,36 @@ def _half_spacing(cfg: OptimizerConfig) -> tuple[float, float]:
 def _lowest_cells(values: np.ndarray, k: int) -> np.ndarray:
     # Linear indices of the k smallest values, exactly the head of
     # np.argsort(values, kind="stable"): ties are ordered by linear index.
-    # Only cells at or below a bound on the k-th value are sorted.  The bound
+    # Only cells below a bound on the k-th value are sorted.  The bound
     # is the k-th smallest row minimum: k rows have a cell at or below it, so
     # the k-th value is too.  Taking it from the row minima spares a
     # partition of a full-size copy of the grid.
     flat = values.reshape(-1)
     if k >= flat.size:
         return np.argsort(flat, kind="stable")
-    row_min = values.reshape(values.shape[0], -1).min(axis=1)
+    grid = values.reshape(values.shape[0], -1)
+    row_min = grid.min(axis=1)
     bound = np.partition(row_min, k - 1)[k - 1] if k <= row_min.size else math.nan
     if bound != bound:  # too few rows, or NaN rows: the k-th value itself
         bound = np.partition(flat, k - 1)[k - 1]
     if bound != bound:  # fewer than k cells below NaN: the head takes NaN cells
         return np.argsort(flat, kind="stable")[:k]
-    candidates = np.flatnonzero(flat <= bound)
-    order = np.lexsort((candidates, flat[candidates]))
-    return candidates[order[:k]]
+    # The cells strictly below the bound, then the first cells equal to it in
+    # index order.  Only rows whose minimum is at or below the bound can hold
+    # one, and NaN rows, whose NaN minimum hides the rest of the row; the
+    # scan stops once k cells are found.  Neither step copies a grid of tied
+    # cells: on a constant grid every cell equals the bound.
+    below = np.flatnonzero(flat < bound)
+    head = below[np.lexsort((below, flat[below]))[:k]]
+    need = k - head.size
+    ties = []
+    for i in np.flatnonzero(~(row_min > bound)):
+        if need == 0:
+            break
+        hits = np.flatnonzero(grid[i] == bound)[:need]
+        ties.append(i * grid.shape[1] + hits)
+        need -= hits.size
+    return np.concatenate([head, *ties])
 
 
 def _bfgs(fun, x, cfg: OptimizerConfig):
@@ -306,8 +327,15 @@ def minimize_pair(
     rho: DensityMatrix,
     objective: str,
     cfg: OptimizerConfig = OptimizerConfig(),
+    *,
+    joint: kernels.JointEntropy | None = None,
 ) -> OptimizationResult:
-    """Minimize nonlocality or the two-sided discord-like drop over basis pairs."""
+    """Minimize nonlocality or the two-sided discord-like drop over basis pairs.
+
+    A caller that minimizes both objectives on ``rho`` passes both calls one
+    :class:`kernels.JointEntropy`, so the joint-entropy grid is computed
+    once; the results are the same bit for bit.
+    """
     if objective not in (OBJECTIVE_NONLOCALITY, OBJECTIVE_DISCORD):
         raise ValueError(f"unsupported pair objective '{objective}'")
     if rho.dims != (2, 2):
@@ -322,10 +350,10 @@ def minimize_pair(
     axes, thetas, phis = kernels.axis_grid(cfg.grid_points_theta, cfg.grid_points_phi)
 
     if objective == OBJECTIVE_NONLOCALITY:
-        grid_values = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho)
+        grid_values = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho, joint=joint)
         value_of, base = kernels.nonlocality_value, s_rho
     else:
-        grid_values = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi)
+        grid_values = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi, joint=joint)
         value_of, base = kernels.pair_discord_value, mi
 
     def fun(x):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .kernels import JointEntropy
 from .linalg import partial_trace
 from .measures import concurrence, entanglement_entropy, irreality, nonlocality
 from .observables import qubit_basis
@@ -63,10 +64,12 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
     build = FAMILIES[spec.family]
     zbasis = qubit_basis(0.0, 0.0)
     rows = []
+    joint = JointEntropy()
     for param in np.linspace(spec.start, spec.stop, spec.points):
         state = build(float(param))
-        n_res = minimize_pair(state, OBJECTIVE_NONLOCALITY, spec.optimizer)
-        d_res = minimize_pair(state, OBJECTIVE_DISCORD, spec.optimizer)
+        joint.clear()
+        n_res = minimize_pair(state, OBJECTIVE_NONLOCALITY, spec.optimizer, joint=joint)
+        d_res = minimize_pair(state, OBJECTIVE_DISCORD, spec.optimizer, joint=joint)
         (ta, pa), (tb, pb) = n_res.argmin
         rows.append(SweepRow(
             param=float(param),

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
+from .kernels import JointEntropy
 from .linalg import (
     DensityMatrix,
     frobenius_distance,
@@ -386,11 +387,13 @@ def suite_pure(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult
 def suite_bounds(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
     rng = np.random.default_rng(seed)
     c = _Checker("bounds")
+    joint = JointEntropy()
     for k in range(count):
         c.case()
         rho = _random_two_qubit(rng)
-        n_min = minimize_pair(rho, OBJECTIVE_NONLOCALITY, cfg).value
-        d_pair = minimize_pair(rho, OBJECTIVE_DISCORD, cfg).value
+        joint.clear()
+        n_min = minimize_pair(rho, OBJECTIVE_NONLOCALITY, cfg, joint=joint).value
+        d_pair = minimize_pair(rho, OBJECTIVE_DISCORD, cfg, joint=joint).value
         c.check(f"lower bound (case {k})", -n_min, 1e-6)
         c.check(f"upper bound (case {k})", n_min - d_pair, 1e-6)
     return c.result

@@ -130,6 +130,13 @@ def _entropy_terms_reference(p):
     return out
 
 
+def _joint_entropy_numpy(axes_a, axes_b, r1, r2, tmat):
+    out = np.empty((axes_a.shape[0], axes_b.shape[0]))
+    for rows, s_ab in kernels._joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
+        out[rows] = s_ab
+    return out
+
+
 def _joint_entropy_reference(axes_a, axes_b, r1, r2, tmat):
     # One-shot joint grid: full-size temporaries, the four terms summed at once.
     a = (axes_a @ r1)[:, None]
@@ -173,7 +180,7 @@ def test_blocked_joint_grid_is_bitwise_one_shot(rows, cols):
     for rank in (1, 2, 4):
         rho = random_density(4, rank, rng, dims=(2, 2))
         r1, r2, tmat = kernels.bloch_correlations(rho.mat)
-        got = kernels._joint_entropy_numpy(axes_a, axes_b, r1, r2, tmat)
+        got = _joint_entropy_numpy(axes_a, axes_b, r1, r2, tmat)
         want = _joint_entropy_reference(axes_a, axes_b, r1, r2, tmat)
         assert got.shape == (rows, cols)
         assert np.array_equal(got, want)
@@ -230,17 +237,75 @@ def test_fused_pair_grids_are_bitwise_unfused(rows, cols):
         assert dead  # the zero-weight cells were exercised
 
 
+def test_shared_joint_entropy_grids_are_bitwise_unshared():
+    # Several blocks, and the Bell-diagonal states with dead weights; the
+    # second grid comes from the holder the first one filled, in either order.
+    axes, _, _ = kernels.axis_grid(13, 12)
+    rng = np.random.default_rng(139)
+    states = [random_density(4, rank, rng, dims=(2, 2)) for rank in (1, 2, 3, 4)]
+    states += [werner(0.0), werner(0.5), alpha_state(0.3)]
+    for rho in states:
+        r1, r2, tmat, s_rho, mi, _ = _state_data(rho)
+        grids = (lambda **kw: kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho, **kw),
+                 lambda **kw: kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi, **kw))
+        want = [grid() for grid in grids]
+        for order in ((0, 1), (1, 0)):
+            joint = kernels.JointEntropy()
+            for k in order:
+                got = grids[k](joint=joint)
+                assert np.array_equal(got.view(np.uint64), want[k].view(np.uint64))
+
+
+def test_joint_entropy_holder_serves_only_its_state():
+    axes, _, _ = kernels.axis_grid(9, 8)
+    r1, r2, tmat, s_rho, mi, _ = _state_data(random_density(4, 3, 151, dims=(2, 2)))
+    joint = kernels.JointEntropy()
+    kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho, joint=joint)
+    other = _state_data(random_density(4, 3, 152, dims=(2, 2)))[:3]
+    data = [r1, r2, tmat]
+    for k in range(3):
+        changed = list(data)
+        changed[k] = other[k]
+        with pytest.raises(ValueError, match="other Bloch data or axes"):
+            kernels.pair_discord_grid(axes, axes, *changed, mi, joint=joint)
+    fewer, _, _ = kernels.axis_grid(9, 7)
+    for axes_a, axes_b in ((fewer, axes), (axes, fewer), (fewer, fewer), (axes[::-1], axes)):
+        with pytest.raises(ValueError, match="other Bloch data or axes"):
+            kernels.pair_discord_grid(axes_a, axes_b, r1, r2, tmat, mi, joint=joint)
+    # The inputs that filled it are still served, and once cleared it
+    # serves the state that fills it next.
+    got = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi, joint=joint)
+    want = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    joint.clear()
+    kernels.nonlocality_grid(fewer, axes, *other, s_rho, joint=joint)
+    got = kernels.pair_discord_grid(fewer, axes, *other, mi, joint=joint)
+    want = kernels.pair_discord_grid(fewer, axes, *other, mi)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _entropy_sum(weights) -> float:
+    # Shannon entropy of outcome weights, skipping those at or below
+    # ZERO_WEIGHT: the loop the unrolled sums in kernels repeat term for
+    # term, kept as the reference they are compared with.
+    s = 0.0
+    for w in weights:
+        if w > kernels.ZERO_WEIGHT:
+            s -= w * math.log(w)
+    return s
+
+
 def _old_side_values(axis, r_here, r_there, m):
     # The single side helper the scalar objectives used to share.
     a = float(axis @ r_here)
     w = axis @ m
     mp = float(np.linalg.norm(r_there + w))
     mm = float(np.linalg.norm(r_there - w))
-    s = kernels._entropy_sum(
+    s = _entropy_sum(
         ((1.0 + a + mp) / 4.0, (1.0 + a - mp) / 4.0,
          (1.0 - a + mm) / 4.0, (1.0 - a - mm) / 4.0)
     )
-    h = kernels._entropy_sum(((1.0 + a) / 2.0, (1.0 - a) / 2.0))
+    h = _entropy_sum(((1.0 + a) / 2.0, (1.0 - a) / 2.0))
     return s, h
 
 
@@ -248,7 +313,7 @@ def _old_joint_value(axis_a, axis_b, r1, r2, tmat):
     a = float(axis_a @ r1)
     b = float(axis_b @ r2)
     c = float(axis_a @ tmat @ axis_b)
-    return kernels._entropy_sum(
+    return _entropy_sum(
         ((1.0 + a + b + c) / 4.0, (1.0 + a - b - c) / 4.0,
          (1.0 - a + b - c) / 4.0, (1.0 - a - b + c) / 4.0)
     )

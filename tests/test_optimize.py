@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,19 @@ def test_lowest_cells_on_tied_bell_diagonal_grids(rho):
         assert np.array_equal(_lowest_cells(grid, k), _stable_head(grid, k))
 
 
+def test_lowest_cells_on_a_constant_grid_copies_no_grid():
+    # werner(0)'s pair grids are constant: every cell ties with the bound.
+    grid = np.full((553, 553), 0.25)
+    tracemalloc.start()
+    try:
+        got = _lowest_cells(grid, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _stable_head(grid, 5))
+    assert peak < 1_000_000
+
+
 NAN = math.nan
 
 
@@ -365,6 +379,60 @@ def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
         calls.update(qubit_basis=0, dephase=0)
         brute_force_single(rho, subsystem, n_theta=4, n_phi=5)
         assert calls == {"qubit_basis": 20, "dephase": 20}
+
+
+def _result_hex(res):
+    return (res.value.hex(), [(t.hex(), p.hex()) for t, p in res.argmin],
+            res.grid_best.hex(), res.evaluations, res.converged)
+
+
+def test_shared_joint_entropy_leaves_minimize_pair_bitwise_unchanged():
+    # 133 axes per side: three joint blocks, the last one partial.
+    cfg = OptimizerConfig(grid_points_theta=13, grid_points_phi=12)
+    rng = np.random.default_rng(163)
+    states = [random_density(4, 1 + k % 4, rng, dims=(2, 2)) for k in range(8)]
+    states += [werner(0.0), werner(0.6), werner(1.0), alpha_state(0.0), alpha_state(0.4)]
+    joint = kernels.JointEntropy()  # cleared and refilled for every state
+    for rho in states:
+        want = {obj: _result_hex(minimize_pair(rho, obj, cfg))
+                for obj in ("nonlocality", "discord")}
+        for order in (("nonlocality", "discord"), ("discord", "nonlocality")):
+            joint.clear()
+            for obj in order:
+                assert _result_hex(minimize_pair(rho, obj, cfg, joint=joint)) == want[obj]
+
+
+def test_minimize_pair_rejects_a_holder_of_another_state():
+    joint = kernels.JointEntropy()
+    minimize_pair(werner(0.5), "nonlocality", FAST, joint=joint)
+    with pytest.raises(ValueError, match="other Bloch data or axes"):
+        minimize_pair(alpha_state(0.5), "discord", FAST, joint=joint)
+    finer = OptimizerConfig(grid_points_theta=10, grid_points_phi=8, refine_starts=3)
+    with pytest.raises(ValueError, match="other Bloch data or axes"):
+        minimize_pair(werner(0.5), "discord", finer, joint=joint)
+
+
+def test_sweep_and_bounds_run_one_joint_pass_per_state(monkeypatch):
+    from qreality.sweep import SweepSpec, sweep_rows
+    from qreality.verify import suite_bounds
+
+    runs = []
+    blocks = kernels._joint_entropy_blocks
+
+    def counted(*args):
+        runs.append(1)
+        return blocks(*args)
+
+    monkeypatch.setattr(kernels, "_joint_entropy_blocks", counted)
+    rows = sweep_rows(SweepSpec("alpha", points=3, optimizer=FAST))
+    assert len(rows) == 3 and len(runs) == 3
+    runs.clear()
+    assert suite_bounds(5, 2, FAST).ok
+    assert len(runs) == 2
+    runs.clear()
+    minimize_pair(werner(0.5), "nonlocality", FAST)
+    minimize_pair(werner(0.5), "discord", FAST)
+    assert len(runs) == 2
 
 
 def test_minimize_pair_rejects_grids_over_the_budget(monkeypatch):
