@@ -19,13 +19,21 @@ numpy and the only backend.  Each pair grid is one fused pass: the joint
 entropy and the objective are formed ``JOINT_BLOCK_ROWS`` rows at a time in
 block-sized scratch buffers, with every cell computed by the same floating
 point operations, in the same order, as the unfused composition of side and
-joint grids.  A caller that minimizes both pair objectives on one state
-(``sweep.sweep_rows`` and ``verify.suite_bounds``) passes both grid calls one
-:class:`JointEntropy`: the first keeps its S_AB, and the second builds its
-grid from it instead of running the joint pass again, which is almost all of a
-pair grid's cost.  A single-objective call keeps nothing: it would hold a
-second full-size grid for no later use.  The scalar ``*_value`` functions are
-the refinement objectives:
+joint grids.  States whose marginals are maximally mixed have r1 = r2 = 0:
+every Bell-diagonal state, so every werner point of the sweep and the alpha
+points whose r does not carry rounding from the state's construction.  When
+every a = u.r1 and b = v.r2 of the grid is zero, 1 +/- a +/- b is exactly 1,
+so the four joint weights are pairwise equal bit for bit, (1 + c)/4 for
+s = t and (1 - c)/4 for s != t.  That pass takes each of the two logarithms
+once and subtracts the four terms in the usual order, so its S_AB is the
+four-log pass's, cell for cell.  The branch is chosen from a and b, never
+from a setting.  A caller that minimizes both pair objectives on
+one state (``sweep.sweep_rows`` and ``verify.suite_bounds``) passes both grid
+calls one :class:`JointEntropy`: the first keeps its S_AB, and the second
+builds its grid from it instead of running the joint pass again, which is
+almost all of a pair grid's cost.  A single-objective call keeps nothing: it
+would hold a second full-size grid for no later use.  The scalar ``*_value``
+functions are the refinement objectives:
 each returns the value and its gradient by the Bloch axes, the gradient in
 plain Python floats (d(-p ln p)/dp = -(1 + ln p) for each live weight).
 The repository benchmark times the grid stage end to end:
@@ -39,7 +47,9 @@ to cross-check it.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 import numpy as np
 
@@ -55,16 +65,44 @@ def backend() -> str:
     return "numpy"
 
 
+def _pauli_terms():
+    # Re Tr[M (P x Q)] = sum over k of Re M[k, j] (P x Q)[j, k], where j is
+    # the row of the one nonzero entry in column k of the Pauli product:
+    # +/-1 takes +/-Re M[k, j] and +/-i takes -/+Im M[k, j].  Returns, per k,
+    # the index of that part in M viewed as 32 floats and its sign, for the 16
+    # products with the factor on A outer (identity first).
+    paulis = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
+    index = np.zeros((4, 16), dtype=np.intp)
+    sign = np.zeros((4, 16))
+    for m, product in enumerate(np.kron(p, q) for p in paulis for q in paulis):
+        for k in range(4):
+            (j,) = np.flatnonzero(product[:, k])
+            entry = product[j, k]
+            real = entry.imag == 0.0
+            index[k, m] = 2 * (4 * k + j) + (0 if real else 1)
+            sign[k, m] = entry.real if real else -entry.imag
+    return index, sign
+
+
+_PAULI_INDEX, _PAULI_SIGN = _pauli_terms()
+
+
 def bloch_correlations(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local Bloch vectors and correlation matrix of a two-qubit matrix."""
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    eye = np.eye(2, dtype=complex)
-    r1 = np.array([np.trace(mat @ np.kron(p, eye)).real for p in paulis])
-    r2 = np.array([np.trace(mat @ np.kron(eye, p)).real for p in paulis])
-    tmat = np.array(
-        [[np.trace(mat @ np.kron(p, q)).real for q in paulis] for p in paulis]
-    )
-    return r1, r2, tmat
+    """Local Bloch vectors and correlation matrix of a two-qubit matrix.
+
+    r1_i = Tr[M (s_i x I)], r2_j = Tr[M (I x s_j)] and T_ij = Tr[M (s_i x s_j)]
+    (real parts), returned as fresh arrays.  All 16 coefficients come from
+    one gather of signed real and imaginary parts of M: each Pauli product
+    has one nonzero entry per column, so each trace is a sum of four terms.
+    They are summed as (t0 + t1) + (t2 + t3), the order numpy's trace of
+    M @ (P x Q) sums its diagonal in, so the result equals that form bit for
+    bit wherever the matrix product is exact (each diagonal entry is one
+    product by +/-1 or +/-i).
+    """
+    flat = np.ascontiguousarray(mat, dtype=np.complex128).reshape(16).view(np.float64)
+    t = flat[_PAULI_INDEX] * _PAULI_SIGN
+    coeffs = ((t[0] + t[1]) + (t[2] + t[3])).reshape(4, 4)
+    return coeffs[1:, 0].copy(), coeffs[0, 1:].copy(), coeffs[1:, 1:].copy()
 
 
 def axis_from_angles(theta: float, phi: float) -> np.ndarray:
@@ -73,6 +111,7 @@ def axis_from_angles(theta: float, phi: float) -> np.ndarray:
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
 
 
+@functools.lru_cache(maxsize=4)
 def axis_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One axis per basis of the theta in [0, pi] x phi in [0, pi) grid.
 
@@ -81,6 +120,9 @@ def axis_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     basis appears once, as the first axis (theta = phi = 0).  The other axes
     are the inner theta rows across all phi, so there are
     1 + max(n_theta - 2, 0) * n_phi axes.
+
+    The last four grids asked for are kept and returned again, so the arrays
+    are read-only.
     """
     thetas = np.linspace(0.0, math.pi, n_theta)[1:-1]
     phis = np.linspace(0.0, math.pi, n_phi, endpoint=False)
@@ -90,6 +132,8 @@ def axis_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     axes = np.stack(
         [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=1
     )
+    for x in (axes, tt, pp):
+        x.setflags(write=False)
     return axes, tt, pp
 
 
@@ -136,30 +180,66 @@ def _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
     # q = where(p > ZERO_WEIGHT, p, 1) (just p when every cell is live), so a
     # dead cell subtracts 1*ln 1 = +0.0, and acc - q ln q == acc + (-q) ln q.
     # The sum never holds -0.0, so both zero terms leave it unchanged.
+    #
+    # When every a and b is +/-0 (r1 = r2 = 0), 1 +/- a and then +/- b are
+    # exactly 1, so p(+,+) = p(-,-) = (1 + c)/4 and p(+,-) = p(-,+) = (1 - c)/4
+    # bit for bit: the two-log block forms L+ = q ln q of the first and L- of
+    # the second once each and subtracts them in the order above,
+    # (((0 - L+) - L-) - L-) - L+, in the same three buffers.
     np.matmul(axes_a @ tmat, axes_b.T, out=out)
     a = axes_a @ r1
     b = axes_b @ r2
-    sides = ((1.0 + a)[:, None], (1.0 - a)[:, None])
     shape = (min(JOINT_BLOCK_ROWS, out.shape[0]), out.shape[1])
-    p_buf, lq_buf, acc_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+    buffers = np.empty(shape), np.empty(shape), np.empty(shape)
+    if a.any() or b.any():  # a NaN counts as nonzero
+        sides = ((1.0 + a)[:, None], (1.0 - a)[:, None])
+        block = functools.partial(_four_log_block, sides, b)
+    else:
+        block = _two_log_block
     for start in range(0, out.shape[0], JOINT_BLOCK_ROWS):
         rows = slice(start, start + JOINT_BLOCK_ROWS)
         c = out[rows]
         n = c.shape[0]
-        p, lq, acc = p_buf[:n], lq_buf[:n], acc_buf[:n]
-        acc.fill(0.0)
-        for s, side in enumerate(sides):
-            for t, add_b in enumerate((np.add, np.subtract)):
-                add_b(side[rows], b, out=p)
-                # s t = +1 when s and t have the same sign
-                (np.add if s == t else np.subtract)(p, c, out=p)
-                np.multiply(p, 0.25, out=p)
-                # min is NaN when any cell is, which takes the where path
-                q = p if p.min() > ZERO_WEIGHT else np.where(p > ZERO_WEIGHT, p, 1.0)
-                np.log(q, out=lq)
-                np.multiply(q, lq, out=lq)
-                np.subtract(acc, lq, out=acc)
-        yield rows, acc
+        yield rows, block(rows, c, *(buf[:n] for buf in buffers))
+
+
+def _live(p):
+    # p, or a copy with the cells at or below ZERO_WEIGHT set to 1; min is NaN
+    # when any cell is, which takes the where path.
+    return p if p.min() > ZERO_WEIGHT else np.where(p > ZERO_WEIGHT, p, 1.0)
+
+
+def _four_log_block(sides, b, rows, c, p, lq, acc):
+    acc.fill(0.0)
+    for s, side in enumerate(sides):
+        for t, add_b in enumerate((np.add, np.subtract)):
+            add_b(side[rows], b, out=p)
+            # s t = +1 when s and t have the same sign
+            (np.add if s == t else np.subtract)(p, c, out=p)
+            np.multiply(p, 0.25, out=p)
+            q = _live(p)
+            np.log(q, out=lq)
+            np.multiply(q, lq, out=lq)
+            np.subtract(acc, lq, out=acc)
+    return acc
+
+
+def _two_log_block(rows, c, p, lq, acc):
+    np.add(1.0, c, out=p)
+    np.multiply(p, 0.25, out=p)
+    q = _live(p)
+    np.log(q, out=lq)
+    np.multiply(q, lq, out=lq)  # L+
+    np.subtract(1.0, c, out=p)
+    np.multiply(p, 0.25, out=p)
+    q = _live(p)
+    np.log(q, out=acc)
+    np.multiply(q, acc, out=acc)  # L-
+    np.subtract(0.0, lq, out=p)
+    p -= acc
+    p -= acc
+    p -= lq
+    return p
 
 
 class JointEntropy:
@@ -170,15 +250,28 @@ class JointEntropy:
     kept values, cell for cell the same.  A filled holder serves only the
     Bloch data and axes that filled it: any others raise ``ValueError``.
     :meth:`clear` empties it for the next state but keeps its buffer.  A
-    caller that walks through many states reuses one holder this way: a new
-    buffer per state would be freed together with that state's grids, and
-    the heap would hand the pages back and fault them in again for the next
-    state, which costs about half of a joint pass.
+    caller that walks through many states reuses one holder this way, the one
+    :meth:`for_this_thread` returns: a new buffer per state, or per call,
+    would be freed together with that state's grids, and the heap would hand
+    the pages back and fault them in again for the next state, which costs
+    about half of a joint pass.
     """
 
     def __init__(self):
         self._inputs = None
         self._values = None  # S_AB while _inputs is set; otherwise a free buffer
+
+    @classmethod
+    def for_this_thread(cls) -> JointEntropy:
+        """The calling thread's holder, kept for the life of the thread.
+
+        Its buffer survives from one call of a caller to the next.  It is
+        never shared between threads; callers ``clear()`` it per state.
+        """
+        holder = getattr(_THREAD_HOLDERS, "joint", None)
+        if holder is None:
+            holder = _THREAD_HOLDERS.joint = cls()
+        return holder
 
     def clear(self):
         """Forget the state that filled the holder; the next grid call refills it."""
@@ -200,6 +293,9 @@ class JointEntropy:
             self._values[rows] = s_ab
             yield rows, s_ab
         self._inputs = tuple(np.array(x) for x in inputs)
+
+
+_THREAD_HOLDERS = threading.local()
 
 
 def _joint_entropy(axes_a, axes_b, r1, r2, tmat, out, joint):

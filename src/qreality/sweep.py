@@ -64,7 +64,7 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
     build = FAMILIES[spec.family]
     zbasis = qubit_basis(0.0, 0.0)
     rows = []
-    joint = JointEntropy()
+    joint = JointEntropy.for_this_thread()
     for param in np.linspace(spec.start, spec.stop, spec.points):
         state = build(float(param))
         joint.clear()

@@ -387,7 +387,7 @@ def suite_pure(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult
 def suite_bounds(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
     rng = np.random.default_rng(seed)
     c = _Checker("bounds")
-    joint = JointEntropy()
+    joint = JointEntropy.for_this_thread()
     for k in range(count):
         c.case()
         rho = _random_two_qubit(rng)

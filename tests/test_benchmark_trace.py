@@ -1,7 +1,7 @@
 """The benchmark's traced run keeps its count identities.
 
 ``perfbench/run.py --trace 1`` fails an op whose per-layer counts drift from
-what its workload expects.  Running op 0 of the minimizer workloads here
+what its workload expects.  Running op 0 of every workload here
 under the same tracer makes a change that breaks those identities fail the
 suite as well.
 """
@@ -21,7 +21,7 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["pair_min", "sweep"])
+@pytest.mark.parametrize("name", ["pair_min", "sweep", "verify", "oracle"])
 def test_traced_op_passes_the_benchmark_cross_check(name):
     tracer_module = _load("tracer")
     workload = _load("workloads").WORKLOADS[name](2)

@@ -8,6 +8,9 @@ from qreality.linalg import DensityMatrix, partial_trace, tensor_product
 from qreality.measures import discord_like, entropy, mutual_information, nonlocality
 from qreality.observables import qubit_basis
 from qreality.states import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     alpha_state,
     pure_from_amplitudes,
     random_density,
@@ -39,6 +42,42 @@ def test_bloch_correlations_product_state():
     np.testing.assert_allclose(tmat, np.outer(r1, r2), atol=1e-12)
 
 
+def _bloch_by_traces(mat):
+    # Tr[M (P x Q)] of every Pauli product by kron, matmul and trace.
+    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    eye = np.eye(2, dtype=complex)
+    r1 = np.array([np.trace(mat @ np.kron(p, eye)).real for p in paulis])
+    r2 = np.array([np.trace(mat @ np.kron(eye, p)).real for p in paulis])
+    tmat = np.array([[np.trace(mat @ np.kron(p, q)).real for q in paulis] for p in paulis])
+    return r1, r2, tmat
+
+
+def test_bloch_correlations_match_the_trace_form():
+    rng = np.random.default_rng(167)
+    for k in range(200):
+        mat = random_density(4, 1 + k % 4, rng, dims=(2, 2)).mat
+        for got, want in zip(kernels.bloch_correlations(mat), _bloch_by_traces(mat)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    # The sweep families: equal bit for bit, so every sweep result is too.
+    for param in np.linspace(0.0, 1.0, 51):
+        for rho in (werner(float(param)), alpha_state(float(param))):
+            for got, want in zip(kernels.bloch_correlations(rho.mat), _bloch_by_traces(rho.mat)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # Fresh contiguous arrays, also from a transposed (F-ordered) matrix.
+    got = kernels.bloch_correlations(mat.T)
+    for x, y in zip(got, _bloch_by_traces(mat.T)):
+        np.testing.assert_allclose(x, y, rtol=0, atol=1e-15)
+    assert all(x.flags.c_contiguous and x.flags.owndata for x in got)
+
+
+def test_werner_states_have_zero_local_bloch_vectors():
+    # The sweep's werner states take the two-log joint pass only while their
+    # r1 and r2 come out exactly zero.
+    for param in np.linspace(0.0, 1.0, 51):
+        r1, r2, _ = kernels.bloch_correlations(werner(float(param)).mat)
+        assert not r1.any() and not r2.any(), param
+
+
 def test_axis_grid_layout():
     # The poles are one basis and come first, once; then the inner theta
     # rows across every phi.
@@ -63,6 +102,16 @@ def test_axis_grid_layout():
     for n_theta in (1, 2):
         only_pole, _, _ = kernels.axis_grid(n_theta, 5)
         assert only_pole.tolist() == [[0.0, 0.0, 1.0]]
+
+
+def test_axis_grid_is_kept_read_only():
+    axes, thetas, phis = kernels.axis_grid(5, 4)
+    again = kernels.axis_grid(5, 4)
+    assert all(x is y for x, y in zip(again, (axes, thetas, phis)))
+    for x in (axes, thetas, phis):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0
+    assert axes[0].tolist() == [0.0, 0.0, 1.0] and thetas[0] == 0.0 and phis[0] == 0.0
 
 
 def test_scalar_values_match_matrix_route():
@@ -235,6 +284,76 @@ def test_fused_pair_grids_are_bitwise_unfused(rows, cols):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     if cols > 1:
         assert dead  # the zero-weight cells were exercised
+
+
+def _euler_rotation(alpha, beta, gamma):
+    # R_z(alpha) R_y(beta) R_z(gamma)
+    def rz(x):
+        c, s = math.cos(x), math.sin(x)
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    c, s = math.cos(beta), math.sin(beta)
+    return rz(alpha) @ np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]) @ rz(gamma)
+
+
+def _bell_diagonal_rotated(c, angles_a, angles_b):
+    # (I + sum T_ij s_i x s_j)/4 with T = R_A diag(c) R_B^t: a Bell-diagonal
+    # state turned by local unitaries, so r1 = r2 = 0 and T is not diagonal.
+    tmat = _euler_rotation(*angles_a) @ np.diag(c) @ _euler_rotation(*angles_b).T
+    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    mat = np.eye(4, dtype=complex)
+    for i, p in enumerate(paulis):
+        for j, q in enumerate(paulis):
+            mat = mat + tmat[i, j] * np.kron(p, q)
+    return DensityMatrix(mat / 4.0, (2, 2))
+
+
+def _zero_marginal_states():
+    return [werner(0.0), werner(0.5), werner(1.0),
+            alpha_state(0.0), alpha_state(0.4), alpha_state(0.5),
+            _bell_diagonal_rotated([-0.4, 0.3, -0.2], (0.3, 1.1, -0.7), (2.0, 0.4, 0.9)),
+            _bell_diagonal_rotated([-0.8, 0.5, 0.6], (0.8, 0.5, 0.1), (-0.6, 1.3, 2.2))]
+
+
+def test_two_log_joint_pass_is_bitwise_unfused():
+    # States with r1 = r2 = 0 on the default grid (nine blocks): werner(0)
+    # and werner(1) have dead joint weights, the rotated states a
+    # non-diagonal T.  Both grids equal the four-log one-shot reference.
+    axes, _, _ = kernels.axis_grid(25, 24)
+    dead = False
+    for rho in _zero_marginal_states():
+        r1, r2, tmat, s_rho, mi, _ = _state_data(rho)
+        assert not r1.any() and not r2.any()
+        dead |= _has_dead_weight(axes, axes, r1, r2, tmat)
+        want_n, want_d = _unfused_pair_grids(axes, axes, r1, r2, tmat, s_rho, mi)
+        got_n = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho)
+        got_d = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi)
+        for got, want in ((got_n, want_n), (got_d, want_d)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert dead
+    rotated = _zero_marginal_states()[-1]
+    assert np.count_nonzero(kernels.bloch_correlations(rotated.mat)[2]) > 3
+
+
+def test_joint_pass_takes_two_logs_per_block_when_marginals_vanish(monkeypatch):
+    axes, _, _ = kernels.axis_grid(13, 12)  # 133 axes: three blocks
+    log = np.log
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return log(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log", counted)
+    tilted = _bell_diagonal_rotated([-0.4, 0.3, -0.2], (0.3, 1.1, -0.7), (2.0, 0.4, 0.9))
+    cases = [(rho, 2) for rho in (werner(0.5), alpha_state(0.4), tilted)]
+    cases += [(random_density(4, rank, 173 + rank, dims=(2, 2)), 4) for rank in (1, 4)]
+    for rho, logs_per_block in cases:
+        r1, r2, tmat = kernels.bloch_correlations(rho.mat)
+        out = np.empty((axes.shape[0], axes.shape[0]))
+        calls.clear()
+        blocks = sum(1 for _ in kernels._joint_entropy_blocks(axes, axes, r1, r2, tmat, out))
+        assert blocks == 3 and len(calls) == logs_per_block * blocks
 
 
 def test_shared_joint_entropy_grids_are_bitwise_unshared():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -433,6 +434,51 @@ def test_sweep_and_bounds_run_one_joint_pass_per_state(monkeypatch):
     minimize_pair(werner(0.5), "nonlocality", FAST)
     minimize_pair(werner(0.5), "discord", FAST)
     assert len(runs) == 2
+
+
+def test_sweep_and_bounds_keep_one_joint_holder_per_thread():
+    from qreality.sweep import SweepSpec, sweep_rows
+    from qreality.verify import suite_bounds
+
+    holder = kernels.JointEntropy.for_this_thread()
+    sweep_rows(SweepSpec("werner", points=2, optimizer=FAST))
+    buffer = holder._values
+    assert buffer is not None
+    sweep_rows(SweepSpec("alpha", points=2, optimizer=FAST))
+    assert suite_bounds(5, 1, FAST).ok
+    assert kernels.JointEntropy.for_this_thread() is holder and holder._values is buffer
+    other = []
+    thread = threading.Thread(target=lambda: other.append(kernels.JointEntropy.for_this_thread()))
+    thread.start()
+    thread.join()
+    assert other[0] is not holder and other[0]._values is None
+
+
+def test_sweeps_in_threads_keep_their_holders_apart():
+    # More threads than cores, switching often: a holder shared between
+    # threads would serve one thread's S_AB to another's state and raise.
+    from qreality.sweep import SweepSpec, sweep_rows
+
+    specs = [SweepSpec(family, points=3, optimizer=FAST)
+             for family in ("werner", "alpha", "werner", "alpha")]
+    want = [sweep_rows(spec) for spec in specs]
+    got = [None] * len(specs)
+
+    def run(k):
+        got[k] = sweep_rows(specs[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(specs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
 
 
 def test_minimize_pair_rejects_grids_over_the_budget(monkeypatch):
