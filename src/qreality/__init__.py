@@ -10,9 +10,7 @@ minimum over pairs.
 from .errors import SpecParseError, StateValidationError
 from .linalg import (
     DensityMatrix,
-    EigenSystem,
     frobenius_distance,
-    hermitian_eigensystem,
     partial_trace,
     tensor_product,
 )
@@ -69,13 +67,13 @@ from .sweep import SweepSpec, slit_rows, sweep_rows
 from .verify import VerifySuiteResult, run_all, run_suite
 
 __all__ = [
-    "DensityMatrix", "EigenSystem", "MeasureReport", "OptimizationResult",
+    "DensityMatrix", "MeasureReport", "OptimizationResult",
     "OptimizerConfig", "ProjectiveBasis", "SchmidtForm", "SpecParseError",
     "StateValidationError", "SweepSpec", "VerifySuiteResult",
     "alpha_state", "available_information", "brute_force_single",
     "computational_basis", "concurrence", "dephase", "dilation_dephase",
     "discord_like", "entanglement_entropy", "entropy", "floating_slit",
-    "fourier_basis", "frobenius_distance", "hermitian_eigensystem",
+    "fourier_basis", "frobenius_distance",
     "irreality", "irreality_decomposition", "is_mub", "is_real", "lift",
     "load_state", "minimize_pair", "minimize_single", "mutual_information",
     "nonlocality", "nonlocality_forms", "parse_basis_spec",

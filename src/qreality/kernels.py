@@ -105,12 +105,6 @@ def bloch_correlations(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return coeffs[1:, 0].copy(), coeffs[0, 1:].copy(), coeffs[1:, 1:].copy()
 
 
-def axis_from_angles(theta: float, phi: float) -> np.ndarray:
-    """Unit Bloch axis for polar/azimuthal angles."""
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
 @functools.lru_cache(maxsize=4)
 def axis_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One axis per basis of the theta in [0, pi] x phi in [0, pi) grid.

@@ -6,8 +6,7 @@ factorization.  Subsystem 0 is always the leftmost Kronecker factor
 (row-major convention), fixed project-wide so index bookkeeping never flips.
 
 All entropic quantities elsewhere in the package are computed from
-eigenvalues, never from matrix logarithms, so the only spectral primitive
-needed here is the Hermitian eigendecomposition.
+eigenvalues (numpy's Hermitian eigensolvers), never from matrix logarithms.
 """
 
 from __future__ import annotations
@@ -103,14 +102,6 @@ class DensityMatrix:
         return float(np.trace(self.mat @ self.mat).real)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues (ascending) and the unitary of column eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the row-major block convention.
 
@@ -158,16 +149,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int] | int) -> DensityMatri
     kept_dims = tuple(rho.dims[k] for k in keep_set)
     d = math.prod(kept_dims)
     return DensityMatrix(reduced.reshape(d, d), kept_dims)
-
-
-def hermitian_eigensystem(mat: np.ndarray, tol: float = 1e-9) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix; rejects non-Hermitian input."""
-    arr = _as_square_complex(mat)
-    residual = float(np.max(np.abs(arr - arr.conj().T)))
-    if residual > tol:
-        raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
-    values, vectors = np.linalg.eigh(arr)
-    return EigenSystem(values=values, vectors=vectors)
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,21 +1,20 @@
 """Projective eigenbases on subsystems and basis constructions.
 
 An observable enters every quantity in this package only through its
-eigenbasis: eigenvalue labels are carried for bookkeeping but never affect a
-dephasing map, so two observables sharing an eigenbasis are equivalent
-throughout.  Only nondegenerate (rank-1) projective decompositions are
-supported.
+eigenbasis, so two observables sharing an eigenbasis are equivalent
+throughout, and a basis carries no eigenvalues.  Only nondegenerate (rank-1)
+projective decompositions are supported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpecParseError, StateValidationError
-from .linalg import DensityMatrix, embed_operator, partial_trace
+from .linalg import DensityMatrix, embed_operator
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -24,12 +23,10 @@ ORTHONORMALITY_TOL = 1e-10
 class ProjectiveBasis:
     """Orthonormal rank-1 decomposition of one subsystem.
 
-    ``vectors`` holds the eigenvectors as columns; optional ``labels`` are the
-    real eigenvalues attached to them.
+    ``vectors`` holds the eigenvectors as columns.
     """
 
     vectors: np.ndarray
-    labels: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         vecs = np.asarray(self.vectors, dtype=complex)
@@ -43,15 +40,8 @@ class ProjectiveBasis:
         completeness = float(np.abs(vecs @ vecs.conj().T - eye).max())
         if completeness > ORTHONORMALITY_TOL:
             raise StateValidationError("basis-completeness", completeness)
-        labels = self.labels
-        if labels is not None:
-            labels = np.asarray(labels, dtype=float)
-            if labels.shape != (vecs.shape[0],):
-                raise ValueError("labels must have one real value per basis vector")
-            labels.setflags(write=False)
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -157,24 +147,6 @@ def lift(basis: ProjectiveBasis, subsystem: int, dims: tuple[int, ...]) -> list[
             f"dimension {dims[subsystem]}"
         )
     return [embed_operator(basis.projector(k), subsystem, dims) for k in range(basis.dim)]
-
-
-def reduced_basis_check(psi: DensityMatrix, form: SchmidtForm) -> float:
-    """Reconstruction residual of a Schmidt form against its source state."""
-    da, db = psi.dims
-    ket = np.zeros(da * db, dtype=complex)
-    for k, lam in enumerate(form.coefficients):
-        ket += math.sqrt(max(lam, 0.0)) * np.kron(
-            form.basis_a.vectors[:, k], form.basis_b.vectors[:, k]
-        )
-    fidelity = float(np.real(ket.conj() @ psi.mat @ ket))
-    return 1.0 - fidelity
-
-
-def schmidt_marginal_spectrum(psi: DensityMatrix) -> np.ndarray:
-    """Eigenvalues of either marginal, for cross-checking Schmidt coefficients."""
-    reduced = partial_trace(psi, 0)
-    return np.linalg.eigvalsh(reduced.mat)[::-1]
 
 
 def parse_basis_spec(text: str) -> ProjectiveBasis:

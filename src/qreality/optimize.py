@@ -12,7 +12,7 @@ kernel in :mod:`qreality.kernels`, which returns the value and its gradient by
 the Bloch axes; the chain rule through (theta, phi) is applied here.  The
 qubit-qudit matrix route takes its gradient from central differences.  A
 start converges when its gradient falls to ``refine_tolerance`` in every
-coordinate; one that reaches ``max_refine_iterations``, or whose line search
+coordinate; one that reaches ``MAX_REFINE_ITERATIONS``, or whose line search
 finds no lower value, has not.  The grid best is a floor: refinement never
 reports a value above it.  Everything is deterministic: fixed grid order, ties
 broken by lowest linear grid index, and ties between starts by start order.
@@ -57,6 +57,8 @@ MAX_SIDE_GRID_POINTS = 2**21
 ARMIJO = 1e-4
 # Step halvings after which the line search gives up on a start.
 LINE_SEARCH_HALVINGS = 30
+# BFGS iterations after which a start stops without converging.
+MAX_REFINE_ITERATIONS = 500
 # Central-difference step, in radians, of the matrix-route objective's
 # gradient: near the cube root of the rounding error, where truncation and
 # cancellation errors balance.
@@ -69,13 +71,11 @@ class OptimizerConfig:
     grid_points_phi: int = 24
     refine_starts: int = 5
     refine_tolerance: float = 1e-7
-    max_refine_iterations: int = 500
 
     def __post_init__(self):
-        if min(self.grid_points_theta, self.grid_points_phi, self.refine_starts,
-               self.max_refine_iterations) < 1:
+        if min(self.grid_points_theta, self.grid_points_phi, self.refine_starts) < 1:
             raise ValueError("optimizer config fields must be positive")
-        # NaN would make every start run all max_refine_iterations, and inf
+        # NaN would make every start run all MAX_REFINE_ITERATIONS, and inf
         # would stop every start where it began.
         if not (0.0 < self.refine_tolerance < math.inf):
             raise ValueError(
@@ -94,7 +94,7 @@ class OptimizationResult:
 def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     # Fold onto theta in [0, pi], phi in [0, pi) using the antipodal
     # redundancy of the basis parameterization.
-    x, y, z = kernels.axis_from_angles(theta, phi)
+    x, y, z = _angle_point(theta, phi)[0]
     if y < -1e-12 or (abs(y) <= 1e-12 and x < 0.0):
         x, y, z = -x, -y, -z
     theta_c = math.acos(min(1.0, max(-1.0, z)))
@@ -163,14 +163,14 @@ def _bfgs(fun, x, cfg: OptimizerConfig):
     # fun(x) returns (value, gradient); every call is one evaluation.
     # Returns (x, value, nfev, converged): converged is True when the
     # gradient falls to refine_tolerance in every coordinate, False at
-    # max_refine_iterations or when no step length decreases the value.
+    # MAX_REFINE_ITERATIONS or when no step length decreases the value.
     tol = cfg.refine_tolerance
     first_step = min(_half_spacing(cfg))
     n = len(x)
     f, g = fun(x)
     nfev = 1
     h = None
-    for _ in range(cfg.max_refine_iterations):
+    for _ in range(MAX_REFINE_ITERATIONS):
         g_max = max(abs(gk) for gk in g)
         if g_max <= tol:
             return x, f, nfev, True
@@ -224,9 +224,8 @@ def _refine(fun, starts, cfg: OptimizerConfig):
 
 
 def _angle_point(theta: float, phi: float):
-    # The axis at (theta, phi), bitwise as kernels.axis_from_angles makes
-    # it, and its derivatives by theta and by phi.  At a pole (sin theta = 0)
-    # the phi derivative is zero.
+    # The axis at (theta, phi) and its derivatives by theta and by phi.  At a
+    # pole (sin theta = 0) the phi derivative is zero.
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(phi), math.cos(phi)
     return np.array([st * cp, st * sp, ct]), (ct * cp, ct * sp, -st), (-st * sp, st * cp, 0.0)
@@ -239,13 +238,29 @@ def _angle_gradient(grad, d_theta, d_phi) -> list[float]:
             g0 * d_phi[0] + g1 * d_phi[1]]
 
 
-def _two_qubit_data(rho: DensityMatrix):
-    r1, r2, tmat = kernels.bloch_correlations(rho.mat)
-    s_rho = entropy(rho)
-    s1 = entropy(partial_trace(rho, 0))
-    s2 = entropy(partial_trace(rho, 1))
-    mi = mutual_information(rho)
-    return r1, r2, tmat, s_rho, s1, s2, mi
+def _search(grid_values, thetas, phis, fun, calls_per_evaluation, cfg) -> OptimizationResult:
+    # Refine the best grid cells and floor the result at the grid best.
+    # grid_values has one axis per optimized side, each indexing the grid's
+    # (thetas, phis); a start, like fun's argument, lists (theta, phi) of
+    # every side in order.  Each evaluation of fun counts
+    # calls_per_evaluation objective calls.
+    cells = _lowest_cells(grid_values, cfg.refine_starts)
+    grid_best = float(grid_values.flat[cells[0]])
+    sides = np.unravel_index(cells, grid_values.shape)
+    starts = np.stack([a for i in sides for a in (thetas[i], phis[i])], axis=1)
+    best_x, best_val, nfev, success = _refine(fun, starts, cfg)
+
+    if best_val <= grid_best:
+        value, argmin_x, converged = best_val, best_x, success
+    else:
+        value, argmin_x, converged = grid_best, starts[0], False
+    return OptimizationResult(
+        value=value,
+        argmin=tuple(_canonical_angles(t, p) for t, p in argmin_x.reshape(-1, 2)),
+        grid_best=grid_best,
+        evaluations=int(grid_values.size + nfev * calls_per_evaluation),
+        converged=converged,
+    )
 
 
 def minimize_single(
@@ -272,13 +287,12 @@ def minimize_single(
     axes, thetas, phis = kernels.axis_grid(cfg.grid_points_theta, cfg.grid_points_phi)
 
     if rho.dims == (2, 2):
-        r1, r2, tmat, _, s1, s2, mi = _two_qubit_data(rho)
+        r1, r2, tmat = kernels.bloch_correlations(rho.mat)
         if subsystem == 1:
             r1, r2 = r2, r1
             tmat = np.ascontiguousarray(tmat.T)
-            env_entropy = s1
-        else:
-            env_entropy = s2
+        mi = mutual_information(rho)
+        env_entropy = entropy(partial_trace(rho, 1 - subsystem))
         grid_values = kernels.single_discord_grid(axes, r1, r2, tmat, mi, env_entropy)
 
         def fun(x):
@@ -304,23 +318,7 @@ def minimize_single(
         grid_values = np.array([drop(t, p) for t, p in zip(thetas, phis)])
         calls_per_evaluation = 5
 
-    cells = _lowest_cells(grid_values, cfg.refine_starts)
-    grid_best = float(grid_values[cells[0]])
-    starts = [(thetas[k], phis[k]) for k in cells]
-    best_x, best_val, nfev, success = _refine(fun, starts, cfg)
-    nfev *= calls_per_evaluation
-
-    if best_val <= grid_best:
-        value, argmin_x, converged = best_val, best_x, success
-    else:
-        value, argmin_x, converged = grid_best, np.array(starts[0]), False
-    return OptimizationResult(
-        value=value,
-        argmin=(_canonical_angles(argmin_x[0], argmin_x[1]),),
-        grid_best=grid_best,
-        evaluations=int(grid_values.size + nfev),
-        converged=converged,
-    )
+    return _search(grid_values, thetas, phis, fun, calls_per_evaluation, cfg)
 
 
 def minimize_pair(
@@ -346,15 +344,17 @@ def minimize_pair(
             f"pair grid of {grid_cells} cells exceeds the budget of "
             f"{MAX_PAIR_GRID_CELLS} cells; lower the grid points per side")
 
-    r1, r2, tmat, s_rho, _, _, mi = _two_qubit_data(rho)
+    r1, r2, tmat = kernels.bloch_correlations(rho.mat)
     axes, thetas, phis = kernels.axis_grid(cfg.grid_points_theta, cfg.grid_points_phi)
 
     if objective == OBJECTIVE_NONLOCALITY:
-        grid_values = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho, joint=joint)
-        value_of, base = kernels.nonlocality_value, s_rho
+        base = entropy(rho)
+        grid_values = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, base, joint=joint)
+        value_of = kernels.nonlocality_value
     else:
-        grid_values = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi, joint=joint)
-        value_of, base = kernels.pair_discord_value, mi
+        base = mutual_information(rho)
+        grid_values = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, base, joint=joint)
+        value_of = kernels.pair_discord_value
 
     def fun(x):
         ua, ta, pa = _angle_point(x[0], x[1])
@@ -362,29 +362,7 @@ def minimize_pair(
         value, grad = value_of(ua, ub, r1, r2, tmat, base)
         return value, _angle_gradient(grad[:3], ta, pa) + _angle_gradient(grad[3:], tb, pb)
 
-    cells = _lowest_cells(grid_values, cfg.refine_starts)
-    grid_best = float(grid_values.flat[cells[0]])
-    n_axes = axes.shape[0]
-    starts = []
-    for k in cells:
-        i, j = divmod(int(k), n_axes)
-        starts.append((thetas[i], phis[i], thetas[j], phis[j]))
-    best_x, best_val, nfev, success = _refine(fun, starts, cfg)
-
-    if best_val <= grid_best:
-        value, argmin_x, converged = best_val, best_x, success
-    else:
-        value, argmin_x, converged = grid_best, np.array(starts[0]), False
-    return OptimizationResult(
-        value=value,
-        argmin=(
-            _canonical_angles(argmin_x[0], argmin_x[1]),
-            _canonical_angles(argmin_x[2], argmin_x[3]),
-        ),
-        grid_best=grid_best,
-        evaluations=int(grid_values.size + nfev),
-        converged=converged,
-    )
+    return _search(grid_values, thetas, phis, fun, 1, cfg)
 
 
 def witness_pair_for_pure(psi: DensityMatrix) -> tuple[ProjectiveBasis, ProjectiveBasis]:

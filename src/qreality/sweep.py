@@ -43,6 +43,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown state family '{self.family}'")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(
+                f"start and stop must be finite, got {self.start} and {self.stop}")
         if self.start > self.stop:
             raise ValueError("start must not exceed stop")
         if self.points < 2:

@@ -18,18 +18,16 @@ from .kernels import JointEntropy
 from .linalg import (
     DensityMatrix,
     frobenius_distance,
-    hermitian_eigensystem,
     partial_trace,
     tensor_product,
 )
 from .observables import (
+    SchmidtForm,
     computational_basis,
     fourier_basis,
     is_mub,
     qubit_basis,
-    reduced_basis_check,
     schmidt_decompose,
-    schmidt_marginal_spectrum,
 )
 from .optimize import (
     OBJECTIVE_DISCORD,
@@ -90,6 +88,24 @@ def _random_basis(rng):
     return qubit_basis(rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi))
 
 
+def _reduced_basis_check(psi: DensityMatrix, form: SchmidtForm) -> float:
+    # Reconstruction residual of a Schmidt form against its source state.
+    da, db = psi.dims
+    ket = np.zeros(da * db, dtype=complex)
+    for k, lam in enumerate(form.coefficients):
+        ket += math.sqrt(max(lam, 0.0)) * np.kron(
+            form.basis_a.vectors[:, k], form.basis_b.vectors[:, k]
+        )
+    fidelity = float(np.real(ket.conj() @ psi.mat @ ket))
+    return 1.0 - fidelity
+
+
+def _schmidt_marginal_spectrum(psi: DensityMatrix) -> np.ndarray:
+    # Eigenvalues of either marginal, for cross-checking Schmidt coefficients.
+    reduced = partial_trace(psi, 0)
+    return np.linalg.eigvalsh(reduced.mat)[::-1]
+
+
 def suite_tensor(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
     rng = np.random.default_rng(seed)
     c = _Checker("tensor")
@@ -111,13 +127,13 @@ def suite_tensor(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResu
 
         g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         herm = (g + g.conj().T) / 2.0
-        eig = hermitian_eigensystem(herm)
-        rebuilt = (eig.vectors * eig.values) @ eig.vectors.conj().T
+        values, vectors = np.linalg.eigh(herm)
+        rebuilt = (vectors * values) @ vectors.conj().T
         norm = max(1.0, float(np.linalg.norm(herm)))
         c.check(f"eigensystem reconstruction (case {k})",
                 float(np.linalg.norm(herm - rebuilt)) / norm, 1e-9)
         unitarity = float(np.max(np.abs(
-            eig.vectors.conj().T @ eig.vectors - np.eye(6))))
+            vectors.conj().T @ vectors - np.eye(6))))
         c.check(f"eigenvector unitarity (case {k})", unitarity, 1e-10)
     return c.result
 
@@ -171,9 +187,9 @@ def suite_observables(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuit
         psi = random_density(4, 1, rng, dims=(2, 2))
         form = schmidt_decompose(psi)
         c.check(f"schmidt reconstruction (case {k})",
-                reduced_basis_check(psi, form), 1e-9)
+                _reduced_basis_check(psi, form), 1e-9)
         c.check(f"schmidt coefficients vs marginal (case {k})",
-                float(np.max(np.abs(form.coefficients - schmidt_marginal_spectrum(psi)))),
+                float(np.max(np.abs(form.coefficients - _schmidt_marginal_spectrum(psi)))),
                 1e-9)
     return c.result
 

@@ -181,6 +181,16 @@ def test_sweep_non_finite_refine_tolerance_exits_two(tol, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", ["werner", "alpha"])
+@pytest.mark.parametrize("bound", [["--start", "nan"], ["--stop", "inf"], ["--start=-inf"]])
+def test_sweep_non_finite_range_exits_two(family, bound, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", family, "--points", "2", *FAST_FLAGS, *bound,
+                 "--output", str(out)]) == 2
+    assert "start and stop must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--family", "werner", "--output", "x.csv", "--seed", "1"],
     ["sweep", "--family", "werner", "--output", "x.csv", "--format", "csv"],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qreality import kernels
+from qreality import kernels, optimize
 from qreality.linalg import DensityMatrix, partial_trace, tensor_product
 from qreality.measures import discord_like, entropy, mutual_information, nonlocality
 from qreality.observables import qubit_basis
@@ -17,6 +17,11 @@ from qreality.states import (
     singlet,
     werner,
 )
+
+
+def _axis(theta, phi):
+    # The unit Bloch axis the refinement evaluates at (theta, phi).
+    return optimize._angle_point(theta, phi)[0]
 
 
 def _state_data(rho):
@@ -89,14 +94,14 @@ def test_axis_grid_layout():
     np.testing.assert_allclose(phis[1:], np.tile([0.0, math.pi / 3, 2 * math.pi / 3], 2))
     np.testing.assert_allclose(np.linalg.norm(axes, axis=1), 1.0, atol=1e-12)
     for axis, theta, phi in zip(axes, thetas, phis):
-        assert np.array_equal(axis, kernels.axis_from_angles(theta, phi))
+        assert np.array_equal(axis, _axis(theta, phi))
     # No two axes are the same basis (u and -u), and every other grid axis is
     # one of them.
     gram = np.abs(axes @ axes.T)
     assert np.all(gram[~np.eye(len(axes), dtype=bool)] < 1 - 1e-9)
     for theta in (0.0, math.pi):
         for phi in np.linspace(0.0, math.pi, 3, endpoint=False):
-            assert np.max(np.abs(axes @ kernels.axis_from_angles(theta, phi))) == 1.0
+            assert np.max(np.abs(axes @ _axis(theta, phi))) == 1.0
     # The default grid: 553 distinct axes where 25 x 24 angle pairs name 600.
     assert kernels.axis_grid(25, 24)[0].shape == (553, 3)
     for n_theta in (1, 2):
@@ -120,8 +125,8 @@ def test_scalar_values_match_matrix_route():
         rho = random_density(4, int(rng.integers(1, 5)), rng, dims=(2, 2))
         r1, r2, tmat, s_rho, mi, s_env = _state_data(rho)
         ta, pa, tb, pb = rng.uniform(0, math.pi, 4)
-        ua = kernels.axis_from_angles(ta, pa)
-        ub = kernels.axis_from_angles(tb, pb)
+        ua = _axis(ta, pa)
+        ub = _axis(tb, pb)
         basis_a = qubit_basis(ta, pa)
         basis_b = qubit_basis(tb, pb)
 
@@ -143,7 +148,7 @@ def test_single_discord_other_side_via_swap():
     r1, r2, tmat, _, mi, _ = _state_data(rho)
     s_env = entropy(partial_trace(rho, 0))
     theta, phi = rng.uniform(0, math.pi, 2)
-    axis = kernels.axis_from_angles(theta, phi)
+    axis = _axis(theta, phi)
     fast, _ = kernels.single_discord_value(
         axis, r2, r1, np.ascontiguousarray(tmat.T), mi, s_env)
     slow = discord_like(rho, [(qubit_basis(theta, phi), 1)])
@@ -474,13 +479,12 @@ def _kernel_objectives(rho):
 
     def pair(value_of, base):
         def f(x):
-            return value_of(kernels.axis_from_angles(x[0], x[1]),
-                            kernels.axis_from_angles(x[2], x[3]), r1, r2, tmat, base)
+            return value_of(_axis(x[0], x[1]), _axis(x[2], x[3]), r1, r2, tmat, base)
         return f
 
     def single(x):
         return kernels.single_discord_value(
-            kernels.axis_from_angles(x[0], x[1]), r1, r2, tmat, mi, s_env)
+            _axis(x[0], x[1]), r1, r2, tmat, mi, s_env)
 
     return (("nonlocality", pair(kernels.nonlocality_value, s_rho)),
             ("pair discord", pair(kernels.pair_discord_value, mi)),

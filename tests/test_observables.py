@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qreality.errors import SpecParseError, StateValidationError
-from qreality.linalg import frobenius_distance, hermitian_eigensystem
+from qreality.linalg import frobenius_distance
 from qreality.measures import dephase
 from qreality.observables import (
     ProjectiveBasis,
@@ -15,9 +15,7 @@ from qreality.observables import (
     lift,
     parse_basis_spec,
     qubit_basis,
-    reduced_basis_check,
     schmidt_decompose,
-    schmidt_marginal_spectrum,
 )
 from qreality.states import (
     SIGMA_X,
@@ -29,6 +27,7 @@ from qreality.states import (
     singlet,
     werner,
 )
+from qreality.verify import _reduced_basis_check, _schmidt_marginal_spectrum
 
 
 def _axis(theta, phi):
@@ -129,9 +128,9 @@ def test_schmidt_reconstruction_and_marginals():
         psi = random_density(4, 1, rng, dims=(2, 2))
         form = schmidt_decompose(psi)
         assert np.all(np.diff(form.coefficients) <= 1e-12)
-        assert reduced_basis_check(psi, form) <= 1e-9
+        assert _reduced_basis_check(psi, form) <= 1e-9
         np.testing.assert_allclose(
-            form.coefficients, schmidt_marginal_spectrum(psi), atol=1e-9
+            form.coefficients, _schmidt_marginal_spectrum(psi), atol=1e-9
         )
 
 
@@ -166,23 +165,11 @@ def test_projective_basis_validation():
     with pytest.raises(StateValidationError) as err:
         ProjectiveBasis(np.array([[1.0, 0.0], [0.1, 1.0]], dtype=complex))
     assert err.value.invariant == "basis-orthonormality"
-    with pytest.raises(ValueError):
-        ProjectiveBasis(np.eye(2, dtype=complex), labels=[1.0])
-
-
-def test_labels_never_affect_dephasing():
-    rho = werner(0.4)
-    bare = qubit_basis(0.7, 0.2)
-    labeled = ProjectiveBasis(bare.vectors, labels=[5.0, -3.0])
-    assert frobenius_distance(
-        dephase(rho, bare, 0).mat, dephase(rho, labeled, 0).mat
-    ) == 0.0
 
 
 def test_eigenbasis_of_state_is_projective_basis():
     rho = random_density(4, 4, 44, dims=(2, 2))
-    eig = hermitian_eigensystem(rho.mat)
-    ProjectiveBasis(eig.vectors)  # orthonormality holds
+    ProjectiveBasis(np.linalg.eigh(rho.mat)[1])  # orthonormality holds
 
 
 def test_parse_basis_spec():

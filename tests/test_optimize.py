@@ -289,11 +289,12 @@ def test_vertex_order_is_argsort_on_random_values():
                 assert np.array_equal(_lowest_cells(values, k), _stable_head(values, k))
 
 
-def test_converged_reports_the_winning_start():
+def test_converged_reports_the_winning_start(monkeypatch):
     # The first start sits on a plateau, where the gradient is zero, and
     # converges at once; the second lies on a steep slope, finds the lower
     # values and runs out of iterations.
-    cfg = OptimizerConfig(max_refine_iterations=2)
+    monkeypatch.setattr(optimize, "MAX_REFINE_ITERATIONS", 2)
+    cfg = OptimizerConfig()
 
     def fun(x):
         if x[0] < 1.0:
@@ -380,6 +381,38 @@ def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
         calls.update(qubit_basis=0, dephase=0)
         brute_force_single(rho, subsystem, n_theta=4, n_phi=5)
         assert calls == {"qubit_basis": 20, "dephase": 20}
+
+
+def test_minimizers_compute_only_the_state_data_their_objective_reads(monkeypatch):
+    # S(rho) for nonlocality, I(rho) for the pair discord, and I(rho) plus the
+    # unoptimized marginal's entropy for the one-sided drop: each once, and
+    # no partial trace beyond the one that marginal needs.
+    calls = {"entropy": 0, "mutual_information": 0, "partial_trace": 0}
+
+    def counted(name):
+        fn = getattr(optimize, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(optimize, name, counted(name))
+    rho = random_density(4, 3, 47, dims=(2, 2))
+    for run, want in (
+        (lambda: minimize_pair(rho, "nonlocality", FAST),
+         {"entropy": 1, "mutual_information": 0, "partial_trace": 0}),
+        (lambda: minimize_pair(rho, "discord", FAST),
+         {"entropy": 0, "mutual_information": 1, "partial_trace": 0}),
+        (lambda: minimize_single(rho, 0, cfg=FAST),
+         {"entropy": 1, "mutual_information": 1, "partial_trace": 1}),
+        (lambda: minimize_single(rho, 1, cfg=FAST),
+         {"entropy": 1, "mutual_information": 1, "partial_trace": 1}),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls == want
 
 
 def _result_hex(res):
