@@ -26,14 +26,7 @@ from .measures import (
 from .observables import ProjectiveBasis, parse_basis_spec
 from .optimize import OptimizerConfig
 from .states import parse_state_spec
-from .sweep import (
-    SweepSpec,
-    slit_rows,
-    sweep_rows,
-    write_plot_script,
-    write_slit_csv,
-    write_sweep_csv,
-)
+from .sweep import SweepSpec, plot_script, slit_csv, slit_rows, sweep_csv, sweep_rows
 from .verify import SUITES, run_all, run_suite
 
 EXIT_OK = 0
@@ -49,13 +42,14 @@ def _output_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _optimizer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid-theta", type=int, default=25,
+    defaults = OptimizerConfig()
+    parser.add_argument("--grid-theta", type=int, default=defaults.grid_points_theta,
                         help="theta grid points per optimized side")
-    parser.add_argument("--grid-phi", type=int, default=24,
+    parser.add_argument("--grid-phi", type=int, default=defaults.grid_points_phi,
                         help="phi grid points per optimized side")
-    parser.add_argument("--refine-starts", type=int, default=5,
+    parser.add_argument("--refine-starts", type=int, default=defaults.refine_starts,
                         help="grid cells seeding local refinement")
-    parser.add_argument("--refine-tol", type=float, default=1e-7,
+    parser.add_argument("--refine-tol", type=float, default=defaults.refine_tolerance,
                         help="refinement tolerance")
 
 
@@ -68,7 +62,7 @@ def _config(args) -> OptimizerConfig:
     )
 
 
-def _parse_basis_token(token: str) -> tuple[ProjectiveBasis, int, str]:
+def _parse_basis_token(token: str, dims: tuple[int, ...]) -> tuple[ProjectiveBasis, int, str]:
     spec, at, sub = token.partition("@")
     subsystem = 0
     if at:
@@ -76,7 +70,9 @@ def _parse_basis_token(token: str) -> tuple[ProjectiveBasis, int, str]:
             subsystem = int(sub)
         except ValueError:
             raise SpecParseError(f"basis spec '{token}' has a malformed subsystem") from None
-    return parse_basis_spec(spec), subsystem, token
+    if not 0 <= subsystem < len(dims):
+        raise SpecParseError(f"basis '{token}' addresses a missing subsystem")
+    return parse_basis_spec(spec, dims[subsystem]), subsystem, token
 
 
 def measure_reports(
@@ -88,15 +84,17 @@ def measure_reports(
     bipartite = len(rho.dims) == 2
     for basis, sub, label in bases:
         tag = f"{state_label}; {label}"
-        reports.append(MeasureReport("irreality", irreality(basis, sub, rho), tag))
-        if bipartite:
-            total, local, correlated = irreality_decomposition(basis, sub, rho)
-            closure = abs(total - local - correlated)
-            reports.append(MeasureReport("irreality_local", local, tag))
-            reports.append(MeasureReport(
-                "irreality_correlated", correlated, tag, {"closure": closure}))
-            reports.append(MeasureReport(
-                "discord", discord_like(rho, [(basis, sub)]), tag))
+        if not bipartite:
+            reports.append(MeasureReport("irreality", irreality(basis, sub, rho), tag))
+            continue
+        # The one-sided discord is the correlated part of the decomposition.
+        total, local, correlated = irreality_decomposition(basis, sub, rho)
+        closure = abs(total - local - correlated)
+        reports.append(MeasureReport("irreality", total, tag))
+        reports.append(MeasureReport("irreality_local", local, tag))
+        reports.append(MeasureReport(
+            "irreality_correlated", correlated, tag, {"closure": closure}))
+        reports.append(MeasureReport("discord", correlated, tag))
     if bipartite:
         reports.append(MeasureReport(
             "mutual_information", mutual_information(rho), state_label))
@@ -144,13 +142,7 @@ def cmd_measure(args) -> int:
     rho = parse_state_spec(args.state)
     if not 1 <= len(args.bases) <= 2:
         raise SpecParseError("measure takes one or two basis specs")
-    bases = [_parse_basis_token(token) for token in args.bases]
-    for basis, sub, token in bases:
-        if sub < 0 or sub >= len(rho.dims):
-            raise SpecParseError(f"basis '{token}' addresses a missing subsystem")
-        if basis.dim != rho.dims[sub]:
-            raise SpecParseError(
-                f"basis '{token}' has dimension {basis.dim}, subsystem has {rho.dims[sub]}")
+    bases = [_parse_basis_token(token, rho.dims) for token in args.bases]
     if len(bases) == 2 and bases[0][1] == bases[1][1]:
         raise SpecParseError("the two bases must address distinct subsystems")
     reports = measure_reports(rho, bases, args.state)
@@ -168,18 +160,16 @@ def cmd_sweep(args) -> int:
         points=args.points,
         optimizer=_config(args),
     )
-    rows = sweep_rows(spec)
-    write_sweep_csv(rows, args.output)
+    _emit(sweep_csv(sweep_rows(spec)), args.output)
     if args.plot_script:
-        write_plot_script(args.output, args.plot_script, args.family)
+        _emit(plot_script(args.output, args.family), args.plot_script)
     return EXIT_OK
 
 
 def cmd_slit(args) -> int:
     if not args.output:
         raise SpecParseError("slit requires --output <path>")
-    rows = slit_rows(args.points)
-    write_slit_csv(rows, args.output)
+    _emit(slit_csv(slit_rows(args.points)), args.output)
     return EXIT_OK
 
 

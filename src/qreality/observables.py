@@ -35,10 +35,11 @@ class ProjectiveBasis:
         eye = np.eye(vecs.shape[0])
         gram = vecs.conj().T @ vecs
         residual = float(np.abs(gram - eye).max())
-        if residual > ORTHONORMALITY_TOL:
+        # Written so that a NaN residual fails.
+        if not residual <= ORTHONORMALITY_TOL:
             raise StateValidationError("basis-orthonormality", residual)
         completeness = float(np.abs(vecs @ vecs.conj().T - eye).max())
-        if completeness > ORTHONORMALITY_TOL:
+        if not completeness <= ORTHONORMALITY_TOL:
             raise StateValidationError("basis-completeness", completeness)
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
@@ -149,21 +150,37 @@ def lift(basis: ProjectiveBasis, subsystem: int, dims: tuple[int, ...]) -> list[
     return [embed_operator(basis.projector(k), subsystem, dims) for k in range(basis.dim)]
 
 
-def parse_basis_spec(text: str) -> ProjectiveBasis:
-    """Build a basis from CLI syntax.
+def _require_dimension(text: str, size: int, dim: int) -> None:
+    if size != dim:
+        raise SpecParseError(f"basis spec '{text}' has dimension {size}, subsystem has {dim}")
+
+
+def parse_basis_spec(text: str, dim: int) -> ProjectiveBasis:
+    """Build a basis for a subsystem of dimension ``dim`` from CLI syntax.
 
     Recognized forms: ``zbasis``, ``xbasis``, ``ybasis``,
-    ``bloch:theta=1.57,phi=0``, ``fourier:d=3``.
+    ``bloch:theta=1.57,phi=0``, ``fourier:d=3``.  A spec of any other
+    dimension is rejected before its basis is built.
     """
     spec = text.strip()
-    if spec == "zbasis":
-        return qubit_basis(0.0, 0.0)
-    if spec == "xbasis":
-        return qubit_basis(math.pi / 2.0, 0.0)
-    if spec == "ybasis":
-        return qubit_basis(math.pi / 2.0, math.pi / 2.0)
     head, _, arg = spec.partition(":")
-    if head == "bloch":
+    if head == "fourier":
+        key, _, raw = arg.partition("=")
+        if key != "d":
+            raise SpecParseError(f"basis spec '{text}' needs d=<int>")
+        try:
+            d = int(raw)
+        except ValueError:
+            raise SpecParseError(f"basis spec '{text}' has a malformed dimension") from None
+        _require_dimension(text, d, dim)
+        return fourier_basis(d)
+    if spec == "zbasis":
+        theta, phi = 0.0, 0.0
+    elif spec == "xbasis":
+        theta, phi = math.pi / 2.0, 0.0
+    elif spec == "ybasis":
+        theta, phi = math.pi / 2.0, math.pi / 2.0
+    elif head == "bloch":
         params = {}
         for piece in arg.split(","):
             key, _, raw = piece.partition("=")
@@ -173,14 +190,10 @@ def parse_basis_spec(text: str) -> ProjectiveBasis:
                 raise SpecParseError(f"basis spec '{text}' has a malformed angle") from None
         if set(params) != {"theta", "phi"}:
             raise SpecParseError(f"basis spec '{text}' needs theta and phi")
-        return qubit_basis(params["theta"], params["phi"])
-    if head == "fourier":
-        key, _, raw = arg.partition("=")
-        if key != "d":
-            raise SpecParseError(f"basis spec '{text}' needs d=<int>")
-        try:
-            d = int(raw)
-        except ValueError:
-            raise SpecParseError(f"basis spec '{text}' has a malformed dimension") from None
-        return fourier_basis(d)
-    raise SpecParseError(f"unrecognized basis spec '{text}'")
+        theta, phi = params["theta"], params["phi"]
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise SpecParseError(f"basis spec '{text}' has a non-finite angle")
+    else:
+        raise SpecParseError(f"unrecognized basis spec '{text}'")
+    _require_dimension(text, 2, dim)
+    return qubit_basis(theta, phi)

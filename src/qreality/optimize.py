@@ -266,12 +266,9 @@ def _search(grid_values, thetas, phis, fun, calls_per_evaluation, cfg) -> Optimi
 def minimize_single(
     rho: DensityMatrix,
     subsystem: int,
-    objective: str = OBJECTIVE_DISCORD,
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> OptimizationResult:
     """Minimize the one-sided discord-like drop over bases on one subsystem."""
-    if objective != OBJECTIVE_DISCORD:
-        raise ValueError(f"unsupported single-basis objective '{objective}'")
     if len(rho.dims) != 2:
         raise ValueError(f"optimization needs a bipartite state, got {rho.dims}")
     if subsystem not in (0, 1):

@@ -16,6 +16,7 @@ while structural problems raise :class:`SpecParseError`.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ def loads_state(text: str) -> DensityMatrix:
         raise SpecParseError("'dims' must be a nonempty list of positive integers")
 
     rows = doc["matrix"]
-    dim = int(np.prod(dims))
+    dim = math.prod(dims)
     if not isinstance(rows, list) or len(rows) != dim:
         raise SpecParseError(f"'matrix' must be a list of {dim} rows")
     mat = np.zeros((dim, dim), dtype=complex)

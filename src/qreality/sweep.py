@@ -1,10 +1,9 @@
-"""Parameter sweeps to CSV plus plot-script emission, and the slit curve."""
+"""Parameter sweeps and the slit curve as CSV text, plus a plot script."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -95,10 +94,6 @@ def sweep_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
-    Path(path).write_text(sweep_csv(rows))
-
-
 def plot_script(csv_path: str, family: str) -> str:
     """gnuplot script rendering the three sweep curves; generated, never run."""
     xlabel = {"werner": "f", "alpha": "alpha", "slit": "x"}.get(family, "param")
@@ -116,10 +111,6 @@ def plot_script(csv_path: str, family: str) -> str:
         "title 'concurrence'",
         "",
     ])
-
-
-def write_plot_script(csv_path: str | Path, script_path: str | Path, family: str) -> None:
-    Path(script_path).write_text(plot_script(str(csv_path), family))
 
 
 def slit_rows(points: int = 21) -> list[tuple[float, float, float, float]]:
@@ -141,7 +132,3 @@ def slit_csv(rows) -> str:
     for x, local, total, ent in rows:
         lines.append(",".join([_fmt(x), _fmt(local), _fmt(total), _fmt(ent)]))
     return "\n".join(lines) + "\n"
-
-
-def write_slit_csv(rows, path: str | Path) -> None:
-    Path(path).write_text(slit_csv(rows))

@@ -2,8 +2,11 @@
 
 Each suite draws its instances from one deterministic generator, checks a
 family of identities or bounds at fixed tolerances, and reports every
-violation as (case description, measured residual, tolerance).  ``run_all``
-executes the complete registry; a suite missing from it is a defect.
+violation as (case description, measured residual, tolerance).  A suite is a
+runner ``(result, rng, count, cfg)`` that records its cases and checks on the
+result it is given; ``run_suite`` builds that result and the seeded generator
+for it.  ``run_all`` executes the complete registry; a suite missing from it
+is a defect.
 """
 
 from __future__ import annotations
@@ -63,21 +66,17 @@ class VerifySuiteResult:
     def summary(self) -> str:
         return f"suite {self.suite}: {self.cases} cases, {len(self.failures)} failures"
 
-
-class _Checker:
-    def __init__(self, suite: str):
-        self.result = VerifySuiteResult(suite=suite, cases=0)
-
     def case(self):
-        self.result.cases += 1
+        self.cases += 1
 
     def check(self, description: str, residual: float, tol: float):
+        # A NaN residual fails.
         if not (residual <= tol):
-            self.result.failures.append((description, float(residual), tol))
+            self.failures.append((description, float(residual), tol))
 
     def check_true(self, description: str, condition: bool):
         if not condition:
-            self.result.failures.append((description, 1.0, 0.0))
+            self.failures.append((description, 1.0, 0.0))
 
 
 def _random_two_qubit(rng, rank: int = 4) -> DensityMatrix:
@@ -106,9 +105,7 @@ def _schmidt_marginal_spectrum(psi: DensityMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(reduced.mat)[::-1]
 
 
-def suite_tensor(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("tensor")
+def suite_tensor(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for k in range(count):
         c.case()
         rho = random_density(8, 8, rng, dims=(2, 2, 2))
@@ -135,12 +132,9 @@ def suite_tensor(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResu
         unitarity = float(np.max(np.abs(
             vectors.conj().T @ vectors - np.eye(6))))
         c.check(f"eigenvector unitarity (case {k})", unitarity, 1e-10)
-    return c.result
 
 
-def suite_states(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("states")
+def suite_states(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for f in np.linspace(0.0, 1.0, 11):
         c.case()
         expected = np.sort(np.array([(1 - f) / 4] * 3 + [(1 + 3 * f) / 4]))
@@ -163,12 +157,9 @@ def suite_states(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResu
                 frobenius_distance(rho.mat, again.mat), 0.0)
         if k % 4 == 0:
             c.check(f"rank-1 purity (case {k})", abs(rho.purity() - 1.0), 1e-10)
-    return c.result
 
 
-def suite_observables(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("observables")
+def suite_observables(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for d in (2, 3, 4, 5):
         c.case()
         c.check_true(f"fourier/computational unbiased d={d}",
@@ -191,12 +182,9 @@ def suite_observables(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuit
         c.check(f"schmidt coefficients vs marginal (case {k})",
                 float(np.max(np.abs(form.coefficients - _schmidt_marginal_spectrum(psi)))),
                 1e-9)
-    return c.result
 
 
-def suite_dephasing(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("dephasing")
+def suite_dephasing(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for k in range(count):
         c.case()
         rho = _random_two_qubit(rng)
@@ -210,12 +198,9 @@ def suite_dephasing(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteR
                 abs(float(np.trace(once.mat).real) - 1.0), 1e-12)
         c.check_true(f"reality preservation (case {k})",
                      measures.is_real(basis, side, once, tol=1e-6))
-    return c.result
 
 
-def suite_faithfulness(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("faithfulness")
+def suite_faithfulness(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for k in range(count):
         c.case()
         basis = _random_basis(rng)
@@ -239,12 +224,9 @@ def suite_faithfulness(seed: int, count: int, cfg: OptimizerConfig) -> VerifySui
                      measures.irreality(basis, side, unreal_state) > 1e-9)
         c.check_true(f"coherent state fails is_real (case {k})",
                      not measures.is_real(basis, side, unreal_state, tol=1e-6))
-    return c.result
 
 
-def suite_decomposition(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("decomposition")
+def suite_decomposition(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for k in range(count):
         c.case()
         rho = _random_two_qubit(rng)
@@ -253,12 +235,9 @@ def suite_decomposition(seed: int, count: int, cfg: OptimizerConfig) -> VerifySu
         total, local, correlated = measures.irreality_decomposition(basis, side, rho)
         c.check(f"total = local + correlated (case {k})",
                 abs(total - local - correlated), 1e-9)
-    return c.result
 
 
-def suite_mub(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("mub")
+def suite_mub(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     comp = computational_basis(2)
     four = fourier_basis(2)
     for k in range(count):
@@ -275,12 +254,9 @@ def suite_mub(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
                                   partial_trace(rho, 1).mat)
         c.check(f"double dephasing flattens (case {k})",
                 frobenius_distance(flattened.mat, expected), 1e-10)
-    return c.result
 
 
-def suite_nonnegativity(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("nonnegativity")
+def suite_nonnegativity(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for k in range(count):
         c.case()
         rho = _random_two_qubit(rng)
@@ -288,12 +264,9 @@ def suite_nonnegativity(seed: int, count: int, cfg: OptimizerConfig) -> VerifySu
             _random_basis(rng), _random_basis(rng), rho)
         c.check(f"nonlocality >= 0 (case {k})", -symmetric, 1e-9)
         c.check(f"form agreement (case {k})", abs(symmetric - sequential), 1e-9)
-    return c.result
 
 
-def suite_perpair(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("perpair")
+def suite_perpair(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for k in range(count):
         c.case()
         rho = _random_two_qubit(rng)
@@ -305,12 +278,9 @@ def suite_perpair(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteRes
                 d_a + d_b - 2.0 * d_ab, 1e-9)
         n = measures.nonlocality(ba, bb, rho)
         c.check(f"nonlocality bounded by joint drop (case {k})", n - d_ab, 1e-9)
-    return c.result
 
 
-def suite_premeasured(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("premeasured")
+def suite_premeasured(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for k in range(count):
         c.case()
         rho = _random_two_qubit(rng)
@@ -320,24 +290,18 @@ def suite_premeasured(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuit
             n = measures.nonlocality(ba, bb, measured)
             c.check(f"measurement kills nonlocality side {side} (case {k})",
                     abs(n), 1e-9)
-    return c.result
 
 
-def suite_remote(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("remote")
+def suite_remote(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for k in range(count):
         c.case()
         rho = _random_two_qubit(rng)
         shift = measures.remote_unitary_invariance(
             _random_basis(rng), 0, random_unitary(2, rng), 1, rho)
         c.check(f"remote unitary invariance (case {k})", abs(shift), 1e-10)
-    return c.result
 
 
-def suite_dilation(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("dilation")
+def suite_dilation(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for k in range(count):
         c.case()
         if k % 4 == 3:
@@ -351,11 +315,9 @@ def suite_dilation(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteRe
         direct = measures.dephase(rho, basis, side)
         c.check(f"dilation equals dephasing (case {k})",
                 frobenius_distance(dilated.mat, direct.mat), 1e-10)
-    return c.result
 
 
-def suite_singlet(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    c = _Checker("singlet")
+def suite_singlet(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     state = singlet()
     axes = {
         "x": qubit_basis(math.pi / 2.0, 0.0),
@@ -368,12 +330,9 @@ def suite_singlet(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteRes
             n = measures.nonlocality(basis_a, basis_b, state)
             expected = LN2 if ra == rb else 0.0
             c.check(f"singlet axis table ({ra},{rb})", abs(n - expected), 1e-9)
-    return c.result
 
 
-def suite_schmidt(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("schmidt")
+def suite_schmidt(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for k in range(count):
         c.case()
         psi = random_density(4, 1, rng, dims=(2, 2))
@@ -381,12 +340,9 @@ def suite_schmidt(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteRes
         n = measures.nonlocality(form.basis_a, form.basis_b, psi)
         c.check(f"schmidt-pair nonlocality equals entanglement (case {k})",
                 abs(n - measures.entanglement_entropy(psi)), 1e-9)
-    return c.result
 
 
-def suite_pure(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("pure")
+def suite_pure(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     states = [("singlet", singlet()), ("alpha(1)", alpha_state(1.0))]
     states += [(f"random pure {k}", random_density(4, 1, rng, dims=(2, 2)))
                for k in range(count)]
@@ -397,12 +353,9 @@ def suite_pure(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult
                 abs(measures.nonlocality(basis_a, basis_b, psi)), 1e-9)
         res = minimize_pair(psi, OBJECTIVE_NONLOCALITY, cfg)
         c.check(f"minimal nonlocality vanishes [{label}]", abs(res.value), 1e-4)
-    return c.result
 
 
-def suite_bounds(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    rng = np.random.default_rng(seed)
-    c = _Checker("bounds")
+def suite_bounds(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     joint = JointEntropy.for_this_thread()
     for k in range(count):
         c.case()
@@ -412,11 +365,9 @@ def suite_bounds(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResu
         d_pair = minimize_pair(rho, OBJECTIVE_DISCORD, cfg, joint=joint).value
         c.check(f"lower bound (case {k})", -n_min, 1e-6)
         c.check(f"upper bound (case {k})", n_min - d_pair, 1e-6)
-    return c.result
 
 
-def suite_slit(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    c = _Checker("slit")
+def suite_slit(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     zb = qubit_basis(0.0, 0.0)
     grid = np.linspace(0.0, 1.0, 21)
     previous = -math.inf
@@ -436,11 +387,9 @@ def suite_slit(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult
     c.check("local irreality ln2 at x=1",
             abs(measures.irreality(zb, 0, partial_trace(floating_slit(1.0), 0)) - LN2),
             1e-10)
-    return c.result
 
 
-def suite_oracle(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResult:
-    c = _Checker("oracle")
+def suite_oracle(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for k in range(count):
         f = (0.2, 0.5, 0.8)[k % 3]
         c.case()
@@ -448,7 +397,6 @@ def suite_oracle(seed: int, count: int, cfg: OptimizerConfig) -> VerifySuiteResu
         fast = minimize_single(rho, 0, cfg=cfg).value
         slow, _ = brute_force_single(rho, 0, n_theta=200, n_phi=200)
         c.check(f"grid oracle agreement f={f}", abs(fast - slow), 1e-4)
-    return c.result
 
 
 # suite name -> (runner, default case count)
@@ -485,7 +433,10 @@ def run_suite(
     if count is not None and count < 1:
         raise ValueError(f"suite case count must be at least 1, got {count}")
     runner, default_count = SUITES[name]
-    return runner(seed, default_count if count is None else count, cfg)
+    result = VerifySuiteResult(suite=name, cases=0)
+    runner(result, np.random.default_rng(seed),
+           default_count if count is None else count, cfg)
+    return result
 
 
 def run_all(

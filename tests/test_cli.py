@@ -93,6 +93,35 @@ def test_measure_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf"])
+def test_measure_non_finite_bloch_angle_exits_two(angle, capsys):
+    spec = f"bloch:theta={angle},phi=0"
+    assert main(["measure", "werner:f=0.5", f"{spec}@0"]) == 2
+    err = capsys.readouterr().err
+    assert f"basis spec '{spec}' has a non-finite angle" in err
+
+
+def test_measure_rejects_a_fourier_dimension_before_building_it(monkeypatch, capsys):
+    from qreality import observables
+
+    def no_build(dim):
+        raise AssertionError(f"fourier basis of dimension {dim} built")
+
+    monkeypatch.setattr(observables, "fourier_basis", no_build)
+    assert main(["measure", "werner:f=0.5", "fourier:d=100000@0"]) == 2
+    assert "has dimension 100000, subsystem has 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", ["[]", "[[[1.0, 0.0]]]"])
+def test_measure_huge_dims_state_file_exits_two(matrix, tmp_path, capsys):
+    # 2**32 * 2**32 is 2**64: a fixed-width product wraps to 0.
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"dims": [4294967296, 4294967296], "matrix": {matrix}}}')
+    assert main(["measure", f"file:{path}", "zbasis@0"]) == 2
+    err = capsys.readouterr().err
+    assert "'matrix' must be a list of 18446744073709551616 rows" in err
+
+
 def test_measure_non_finite_file_state(tmp_path, capsys):
     nan_state = tmp_path / "nan.json"
     nan_state.write_text(
@@ -237,11 +266,10 @@ def test_verify_command(capsys, tmp_path):
 
 def test_verify_reports_failures(monkeypatch, capsys):
     from qreality import verify as verify_mod
-    from qreality.verify import VerifySuiteResult
 
-    def stub(seed, count, cfg):
-        return VerifySuiteResult(suite="stub", cases=1,
-                                 failures=[("broken case", 2.0, 1e-9)])
+    def stub(result, rng, count, cfg):
+        result.case()
+        result.check("broken case", 2.0, 1e-9)
 
     monkeypatch.setitem(verify_mod.SUITES, "stub", (stub, 1))
     assert main(["verify", "stub"]) == 1

@@ -1,24 +1,37 @@
-"""The documented API still exists: the README's library example runs, and
-every name ``qreality`` exports resolves."""
+"""The documented API still exists: the README's library example runs, its
+CLI lines parse, and every name ``qreality`` exports resolves."""
 
 import re
+import shlex
 from pathlib import Path
 
 import qreality
+from qreality import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _library_example() -> str:
+def _only_block(section: str, language: str) -> str:
     text = README.read_text()
-    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(rf"```{language}\n(.*?)```", body, flags=re.S)
     assert len(blocks) == 1
     return blocks[0]
 
 
 def test_readme_library_example_runs():
-    exec(compile(_library_example(), str(README), "exec"), {})
+    exec(compile(_only_block("Library", "python"), str(README), "exec"), {})
+
+
+def test_readme_cli_lines_parse():
+    # A renamed or removed command or flag makes argparse exit here.
+    lines = [line for line in _only_block("CLI", "sh").splitlines()
+             if line.startswith("qreality ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(cli._join_negative_values(shlex.split(line)[1:]))
+        assert callable(args.func), line
 
 
 def test_every_exported_name_resolves():

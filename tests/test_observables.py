@@ -162,9 +162,11 @@ def test_lift_examples():
 
 
 def test_projective_basis_validation():
-    with pytest.raises(StateValidationError) as err:
-        ProjectiveBasis(np.array([[1.0, 0.0], [0.1, 1.0]], dtype=complex))
-    assert err.value.invariant == "basis-orthonormality"
+    # A NaN residual must fail the check, not pass it.
+    for entry in (0.1, math.nan):
+        with pytest.raises(StateValidationError) as err:
+            ProjectiveBasis(np.array([[1.0, 0.0], [entry, 1.0]], dtype=complex))
+        assert err.value.invariant == "basis-orthonormality"
 
 
 def test_eigenbasis_of_state_is_projective_basis():
@@ -174,22 +176,39 @@ def test_eigenbasis_of_state_is_projective_basis():
 
 def test_parse_basis_spec():
     assert frobenius_distance(
-        parse_basis_spec("zbasis").vectors, qubit_basis(0, 0).vectors
+        parse_basis_spec("zbasis", 2).vectors, qubit_basis(0, 0).vectors
     ) == 0.0
     assert frobenius_distance(
-        parse_basis_spec("xbasis").vectors, qubit_basis(math.pi / 2, 0).vectors
+        parse_basis_spec("xbasis", 2).vectors, qubit_basis(math.pi / 2, 0).vectors
     ) == 0.0
     assert frobenius_distance(
-        parse_basis_spec("ybasis").vectors,
+        parse_basis_spec("ybasis", 2).vectors,
         qubit_basis(math.pi / 2, math.pi / 2).vectors,
     ) == 0.0
-    got = parse_basis_spec("bloch:theta=1.57,phi=0")
+    got = parse_basis_spec("bloch:theta=1.57,phi=0", 2)
     assert frobenius_distance(got.vectors, qubit_basis(1.57, 0.0).vectors) == 0.0
-    assert parse_basis_spec("fourier:d=3").dim == 3
+    assert parse_basis_spec("fourier:d=3", 3).dim == 3
 
-    for bad in ("nope", "bloch:theta=1", "bloch:theta=a,phi=0", "fourier:d=x", "fourier:n=2"):
+    for bad in ("nope", "bloch:theta=1", "bloch:theta=a,phi=0", "fourier:d=x", "fourier:n=2",
+                "bloch:theta=nan,phi=0", "bloch:theta=inf,phi=0", "bloch:theta=0,phi=-inf"):
         with pytest.raises(SpecParseError):
-            parse_basis_spec(bad)
+            parse_basis_spec(bad, 2)
+
+
+@pytest.mark.parametrize("spec, size, dim", [
+    ("zbasis", 2, 3), ("bloch:theta=1,phi=0", 2, 4), ("fourier:d=3", 3, 2),
+    ("fourier:d=100000", 100000, 2),
+])
+def test_parse_basis_spec_checks_dimension_before_building(spec, size, dim, monkeypatch):
+    from qreality import observables
+
+    def no_build(*args):
+        raise AssertionError("basis built before its dimension was checked")
+
+    monkeypatch.setattr(observables, "fourier_basis", no_build)
+    monkeypatch.setattr(observables, "qubit_basis", no_build)
+    with pytest.raises(SpecParseError, match=f"has dimension {size}, subsystem has {dim}"):
+        parse_basis_spec(spec, dim)
 
 
 def test_projector_is_bitwise_outer_product():

@@ -51,8 +51,6 @@ def test_config_rejects_non_finite_refine_tolerance(tol):
 
 def test_objective_and_layout_validation():
     with pytest.raises(ValueError):
-        minimize_single(singlet(), 0, objective="entropy")
-    with pytest.raises(ValueError):
         minimize_single(singlet(), 2)
     with pytest.raises(ValueError):
         minimize_pair(singlet(), "entropy")
@@ -448,7 +446,7 @@ def test_minimize_pair_rejects_a_holder_of_another_state():
 
 def test_sweep_and_bounds_run_one_joint_pass_per_state(monkeypatch):
     from qreality.sweep import SweepSpec, sweep_rows
-    from qreality.verify import suite_bounds
+    from qreality.verify import run_suite
 
     runs = []
     blocks = kernels._joint_entropy_blocks
@@ -461,7 +459,7 @@ def test_sweep_and_bounds_run_one_joint_pass_per_state(monkeypatch):
     rows = sweep_rows(SweepSpec("alpha", points=3, optimizer=FAST))
     assert len(rows) == 3 and len(runs) == 3
     runs.clear()
-    assert suite_bounds(5, 2, FAST).ok
+    assert run_suite("bounds", 5, 2, FAST).ok
     assert len(runs) == 2
     runs.clear()
     minimize_pair(werner(0.5), "nonlocality", FAST)
@@ -471,14 +469,14 @@ def test_sweep_and_bounds_run_one_joint_pass_per_state(monkeypatch):
 
 def test_sweep_and_bounds_keep_one_joint_holder_per_thread():
     from qreality.sweep import SweepSpec, sweep_rows
-    from qreality.verify import suite_bounds
+    from qreality.verify import run_suite
 
     holder = kernels.JointEntropy.for_this_thread()
     sweep_rows(SweepSpec("werner", points=2, optimizer=FAST))
     buffer = holder._values
     assert buffer is not None
     sweep_rows(SweepSpec("alpha", points=2, optimizer=FAST))
-    assert suite_bounds(5, 1, FAST).ok
+    assert run_suite("bounds", 5, 1, FAST).ok
     assert kernels.JointEntropy.for_this_thread() is holder and holder._values is buffer
     other = []
     thread = threading.Thread(target=lambda: other.append(kernels.JointEntropy.for_this_thread()))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qreality.optimize import OptimizerConfig
@@ -55,6 +56,31 @@ def test_result_failure_semantics():
                             failures=[("case", 1.0, 1e-9)])
     assert not bad.ok
     assert "demo" in bad.summary() and "1 failures" in bad.summary()
+
+    recorded = VerifySuiteResult(suite="demo", cases=0)
+    recorded.case()
+    recorded.check("within", 1e-12, 1e-9)
+    recorded.check_true("holds", True)
+    assert recorded.ok and recorded.cases == 1
+    recorded.check("nan residual", float("nan"), 1e-9)
+    recorded.check_true("broken", False)
+    assert [f[0] for f in recorded.failures] == ["nan residual", "broken"]
+
+
+def test_run_suite_builds_the_result_and_generator(monkeypatch):
+    from qreality import verify as verify_mod
+
+    seen = []
+
+    def probe(result, rng, count, cfg):
+        seen.append((result.suite, result.cases, rng.integers(0, 2**31), count, cfg))
+        result.case()
+
+    monkeypatch.setitem(verify_mod.SUITES, "probe", (probe, 4))
+    result = run_suite("probe", seed=5, cfg=FAST)
+    expected = int(np.random.default_rng(5).integers(0, 2**31))
+    assert seen == [("probe", 0, expected, 4, FAST)]
+    assert result == VerifySuiteResult(suite="probe", cases=1)
 
 
 def test_determinism_of_suites():
