@@ -112,6 +112,11 @@ def measure_reports(
     return reports
 
 
+def _csv_field(text: str) -> str:
+    # RFC 4180: quote the field and double every quote inside it.
+    return '"' + text.replace('"', '""') + '"'
+
+
 def _render_reports(reports: list[MeasureReport], fmt: str) -> str:
     if fmt == "records":
         return "\n".join(r.record() for r in reports) + "\n"
@@ -119,7 +124,7 @@ def _render_reports(reports: list[MeasureReport], fmt: str) -> str:
         lines = ["name,value,inputs,residuals"]
         for r in reports:
             residuals = ";".join(f"{k}={v:.12g}" for k, v in sorted(r.residuals.items()))
-            lines.append(f'{r.name},{r.value:.12g},"{r.inputs}","{residuals}"')
+            lines.append(f"{r.name},{r.value:.12g},{_csv_field(r.inputs)},{_csv_field(residuals)}")
         return "\n".join(lines) + "\n"
     width = max(len(r.name) for r in reports)
     lines = []

@@ -5,14 +5,16 @@ matrix with the ordered tuple of subsystem dimensions that defines its tensor
 factorization.  Subsystem 0 is always the leftmost Kronecker factor
 (row-major convention), fixed project-wide so index bookkeeping never flips.
 
-All entropic quantities elsewhere in the package are computed from
-eigenvalues (numpy's Hermitian eigensolvers), never from matrix logarithms.
+Each state is diagonalized once, when it is built: ``DensityMatrix.eigenvalues``
+holds the ascending spectrum of the stored matrix, and every entropy in the
+package reads it (never a matrix logarithm).  No module outside this one
+takes a state's eigenvalues again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -45,10 +47,15 @@ class DensityMatrix:
     eigenvalues in [-1e-10, 0) are clamped to zero with the spectrum
     renormalized, while anything more negative raises
     :class:`StateValidationError`.
+
+    ``eigenvalues`` is the read-only spectrum of the stored ``mat`` in
+    ascending order: the one validation takes, or, when a repair rebuilt the
+    matrix, that of the rebuilt matrix.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...]
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = _as_square_complex(self.mat)
@@ -89,10 +96,13 @@ class DensityMatrix:
             vals = vals / vals.sum()
             mat = (vecs * vals) @ vecs.conj().T
             mat = (mat + mat.conj().T) / 2.0
+            eigvals = np.linalg.eigvalsh(mat)
 
         mat.setflags(write=False)
+        eigvals.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "eigenvalues", eigvals)
 
     @property
     def dim(self) -> int:

@@ -74,8 +74,8 @@ def shannon_entropy(probs: np.ndarray) -> float:
 
 
 def entropy(rho: DensityMatrix) -> float:
-    """von Neumann entropy in nats, from eigenvalues."""
-    return shannon_entropy(np.linalg.eigvalsh(rho.mat))
+    """von Neumann entropy in nats, from the spectrum the state was validated with."""
+    return shannon_entropy(rho.eigenvalues)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -139,7 +139,7 @@ def mutual_information(rho: DensityMatrix) -> float:
     rho2 = partial_trace(rho, 1)
     value = entropy(rho1) + entropy(rho2) - entropy(rho)
     product = DensityMatrix(tensor_product(rho1.mat, rho2.mat), rho.dims)
-    if float(np.linalg.eigvalsh(product.mat)[0]) > SUPPORT_CUTOFF:
+    if float(product.eigenvalues[0]) > SUPPORT_CUTOFF:
         alt = relative_entropy(rho, product)
         if abs(alt - value) > FORM_AGREEMENT_TOL:
             raise ArithmeticError(

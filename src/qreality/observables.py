@@ -160,7 +160,8 @@ def parse_basis_spec(text: str, dim: int) -> ProjectiveBasis:
 
     Recognized forms: ``zbasis``, ``xbasis``, ``ybasis``,
     ``bloch:theta=1.57,phi=0``, ``fourier:d=3``.  A spec of any other
-    dimension is rejected before its basis is built.
+    dimension, or a Bloch spec that repeats a key, is rejected before its
+    basis is built.
     """
     spec = text.strip()
     head, _, arg = spec.partition(":")
@@ -184,8 +185,11 @@ def parse_basis_spec(text: str, dim: int) -> ProjectiveBasis:
         params = {}
         for piece in arg.split(","):
             key, _, raw = piece.partition("=")
+            key = key.strip()
+            if key in params:
+                raise SpecParseError(f"basis spec '{text}' repeats the key '{key}'")
             try:
-                params[key.strip()] = float(raw)
+                params[key] = float(raw)
             except ValueError:
                 raise SpecParseError(f"basis spec '{text}' has a malformed angle") from None
         if set(params) != {"theta", "phi"}:

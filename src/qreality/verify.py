@@ -99,12 +99,6 @@ def _reduced_basis_check(psi: DensityMatrix, form: SchmidtForm) -> float:
     return 1.0 - fidelity
 
 
-def _schmidt_marginal_spectrum(psi: DensityMatrix) -> np.ndarray:
-    # Eigenvalues of either marginal, for cross-checking Schmidt coefficients.
-    reduced = partial_trace(psi, 0)
-    return np.linalg.eigvalsh(reduced.mat)[::-1]
-
-
 def suite_tensor(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     for k in range(count):
         c.case()
@@ -138,14 +132,14 @@ def suite_states(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) ->
     for f in np.linspace(0.0, 1.0, 11):
         c.case()
         expected = np.sort(np.array([(1 - f) / 4] * 3 + [(1 + 3 * f) / 4]))
-        got = np.linalg.eigvalsh(werner(f).mat)
+        got = werner(f).eigenvalues
         c.check(f"werner spectrum f={f:.1f}",
                 float(np.max(np.abs(got - expected))), 1e-10)
     for x in np.linspace(0.0, 1.0, 11):
         c.case()
         reduced = partial_trace(floating_slit(x), 0)
         expected = np.sort(np.array([(1 - x) / 2, (1 + x) / 2]))
-        got = np.linalg.eigvalsh(reduced.mat)
+        got = reduced.eigenvalues
         c.check(f"slit marginal spectrum x={x:.1f}",
                 float(np.max(np.abs(got - expected))), 1e-10)
     for k in range(count):
@@ -180,7 +174,7 @@ def suite_observables(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfi
         c.check(f"schmidt reconstruction (case {k})",
                 _reduced_basis_check(psi, form), 1e-9)
         c.check(f"schmidt coefficients vs marginal (case {k})",
-                float(np.max(np.abs(form.coefficients - _schmidt_marginal_spectrum(psi)))),
+                float(np.max(np.abs(form.coefficients - partial_trace(psi, 0).eigenvalues[::-1]))),
                 1e-9)
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -60,6 +62,19 @@ def test_measure_formats_run(capsys, tmp_path):
     assert out.read_text()
 
 
+def test_measure_csv_escapes_quotes_in_a_state_spec(tmp_path, capsys):
+    path = tmp_path / 'a"b.json'
+    save_state(werner(0.5), path)
+    spec = f"file:{path}"
+    assert main(["measure", spec, "zbasis@0", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["name", "value", "inputs", "residuals"]
+    by_name = {row[0]: row for row in rows[1:]}
+    assert by_name["entropy"][2] == spec
+    assert by_name["irreality_correlated"][2] == f"{spec}; zbasis@0"
+    assert all(len(row) == 4 for row in rows)
+
+
 def test_measure_file_state(tmp_path, capsys):
     path = tmp_path / "rho.json"
     save_state(werner(0.5), path)
@@ -91,6 +106,9 @@ def test_measure_exit_codes(capsys, tmp_path):
     capsys.readouterr()
     assert main(["measure", "singlet", "zbasis@0", "zbasis@1", "xbasis@1"]) == 2
     capsys.readouterr()
+    assert main(["measure", "werner:f=0.5", "bloch:theta=1,phi=0,theta=2@0"]) == 2
+    assert ("basis spec 'bloch:theta=1,phi=0,theta=2' repeats the key 'theta'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("angle", ["nan", "inf"])

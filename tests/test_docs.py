@@ -8,7 +8,8 @@ from pathlib import Path
 import qreality
 from qreality import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _only_block(section: str, language: str) -> str:
@@ -37,3 +38,9 @@ def test_readme_cli_lines_parse():
 def test_every_exported_name_resolves():
     missing = [name for name in qreality.__all__ if not hasattr(qreality, name)]
     assert missing == []
+
+
+def test_tests_import_this_checkout():
+    # pytest puts src/ on the path, so a plain `python -m pytest` tests this
+    # checkout's package rather than an installed copy.
+    assert Path(qreality.__file__).resolve().is_relative_to(ROOT / "src")

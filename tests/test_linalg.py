@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from qreality.linalg import (
     partial_trace,
     tensor_product,
 )
-from qreality.states import SIGMA_Z, random_density, singlet, werner
+from qreality.states import SIGMA_Z, alpha_state, random_density, singlet, werner
 
 
 def test_tensor_product_identities():
@@ -176,12 +177,45 @@ def test_density_matrix_rejects_negative_spectrum():
     assert err.value.residual == pytest.approx(-1e-3)
 
 
-def test_density_matrix_repairs_rounding_noise():
+def _assert_spectrum_of_stored_matrix(rho):
+    np.testing.assert_array_equal(
+        rho.eigenvalues.view(np.uint64), np.linalg.eigvalsh(rho.mat).view(np.uint64))
+    assert np.all(np.diff(rho.eigenvalues) >= 0.0)
+    with pytest.raises(ValueError):
+        rho.eigenvalues[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.eigenvalues = np.zeros(rho.dim)
+
+
+def test_eigenvalues_are_the_stored_matrix_spectrum():
+    for dims in ((2, 2), (2, 2, 2)):
+        for rank in range(1, 5):
+            rho = random_density(math.prod(dims), rank, 90 + rank, dims=dims)
+            _assert_spectrum_of_stored_matrix(rho)
+            _assert_spectrum_of_stored_matrix(partial_trace(rho, 0))
+
+
+def test_density_matrix_repairs_rounding_noise(monkeypatch):
     mat = np.diag([-5e-11, 1 + 5e-11]).astype(complex)
     rho = DensityMatrix(mat, (2,))
     eigs = np.linalg.eigvalsh(rho.mat)
     assert eigs[0] >= 0.0
     assert abs(np.trace(rho.mat) - 1.0) <= 1e-12
+    _assert_spectrum_of_stored_matrix(rho)
+
+    # alpha_state's exactly zero eigenvalue rounds below zero at a=0.18, so
+    # the stored matrix is rebuilt and the spectrum must be the rebuilt one's.
+    repairs = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(mat):
+        repairs.append(mat.shape)
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    repaired = alpha_state(0.18)
+    assert repairs == [(4, 4)]
+    _assert_spectrum_of_stored_matrix(repaired)
 
 
 def test_density_matrix_layout_mismatch():

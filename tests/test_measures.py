@@ -210,6 +210,22 @@ def test_mutual_information_examples():
         mutual_information(random_density(8, 8, 1, dims=(2, 2, 2)))
 
 
+def test_mutual_information_diagonalizes_each_matrix_once(monkeypatch):
+    # One eigvalsh per validated matrix (two marginals and their product),
+    # and one eigh for the relative-entropy cross-check's sigma.
+    rho = random_density(4, 4, 19, dims=(2, 2))
+    calls = {"eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    mutual_information(rho)
+    assert calls == {"eigvalsh": 3, "eigh": 1}
+
+
 # --- discord-like drops -----------------------------------------------------------
 
 def test_discord_product_state_vanishes():

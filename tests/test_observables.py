@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qreality.errors import SpecParseError, StateValidationError
-from qreality.linalg import frobenius_distance
+from qreality.linalg import frobenius_distance, partial_trace
 from qreality.measures import dephase
 from qreality.observables import (
     ProjectiveBasis,
@@ -27,7 +27,7 @@ from qreality.states import (
     singlet,
     werner,
 )
-from qreality.verify import _reduced_basis_check, _schmidt_marginal_spectrum
+from qreality.verify import _reduced_basis_check
 
 
 def _axis(theta, phi):
@@ -130,7 +130,7 @@ def test_schmidt_reconstruction_and_marginals():
         assert np.all(np.diff(form.coefficients) <= 1e-12)
         assert _reduced_basis_check(psi, form) <= 1e-9
         np.testing.assert_allclose(
-            form.coefficients, _schmidt_marginal_spectrum(psi), atol=1e-9
+            form.coefficients, partial_trace(psi, 0).eigenvalues[::-1], atol=1e-9
         )
 
 
@@ -190,7 +190,8 @@ def test_parse_basis_spec():
     assert parse_basis_spec("fourier:d=3", 3).dim == 3
 
     for bad in ("nope", "bloch:theta=1", "bloch:theta=a,phi=0", "fourier:d=x", "fourier:n=2",
-                "bloch:theta=nan,phi=0", "bloch:theta=inf,phi=0", "bloch:theta=0,phi=-inf"):
+                "bloch:theta=nan,phi=0", "bloch:theta=inf,phi=0", "bloch:theta=0,phi=-inf",
+                "bloch:theta=1,phi=0,theta=2"):
         with pytest.raises(SpecParseError):
             parse_basis_spec(bad, 2)
 

@@ -364,7 +364,9 @@ def test_converged_is_false_when_the_grid_best_wins(monkeypatch):
 def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
     from qreality import measures, optimize
 
-    calls = {"qubit_basis": 0, "dephase": 0}
+    # Each matrix is diagonalized once, when it is validated: the dephased
+    # state and its marginal per point, and the two marginals at set-up.
+    calls = {"qubit_basis": 0, "dephase": 0, "eigvalsh": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -374,11 +376,12 @@ def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
 
     monkeypatch.setattr(optimize, "qubit_basis", counted("qubit_basis", optimize.qubit_basis))
     monkeypatch.setattr(measures, "dephase", counted("dephase", measures.dephase))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     rho = random_density(4, 3, 41, dims=(2, 2))
     for subsystem in (0, 1):
-        calls.update(qubit_basis=0, dephase=0)
+        calls.update(qubit_basis=0, dephase=0, eigvalsh=0)
         brute_force_single(rho, subsystem, n_theta=4, n_phi=5)
-        assert calls == {"qubit_basis": 20, "dephase": 20}
+        assert calls == {"qubit_basis": 20, "dephase": 20, "eigvalsh": 2 * 20 + 2}
 
 
 def test_minimizers_compute_only_the_state_data_their_objective_reads(monkeypatch):
