@@ -48,7 +48,8 @@ def _optimizer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-phi", type=int, default=defaults.grid_points_phi,
                         help="phi grid points per optimized side")
     parser.add_argument("--refine-starts", type=int, default=defaults.refine_starts,
-                        help="grid cells seeding local refinement")
+                        help="most refinement starts: the best grid cell of each "
+                             "distinct basin, lowest first")
     parser.add_argument("--refine-tol", type=float, default=defaults.refine_tolerance,
                         help="refinement tolerance")
 

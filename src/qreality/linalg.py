@@ -38,7 +38,7 @@ def _as_square_complex(mat: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix with a subsystem layout.
 
@@ -51,11 +51,14 @@ class DensityMatrix:
     ``eigenvalues`` is the read-only spectrum of the stored ``mat`` in
     ascending order: the one validation takes, or, when a repair rebuilt the
     matrix, that of the rebuilt matrix.
+
+    States compare and hash by identity: comparing the arrays would need a
+    tolerance, which ``==`` cannot carry.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...]
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _as_square_complex(self.mat)

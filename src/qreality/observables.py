@@ -19,11 +19,12 @@ from .linalg import DensityMatrix, embed_operator
 ORTHONORMALITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveBasis:
     """Orthonormal rank-1 decomposition of one subsystem.
 
-    ``vectors`` holds the eigenvectors as columns.
+    ``vectors`` holds the eigenvectors as columns.  Bases compare and hash by
+    identity, like :class:`DensityMatrix`.
     """
 
     vectors: np.ndarray
@@ -53,12 +54,13 @@ class ProjectiveBasis:
         return v[:, None] * v.conj()[None, :]  # np.outer(v, v.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtForm:
     """Canonical bipartite form: nonincreasing coefficients plus local bases.
 
     Coefficients are real and nonnegative (phases absorbed into ``basis_b``)
-    and sum to 1; the state is sum_k sqrt(l_k) |k>_A |k>_B.
+    and sum to 1; the state is sum_k sqrt(l_k) |k>_A |k>_B.  Forms compare and
+    hash by identity.
     """
 
     coefficients: np.ndarray

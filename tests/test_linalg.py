@@ -292,3 +292,20 @@ def test_partial_trace_matches_fresh_einsum(keep):
         got = partial_trace(rho, spelling)
         assert got.dims == kept_dims
         np.testing.assert_array_equal(_bits(got.mat), _bits(reference.mat))
+
+
+def test_states_bases_and_schmidt_forms_compare_by_identity():
+    # Comparing the held arrays would raise ("truth value of an array is
+    # ambiguous"), and arrays are unhashable.
+    from qreality.observables import qubit_basis, schmidt_decompose
+
+    rho, other = werner(0.5), werner(0.4)
+    basis = qubit_basis(0.3, 0.2)
+    form = schmidt_decompose(singlet())
+    for value, twin in ((rho, werner(0.5)), (basis, qubit_basis(0.3, 0.2)),
+                        (form, schmidt_decompose(singlet()))):
+        assert value == value and value != twin
+        assert hash(value) == hash(value)
+        assert len({value, twin}) == 2
+    assert rho != other
+    assert {rho: 1}[rho] == 1

@@ -18,6 +18,7 @@ from qreality.optimize import (
     OptimizerConfig,
     _lowest_cells,
     _refine,
+    _start_cells,
     brute_force_single,
     minimize_pair,
     minimize_single,
@@ -232,6 +233,163 @@ def test_lowest_cells_on_a_constant_grid_copies_no_grid():
         tracemalloc.stop()
     assert np.array_equal(got, _stable_head(grid, 5))
     assert peak < 1_000_000
+
+
+
+def _separated_head(values, axes, k):
+    # The start rule written out: walk the START_POOL * k lowest cells in
+    # stable argsort order and accept a cell unless some accepted start's
+    # axis is within START_SEPARATION of its axis, up to sign, on every side.
+    cos_sep = math.cos(optimize.START_SEPARATION)
+    pool = _stable_head(values, optimize.START_POOL * k)
+    accepted = []
+    for cell in pool:
+        sides = np.unravel_index(cell, values.shape)
+        if not any(all(abs(axes[i] @ axes[j]) > cos_sep
+                       for i, j in zip(sides, np.unravel_index(a, values.shape)))
+                   for a in accepted):
+            accepted.append(int(cell))
+            if len(accepted) == k:
+                break
+    return accepted
+
+
+def _pair_grid(rho, axes):
+    r1, r2, tmat = kernels.bloch_correlations(rho.mat)
+    return kernels.nonlocality_grid(axes, axes, r1, r2, tmat, entropy(rho))
+
+
+def test_start_cells_are_separated_and_led_by_the_grid_best():
+    axes, _, _ = kernels.axis_grid(25, 24)
+    cos_sep = math.cos(optimize.START_SEPARATION)
+    for seed, rank in ((50217, 2), (90169, 2), (90266, 3), (9003, 4), (9000, 1)):
+        grid = _pair_grid(random_density(4, rank, seed, dims=(2, 2)), axes)
+        for k in (1, 2, 5, 9):
+            cells = _start_cells(grid, axes, k)
+            assert cells.tolist() == _separated_head(grid, axes, k)
+            assert 1 <= cells.size <= k
+            assert cells[0] == _lowest_cells(grid, 1)[0]
+            a, b = np.unravel_index(cells, grid.shape)
+            for i in range(cells.size):
+                for j in range(i):
+                    assert (abs(axes[a[i]] @ axes[a[j]]) <= cos_sep
+                            or abs(axes[b[i]] @ axes[b[j]]) <= cos_sep)
+
+
+def test_start_cells_on_a_constant_grid_copy_no_grid():
+    # werner(0)'s pair grids are constant.  With the grid's own axes the
+    # pool is the pole row's first cells, all near the grid best's axes; with
+    # scattered axes on side B several are accepted, in linear-index order.
+    grid = np.full((553, 553), 0.25)
+    axes, _, _ = kernels.axis_grid(25, 24)
+    rng = np.random.default_rng(233)
+    scattered = rng.normal(size=(553, 3))
+    scattered /= np.linalg.norm(scattered, axis=1)[:, None]
+    for side_axes, k in ((axes, 5), (scattered, 5), (scattered, 40)):
+        tracemalloc.start()
+        try:
+            got = _start_cells(grid, side_axes, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert got.tolist() == _separated_head(grid, side_axes, k)
+        assert got[0] == 0 and np.all(np.diff(got) > 0)
+    assert _start_cells(grid, axes, 5).tolist() == [0]
+    assert _start_cells(grid, scattered, 5).size == 5
+
+
+def test_start_cells_for_many_starts_hold_no_pool_by_pool_matrix():
+    # 2,000 starts make a pool of 10,000 cells; a matrix over pairs of pool
+    # cells would take 100 MB.  The walk holds at most one copy of the grid,
+    # which _lowest_cells partitions when the pool outnumbers the rows.
+    axes, _, _ = kernels.axis_grid(25, 24)
+    grid = np.random.default_rng(241).random((553, 553))
+    k = 2000
+    tracemalloc.start()
+    try:
+        cells = _start_cells(grid, axes, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.nbytes + 1_000_000
+    # The pool holds fewer basins than k, so the walk ran through it: every
+    # pool cell is accepted, in pool order, or lies near an earlier start.
+    pool = _stable_head(grid, optimize.START_POOL * k).tolist()
+    assert 1 < cells.size < k
+    where = {cell: i for i, cell in enumerate(pool)}
+    position = [where[c] for c in cells.tolist()]
+    assert position == sorted(position) and position[0] == 0
+    cos_sep = math.cos(optimize.START_SEPARATION)
+    near = np.ones((len(pool), cells.size), dtype=bool)
+    for pool_side, cell_side in zip(np.unravel_index(pool, grid.shape),
+                                    np.unravel_index(cells, grid.shape)):
+        near &= np.abs(axes[pool_side] @ axes[cell_side].T) > cos_sep
+    first_near = np.where(near.any(axis=1), near.argmax(axis=1), cells.size)
+    accepted = np.zeros(len(pool), dtype=bool)
+    accepted[position] = True
+    assert np.array_equal(first_near[accepted], np.arange(cells.size))
+    assert np.all(np.array(position)[first_near[~accepted]] < np.flatnonzero(~accepted))
+
+
+def test_start_cells_put_nan_cells_last_and_stop_at_the_basins():
+    # Four well separated axes: every cell is its own basin, NaN cells last.
+    axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                     [0.6, 0.0, 0.8]])
+    values = np.array([NAN, 0.5, NAN, 0.1])
+    assert _start_cells(values, axes, 4).tolist() == [3, 1, 0, 2]
+    assert _start_cells(values, axes, 2).tolist() == [3, 1]
+    # Six axes near +z (one as -z: the same basis) and four near +x: two
+    # basins, so two starts however many are asked for.
+    tilt = np.array([0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
+    near_z = np.stack([np.sin(tilt), np.zeros(6), np.cos(tilt)], axis=1)
+    near_z[2] *= -1.0
+    near_x = np.stack([np.cos(tilt[:4]), np.sin(tilt[:4]), np.zeros(4)], axis=1)
+    axes = np.concatenate([near_z, near_x])
+    values = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.5, 1.5, 2.5, 3.5])
+    for k in (2, 3, 5):
+        assert _start_cells(values, axes, k).tolist() == [0, 6]
+    assert _start_cells(values, axes, 1).tolist() == [0]
+
+
+def test_minimize_single_refines_separated_starts(monkeypatch):
+    # One optimized side: a cell is skipped when its one axis is near an
+    # accepted start's.  The starts handed to the refinement are those cells.
+    rho = random_density(4, 3, 90266, dims=(2, 2))
+    axes, thetas, phis = kernels.axis_grid(25, 24)
+    r1, r2, tmat = kernels.bloch_correlations(rho.mat)
+    grid = kernels.single_discord_grid(axes, r1, r2, tmat, optimize.mutual_information(rho),
+                                       entropy(partial_trace(rho, 1)))
+    cells = _start_cells(grid, axes, 5)
+    assert cells.tolist() == _separated_head(grid, axes, 5)
+    seen = []
+    refine = optimize._refine
+
+    def recorded(fun, starts, cfg):
+        seen.append(np.array(starts))
+        return refine(fun, starts, cfg)
+
+    monkeypatch.setattr(optimize, "_refine", recorded)
+    result = minimize_single(rho, 0)
+    assert np.array_equal(seen[0], np.stack([thetas[cells], phis[cells]], axis=1))
+    assert result.value <= result.grid_best
+
+
+def test_one_start_is_the_lowest_cell(monkeypatch):
+    # refine_starts=1 refines the grid best alone, as when the starts were
+    # the lowest cells: the same results bit for bit.
+    cfg = OptimizerConfig(refine_starts=1)
+    rng = np.random.default_rng(239)
+    states = [random_density(4, 1 + k % 4, rng, dims=(2, 2)) for k in range(4)]
+    states += [werner(0.0), werner(0.6), alpha_state(0.4)]
+    separated = [(_result_hex(minimize_pair(rho, obj, cfg)),
+                  _result_hex(minimize_single(rho, 1, cfg)))
+                 for rho in states for obj in ("nonlocality", "discord")]
+    monkeypatch.setattr(optimize, "_start_cells", lambda values, axes, k: _lowest_cells(values, k))
+    lowest = [(_result_hex(minimize_pair(rho, obj, cfg)),
+               _result_hex(minimize_single(rho, 1, cfg)))
+              for rho in states for obj in ("nonlocality", "discord")]
+    assert separated == lowest
 
 
 NAN = math.nan
