@@ -28,10 +28,11 @@ s = t and (1 - c)/4 for s != t.  That pass takes each of the two logarithms
 once and subtracts the four terms in the usual order, so its S_AB is the
 four-log pass's, cell for cell.  The branch is chosen from a and b, never
 from a setting.  A caller that minimizes both pair objectives on
-one state (``sweep.sweep_rows`` and ``verify.suite_bounds``) passes both grid
-calls one :class:`JointEntropy`: the first keeps its S_AB, and the second
-builds its grid from it instead of running the joint pass again, which is
-almost all of a pair grid's cost.  A single-objective call keeps nothing: it
+one state (``sweep.sweep_rows`` and ``verify.suite_bounds``) passes
+``share=True`` to both grid calls: each thread keeps the S_AB of its last
+shared pass, keyed by the axes and Bloch data, and a shared call on equal
+inputs builds its grid from it instead of running the joint pass again, which
+is almost all of a pair grid's cost.  An unshared call keeps nothing: it
 would hold a second full-size grid for no later use.  The scalar ``*_value``
 functions are the refinement objectives:
 each returns the value and its gradient by the Bloch axes, the gradient in
@@ -236,83 +237,50 @@ def _two_log_block(rows, c, p, lq, acc):
     return p
 
 
-class JointEntropy:
-    """S(Ph_A Ph_B rho) over one pair grid, shared by both pair objectives of a state.
-
-    Pass one holder to both pair-grid calls on a state.  The first call runs
-    the joint pass and keeps its S_AB; the second builds its grid from the
-    kept values, cell for cell the same.  A filled holder serves only the
-    Bloch data and axes that filled it: any others raise ``ValueError``.
-    :meth:`clear` empties it for the next state but keeps its buffer.  A
-    caller that walks through many states reuses one holder this way, the one
-    :meth:`for_this_thread` returns: a new buffer per state, or per call,
-    would be freed together with that state's grids, and the heap would hand
-    the pages back and fault them in again for the next state, which costs
-    about half of a joint pass.
-    """
-
-    def __init__(self):
-        self._inputs = None
-        self._values = None  # S_AB while _inputs is set; otherwise a free buffer
-
-    @classmethod
-    def for_this_thread(cls) -> JointEntropy:
-        """The calling thread's holder, kept for the life of the thread.
-
-        Its buffer survives from one call of a caller to the next.  It is
-        never shared between threads; callers ``clear()`` it per state.
-        """
-        holder = getattr(_THREAD_HOLDERS, "joint", None)
-        if holder is None:
-            holder = _THREAD_HOLDERS.joint = cls()
-        return holder
-
-    def clear(self):
-        """Forget the state that filled the holder; the next grid call refills it."""
-        self._inputs = None
-
-    def _blocks(self, axes_a, axes_b, r1, r2, tmat, out):
-        # (rows, S_AB of those rows) as _joint_entropy_blocks yields them,
-        # while keeping a copy; once filled, one block of all rows.
-        inputs = (axes_a, axes_b, r1, r2, tmat)
-        if self._inputs is not None:
-            if not all(np.array_equal(x, y) for x, y in zip(inputs, self._inputs)):
-                raise ValueError(
-                    "joint entropy holder was filled for other Bloch data or axes")
-            yield slice(None), self._values
-            return
-        if self._values is None or self._values.shape != out.shape:
-            self._values = np.empty_like(out)
-        for rows, s_ab in _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
-            self._values[rows] = s_ab
-            yield rows, s_ab
-        self._inputs = tuple(np.array(x) for x in inputs)
+# Per thread: the inputs of the last shared joint pass, and its S_AB in a
+# buffer reused from one shared pass to the next.
+_KEPT = threading.local()
 
 
-_THREAD_HOLDERS = threading.local()
-
-
-def _joint_entropy(axes_a, axes_b, r1, r2, tmat, out, joint):
-    if joint is None:
-        return _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out)
-    return joint._blocks(axes_a, axes_b, r1, r2, tmat, out)
+def _shared_joint_entropy(axes_a, axes_b, r1, r2, tmat, out):
+    # (rows, S_AB of those rows) as _joint_entropy_blocks yields them, keeping
+    # a copy in the thread's buffer; one block of all rows when the inputs
+    # equal those of the kept pass.  Equal Bloch data are one state, so a kept
+    # S_AB serves no other.  The buffer lives as long as the thread: a new one
+    # per state, or per call, would be freed together with that state's
+    # grids, and the heap would hand the pages back and fault them in again
+    # for the next state, which costs about half of a joint pass.
+    inputs = (axes_a, axes_b, r1, r2, tmat)
+    kept = getattr(_KEPT, "inputs", None)
+    if kept is not None and all(np.array_equal(x, y) for x, y in zip(inputs, kept)):
+        yield slice(None), _KEPT.values
+        return
+    _KEPT.inputs = None
+    values = getattr(_KEPT, "values", None)
+    if values is None or values.shape != out.shape:
+        values = _KEPT.values = np.empty_like(out)
+    for rows, s_ab in _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
+        values[rows] = s_ab
+        yield rows, s_ab
+    _KEPT.inputs = tuple(np.array(x) for x in inputs)
 
 
 # ---------------------------------------------------------------------------
 # objective grids
 # ---------------------------------------------------------------------------
 
-def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy, *, joint=None):
+def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy, *, share=False):
     """N over all axis pairs: S_A + S_B - S_AB - S(rho).
 
-    ``joint`` is the state's :class:`JointEntropy` when both pair objectives
-    are minimized on it.
+    ``share=True`` when both pair objectives are minimized on one state: the
+    second grid then reads the S_AB the first one kept.
     """
     s_a, _ = _side_entropies_numpy(axes_a, r1, r2, tmat)
     s_b, _ = _side_entropies_numpy(axes_b, r2, r1, np.ascontiguousarray(tmat.T))
     s_a = s_a[:, None]
     out = np.empty((axes_a.shape[0], axes_b.shape[0]))
-    for rows, s_ab in _joint_entropy(axes_a, axes_b, r1, r2, tmat, out, joint):
+    joint = _shared_joint_entropy if share else _joint_entropy_blocks
+    for rows, s_ab in joint(axes_a, axes_b, r1, r2, tmat, out):
         block = out[rows]
         np.add(s_a[rows], s_b, out=block)
         block -= s_ab
@@ -320,14 +288,15 @@ def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy, *, joint=None):
     return out
 
 
-def pair_discord_grid(axes_a, axes_b, r1, r2, tmat, mutual_info, *, joint=None):
-    """Two-sided discord-like drop over all axis pairs; ``joint`` as in
+def pair_discord_grid(axes_a, axes_b, r1, r2, tmat, mutual_info, *, share=False):
+    """Two-sided discord-like drop over all axis pairs; ``share`` as in
     :func:`nonlocality_grid`."""
     _, h_a = _side_entropies_numpy(axes_a, r1, r2, tmat)
     _, h_b = _side_entropies_numpy(axes_b, r2, r1, np.ascontiguousarray(tmat.T))
     head = (mutual_info - h_a)[:, None]
     out = np.empty((axes_a.shape[0], axes_b.shape[0]))
-    for rows, s_ab in _joint_entropy(axes_a, axes_b, r1, r2, tmat, out, joint):
+    joint = _shared_joint_entropy if share else _joint_entropy_blocks
+    for rows, s_ab in joint(axes_a, axes_b, r1, r2, tmat, out):
         block = out[rows]
         np.subtract(head[rows], h_b, out=block)
         block += s_ab

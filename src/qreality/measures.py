@@ -202,11 +202,13 @@ def nonlocality_forms(
     """
     if subsystem_a == subsystem_b:
         raise ValueError("the two bases must act on distinct subsystems")
+    phi_a = dephase(rho, basis_a, subsystem_a)
     phi_b = dephase(rho, basis_b, subsystem_b)
-    sequential = irreality(basis_a, subsystem_a, rho) - irreality(basis_a, subsystem_a, phi_b)
+    # irreality(basis_a, subsystem_a, rho), from the phi_a the symmetric form reads
+    sequential = max(entropy(phi_a) - entropy(rho), 0.0) - irreality(basis_a, subsystem_a, phi_b)
     joint = _dephase_joint(rho, (basis_a, subsystem_a), (basis_b, subsystem_b))
     symmetric = (
-        entropy(dephase(rho, basis_a, subsystem_a))
+        entropy(phi_a)
         + entropy(phi_b)
         - entropy(joint)
         - entropy(rho)

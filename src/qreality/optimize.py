@@ -33,10 +33,10 @@ fast path.
 
 The two pair objectives share their costliest part, the entropy of the state
 dephased on both sides.  Callers that minimize both on one state (the sweep
-rows and the bounds suite) hand :func:`minimize_pair` one
-:class:`kernels.JointEntropy` for both calls.  A call on its own runs the
-fused single pass and keeps nothing: holding the joint grid would cost a
-second full-size grid and save nothing.
+rows and the bounds suite) pass ``share=True`` to both :func:`minimize_pair`
+calls, and the second reads the joint grid the first kept for this thread.
+An unshared call runs the fused single pass and keeps nothing: holding the
+joint grid would cost a second full-size grid and save nothing.
 """
 
 from __future__ import annotations
@@ -374,13 +374,13 @@ def minimize_pair(
     objective: str,
     cfg: OptimizerConfig = OptimizerConfig(),
     *,
-    joint: kernels.JointEntropy | None = None,
+    share: bool = False,
 ) -> OptimizationResult:
     """Minimize nonlocality or the two-sided discord-like drop over basis pairs.
 
-    A caller that minimizes both objectives on ``rho`` passes both calls one
-    :class:`kernels.JointEntropy`, so the joint-entropy grid is computed
-    once; the results are the same bit for bit.
+    A caller that minimizes both objectives on ``rho`` passes ``share=True``
+    to both calls, so the joint-entropy grid is computed once; the results
+    are the same bit for bit.
     """
     if objective not in (OBJECTIVE_NONLOCALITY, OBJECTIVE_DISCORD):
         raise ValueError(f"unsupported pair objective '{objective}'")
@@ -397,11 +397,11 @@ def minimize_pair(
 
     if objective == OBJECTIVE_NONLOCALITY:
         base = entropy(rho)
-        grid_values = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, base, joint=joint)
+        grid_values = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, base, share=share)
         value_of = kernels.nonlocality_value
     else:
         base = mutual_information(rho)
-        grid_values = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, base, joint=joint)
+        grid_values = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, base, share=share)
         value_of = kernels.pair_discord_value
 
     def fun(x):
@@ -439,6 +439,9 @@ def brute_force_single(
 
     if len(rho.dims) != 2:
         raise ValueError(f"oracle scan needs a bipartite state, got {rho.dims}")
+    for name, points in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if points < 1:
+            raise ValueError(f"{name} must be at least 1, got {points}")
     s1 = entropy(partial_trace(rho, 0))
     s2 = entropy(partial_trace(rho, 1))
     mi = s1 + s2 - entropy(rho)

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import JointEntropy
 from .linalg import partial_trace
 from .measures import concurrence, entanglement_entropy, irreality, nonlocality
 from .observables import qubit_basis
@@ -66,12 +65,10 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
     build = FAMILIES[spec.family]
     zbasis = qubit_basis(0.0, 0.0)
     rows = []
-    joint = JointEntropy.for_this_thread()
     for param in np.linspace(spec.start, spec.stop, spec.points):
         state = build(float(param))
-        joint.clear()
-        n_res = minimize_pair(state, OBJECTIVE_NONLOCALITY, spec.optimizer, joint=joint)
-        d_res = minimize_pair(state, OBJECTIVE_DISCORD, spec.optimizer, joint=joint)
+        n_res = minimize_pair(state, OBJECTIVE_NONLOCALITY, spec.optimizer, share=True)
+        d_res = minimize_pair(state, OBJECTIVE_DISCORD, spec.optimizer, share=True)
         (ta, pa), (tb, pb) = n_res.argmin
         rows.append(SweepRow(
             param=float(param),

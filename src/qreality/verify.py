@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .kernels import JointEntropy
 from .linalg import (
     DensityMatrix,
     frobenius_distance,
@@ -350,13 +349,11 @@ def suite_pure(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> N
 
 
 def suite_bounds(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
-    joint = JointEntropy.for_this_thread()
     for k in range(count):
         c.case()
         rho = _random_two_qubit(rng)
-        joint.clear()
-        n_min = minimize_pair(rho, OBJECTIVE_NONLOCALITY, cfg, joint=joint).value
-        d_pair = minimize_pair(rho, OBJECTIVE_DISCORD, cfg, joint=joint).value
+        n_min = minimize_pair(rho, OBJECTIVE_NONLOCALITY, cfg, share=True).value
+        d_pair = minimize_pair(rho, OBJECTIVE_DISCORD, cfg, share=True).value
         c.check(f"lower bound (case {k})", -n_min, 1e-6)
         c.check(f"upper bound (case {k})", n_min - d_pair, 1e-6)
 

@@ -361,51 +361,69 @@ def test_joint_pass_takes_two_logs_per_block_when_marginals_vanish(monkeypatch):
         assert blocks == 3 and len(calls) == logs_per_block * blocks
 
 
-def test_shared_joint_entropy_grids_are_bitwise_unshared():
+def _counted_joint_passes(monkeypatch):
+    # The list gets one entry per joint pass run from here on.
+    runs = []
+    blocks = kernels._joint_entropy_blocks
+
+    def counted(*args):
+        runs.append(1)
+        return blocks(*args)
+
+    monkeypatch.setattr(kernels, "_joint_entropy_blocks", counted)
+    return runs
+
+
+def _bits_equal(got, want):
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_shared_joint_entropy_grids_are_bitwise_unshared(monkeypatch):
     # Several blocks, and the Bell-diagonal states with dead weights; the
-    # second grid comes from the holder the first one filled, in either order.
+    # second grid reads the pass the first one kept, in either order.
     axes, _, _ = kernels.axis_grid(13, 12)
     rng = np.random.default_rng(139)
     states = [random_density(4, rank, rng, dims=(2, 2)) for rank in (1, 2, 3, 4)]
     states += [werner(0.0), werner(0.5), alpha_state(0.3)]
+    runs = _counted_joint_passes(monkeypatch)
     for rho in states:
         r1, r2, tmat, s_rho, mi, _ = _state_data(rho)
         grids = (lambda **kw: kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho, **kw),
                  lambda **kw: kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi, **kw))
         want = [grid() for grid in grids]
         for order in ((0, 1), (1, 0)):
-            joint = kernels.JointEntropy()
+            kernels._KEPT.inputs = None  # the first grid of each order runs the pass
+            runs.clear()
             for k in order:
-                got = grids[k](joint=joint)
-                assert np.array_equal(got.view(np.uint64), want[k].view(np.uint64))
+                assert _bits_equal(grids[k](share=True), want[k])
+            assert len(runs) == 1
 
 
-def test_joint_entropy_holder_serves_only_its_state():
+def test_shared_grid_recomputes_for_other_bloch_data_or_axes(monkeypatch):
     axes, _, _ = kernels.axis_grid(9, 8)
     r1, r2, tmat, s_rho, mi, _ = _state_data(random_density(4, 3, 151, dims=(2, 2)))
-    joint = kernels.JointEntropy()
-    kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho, joint=joint)
     other = _state_data(random_density(4, 3, 152, dims=(2, 2)))[:3]
+    fewer, _, _ = kernels.axis_grid(9, 7)
     data = [r1, r2, tmat]
+    cases = []
     for k in range(3):
         changed = list(data)
         changed[k] = other[k]
-        with pytest.raises(ValueError, match="other Bloch data or axes"):
-            kernels.pair_discord_grid(axes, axes, *changed, mi, joint=joint)
-    fewer, _, _ = kernels.axis_grid(9, 7)
+        cases.append((axes, axes, *changed))
     for axes_a, axes_b in ((fewer, axes), (axes, fewer), (fewer, fewer), (axes[::-1], axes)):
-        with pytest.raises(ValueError, match="other Bloch data or axes"):
-            kernels.pair_discord_grid(axes_a, axes_b, r1, r2, tmat, mi, joint=joint)
-    # The inputs that filled it are still served, and once cleared it
-    # serves the state that fills it next.
-    got = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi, joint=joint)
-    want = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    joint.clear()
-    kernels.nonlocality_grid(fewer, axes, *other, s_rho, joint=joint)
-    got = kernels.pair_discord_grid(fewer, axes, *other, mi, joint=joint)
-    want = kernels.pair_discord_grid(fewer, axes, *other, mi)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        cases.append((axes_a, axes_b, r1, r2, tmat))
+    runs = _counted_joint_passes(monkeypatch)
+    for case in cases:
+        kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho, share=True)
+        runs.clear()
+        got = kernels.pair_discord_grid(*case, mi, share=True)
+        assert len(runs) == 1
+        assert _bits_equal(got, kernels.pair_discord_grid(*case, mi))
+        # The pass it ran is kept for its own inputs.
+        runs.clear()
+        got = kernels.nonlocality_grid(*case, s_rho, share=True)
+        assert not runs
+        assert _bits_equal(got, kernels.nonlocality_grid(*case, s_rho))
 
 
 def _entropy_sum(weights) -> float:

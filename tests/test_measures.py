@@ -351,6 +351,25 @@ def test_nonlocality_forms_agree_and_nonnegative():
         assert symmetric >= -1e-9
 
 
+def test_nonlocality_dephases_each_side_of_rho_once(monkeypatch):
+    # Phi_A rho, Phi_B rho, and Phi_A of Phi_B rho for the unread-measurement
+    # form; the symmetric form's joint term is one Kraus pass of its own.
+    from qreality import measures
+
+    calls = []
+    fn = measures.dephase
+
+    def counted(*args):
+        calls.append(args[1:])
+        return fn(*args)
+
+    monkeypatch.setattr(measures, "dephase", counted)
+    rng = np.random.default_rng(31)
+    ba, bb = _random_basis(rng), _random_basis(rng)
+    nonlocality(ba, bb, random_density(4, 4, rng, dims=(2, 2)))
+    assert sorted(calls, key=lambda c: c[1]) == [(ba, 0), (ba, 0), (bb, 1)]
+
+
 def test_nonlocality_symmetry_under_side_swap():
     rng = np.random.default_rng(37)
     for _ in range(10):

@@ -542,6 +542,16 @@ def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
         assert calls == {"qubit_basis": 20, "dephase": 20, "eigvalsh": 2 * 20 + 2}
 
 
+def test_brute_force_rejects_an_empty_scan():
+    rho = werner(0.5)
+    for n_theta, n_phi, name in ((0, 0, "n_theta"), (0, 10, "n_theta"),
+                                 (10, 0, "n_phi"), (10, -3, "n_phi")):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            brute_force_single(rho, 0, n_theta, n_phi)
+    value, _ = brute_force_single(rho, 0, 1, 1)  # the single point theta = phi = 0
+    assert value == pytest.approx(brute_force_single(rho, 0, 2, 1)[0])
+
+
 def test_minimizers_compute_only_the_state_data_their_objective_reads(monkeypatch):
     # S(rho) for nonlocality, I(rho) for the pair discord, and I(rho) plus the
     # unoptimized marginal's entropy for the one-sided drop: each once, and
@@ -585,24 +595,25 @@ def test_shared_joint_entropy_leaves_minimize_pair_bitwise_unchanged():
     rng = np.random.default_rng(163)
     states = [random_density(4, 1 + k % 4, rng, dims=(2, 2)) for k in range(8)]
     states += [werner(0.0), werner(0.6), werner(1.0), alpha_state(0.0), alpha_state(0.4)]
-    joint = kernels.JointEntropy()  # cleared and refilled for every state
     for rho in states:
         want = {obj: _result_hex(minimize_pair(rho, obj, cfg))
                 for obj in ("nonlocality", "discord")}
         for order in (("nonlocality", "discord"), ("discord", "nonlocality")):
-            joint.clear()
+            kernels._KEPT.inputs = None  # the first call of each order runs the pass
             for obj in order:
-                assert _result_hex(minimize_pair(rho, obj, cfg, joint=joint)) == want[obj]
+                assert _result_hex(minimize_pair(rho, obj, cfg, share=True)) == want[obj]
 
 
-def test_minimize_pair_rejects_a_holder_of_another_state():
-    joint = kernels.JointEntropy()
-    minimize_pair(werner(0.5), "nonlocality", FAST, joint=joint)
-    with pytest.raises(ValueError, match="other Bloch data or axes"):
-        minimize_pair(alpha_state(0.5), "discord", FAST, joint=joint)
+def test_shared_minimize_pair_recomputes_for_another_state():
+    # A kept pass of werner(0.5) on the FAST grid serves neither another
+    # state nor another grid: each shared call below is its unshared result.
     finer = OptimizerConfig(grid_points_theta=10, grid_points_phi=8, refine_starts=3)
-    with pytest.raises(ValueError, match="other Bloch data or axes"):
-        minimize_pair(werner(0.5), "discord", finer, joint=joint)
+    minimize_pair(werner(0.5), "nonlocality", FAST, share=True)
+    for rho, cfg in ((alpha_state(0.5), FAST), (werner(0.5), finer)):
+        kept = kernels._KEPT.inputs
+        got = _result_hex(minimize_pair(rho, "discord", cfg, share=True))
+        assert kernels._KEPT.inputs is not kept
+        assert got == _result_hex(minimize_pair(rho, "discord", cfg))
 
 
 def test_sweep_and_bounds_run_one_joint_pass_per_state(monkeypatch):
@@ -628,22 +639,48 @@ def test_sweep_and_bounds_run_one_joint_pass_per_state(monkeypatch):
     assert len(runs) == 2
 
 
-def test_sweep_and_bounds_keep_one_joint_holder_per_thread():
+def _in_new_thread(fn):
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+def test_sweep_and_bounds_keep_one_joint_buffer_per_thread():
     from qreality.sweep import SweepSpec, sweep_rows
     from qreality.verify import run_suite
 
-    holder = kernels.JointEntropy.for_this_thread()
     sweep_rows(SweepSpec("werner", points=2, optimizer=FAST))
-    buffer = holder._values
+    buffer = kernels._KEPT.values
     assert buffer is not None
     sweep_rows(SweepSpec("alpha", points=2, optimizer=FAST))
     assert run_suite("bounds", 5, 1, FAST).ok
-    assert kernels.JointEntropy.for_this_thread() is holder and holder._values is buffer
-    other = []
-    thread = threading.Thread(target=lambda: other.append(kernels.JointEntropy.for_this_thread()))
-    thread.start()
-    thread.join()
-    assert other[0] is not holder and other[0]._values is None
+    assert kernels._KEPT.values is buffer
+    assert _in_new_thread(lambda: vars(kernels._KEPT)) == {}
+
+
+def test_unshared_calls_keep_nothing():
+    # Unshared calls neither keep a pass of their own nor touch the one a
+    # shared call kept: they would hold a second full-size grid for nothing.
+    axes, _, _ = kernels.axis_grid(9, 8)
+    rho = random_density(4, 3, 181, dims=(2, 2))
+    r1, r2, tmat = kernels.bloch_correlations(rho.mat)
+
+    def unshared():
+        minimize_pair(rho, "nonlocality", FAST)
+        minimize_pair(rho, "discord", FAST)
+        kernels.nonlocality_grid(axes, axes, r1, r2, tmat, 0.0)
+        kernels.pair_discord_grid(axes, axes, r1, r2, tmat, 0.0)
+        return vars(kernels._KEPT)
+
+    assert _in_new_thread(unshared) == {}
+    minimize_pair(werner(0.3), "nonlocality", FAST, share=True)
+    kept = kernels._KEPT.inputs
+    values = kernels._KEPT.values.copy()
+    unshared()
+    assert kernels._KEPT.inputs is kept
+    assert np.array_equal(kernels._KEPT.values, values)
 
 
 def test_sweeps_in_threads_keep_their_holders_apart():
