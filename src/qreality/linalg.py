@@ -7,15 +7,16 @@ factorization.  Subsystem 0 is always the leftmost Kronecker factor
 
 Each state is diagonalized once, when it is built: ``DensityMatrix.eigenvalues``
 holds the ascending spectrum of the stored matrix, and every entropy in the
-package reads it (never a matrix logarithm).  No module outside this one
-takes a state's eigenvalues again.
+package reads it (never a matrix logarithm).  Outside this module a state's
+matrix is decomposed again only where its eigenvectors are needed:
+``measures.relative_entropy`` (sigma's support and eigenbasis) and
+``observables.schmidt_decompose`` (the pure state's vector) call ``eigh``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -27,8 +28,6 @@ from .errors import StateValidationError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_CLAMP = -1e-10
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _as_square_complex(mat: np.ndarray) -> np.ndarray:
@@ -124,27 +123,6 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-@lru_cache(maxsize=256)
-def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
-    # einsum subscripts that trace every subsystem not in ``keep`` (sorted)
-    # out of an n-subsystem (rows..., cols...) tensor.
-    row_sub, col_sub, out_sub = [], [], []
-    fresh = iter(_LETTERS)
-    for k in range(n):
-        a = next(fresh)
-        if k in keep:
-            b = next(fresh)
-            row_sub.append(a)
-            col_sub.append(b)
-            out_sub.append((a, b))
-        else:
-            row_sub.append(a)
-            col_sub.append(a)
-    out_rows = "".join(a for a, _ in out_sub)
-    out_cols = "".join(b for _, b in out_sub)
-    return "".join(row_sub + col_sub) + "->" + out_rows + out_cols
-
-
 def partial_trace(rho: DensityMatrix, keep: Iterable[int] | int) -> DensityMatrix:
     """Reduced state on the kept subsystems, in their original order."""
     if isinstance(keep, (int, np.integer)):
@@ -157,7 +135,11 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int] | int) -> DensityMatri
         raise ValueError(f"keep indices {keep_set} out of range for {n} subsystems")
 
     tensor = rho.mat.reshape(rho.dims + rho.dims)
-    reduced = np.einsum(_trace_subscripts(n, tuple(keep_set)), tensor)
+    # Row axis k is label k; its column axis is label n + k when kept and
+    # label k (a trace) otherwise.
+    cols = [n + k if k in keep_set else k for k in range(n)]
+    out = keep_set + [n + k for k in keep_set]
+    reduced = np.einsum(tensor, [*range(n), *cols], out)
 
     kept_dims = tuple(rho.dims[k] for k in keep_set)
     d = math.prod(kept_dims)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -260,8 +261,9 @@ def test_embed_operator_is_bitwise_nested_kron(dims):
 
 
 def _fresh_trace_subscripts(n, keep_set):
-    # The subscripts partial_trace built inline on every call before they
-    # were cached; the einsum label order fixes the summation order.
+    # The string form of the contraction partial_trace spells with integer
+    # sublists; the sublist form must match it bit for bit. The einsum label
+    # order fixes the summation order.
     letters = iter("abcdefghijklmnopqrstuvwxyz")
     row_sub, col_sub, out_sub = [], [], []
     for k in range(n):
@@ -279,16 +281,27 @@ def _fresh_trace_subscripts(n, keep_set):
     return "".join(row_sub + col_sub) + "->" + out_rows + out_cols
 
 
-@pytest.mark.parametrize("keep", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
-def test_partial_trace_matches_fresh_einsum(keep):
-    dims = (2, 3, 2)
-    rho = random_density(12, 5, 17, dims=dims)
+# Every nonempty keep subset of each layout; (2, 3, 2) comes first so that its
+# seven subsets keep the ids keep0-keep6.
+_TRACE_CASES = [
+    (dims, keep)
+    for dims in ((2, 3, 2), (2, 2), (3, 2, 2), (2, 2, 2, 2))
+    for size in range(1, len(dims) + 1)
+    for keep in itertools.combinations(range(len(dims)), size)
+]
+
+
+@pytest.mark.parametrize("dims, keep", _TRACE_CASES,
+                         ids=[f"keep{i}" for i in range(len(_TRACE_CASES))])
+def test_partial_trace_matches_fresh_einsum(dims, keep):
+    d_full = math.prod(dims)
+    rho = random_density(d_full, min(5, d_full), 17, dims=dims)
     tensor = rho.mat.reshape(dims + dims)
-    reduced = np.einsum(_fresh_trace_subscripts(3, keep), tensor)
+    reduced = np.einsum(_fresh_trace_subscripts(len(dims), keep), tensor)
     kept_dims = tuple(dims[k] for k in keep)
     d = math.prod(kept_dims)
     reference = DensityMatrix(reduced.reshape(d, d), kept_dims)
-    for spelling in (keep, list(reversed(keep)), keep):
+    for spelling in (keep, list(reversed(keep))):
         got = partial_trace(rho, spelling)
         assert got.dims == kept_dims
         np.testing.assert_array_equal(_bits(got.mat), _bits(reference.mat))

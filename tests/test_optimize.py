@@ -683,9 +683,10 @@ def test_unshared_calls_keep_nothing():
     assert np.array_equal(kernels._KEPT.values, values)
 
 
-def test_sweeps_in_threads_keep_their_holders_apart():
-    # More threads than cores, switching often: a holder shared between
-    # threads would serve one thread's S_AB to another's state and raise.
+def test_sweeps_in_threads_keep_their_joint_passes_apart():
+    # More threads than cores, switching often: a kept joint-entropy pass
+    # shared across threads would silently serve another thread's state's
+    # S(Phi_A Phi_B rho), and the rows would differ from the serial ones.
     from qreality.sweep import SweepSpec, sweep_rows
 
     specs = [SweepSpec(family, points=3, optimizer=FAST)
