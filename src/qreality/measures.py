@@ -6,10 +6,13 @@ All entropic values are in nats.  The unread-measurement map
 
 is the single primitive behind everything here: an observable is *real* for a
 preparation when dephasing in its eigenbasis leaves the state unchanged, and
-its *irreality* is the entropy the dephasing adds.  Nonlocality is the drop in
-one subsystem's irreality caused by an unread measurement on the other; it is
-computed through two independent routes (sequential dephasing vs joint
-projectors) that are cross-asserted on every call.
+its *irreality* is the entropy the dephasing adds.  ``dephase`` computes the
+sum as a pinching in the basis: it keeps the diagonal blocks <b_j| rho |b_j>
+of the measured subsystem and never forms the full-space projectors.
+Nonlocality is the drop in one subsystem's irreality caused by an unread
+measurement on the other; it is computed through two independent routes
+(sequential ``dephase`` calls vs one Kraus pass with the lifted product
+projectors P_j x Q_k) that are cross-asserted on every call.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .linalg import (
     partial_trace,
     tensor_product,
 )
-from .observables import ProjectiveBasis, lift
+from .observables import ProjectiveBasis, check_placement, lift
 from .states import SIGMA_Y
 
 # 0 * ln 0 = 0 by continuity: eigenvalues at or below this are dropped.
@@ -96,11 +99,22 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def dephase(rho: DensityMatrix, basis: ProjectiveBasis, subsystem: int) -> DensityMatrix:
-    """Unread projective measurement of the basis on one subsystem."""
-    out = np.zeros_like(rho.mat)
-    for proj in lift(basis, subsystem, rho.dims):
-        out += proj @ rho.mat @ proj
-    return DensityMatrix(out, rho.dims)
+    """Unread projective measurement of the basis on one subsystem.
+
+    The pinching sum_j P_j rho P_j, computed in the basis: with rho as a
+    (left, d, right, left, d, right) tensor, the blocks <b_j| rho |b_j> of the
+    measured axes are taken and put back as sum_j |b_j><b_j| x block_j.
+    """
+    dims = rho.dims
+    check_placement(basis, subsystem, dims)
+    d = dims[subsystem]
+    left = math.prod(dims[:subsystem])
+    right = math.prod(dims[subsystem + 1:])
+    vecs = basis.vectors
+    tensor = rho.mat.reshape(left, d, right, left, d, right)
+    blocks = np.einsum("xj,axrbys,yj->jarbs", vecs.conj(), tensor, vecs)
+    out = np.einsum("xj,jarbs,yj->axrbys", vecs, blocks, vecs.conj())
+    return DensityMatrix(out.reshape(rho.dim, rho.dim), dims)
 
 
 def _dephase_joint(rho: DensityMatrix, pair_a: BasisOnSubsystem, pair_b: BasisOnSubsystem) -> DensityMatrix:
@@ -268,7 +282,9 @@ def dilation_dephase(rho: DensityMatrix, basis: ProjectiveBasis, subsystem: int)
     """Dephasing realized as a unitary with an ancilla that is then discarded.
 
     A controlled shift stores which projector fired into an ancilla prepared
-    in |a_0>; tracing the ancilla out must reproduce dephase() exactly.
+    in |a_0>; tracing the ancilla out reproduces dephase() up to rounding
+    (the checks allow 1e-10 in the Frobenius norm).  It builds the lifted
+    projectors, so it is a second code path, not dephase() again.
     """
     d = basis.dim
     big_dims = rho.dims + (d,)

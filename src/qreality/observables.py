@@ -140,8 +140,8 @@ def schmidt_decompose(psi: DensityMatrix) -> SchmidtForm:
     )
 
 
-def lift(basis: ProjectiveBasis, subsystem: int, dims: tuple[int, ...]) -> list[np.ndarray]:
-    """Full-space projectors I x ... x |o_k><o_k| x ... x I in layout order."""
+def check_placement(basis: ProjectiveBasis, subsystem: int, dims: tuple[int, ...]) -> None:
+    """Raise ValueError unless the basis measures subsystem ``subsystem`` of ``dims``."""
     if subsystem < 0 or subsystem >= len(dims):
         raise ValueError(f"subsystem {subsystem} out of range for dims {dims}")
     if basis.dim != dims[subsystem]:
@@ -149,6 +149,11 @@ def lift(basis: ProjectiveBasis, subsystem: int, dims: tuple[int, ...]) -> list[
             f"basis dimension {basis.dim} does not match subsystem "
             f"dimension {dims[subsystem]}"
         )
+
+
+def lift(basis: ProjectiveBasis, subsystem: int, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """Full-space projectors I x ... x |o_k><o_k| x ... x I in layout order."""
+    check_placement(basis, subsystem, dims)
     return [embed_operator(basis.projector(k), subsystem, dims) for k in range(basis.dim)]
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import DensityMatrix, partial_trace
-from .measures import discord_like, entropy, mutual_information
+from .measures import ZERO_EIGENVALUE, discord_like, entropy, mutual_information
 from .observables import ProjectiveBasis, fourier_of, qubit_basis, schmidt_decompose
 
 OBJECTIVE_NONLOCALITY = "nonlocality"
@@ -79,6 +79,10 @@ START_SEPARATION = 0.35
 # cells: enough to reach past the deepest basin's cells, few enough that the
 # choice costs nothing next to the grid.
 START_POOL = 5
+# Most matrix entries brute_force_single stacks at once: its scan runs in
+# chunks of SCAN_CHUNK_ENTRIES // dim**2 points (1,024 for two qubits, 256 kB
+# of dephased states), so its memory does not grow with the scan.
+SCAN_CHUNK_ENTRIES = 2**14
 # Central-difference step, in radians, of the matrix-route objective's
 # gradient: near the cube root of the rounding error, where truncation and
 # cancellation errors balance.
@@ -424,6 +428,12 @@ def witness_pair_for_pure(psi: DensityMatrix) -> tuple[ProjectiveBasis, Projecti
     return form.basis_a, fourier_of(form.basis_b)
 
 
+def _spectral_entropies(spectra: np.ndarray) -> np.ndarray:
+    """-sum p ln p along the last axis, with 0 ln 0 = 0 below ZERO_EIGENVALUE."""
+    kept = np.where(spectra > ZERO_EIGENVALUE, spectra, 1.0)
+    return -np.sum(kept * np.log(kept), axis=-1)
+
+
 def brute_force_single(
     rho: DensityMatrix,
     subsystem: int,
@@ -434,6 +444,13 @@ def brute_force_single(
 
     Independent of the Bloch kernels by construction (projector dephasing plus
     eigendecompositions); used as the oracle for :func:`minimize_single`.
+    Each point builds one basis and makes one :func:`~qreality.measures.dephase`
+    call, whose validated spectrum gives S(dephased).  The scan runs in chunks
+    of at most ``SCAN_CHUNK_ENTRIES`` matrix entries: each chunk's dephased
+    states are stacked, and their marginals on the scanned side are traced
+    out in one ``einsum`` and diagonalized in one ``eigvalsh`` call.  The
+    first point in (theta, phi) order with the lowest drop wins; a NaN never
+    does.
     """
     from .measures import dephase  # local import keeps module load light
 
@@ -445,16 +462,33 @@ def brute_force_single(
     s1 = entropy(partial_trace(rho, 0))
     s2 = entropy(partial_trace(rho, 1))
     mi = s1 + s2 - entropy(rho)
+    s_other = s2 if subsystem == 0 else s1
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = np.linspace(0.0, math.pi, n_phi, endpoint=False)
+    # Stacked (n, row A, row B, column A, column B): keep the scanned side.
+    trace_out = "nabcb->nac" if subsystem == 0 else "nabad->nbd"
+
+    points = n_theta * n_phi
+    chunk = min(points, max(1, SCAN_CHUNK_ENTRIES // rho.dim**2))
+    mats = np.empty((chunk, rho.dim, rho.dim), dtype=complex)
+    spectra = np.empty((chunk, rho.dim))
     best = math.inf
     best_angles = (0.0, 0.0)
-    for theta in np.linspace(0.0, math.pi, n_theta):
-        for phi in np.linspace(0.0, math.pi, n_phi, endpoint=False):
-            basis = qubit_basis(theta, phi)
-            dephased = dephase(rho, basis, subsystem)
-            s_local = entropy(partial_trace(dephased, subsystem))
-            s_other = s2 if subsystem == 0 else s1
-            drop = mi - (s_local + s_other - entropy(dephased))
-            if drop < best:
-                best = drop
-                best_angles = (float(theta), float(phi))
+    for start in range(0, points, chunk):
+        count = min(chunk, points - start)
+        for n in range(count):
+            i, j = divmod(start + n, n_phi)
+            dephased = dephase(rho, qubit_basis(thetas[i], phis[j]), subsystem)
+            mats[n] = dephased.mat
+            spectra[n] = dephased.eigenvalues
+        stacked = mats[:count].reshape((count,) + rho.dims * 2)
+        marginals = np.einsum(trace_out, stacked)
+        s_local = _spectral_entropies(np.linalg.eigvalsh(marginals))
+        drops = mi - (s_local + s_other - _spectral_entropies(spectra[:count]))
+        drops[np.isnan(drops)] = math.inf
+        k = int(np.argmin(drops))
+        if drops[k] < best:
+            best = float(drops[k])
+            i, j = divmod(start + k, n_phi)
+            best_angles = (float(thetas[i]), float(phis[j]))
     return best, best_angles

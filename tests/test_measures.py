@@ -34,6 +34,7 @@ from qreality.observables import (
     ProjectiveBasis,
     computational_basis,
     fourier_basis,
+    lift,
     qubit_basis,
     schmidt_decompose,
 )
@@ -129,6 +130,40 @@ def test_dephase_trace_and_idempotence():
         assert abs(np.trace(once.mat) - 1.0) <= 1e-12
         twice = dephase(once, basis, side)
         assert frobenius_distance(once.mat, twice.mat) <= 1e-12
+
+
+def _lifted_dephase(rho, basis, subsystem):
+    # sum_j P_j rho P_j through lift's full-space projectors.
+    return sum(proj @ rho.mat @ proj for proj in lift(basis, subsystem, rho.dims))
+
+
+def test_dephase_matches_the_lifted_projector_sum():
+    rng = np.random.default_rng(83)
+    for dims in ((2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2)):
+        n = math.prod(dims)
+        for _ in range(4):
+            rho = random_density(n, int(rng.integers(1, n + 1)), rng, dims=dims)
+            for subsystem, d in enumerate(dims):
+                bases = [fourier_basis(d)]
+                if d == 2:
+                    bases += [ZB, _random_basis(rng)]
+                for basis in bases:
+                    got = dephase(rho, basis, subsystem)
+                    assert isinstance(got, DensityMatrix) and got.dims == dims
+                    lifted = _lifted_dephase(rho, basis, subsystem)
+                    assert frobenius_distance(got.mat, lifted) <= 1e-14
+
+
+def test_dephase_rejects_a_misplaced_basis_with_lifts_messages():
+    rho = random_density(6, 2, 3, dims=(2, 3))
+    for basis, subsystem, message in ((ZB, 2, "out of range"), (ZB, -1, "out of range"),
+                                      (ZB, 1, "does not match"),
+                                      (fourier_basis(3), 0, "does not match")):
+        with pytest.raises(ValueError, match=message) as lifted:
+            lift(basis, subsystem, rho.dims)
+        with pytest.raises(ValueError) as dephased:
+            dephase(rho, basis, subsystem)
+        assert str(dephased.value) == str(lifted.value)
 
 
 # --- reality predicate ----------------------------------------------------------

@@ -522,8 +522,9 @@ def test_converged_is_false_when_the_grid_best_wins(monkeypatch):
 def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
     from qreality import measures, optimize
 
-    # Each matrix is diagonalized once, when it is validated: the dephased
-    # state and its marginal per point, and the two marginals at set-up.
+    # Each dephased state is diagonalized once, when it is validated; each
+    # chunk's marginals are diagonalized together in one call; and the two
+    # marginals of rho once each at set-up.
     calls = {"qubit_basis": 0, "dephase": 0, "eigvalsh": 0}
 
     def counted(name, fn):
@@ -536,10 +537,97 @@ def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
     monkeypatch.setattr(measures, "dephase", counted("dephase", measures.dephase))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     rho = random_density(4, 3, 41, dims=(2, 2))
-    for subsystem in (0, 1):
-        calls.update(qubit_basis=0, dephase=0, eigvalsh=0)
-        brute_force_single(rho, subsystem, n_theta=4, n_phi=5)
-        assert calls == {"qubit_basis": 20, "dephase": 20, "eigvalsh": 2 * 20 + 2}
+    chunk = optimize.SCAN_CHUNK_ENTRIES // rho.dim**2
+    for points_per_chunk in (chunk, 6):
+        monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", points_per_chunk * rho.dim**2)
+        chunks = math.ceil(20 / points_per_chunk)
+        for subsystem in (0, 1):
+            calls.update(qubit_basis=0, dephase=0, eigvalsh=0)
+            brute_force_single(rho, subsystem, n_theta=4, n_phi=5)
+            assert calls == {"qubit_basis": 20, "dephase": 20, "eigvalsh": 20 + chunks + 2}
+
+
+def _per_point_scan(rho, subsystem, n_theta, n_phi):
+    # The scan written out one point at a time: a validated marginal and its
+    # entropy per point, and the first strictly lowest drop wins.
+    from qreality.measures import dephase
+    from qreality.observables import qubit_basis
+
+    s1 = entropy(partial_trace(rho, 0))
+    s2 = entropy(partial_trace(rho, 1))
+    mi = s1 + s2 - entropy(rho)
+    best = math.inf
+    best_angles = (0.0, 0.0)
+    for theta in np.linspace(0.0, math.pi, n_theta):
+        for phi in np.linspace(0.0, math.pi, n_phi, endpoint=False):
+            dephased = dephase(rho, qubit_basis(theta, phi), subsystem)
+            s_local = entropy(partial_trace(dephased, subsystem))
+            s_other = s2 if subsystem == 0 else s1
+            drop = mi - (s_local + s_other - entropy(dephased))
+            if drop < best:
+                best = drop
+                best_angles = (float(theta), float(phi))
+    return best, best_angles
+
+
+def test_batched_scan_matches_the_per_point_scan(monkeypatch):
+    # 7 x 5 points in chunks of 3 points: chunk boundaries fall inside rows
+    # of the scan.
+    cases = [(random_density(4, rank, 700 + 10 * rank + sub, dims=(2, 2)), sub)
+             for rank in (2, 3, 4) for sub in (0, 1)]
+    cases += [(random_density(6, 3, 717, dims=(2, 3)), 0),
+              (random_density(6, 4, 718, dims=(3, 2)), 1)]
+    for rho, sub in cases:
+        monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", 3 * rho.dim**2 + 1)
+        value, argmin = brute_force_single(rho, sub, 7, 5)
+        ref_value, ref_argmin = _per_point_scan(rho, sub, 7, 5)
+        assert argmin == ref_argmin
+        assert abs(value - ref_value) <= 1e-12
+    # werner(0.5) is flat in the axis: only the value is comparable.
+    monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", 3 * 16)
+    for sub in (0, 1):
+        value, _ = brute_force_single(werner(0.5), sub, 7, 5)
+        assert abs(value - _per_point_scan(werner(0.5), sub, 7, 5)[0]) <= 1e-12
+
+
+def test_batched_scan_keeps_the_first_lowest_point_and_never_a_nan(monkeypatch):
+    # The maximally mixed state has I(rho) = 0 and S(rho_B) = ln 2, so with
+    # S(dephased) read as 0 a marginal entropy -(x + ln 2) scores the drop x.
+    # Drops in scan order: 3, NaN, 1 | 1, NaN, 0.5 | 0.5, NaN in chunks of 3
+    # points.  Point 5, the first 0.5, wins over the tie in the next chunk.
+    drops = iter([[3.0, math.nan, 1.0], [1.0, math.nan, 0.5], [0.5, math.nan],
+                  [math.nan, math.nan]])
+
+    def spectral_entropies(spectra):
+        if spectra.shape[1] == 4:  # the dephased states
+            return np.zeros(len(spectra))
+        return -np.array(next(drops)) - math.log(2.0)
+
+    monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", 3 * 16)
+    monkeypatch.setattr(optimize, "_spectral_entropies", spectral_entropies)
+    rho = DensityMatrix(np.eye(4) / 4, (2, 2))
+    value, argmin = brute_force_single(rho, 0, 2, 4)
+    assert value == pytest.approx(0.5, abs=1e-12)
+    assert argmin == (math.pi, math.pi / 4)
+    # No point wins an all-NaN scan, as in the per-point loop.
+    assert brute_force_single(rho, 0, 1, 2) == (math.inf, (0.0, 0.0))
+
+
+def test_scan_memory_stays_within_one_chunk():
+    # A 1 x 5,000 scan of two qubits holds one chunk: 1,024 dephased states
+    # (256 kB) with their spectra and marginals, within 3 x 256 kB.  The
+    # whole scan's dephased states alone would be 1.28 MB.
+    rho = random_density(4, 3, 43, dims=(2, 2))
+    chunk_bytes = optimize.SCAN_CHUNK_ENTRIES * 16
+    whole_bytes = 5000 * rho.dim**2 * 16
+    brute_force_single(rho, 0, 1, 8)
+    tracemalloc.start()
+    try:
+        brute_force_single(rho, 0, 1, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * chunk_bytes < whole_bytes
 
 
 def test_brute_force_rejects_an_empty_scan():
