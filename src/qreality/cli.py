@@ -46,7 +46,7 @@ def _optimizer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-theta", type=int, default=defaults.grid_points_theta,
                         help="theta grid points per optimized side")
     parser.add_argument("--grid-phi", type=int, default=defaults.grid_points_phi,
-                        help="phi grid points per optimized side")
+                        help="phi grid points on the equator row per optimized side")
     parser.add_argument("--refine-starts", type=int, default=defaults.refine_starts,
                         help="most refinement starts: the best grid cell of each "
                              "distinct basin, lowest first")

@@ -5,7 +5,9 @@ followed by quasi-Newton BFGS refinement started from the best grid cells.
 The objective landscapes are smooth but multimodal, so the grid bounds how far
 a global optimum can hide and BFGS sharpens the best cells to tolerance.  The
 grid holds one axis per basis: the poles theta = 0 and theta = pi are the one
-basis {|0>, |1>} and appear once.  The refinement is an in-house BFGS on plain
+basis {|0>, |1>} and appear once, and each inner theta row holds only as many
+phis as keep its spacing within the equator row's (see
+:func:`qreality.kernels.axis_grid`).  The refinement is an in-house BFGS on plain
 Python floats with a backtracking (Armijo) line search, so the package needs
 only numpy.  For two qubits each evaluation is one call of a closed-form
 kernel in :mod:`qreality.kernels`, which returns the value and its gradient by
@@ -14,8 +16,10 @@ qubit-qudit matrix route takes its gradient from central differences.  A
 start converges when its gradient falls to ``refine_tolerance`` in every
 coordinate; one that reaches ``MAX_REFINE_ITERATIONS``, or whose line search
 finds no lower value, has not.  The grid best is a floor: refinement never
-reports a value above it.  Everything is deterministic: fixed grid order, ties
-broken by lowest linear grid index, and ties between starts by start order.
+reports a value above it.  When the grid best is kept, it has converged if
+the gradient test passed there, at the first evaluation of its own start.
+Everything is deterministic: fixed grid order, ties broken by lowest linear
+grid index, and ties between starts by start order.
 
 The best grid cells are those of distinct basins.  The lowest cells crowd
 into the deepest basin, and refining several of them descends that basin
@@ -56,8 +60,9 @@ OBJECTIVE_DISCORD = "discord"
 
 # Largest pair grid minimize_pair accepts, in cells: about 64 MB per float64
 # grid.  The budget is checked against (theta points * phi points)**2, an
-# upper bound on the cells once the repeated pole axes are dropped: the
-# default 25 x 24 grid per side names 360,000 cells and has 305,809.
+# upper bound on the cells: the pole axis is kept once and the rows away
+# from the equator hold fewer phis, so the default 25 x 24 grid per side
+# names 360,000 cells and has 143,641.
 MAX_PAIR_GRID_CELLS = 2**23
 # Largest side grid minimize_single accepts, in grid points: its (points, 3)
 # float64 axis array is 48 MB, within one pair grid's size.
@@ -92,6 +97,10 @@ DIFFERENCE_STEP = 1e-5
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Grid size per side, most refinement starts, and the gradient tolerance.
+
+    Each side's grid has ``grid_points_theta`` thetas from pole to pole and
+    ``grid_points_phi`` phis on the equator row; rows nearer the poles hold
+    fewer (see :func:`qreality.kernels.axis_grid`).
 
     ``refine_starts`` is at most this many BFGS starts, one per basin among
     the lowest grid cells (see the module docstring).
@@ -298,17 +307,30 @@ def _search(grid_values, axes, thetas, phis, fun, calls_per_evaluation, cfg) -> 
     # at the grid best.  grid_values has one axis per optimized side, each
     # indexing the grid's (axes, thetas, phis); a start, like fun's argument,
     # lists (theta, phi) of every side in order.  Each evaluation of fun
-    # counts calls_per_evaluation objective calls.
+    # counts calls_per_evaluation objective calls.  When every start ends
+    # above the grid best, the grid best is kept; it has converged if its own
+    # start, the first, passed the gradient test at its first evaluation, the
+    # refinement's first, and so stopped there without moving.
     cells = _start_cells(grid_values, axes, cfg.refine_starts)
     grid_best = float(grid_values.flat[cells[0]])
     sides = np.unravel_index(cells, grid_values.shape)
     starts = np.stack([a for i in sides for a in (thetas[i], phis[i])], axis=1)
-    best_x, best_val, nfev, success = _refine(fun, starts, cfg)
+    first_gradient = []
+
+    def noted(x):
+        out = fun(x)
+        if not first_gradient:
+            first_gradient.append(out[1])
+        return out
+
+    best_x, best_val, nfev, success = _refine(noted, starts, cfg)
 
     if best_val <= grid_best:
         value, argmin_x, converged = best_val, best_x, success
     else:
-        value, argmin_x, converged = grid_best, starts[0], False
+        stationary = bool(first_gradient) and (
+            max(abs(g) for g in first_gradient[0]) <= cfg.refine_tolerance)
+        value, argmin_x, converged = grid_best, starts[0], stationary
     return OptimizationResult(
         value=value,
         argmin=tuple(_canonical_angles(t, p) for t, p in argmin_x.reshape(-1, 2)),

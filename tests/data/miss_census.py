@@ -20,8 +20,9 @@ number of calls and misses and the mean number of refinement evaluations per
 default call.  It takes about five minutes per 1,000 seeds on one core.
 pytest does not collect it.
 
-Only names that ``qreality`` exports are used, so any version of the package
-that exports them can be censused.
+Only names that ``qreality`` exports are used, and ``qreality.kernels.axis_grid``
+for the number of grid axes per side, so any version of the package that
+has them can be censused.
 """
 
 from __future__ import annotations
@@ -38,11 +39,6 @@ REFERENCE_GRID = (49, 48)
 REFERENCE_STARTS = 10
 
 
-def side_points(cfg) -> int:
-    # Distinct axes on one side: the pole axis is kept once.
-    return 1 + max(cfg.grid_points_theta - 2, 0) * cfg.grid_points_phi
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(HERE.parents[1] / "src"),
@@ -51,8 +47,12 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.path.insert(0, str(Path(args.src).resolve()))
     import qreality
+    import qreality.kernels
 
     default = qreality.OptimizerConfig()
+    # Axes on one side of the default grid, as the minimizers scan them.
+    side_points = len(qreality.kernels.axis_grid(default.grid_points_theta,
+                                                 default.grid_points_phi)[0])
     reference = qreality.OptimizerConfig(grid_points_theta=REFERENCE_GRID[0],
                                          grid_points_phi=REFERENCE_GRID[1],
                                          refine_starts=REFERENCE_STARTS)
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
                 kind = label.split()[0]
                 got = minimize(rho, default)
                 want = min(minimize(state, reference).value for state in (rho, rotated))
-                grid = side_points(default) ** (2 if kind == "pair" else 1)
+                grid = side_points ** (2 if kind == "pair" else 1)
                 counts = tally[kind]
                 counts[0] += 1
                 counts[2] += got.evaluations - grid

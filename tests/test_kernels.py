@@ -85,13 +85,16 @@ def test_werner_states_have_zero_local_bloch_vectors():
 
 def test_axis_grid_layout():
     # The poles are one basis and come first, once; then the inner theta
-    # rows across every phi.
-    axes, thetas, phis = kernels.axis_grid(4, 3)
-    assert axes.shape == (1 + 2 * 3, 3)
+    # rows, each with ceil(n_phi sin(theta)) evenly spaced phis from 0.
+    axes, thetas, phis = kernels.axis_grid(5, 4)
+    assert axes.shape == (1 + 3 + 4 + 3, 3)
     assert thetas[0] == 0.0 and phis[0] == 0.0
     assert axes[0].tolist() == [0.0, 0.0, 1.0]
-    np.testing.assert_allclose(thetas[1:], np.repeat([math.pi / 3, 2 * math.pi / 3], 3))
-    np.testing.assert_allclose(phis[1:], np.tile([0.0, math.pi / 3, 2 * math.pi / 3], 2))
+    np.testing.assert_allclose(thetas[1:], np.repeat([math.pi / 4, math.pi / 2,
+                                                       3 * math.pi / 4], [3, 4, 3]))
+    third = [0.0, math.pi / 3, 2 * math.pi / 3]
+    quarter = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
+    np.testing.assert_allclose(phis[1:], third + quarter + third)
     np.testing.assert_allclose(np.linalg.norm(axes, axis=1), 1.0, atol=1e-12)
     for axis, theta, phi in zip(axes, thetas, phis):
         assert np.array_equal(axis, _axis(theta, phi))
@@ -100,13 +103,59 @@ def test_axis_grid_layout():
     gram = np.abs(axes @ axes.T)
     assert np.all(gram[~np.eye(len(axes), dtype=bool)] < 1 - 1e-9)
     for theta in (0.0, math.pi):
-        for phi in np.linspace(0.0, math.pi, 3, endpoint=False):
+        for phi in np.linspace(0.0, math.pi, 4, endpoint=False):
             assert np.max(np.abs(axes @ _axis(theta, phi))) == 1.0
-    # The default grid: 553 distinct axes where 25 x 24 angle pairs name 600.
-    assert kernels.axis_grid(25, 24)[0].shape == (553, 3)
+    # The default grid: 379 distinct axes, 24 on the equator row and 4 on
+    # each row next to the poles, where 25 x 24 angle pairs name 600.
+    _, thetas, _ = kernels.axis_grid(25, 24)
+    assert thetas.shape == (379,)
+    sizes = np.unique(thetas, return_counts=True)[1]
+    assert sizes.tolist() == [1, 4, 7, 10, 12, 15, 17, 20, 21, 23, 24, 24, 24,
+                              24, 24, 23, 21, 20, 17, 15, 12, 10, 7, 4]
     for n_theta in (1, 2):
         only_pole, _, _ = kernels.axis_grid(n_theta, 5)
         assert only_pole.tolist() == [[0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(25, 24), (13, 12), (9, 8), (49, 48), (7, 30),
+                                            (30, 7), (3, 1), (101, 3)])
+def test_axis_grid_rows_are_no_sparser_than_the_equator(n_theta, n_phi):
+    # Every inner row's arc between neighbours, sin(theta) pi / n_k, is at
+    # most the equator row's pi / n_phi (up to the 1e-9 slack in n_k), with
+    # no more phis than that needs; its phis are evenly spaced from 0, and
+    # rows theta and pi - theta have the same size.
+    _, thetas, phis = kernels.axis_grid(n_theta, n_phi)
+    rows = [(theta, phis[thetas == theta]) for theta in np.unique(thetas[1:])]
+    assert len(rows) == max(n_theta - 2, 0)
+    for theta, row in rows:
+        n = row.size
+        assert math.sin(theta) * math.pi / n <= math.pi / n_phi * (1 + 1e-9)
+        assert n == 1 or math.sin(theta) * math.pi / (n - 1) > math.pi / n_phi
+        np.testing.assert_allclose(row, np.arange(n) * math.pi / n, rtol=0, atol=1e-15)
+    sizes = [row.size for _, row in rows]
+    assert sizes == sizes[::-1]
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(25, 24), (13, 12), (9, 8), (17, 16)])
+def test_axis_grid_covers_the_sphere_as_closely_as_full_rows(n_theta, n_phi):
+    # The largest angle from a sphere point to its nearest grid axis, up to
+    # sign, over a seeded sample: no larger than with every inner row full.
+    points = np.random.default_rng(n_theta * 100 + n_phi).normal(size=(20_000, 3))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    tt, pp = np.meshgrid(np.linspace(0.0, math.pi, n_theta)[1:-1],
+                         np.linspace(0.0, math.pi, n_phi, endpoint=False), indexing="ij")
+    full = np.concatenate([[[0.0, 0.0, 1.0]], np.stack(
+        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1).reshape(-1, 3)])
+    thinned, _, _ = kernels.axis_grid(n_theta, n_phi)
+    assert len(thinned) < len(full)
+
+    def radius(axes):
+        # 2,000 points at a time: a few MB of dot products.
+        nearest = np.concatenate([np.max(np.abs(points[i:i + 2000] @ axes.T), axis=1)
+                                  for i in range(0, len(points), 2000)])
+        return math.acos(min(1.0, float(nearest.min())))
+
+    assert radius(thinned) <= radius(full)
 
 
 def test_axis_grid_is_kept_read_only():
@@ -270,7 +319,7 @@ def test_fused_pair_grids_are_bitwise_unfused(rows, cols):
     # states have outcome weights of exactly zero.
     rng = np.random.default_rng(rows * 1000 + cols + 7)
     grid_axes, _, _ = kernels.axis_grid(25, 24)
-    grid_axes = np.concatenate([grid_axes, grid_axes])  # 553 axes, up to 600 taken
+    grid_axes = np.concatenate([grid_axes, grid_axes])  # 379 axes, up to 600 taken
     random_axes = rng.normal(size=(max(rows, cols), 3))
     random_axes /= np.linalg.norm(random_axes, axis=1)[:, None]
     states = [random_density(4, rank, rng, dims=(2, 2)) for rank in (1, 2, 4)]
@@ -321,7 +370,7 @@ def _zero_marginal_states():
 
 
 def test_two_log_joint_pass_is_bitwise_unfused():
-    # States with r1 = r2 = 0 on the default grid (nine blocks): werner(0)
+    # States with r1 = r2 = 0 on the default grid (six blocks): werner(0)
     # and werner(1) have dead joint weights, the rotated states a
     # non-diagonal T.  Both grids equal the four-log one-shot reference.
     axes, _, _ = kernels.axis_grid(25, 24)
@@ -341,7 +390,7 @@ def test_two_log_joint_pass_is_bitwise_unfused():
 
 
 def test_joint_pass_takes_two_logs_per_block_when_marginals_vanish(monkeypatch):
-    axes, _, _ = kernels.axis_grid(13, 12)  # 133 axes: three blocks
+    axes, _, _ = kernels.axis_grid(17, 16)  # 171 axes: three blocks
     log = np.log
     calls = []
 

@@ -278,12 +278,14 @@ def test_start_cells_are_separated_and_led_by_the_grid_best():
 
 def test_start_cells_on_a_constant_grid_copy_no_grid():
     # werner(0)'s pair grids are constant.  With the grid's own axes the
-    # pool is the pole row's first cells, all near the grid best's axes; with
+    # pool is the pole row's first 25 cells: side B's axes run from the pole
+    # into the third inner row (theta = pi/8, beyond START_SEPARATION from
+    # the pole), whose cells 12, 16 and 20 lie apart from each other.  With
     # scattered axes on side B several are accepted, in linear-index order.
-    grid = np.full((553, 553), 0.25)
     axes, _, _ = kernels.axis_grid(25, 24)
+    grid = np.full((len(axes), len(axes)), 0.25)
     rng = np.random.default_rng(233)
-    scattered = rng.normal(size=(553, 3))
+    scattered = rng.normal(size=(len(axes), 3))
     scattered /= np.linalg.norm(scattered, axis=1)[:, None]
     for side_axes, k in ((axes, 5), (scattered, 5), (scattered, 40)):
         tracemalloc.start()
@@ -295,7 +297,7 @@ def test_start_cells_on_a_constant_grid_copy_no_grid():
         assert peak < 1_000_000
         assert got.tolist() == _separated_head(grid, side_axes, k)
         assert got[0] == 0 and np.all(np.diff(got) > 0)
-    assert _start_cells(grid, axes, 5).tolist() == [0]
+    assert _start_cells(grid, axes, 5).tolist() == [0, 12, 16, 20]
     assert _start_cells(grid, scattered, 5).size == 5
 
 
@@ -304,7 +306,7 @@ def test_start_cells_for_many_starts_hold_no_pool_by_pool_matrix():
     # cells would take 100 MB.  The walk holds at most one copy of the grid,
     # which _lowest_cells partitions when the pool outnumbers the rows.
     axes, _, _ = kernels.axis_grid(25, 24)
-    grid = np.random.default_rng(241).random((553, 553))
+    grid = np.random.default_rng(241).random((len(axes), len(axes)))
     k = 2000
     tracemalloc.start()
     try:
@@ -519,6 +521,71 @@ def test_converged_is_false_when_the_grid_best_wins(monkeypatch):
         assert res.converged is False
 
 
+def _recorded_bfgs(monkeypatch):
+    # The list gets (nfev, converged) of every start refined from here on.
+    runs = []
+    bfgs = optimize._bfgs
+
+    def recorded(fun, x, cfg):
+        out = bfgs(fun, x, cfg)
+        runs.append(out[2:])
+        return out
+
+    monkeypatch.setattr(optimize, "_bfgs", recorded)
+    return runs
+
+
+def test_kept_grid_best_has_converged_when_its_start_stops_at_once(monkeypatch):
+    # A rank-1 state's one-sided drop is the same at every axis: each start
+    # passes the gradient test at once, but its re-evaluated value lands a
+    # rounding above the grid cell's, so the grid best is kept.  Its own
+    # start converged there, so the result has too.
+    rho = random_density(4, 1, 9000, dims=(2, 2))
+    runs = _recorded_bfgs(monkeypatch)
+    res = minimize_single(rho, 0)
+    assert res.value == res.grid_best
+    assert runs and all(run == (1, True) for run in runs)
+    assert res.converged is True
+    # A tolerance below the gradient's rounding noise: no start passes the
+    # test, each ends on a failed line search, and the kept grid best has
+    # not converged.
+    runs.clear()
+    res = minimize_single(rho, 0, OptimizerConfig(refine_tolerance=1e-300))
+    assert res.value == res.grid_best
+    assert runs and all(run[1] is False for run in runs)
+    assert res.converged is False
+
+
+def test_kept_grid_best_has_not_converged_when_its_start_hit_the_iteration_cap(monkeypatch):
+    # Three axes, one basin each.  Every start descends a slope that stays
+    # above the grid best of 0 and stops at MAX_REFINE_ITERATIONS, so the
+    # grid best is kept without a converged start; on a plateau each start
+    # stops at once, converged, and so does the kept grid best.
+    monkeypatch.setattr(optimize, "MAX_REFINE_ITERATIONS", 3)
+    axes = np.eye(3)[[2, 0, 1]]
+    thetas = np.array([0.0, math.pi / 2, math.pi / 2])
+    phis = np.array([0.0, 0.0, math.pi / 2])
+    grid = np.array([0.0, 1.0, 2.0])
+    cfg = OptimizerConfig()
+
+    def slope(x):
+        return 1.0 + math.exp(x[0]), [math.exp(x[0]), 0.0]
+
+    def plateau(x):
+        return 1.0, [0.0, 0.0]
+
+    runs = _recorded_bfgs(monkeypatch)
+    res = optimize._search(grid, axes, thetas, phis, slope, 1, cfg)
+    assert res.value == 0.0 and res.argmin == ((0.0, 0.0),)
+    assert [run[1] for run in runs] == [False] * 3
+    assert all(run[0] > 1 for run in runs)
+    assert res.converged is False
+    runs.clear()
+    res = optimize._search(grid, axes, thetas, phis, plateau, 1, cfg)
+    assert res.value == 0.0 and runs == [(1, True)] * 3
+    assert res.converged is True
+
+
 def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
     from qreality import measures, optimize
 
@@ -678,8 +745,8 @@ def _result_hex(res):
 
 
 def test_shared_joint_entropy_leaves_minimize_pair_bitwise_unchanged():
-    # 133 axes per side: three joint blocks, the last one partial.
-    cfg = OptimizerConfig(grid_points_theta=13, grid_points_phi=12)
+    # 171 axes per side: three joint blocks, the last one partial.
+    cfg = OptimizerConfig(grid_points_theta=17, grid_points_phi=16)
     rng = np.random.default_rng(163)
     states = [random_density(4, 1 + k % 4, rng, dims=(2, 2)) for k in range(8)]
     states += [werner(0.0), werner(0.6), werner(1.0), alpha_state(0.0), alpha_state(0.4)]

@@ -144,11 +144,12 @@ def test_scan_values_match_the_measures():
 
 
 @pytest.mark.parametrize("seed, rank", [
-    (50217, 2), (90057, 2), (90169, 2), (90251, 4), (90266, 3),
+    (50217, 2), (90057, 2), (90169, 2), (90251, 4), (90266, 3), (90269, 2), (90273, 2),
 ])
 def test_minimize_pair_is_at_or_below_the_matrix_route_scan(seed, rank):
     # States on which refining only the lowest grid cells, all in one basin,
-    # ended above the nonlocality minimum.
+    # ended above the nonlocality minimum, and two (90269 and 90273) whose
+    # minimum a coarser 17 x 16 grid with full phi rows misses.
     rho = random_density(4, rank, seed, dims=(2, 2))
     scan_n, scan_d = _scan_minima(rho)
     assert minimize_pair(rho, "nonlocality").value <= scan_n + 1e-9
