@@ -11,6 +11,16 @@ package reads it (never a matrix logarithm).  Outside this module a state's
 matrix is decomposed again only where its eigenvectors are needed:
 ``measures.relative_entropy`` (sigma's support and eigenbasis) and
 ``observables.schmidt_decompose`` (the pure state's vector) call ``eigh``.
+
+Validation happens at the boundary.  A state built from outside data goes
+through every ``DensityMatrix`` check.  A state that a map derives from
+validated states (``partial_trace`` here; ``dephase``, the joint dephasing
+and the product of marginals in ``measures``) is built by ``_derived``.  Its
+matrix is finite, Hermitian to rounding and of unit trace by construction,
+so those three checks cannot fail and are skipped.  It still takes the same
+symmetrization and spectrum, and any rounding-negative eigenvalue still goes
+through the one clamp-and-renormalize repair, so a derived state is bit for
+bit the ``DensityMatrix`` of the same matrix.
 """
 
 from __future__ import annotations
@@ -53,6 +63,10 @@ class DensityMatrix:
 
     States compare and hash by identity: comparing the arrays would need a
     tolerance, which ``==`` cannot carry.
+
+    Every public input path validates in full.  States that internal maps
+    derive from validated states are built by ``_derived``, which skips only
+    the finite-entry, Hermiticity and trace checks those maps cannot fail.
     """
 
     mat: np.ndarray
@@ -114,6 +128,30 @@ class DensityMatrix:
         return float(np.trace(self.mat @ self.mat).real)
 
 
+def _derived(mat: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
+    """State of a map of validated states, without the checks it cannot fail.
+
+    ``mat`` must come from validated states by a map that keeps the entries
+    finite, the matrix Hermitian to rounding and the trace 1, and ``dims``
+    must be a validated layout.  The symmetrization and the spectrum are
+    validation's own, so the result is bitwise ``DensityMatrix(mat, dims)``;
+    a spectrum that is not nonnegative goes to that constructor, whose
+    repair (or rejection) is then the only one.
+    """
+    hermitian = (mat + mat.conj().T) / 2.0
+    eigvals = np.linalg.eigvalsh(hermitian)
+    # Written so that a NaN eigenvalue also goes to full validation.
+    if not eigvals[0] >= 0.0:
+        return DensityMatrix(mat, dims)
+    hermitian.setflags(write=False)
+    eigvals.setflags(write=False)
+    state = object.__new__(DensityMatrix)
+    object.__setattr__(state, "mat", hermitian)
+    object.__setattr__(state, "dims", dims)
+    object.__setattr__(state, "eigenvalues", eigvals)
+    return state
+
+
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the row-major block convention.
 
@@ -143,7 +181,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int] | int) -> DensityMatri
 
     kept_dims = tuple(rho.dims[k] for k in keep_set)
     d = math.prod(kept_dims)
-    return DensityMatrix(reduced.reshape(d, d), kept_dims)
+    return _derived(reduced.reshape(d, d), kept_dims)
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
+    _derived,
     embed_operator,
     frobenius_distance,
     partial_trace,
@@ -114,7 +115,7 @@ def dephase(rho: DensityMatrix, basis: ProjectiveBasis, subsystem: int) -> Densi
     tensor = rho.mat.reshape(left, d, right, left, d, right)
     blocks = np.einsum("xj,axrbys,yj->jarbs", vecs.conj(), tensor, vecs)
     out = np.einsum("xj,jarbs,yj->axrbys", vecs, blocks, vecs.conj())
-    return DensityMatrix(out.reshape(rho.dim, rho.dim), dims)
+    return _derived(out.reshape(rho.dim, rho.dim), dims)
 
 
 def _dephase_joint(rho: DensityMatrix, pair_a: BasisOnSubsystem, pair_b: BasisOnSubsystem) -> DensityMatrix:
@@ -127,7 +128,7 @@ def _dephase_joint(rho: DensityMatrix, pair_a: BasisOnSubsystem, pair_b: BasisOn
         for pb in projs_b:
             joint = pa @ pb
             out += joint @ rho.mat @ joint
-    return DensityMatrix(out, rho.dims)
+    return _derived(out, rho.dims)
 
 
 def is_real(basis: ProjectiveBasis, subsystem: int, rho: DensityMatrix, tol: float = 1e-9) -> bool:
@@ -152,7 +153,7 @@ def mutual_information(rho: DensityMatrix) -> float:
     rho1 = partial_trace(rho, 0)
     rho2 = partial_trace(rho, 1)
     value = entropy(rho1) + entropy(rho2) - entropy(rho)
-    product = DensityMatrix(tensor_product(rho1.mat, rho2.mat), rho.dims)
+    product = _derived(tensor_product(rho1.mat, rho2.mat), rho.dims)
     if float(product.eigenvalues[0]) > SUPPORT_CUTOFF:
         alt = relative_entropy(rho, product)
         if abs(alt - value) > FORM_AGREEMENT_TOL:

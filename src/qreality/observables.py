@@ -75,7 +75,16 @@ def qubit_basis(theta: float, phi: float) -> ProjectiveBasis:
     the same basis up to ordering, so theta in [0, pi], phi in [0, pi) covers
     everything.  Values outside those ranges are accepted (the formula is
     periodic), which keeps unconstrained optimization simple.
+
+    For finite angles the matrix is unitary to rounding, so the basis is
+    built without ``ProjectiveBasis``'s Gram and completeness products; it is
+    bitwise the basis that validation would store.  A NaN or infinite angle
+    raises ``StateValidationError('basis-orthonormality', nan)``, as the
+    Gram check does on the NaN entries such an angle would give.
     """
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise StateValidationError(
+            "basis-orthonormality", math.nan, f"non-finite angle ({theta}, {phi})")
     half = theta / 2.0
     c, s = math.cos(half), math.sin(half)
     phase = complex(math.cos(phi), math.sin(phi))
@@ -84,7 +93,10 @@ def qubit_basis(theta: float, phi: float) -> ProjectiveBasis:
          [s * phase, c]],
         dtype=complex,
     )
-    return ProjectiveBasis(vecs)
+    vecs.setflags(write=False)
+    basis = object.__new__(ProjectiveBasis)
+    object.__setattr__(basis, "vectors", vecs)
+    return basis
 
 
 def fourier_basis(dim: int) -> ProjectiveBasis:

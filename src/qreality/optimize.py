@@ -467,12 +467,16 @@ def brute_force_single(
     Independent of the Bloch kernels by construction (projector dephasing plus
     eigendecompositions); used as the oracle for :func:`minimize_single`.
     Each point builds one basis and makes one :func:`~qreality.measures.dephase`
-    call, whose validated spectrum gives S(dephased).  The scan runs in chunks
-    of at most ``SCAN_CHUNK_ENTRIES`` matrix entries: each chunk's dephased
-    states are stacked, and their marginals on the scanned side are traced
-    out in one ``einsum`` and diagonalized in one ``eigvalsh`` call.  The
-    first point in (theta, phi) order with the lowest drop wins; a NaN never
-    does.
+    call, whose spectrum gives S(dephased).  Neither is validated again: the
+    basis of finite scan angles is unitary to rounding, and the dephased
+    state, a map of the validated ``rho``, takes one symmetrization and one
+    ``eigvalsh`` (plus the rounding repair when that spectrum dips below
+    zero).  A point costs that ``eigvalsh`` and the pinching's two ``einsum``
+    calls.  The scan runs in chunks of at most ``SCAN_CHUNK_ENTRIES`` matrix
+    entries: each chunk's dephased states are stacked, and their marginals on
+    the scanned side are traced out in one ``einsum`` and diagonalized in one
+    ``eigvalsh`` call.  The first point in (theta, phi) order with the lowest
+    drop wins; a NaN never does.
     """
     from .measures import dephase  # local import keeps module load light
 

@@ -322,3 +322,114 @@ def test_states_bases_and_schmidt_forms_compare_by_identity():
         assert len({value, twin}) == 2
     assert rho != other
     assert {rho: 1}[rho] == 1
+
+
+def _random_basis(dim, seed):
+    from qreality.observables import ProjectiveBasis, qubit_basis
+    from qreality.states import random_unitary
+
+    if dim == 2:
+        return qubit_basis(*np.random.default_rng(seed).uniform(0.0, math.pi, 2))
+    return ProjectiveBasis(random_unitary(dim, seed))
+
+
+def _assert_bitwise_validated(seen):
+    # Each recorded (pre-validation matrix, dims, derived state) against the
+    # validated state of the same matrix.
+    for mat, dims, state in seen:
+        reference = DensityMatrix(mat, dims)
+        assert state.dims == reference.dims
+        np.testing.assert_array_equal(_bits(state.mat), _bits(reference.mat))
+        np.testing.assert_array_equal(_bits(state.eigenvalues), _bits(reference.eigenvalues))
+        assert not state.mat.flags.writeable and not state.eigenvalues.flags.writeable
+
+
+@pytest.mark.parametrize("rank", [2, None])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2)])
+def test_derived_states_are_bitwise_validated_states(dims, rank, monkeypatch):
+    from qreality import linalg, measures
+
+    def spy(seen):
+        def derived(mat, dims):
+            mat_copy = np.array(mat)
+            state = original(mat, dims)
+            seen.append((mat_copy, dims, state))
+            return state
+        return derived
+
+    original = linalg._derived
+    in_linalg, in_measures = [], []
+    monkeypatch.setattr(linalg, "_derived", spy(in_linalg))
+    monkeypatch.setattr(measures, "_derived", spy(in_measures))
+
+    n = len(dims)
+    d = math.prod(dims)
+    rho = random_density(d, rank or d, 500 + 10 * d + n, dims=dims)
+    bases = [_random_basis(dims[k], 600 + 10 * d + k) for k in range(n)]
+    # The product of marginals needs two subsystems: the rest are one.
+    bipartite = DensityMatrix(rho.mat, (dims[0], math.prod(dims[1:])))
+    keeps = [keep for size in range(1, n + 1) for keep in itertools.combinations(range(n), size)]
+    # (site, call, the spy that sees the site, its derived states per call)
+    sites = [
+        ("dephase", lambda: [measures.dephase(rho, bases[k], k) for k in range(n)],
+         in_measures, n),
+        ("partial_trace", lambda: [partial_trace(rho, keep) for keep in keeps],
+         in_linalg, len(keeps)),
+        ("dephase_joint", lambda: measures._dephase_joint(
+            rho, (bases[0], 0), (bases[n - 1], n - 1)), in_measures, 1),
+        ("product of marginals", lambda: measures.mutual_information(bipartite),
+         in_measures, 1),
+    ]
+    for site, call, seen, expected in sites:
+        in_linalg.clear()
+        in_measures.clear()
+        call()
+        assert len(seen) == expected, site
+        _assert_bitwise_validated(in_linalg + in_measures)
+
+
+def test_derived_validates_only_a_spectrum_below_zero(monkeypatch):
+    from qreality.linalg import _derived
+
+    validations = []
+    repairs = []
+    post_init = DensityMatrix.__post_init__
+    eigh = np.linalg.eigh
+
+    def counted_post_init(self):
+        validations.append(self)
+        post_init(self)
+
+    def counted_eigh(mat):
+        repairs.append(mat.shape)
+        return eigh(mat)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+
+    # Exactly zero eigenvalues are not below zero: nothing is validated.
+    state = _derived(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), (2, 2))
+    assert float(state.eigenvalues[0]) == 0.0
+    assert validations == [] and repairs == []
+
+    # A pure state's zero eigenvalues round below zero: the one repair path.
+    rng = np.random.default_rng(1)
+    vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    vec /= np.linalg.norm(vec)
+    pure = np.outer(vec, vec.conj())
+    assert np.linalg.eigvalsh((pure + pure.conj().T) / 2.0)[0] < 0.0
+    state = _derived(pure, (2, 2))
+    assert len(validations) == 1 and repairs == [(4, 4)]
+    _assert_bitwise_validated([(pure, (2, 2), state)])
+
+    # Beyond the clamp the full constructor rejects it.
+    with pytest.raises(StateValidationError) as err:
+        _derived(np.diag([-1e-3, 1 + 1e-3]).astype(complex), (2,))
+    assert err.value.invariant == "positive-semidefinite"
+
+
+def test_derived_is_not_exported():
+    import qreality
+
+    assert "_derived" not in qreality.__all__
+    assert not hasattr(qreality, "_derived")

@@ -169,6 +169,34 @@ def test_projective_basis_validation():
         assert err.value.invariant == "basis-orthonormality"
 
 
+def test_qubit_basis_is_bitwise_the_validated_basis():
+    # The trusted construction stores what validation would: over seeded
+    # angles in the canonical ranges and out to |theta| = 1e6.
+    rng = np.random.default_rng(17)
+    angles = [tuple(rng.uniform(0.0, math.pi, 2)) for _ in range(50)]
+    angles += [tuple(rng.uniform(-1e6, 1e6, 2)) for _ in range(50)]
+    angles += [(1e6, -1e6), (-1e6, 0.5), (0.0, 0.0), (math.pi, math.pi)]
+    for theta, phi in angles:
+        basis = qubit_basis(theta, phi)
+        reference = ProjectiveBasis(np.array(basis.vectors))
+        assert basis.vectors.dtype == np.complex128
+        np.testing.assert_array_equal(
+            basis.vectors.view(np.uint64), reference.vectors.view(np.uint64))
+        with pytest.raises(ValueError):
+            basis.vectors[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["theta", "phi"])
+def test_qubit_basis_rejects_non_finite_angles(which, angle):
+    args = {"theta": 0.3, "phi": 0.2}
+    args[which] = angle
+    with pytest.raises(StateValidationError) as err:
+        qubit_basis(**args)
+    assert err.value.invariant == "basis-orthonormality"
+    assert math.isnan(err.value.residual)
+
+
 def test_eigenbasis_of_state_is_projective_basis():
     rho = random_density(4, 4, 44, dims=(2, 2))
     ProjectiveBasis(np.linalg.eigh(rho.mat)[1])  # orthonormality holds

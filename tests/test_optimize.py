@@ -138,6 +138,25 @@ def test_optimizer_at_least_as_good_as_coarse_scan():
         assert res.value <= scan + 1e-9
 
 
+# Mixed states of ranks 2-4 on both sides, plus qubit-qutrit states, fixed
+# before the scan was run: unlike werner states their landscapes are not
+# flat, so the grid best alone loses to the 64 x 64 scan.
+_SINGLE_ORACLE_CASES = [
+    *[((4, 2 + k % 3, k, (2, 2)), k // 3) for k in range(6)],
+    ((6, 4, 6, (2, 3)), 0),
+    ((6, 4, 7, (3, 2)), 1),
+]
+
+
+@pytest.mark.parametrize("state, side", _SINGLE_ORACLE_CASES,
+                         ids=[f"case{i}" for i in range(len(_SINGLE_ORACLE_CASES))])
+def test_minimize_single_is_at_least_as_good_as_the_oracle_scan(state, side):
+    dim, rank, seed, dims = state
+    rho = random_density(dim, rank, seed, dims=dims)
+    scan, _ = brute_force_single(rho, side, 64, 64)
+    assert minimize_single(rho, side).value <= scan + 1e-9
+
+
 def test_single_against_qutrit_partner_uses_matrix_route():
     rho = random_density(6, 6, 5, dims=(2, 3))
     res = minimize_single(rho, 0, cfg=OptimizerConfig(grid_points_theta=7,
