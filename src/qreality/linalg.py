@@ -17,10 +17,11 @@ through every ``DensityMatrix`` check.  A state that a map derives from
 validated states (``partial_trace`` here; ``dephase``, the joint dephasing
 and the product of marginals in ``measures``) is built by ``_derived``.  Its
 matrix is finite, Hermitian to rounding and of unit trace by construction,
-so those three checks cannot fail and are skipped.  It still takes the same
-symmetrization and spectrum, and any rounding-negative eigenvalue still goes
-through the one clamp-and-renormalize repair, so a derived state is bit for
-bit the ``DensityMatrix`` of the same matrix.
+so those three checks cannot fail and are skipped, also when the state
+needs the rounding repair.  Both paths then settle the state in one function,
+``_settle``: the same symmetrized matrix, spectrum, rejection and
+clamp-and-renormalize repair, so a derived state is bit for bit the
+``DensityMatrix`` of the same matrix.
 """
 
 from __future__ import annotations
@@ -98,27 +99,7 @@ class DensityMatrix:
         if trace_residual > TRACE_TOL:
             raise StateValidationError("unit-trace", trace_residual)
 
-        eigvals = np.linalg.eigvalsh(mat)
-        lowest = float(eigvals[0])
-        if lowest < EIGENVALUE_CLAMP:
-            raise StateValidationError(
-                "positive-semidefinite", lowest,
-                f"most negative eigenvalue {lowest:.6e}",
-            )
-        if lowest < 0.0:
-            # Repair rounding-level PSD violations: clamp and renormalize.
-            vals, vecs = np.linalg.eigh(mat)
-            vals = np.clip(vals, 0.0, None)
-            vals = vals / vals.sum()
-            mat = (vecs * vals) @ vecs.conj().T
-            mat = (mat + mat.conj().T) / 2.0
-            eigvals = np.linalg.eigvalsh(mat)
-
-        mat.setflags(write=False)
-        eigvals.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "eigenvalues", eigvals)
+        _settle(self, mat, dims)
 
     @property
     def dim(self) -> int:
@@ -128,28 +109,41 @@ class DensityMatrix:
         return float(np.trace(self.mat @ self.mat).real)
 
 
+def _settle(state: DensityMatrix, hermitian: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
+    # Validation's last step, shared with _derived: the spectrum of the
+    # symmetrized matrix, rejection below EIGENVALUE_CLAMP (written so that a
+    # NaN eigenvalue is rejected too), the clamp-and-renormalize repair of a
+    # rounding-negative spectrum, and the read-only store.
+    eigvals = np.linalg.eigvalsh(hermitian)
+    lowest = float(eigvals[0])
+    if not lowest >= EIGENVALUE_CLAMP:
+        raise StateValidationError("positive-semidefinite", lowest,
+                                   f"most negative eigenvalue {lowest:.6e}")
+    if lowest < 0.0:
+        vals, vecs = np.linalg.eigh(hermitian)
+        vals = np.clip(vals, 0.0, None)
+        hermitian = (vecs * (vals / vals.sum())) @ vecs.conj().T
+        hermitian = (hermitian + hermitian.conj().T) / 2.0
+        eigvals = np.linalg.eigvalsh(hermitian)
+    hermitian.setflags(write=False)
+    eigvals.setflags(write=False)
+    object.__setattr__(state, "mat", hermitian)
+    object.__setattr__(state, "dims", dims)
+    object.__setattr__(state, "eigenvalues", eigvals)
+    return state
+
+
 def _derived(mat: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
     """State of a map of validated states, without the checks it cannot fail.
 
     ``mat`` must come from validated states by a map that keeps the entries
     finite, the matrix Hermitian to rounding and the trace 1, and ``dims``
-    must be a validated layout.  The symmetrization and the spectrum are
-    validation's own, so the result is bitwise ``DensityMatrix(mat, dims)``;
-    a spectrum that is not nonnegative goes to that constructor, whose
-    repair (or rejection) is then the only one.
+    must be a validated layout.  The finite-entry, Hermiticity and trace
+    checks are skipped, also when the spectrum needs the rounding repair;
+    the symmetrization, spectrum, repair and rejection are validation's own,
+    so the result is bitwise ``DensityMatrix(mat, dims)``.
     """
-    hermitian = (mat + mat.conj().T) / 2.0
-    eigvals = np.linalg.eigvalsh(hermitian)
-    # Written so that a NaN eigenvalue also goes to full validation.
-    if not eigvals[0] >= 0.0:
-        return DensityMatrix(mat, dims)
-    hermitian.setflags(write=False)
-    eigvals.setflags(write=False)
-    state = object.__new__(DensityMatrix)
-    object.__setattr__(state, "mat", hermitian)
-    object.__setattr__(state, "dims", dims)
-    object.__setattr__(state, "eigenvalues", eigvals)
-    return state
+    return _settle(object.__new__(DensityMatrix), (mat + mat.conj().T) / 2.0, dims)
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,10 +30,15 @@ optimized side (an axis and its negative are one basis), and the walk stops
 after ``refine_starts`` accepted cells.  The first start is always the grid
 best; a pool holding fewer basins gives fewer starts.
 
-Two-qubit states are evaluated through the closed-form Bloch kernels;
-:func:`brute_force_single` deliberately avoids them and walks the
-projector-dephasing route instead, serving as the independent oracle for the
-fast path.
+Two-qubit states are evaluated through the closed-form Bloch kernels.  The
+one-sided drop on the projector-dephasing (matrix) route has one engine,
+``_scan_drops``: it dephases point by point and takes each chunk's marginal
+spectra in one batched call.  :func:`brute_force_single` scans a dense grid
+with it, deliberately avoiding the kernels, and so serves as the
+independent oracle for the fast path.  A qubit against a higher-dimensional
+partner has no closed form, so :func:`minimize_single` walks the same
+engine there: its side grid in one scan, and each refinement evaluation as
+a scan of the five points of a central-difference stencil.
 
 The two pair objectives share their costliest part, the entropy of the state
 dephased on both sides.  Callers that minimize both on one state (the sweep
@@ -45,6 +50,7 @@ joint grid would cost a second full-size grid and save nothing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +58,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import DensityMatrix, partial_trace
-from .measures import ZERO_EIGENVALUE, discord_like, entropy, mutual_information
+from .measures import ZERO_EIGENVALUE, entropy, mutual_information
 from .observables import ProjectiveBasis, fourier_of, qubit_basis, schmidt_decompose
 
 OBJECTIVE_NONLOCALITY = "nonlocality"
@@ -84,9 +90,9 @@ START_SEPARATION = 0.35
 # cells: enough to reach past the deepest basin's cells, few enough that the
 # choice costs nothing next to the grid.
 START_POOL = 5
-# Most matrix entries brute_force_single stacks at once: its scan runs in
-# chunks of SCAN_CHUNK_ENTRIES // dim**2 points (1,024 for two qubits, 256 kB
-# of dephased states), so its memory does not grow with the scan.
+# Most matrix entries the matrix-route scan stacks at once: it runs in chunks
+# of SCAN_CHUNK_ENTRIES // dim**2 points (1,024 for two qubits, 256 kB of
+# dephased states), so its memory does not grow with the scan.
 SCAN_CHUNK_ENTRIES = 2**14
 # Central-difference step, in radians, of the matrix-route objective's
 # gradient: near the cube root of the rounding error, where truncation and
@@ -346,12 +352,7 @@ def minimize_single(
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> OptimizationResult:
     """Minimize the one-sided discord-like drop over bases on one subsystem."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"optimization needs a bipartite state, got {rho.dims}")
-    if subsystem not in (0, 1):
-        raise ValueError(f"subsystem must be 0 or 1, got {subsystem}")
-    if rho.dims[subsystem] != 2:
-        raise ValueError("the optimized subsystem must be a qubit")
+    _check_qubit_side(rho, subsystem, "optimization")
     grid_points = cfg.grid_points_theta * cfg.grid_points_phi
     if grid_points > MAX_SIDE_GRID_POINTS:
         raise ValueError(
@@ -376,20 +377,20 @@ def minimize_single(
 
         calls_per_evaluation = 1
     else:
-        # Qubit basis against a higher-dimensional partner: walk the matrix
-        # route, with central differences for the gradient.
-        def drop(theta, phi):
-            return discord_like(rho, [(qubit_basis(theta, phi), subsystem)])
+        # Qubit basis against a higher-dimensional partner: the matrix route's
+        # scan engine, with central differences for the gradient.
+        def drops(angles):
+            return np.concatenate(list(_scan_drops(rho, subsystem, angles)))
 
         def fun(x):
             theta, phi = x
             step = DIFFERENCE_STEP
-            return drop(theta, phi), [
-                (drop(theta + step, phi) - drop(theta - step, phi)) / (2 * step),
-                (drop(theta, phi + step) - drop(theta, phi - step)) / (2 * step),
-            ]
+            f, t_up, t_down, p_up, p_down = drops(
+                [(theta, phi), (theta + step, phi), (theta - step, phi),
+                 (theta, phi + step), (theta, phi - step)]).tolist()
+            return f, [(t_up - t_down) / (2 * step), (p_up - p_down) / (2 * step)]
 
-        grid_values = np.array([drop(t, p) for t, p in zip(thetas, phis)])
+        grid_values = drops(zip(thetas, phis))
         calls_per_evaluation = 5
 
     return _search(grid_values, axes, thetas, phis, fun, calls_per_evaluation, cfg)
@@ -456,6 +457,57 @@ def _spectral_entropies(spectra: np.ndarray) -> np.ndarray:
     return -np.sum(kept * np.log(kept), axis=-1)
 
 
+def _check_qubit_side(rho: DensityMatrix, subsystem: int, task: str) -> None:
+    if len(rho.dims) != 2:
+        raise ValueError(f"{task} needs a bipartite state, got {rho.dims}")
+    if subsystem not in (0, 1):
+        raise ValueError(f"subsystem must be 0 or 1, got {subsystem}")
+    if rho.dims[subsystem] != 2:
+        raise ValueError("the optimized subsystem must be a qubit")
+
+
+def _scan_drops(rho: DensityMatrix, subsystem: int, angles):
+    # The matrix route's one-sided drop I(rho) - I(Ph rho) at each (theta,
+    # phi) of angles, read lazily and yielded as one array per chunk of at
+    # most SCAN_CHUNK_ENTRIES // dim**2 points.  Each point builds one basis
+    # and makes one dephase call, whose spectrum gives S(Ph rho).  Neither is
+    # validated again: the basis of finite angles is unitary to rounding, and
+    # the dephased state, a map of the validated rho, takes one
+    # symmetrization and one eigvalsh (plus the rounding repair when that
+    # spectrum dips below zero).  The chunk's dephased states are stacked,
+    # and their marginals on the scanned side are traced out in one einsum
+    # and diagonalized in one eigvalsh call.  S of the other side is that of
+    # rho's marginal, which dephasing the scanned side leaves unchanged.
+    from .measures import dephase  # resolved per call: a rebound measures.dephase is used
+
+    s1 = entropy(partial_trace(rho, 0))
+    s2 = entropy(partial_trace(rho, 1))
+    mi = s1 + s2 - entropy(rho)
+    s_other = s2 if subsystem == 0 else s1
+    # Stacked (n, row A, row B, column A, column B): keep the scanned side.
+    trace_out = "nabcb->nac" if subsystem == 0 else "nabad->nbd"
+    chunk = max(1, SCAN_CHUNK_ENTRIES // rho.dim**2)
+    mats = np.empty((chunk, rho.dim, rho.dim), dtype=complex)
+    spectra = np.empty((chunk, rho.dim))
+
+    def drops(count):
+        marginals = np.einsum(trace_out, mats[:count].reshape((count,) + rho.dims * 2))
+        s_local = _spectral_entropies(np.linalg.eigvalsh(marginals))
+        return mi - (s_local + s_other - _spectral_entropies(spectra[:count]))
+
+    count = 0
+    for theta, phi in angles:
+        dephased = dephase(rho, qubit_basis(theta, phi), subsystem)
+        mats[count] = dephased.mat
+        spectra[count] = dephased.eigenvalues
+        count += 1
+        if count == chunk:
+            yield drops(count)
+            count = 0
+    if count:
+        yield drops(count)
+
+
 def brute_force_single(
     rho: DensityMatrix,
     subsystem: int,
@@ -466,55 +518,29 @@ def brute_force_single(
 
     Independent of the Bloch kernels by construction (projector dephasing plus
     eigendecompositions); used as the oracle for :func:`minimize_single`.
-    Each point builds one basis and makes one :func:`~qreality.measures.dephase`
-    call, whose spectrum gives S(dephased).  Neither is validated again: the
-    basis of finite scan angles is unitary to rounding, and the dephased
-    state, a map of the validated ``rho``, takes one symmetrization and one
-    ``eigvalsh`` (plus the rounding repair when that spectrum dips below
-    zero).  A point costs that ``eigvalsh`` and the pinching's two ``einsum``
-    calls.  The scan runs in chunks of at most ``SCAN_CHUNK_ENTRIES`` matrix
-    entries: each chunk's dephased states are stacked, and their marginals on
-    the scanned side are traced out in one ``einsum`` and diagonalized in one
-    ``eigvalsh`` call.  The first point in (theta, phi) order with the lowest
-    drop wins; a NaN never does.
+    It walks ``_scan_drops``, the matrix route's one drop engine, which the
+    qubit-qudit :func:`minimize_single` walks too: per point one basis and
+    one :func:`~qreality.measures.dephase` call, and per chunk of at most
+    ``SCAN_CHUNK_ENTRIES`` matrix entries one batched trace and ``eigvalsh``
+    of the marginals.  The first point in (theta, phi) order with the lowest
+    drop wins; a NaN never does.  ``subsystem`` is checked as
+    :func:`minimize_single` checks it, before any work.
     """
-    from .measures import dephase  # local import keeps module load light
-
-    if len(rho.dims) != 2:
-        raise ValueError(f"oracle scan needs a bipartite state, got {rho.dims}")
+    _check_qubit_side(rho, subsystem, "oracle scan")
     for name, points in (("n_theta", n_theta), ("n_phi", n_phi)):
         if points < 1:
             raise ValueError(f"{name} must be at least 1, got {points}")
-    s1 = entropy(partial_trace(rho, 0))
-    s2 = entropy(partial_trace(rho, 1))
-    mi = s1 + s2 - entropy(rho)
-    s_other = s2 if subsystem == 0 else s1
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, math.pi, n_phi, endpoint=False)
-    # Stacked (n, row A, row B, column A, column B): keep the scanned side.
-    trace_out = "nabcb->nac" if subsystem == 0 else "nabad->nbd"
-
-    points = n_theta * n_phi
-    chunk = min(points, max(1, SCAN_CHUNK_ENTRIES // rho.dim**2))
-    mats = np.empty((chunk, rho.dim, rho.dim), dtype=complex)
-    spectra = np.empty((chunk, rho.dim))
     best = math.inf
     best_angles = (0.0, 0.0)
-    for start in range(0, points, chunk):
-        count = min(chunk, points - start)
-        for n in range(count):
-            i, j = divmod(start + n, n_phi)
-            dephased = dephase(rho, qubit_basis(thetas[i], phis[j]), subsystem)
-            mats[n] = dephased.mat
-            spectra[n] = dephased.eigenvalues
-        stacked = mats[:count].reshape((count,) + rho.dims * 2)
-        marginals = np.einsum(trace_out, stacked)
-        s_local = _spectral_entropies(np.linalg.eigvalsh(marginals))
-        drops = mi - (s_local + s_other - _spectral_entropies(spectra[:count]))
+    start = 0
+    for drops in _scan_drops(rho, subsystem, itertools.product(thetas, phis)):
         drops[np.isnan(drops)] = math.inf
         k = int(np.argmin(drops))
         if drops[k] < best:
             best = float(drops[k])
             i, j = divmod(start + k, n_phi)
             best_angles = (float(thetas[i]), float(phis[j]))
+        start += drops.size
     return best, best_angles

@@ -6,7 +6,9 @@ A state file is a JSON document with two fields:
     matrix  row-major list of rows; every entry is a two-element [re, im] pair
 
 Numbers must be JSON numbers: ``true`` and ``false`` are rejected, not read
-as 1 and 0.
+as 1 and 0.  A number beyond the float range, such as ``1e400`` or an
+integer of 400 digits, reads as infinite and fails validation as a
+non-finite entry.
 
 Loading validates the full set of density-matrix invariants; violations raise
 :class:`StateValidationError` naming the invariant and its measured residual,
@@ -39,7 +41,16 @@ def _entry(value, row: int, col: int) -> complex:
         raise SpecParseError(
             f"matrix entry [{row}][{col}] must be a two-element [re, im] pair"
         )
-    return complex(float(value[0]), float(value[1]))
+    return complex(_real(value[0]), _real(value[1]))
+
+
+def _real(value) -> float:
+    # An integer beyond the float range reads as infinite, as the literal
+    # 1e400 does, so that validation rejects it as a non-finite entry.
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def loads_state(text: str) -> DensityMatrix:

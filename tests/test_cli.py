@@ -148,6 +148,19 @@ def test_measure_non_finite_file_state(tmp_path, capsys):
     assert "finite-entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_measure_file_state_with_an_integer_beyond_the_float_range_exits_three(
+        part, sign, tmp_path, capsys):
+    huge = sign + "1" + "0" * 400
+    entry = f"[{huge}, 0.0]" if part == "re" else f"[0.5, {huge}]"
+    path = tmp_path / "huge_entry.json"
+    path.write_text(
+        f'{{"dims": [2], "matrix": [[{entry}, [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}}')
+    assert main(["measure", f"file:{path}", "zbasis@0"]) == 3
+    assert "finite-entries" in capsys.readouterr().err
+
+
 def test_cross_check_failure_exits_five(monkeypatch, capsys):
     from qreality import measures
 

@@ -407,22 +407,24 @@ def test_derived_validates_only_a_spectrum_below_zero(monkeypatch):
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
 
-    # Exactly zero eigenvalues are not below zero: nothing is validated.
+    # A derived state never runs the boundary checks, repaired or not.
+    # Exactly zero eigenvalues are not below zero: nothing is repaired.
     state = _derived(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), (2, 2))
     assert float(state.eigenvalues[0]) == 0.0
     assert validations == [] and repairs == []
 
-    # A pure state's zero eigenvalues round below zero: the one repair path.
+    # A pure state's zero eigenvalues round below zero: the one repair, with
+    # no hand-off to the constructor.
     rng = np.random.default_rng(1)
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     vec /= np.linalg.norm(vec)
     pure = np.outer(vec, vec.conj())
     assert np.linalg.eigvalsh((pure + pure.conj().T) / 2.0)[0] < 0.0
     state = _derived(pure, (2, 2))
-    assert len(validations) == 1 and repairs == [(4, 4)]
+    assert validations == [] and repairs == [(4, 4)]
     _assert_bitwise_validated([(pure, (2, 2), state)])
 
-    # Beyond the clamp the full constructor rejects it.
+    # Beyond the clamp it is rejected as the constructor rejects it.
     with pytest.raises(StateValidationError) as err:
         _derived(np.diag([-1e-3, 1 + 1e-3]).astype(complex), (2,))
     assert err.value.invariant == "positive-semidefinite"

@@ -726,6 +726,83 @@ def test_brute_force_rejects_an_empty_scan():
     assert value == pytest.approx(brute_force_single(rho, 0, 2, 1)[0])
 
 
+def test_brute_force_checks_the_subsystem_before_any_work(monkeypatch):
+    from qreality import measures
+
+    def no_dephase(*args):
+        raise AssertionError("dephase called")
+
+    monkeypatch.setattr(measures, "dephase", no_dephase)
+    qutrit_partner = random_density(6, 3, 45, dims=(2, 3))
+    cases = [(werner(0.5), 2, "subsystem must be 0 or 1, got 2"),
+             (werner(0.5), -1, "subsystem must be 0 or 1, got -1"),
+             (qutrit_partner, 1, "the optimized subsystem must be a qubit")]
+    for rho, subsystem, message in cases:
+        with pytest.raises(ValueError, match=message):
+            brute_force_single(rho, subsystem, 4, 5)
+        with pytest.raises(ValueError, match=message):
+            minimize_single(rho, subsystem, FAST)
+
+
+def _drop_cases():
+    # (state, scanned side): both sides of two qubits, and a qubit against a
+    # qutrit on either side; rank 1 hits mutual_information's clamp at 0.
+    cases = []
+    for rank in (1, 2, 3, 4):
+        for dims, side in (((2, 2), 0), ((2, 2), 1), ((2, 3), 0), ((3, 2), 1)):
+            d = math.prod(dims)
+            cases.append((random_density(d, rank, 1300 + 10 * rank + d + side, dims=dims), side))
+    return cases
+
+
+def test_scan_drops_are_the_public_discord_like_drop(monkeypatch):
+    from qreality.measures import discord_like
+    from qreality.observables import qubit_basis
+
+    rng = np.random.default_rng(46)
+    angles = [(0.0, 0.0), (math.pi, 0.0), (0.0, 1.1), (math.pi, 2.3)]
+    angles += [tuple(x) for x in rng.uniform([0.0, 0.0], [math.pi, 2 * math.pi], (8, 2))]
+    # Chunks of 5 points: the 12 angles make two full chunks and a short one.
+    for rho, side in _drop_cases():
+        monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", 5 * rho.dim**2)
+        chunks = list(optimize._scan_drops(rho, side, iter(angles)))
+        assert [len(c) for c in chunks] == [5, 5, 2]
+        drops = np.concatenate(chunks)
+        for (theta, phi), drop in zip(angles, drops):
+            ref = discord_like(rho, [(qubit_basis(theta, phi), side)])
+            assert abs(drop - ref) <= 1e-12, (rho.dims, side, theta, phi)
+
+
+def test_qubit_qudit_minimize_single_dephases_once_per_evaluation(monkeypatch):
+    from qreality import measures
+
+    calls = []
+    dephase = measures.dephase
+
+    def counted(*args):
+        calls.append(args)
+        return dephase(*args)
+
+    monkeypatch.setattr(measures, "dephase", counted)
+    cfg = OptimizerConfig()
+    grid_points = kernels.axis_grid(cfg.grid_points_theta, cfg.grid_points_phi)[0].shape[0]
+    assert grid_points == 379
+    nfev = []
+    refine = optimize._refine
+
+    def recorded(*args):
+        out = refine(*args)
+        nfev.append(out[2])
+        return out
+
+    monkeypatch.setattr(optimize, "_refine", recorded)
+    for dims, side in (((2, 3), 0), ((3, 2), 1)):
+        calls.clear()
+        nfev.clear()
+        res = minimize_single(random_density(6, 3, 47 + side, dims=dims), side)
+        assert len(calls) == res.evaluations == grid_points + 5 * nfev[0]
+
+
 def test_minimizers_compute_only_the_state_data_their_objective_reads(monkeypatch):
     # S(rho) for nonlocality, I(rho) for the pair discord, and I(rho) plus the
     # unoptimized marginal's entropy for the one-sided drop: each once, and

@@ -77,3 +77,16 @@ def test_rejects_invariant_violations_with_diagnostic():
         loads_state(negative)
     assert err.value.invariant == "positive-semidefinite"
     assert err.value.residual == pytest.approx(-0.2)
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_an_integer_beyond_the_float_range_reads_as_infinite(part, sign):
+    # float() of such an int raises OverflowError; the literal 1e400 reads as
+    # inf, and so does the integer, which validation then rejects.
+    huge = sign + "1" + "0" * 400
+    entry = f"[{huge}, 0.0]" if part == "re" else f"[0.5, {huge}]"
+    doc = f'{{"dims": [2], "matrix": [[{entry}, [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}}'
+    with pytest.raises(StateValidationError) as err:
+        loads_state(doc)
+    assert err.value.invariant == "finite-entries"
