@@ -66,43 +66,25 @@ def backend() -> str:
     return "numpy"
 
 
-def _pauli_terms():
-    # Re Tr[M (P x Q)] = sum over k of Re M[k, j] (P x Q)[j, k], where j is
-    # the row of the one nonzero entry in column k of the Pauli product:
-    # +/-1 takes +/-Re M[k, j] and +/-i takes -/+Im M[k, j].  Returns, per k,
-    # the index of that part in M viewed as 32 floats and its sign, for the 16
-    # products with the factor on A outer (identity first).
-    paulis = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
-    index = np.zeros((4, 16), dtype=np.intp)
-    sign = np.zeros((4, 16))
-    for m, product in enumerate(np.kron(p, q) for p in paulis for q in paulis):
-        for k in range(4):
-            (j,) = np.flatnonzero(product[:, k])
-            entry = product[j, k]
-            real = entry.imag == 0.0
-            index[k, m] = 2 * (4 * k + j) + (0 if real else 1)
-            sign[k, m] = entry.real if real else -entry.imag
-    return index, sign
-
-
-_PAULI_INDEX, _PAULI_SIGN = _pauli_terms()
+# The 16 Pauli products P x Q with the factor on A outer, identity first:
+# entry 4i + j is s_i x s_j with s_0 = I.
+_PAULIS = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULI_PRODUCTS = np.stack([np.kron(p, q) for p in _PAULIS for q in _PAULIS])
+PAULI_PRODUCTS.setflags(write=False)
 
 
 def bloch_correlations(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local Bloch vectors and correlation matrix of a two-qubit matrix.
 
     r1_i = Tr[M (s_i x I)], r2_j = Tr[M (I x s_j)] and T_ij = Tr[M (s_i x s_j)]
-    (real parts), returned as fresh arrays.  All 16 coefficients come from
-    one gather of signed real and imaginary parts of M: each Pauli product
-    has one nonzero entry per column, so each trace is a sum of four terms.
-    They are summed as (t0 + t1) + (t2 + t3), the order numpy's trace of
-    M @ (P x Q) sums its diagonal in, so the result equals that form bit for
-    bit wherever the matrix product is exact (each diagonal entry is one
-    product by +/-1 or +/-i).
+    (real parts), returned as fresh arrays: the traces of M (P x Q) for each
+    product in ``PAULI_PRODUCTS``, by one stacked matrix product.  Each
+    column of a Pauli product holds one nonzero entry, +/-1 or +/-i, so every
+    diagonal entry of M (P x Q) is one exact product of an entry of M, and
+    the stacked trace sums the same four terms in the same order as
+    ``np.trace(M @ np.kron(P, Q))``: the two forms are equal bit for bit.
     """
-    flat = np.ascontiguousarray(mat, dtype=np.complex128).reshape(16).view(np.float64)
-    t = flat[_PAULI_INDEX] * _PAULI_SIGN
-    coeffs = ((t[0] + t[1]) + (t[2] + t[3])).reshape(4, 4)
+    coeffs = np.trace(mat @ PAULI_PRODUCTS, axis1=1, axis2=2).real.reshape(4, 4)
     return coeffs[1:, 0].copy(), coeffs[0, 1:].copy(), coeffs[1:, 1:].copy()
 
 

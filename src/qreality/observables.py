@@ -174,26 +174,38 @@ def _require_dimension(text: str, size: int, dim: int) -> None:
         raise SpecParseError(f"basis spec '{text}' has dimension {size}, subsystem has {dim}")
 
 
+def _spec_params(text: str, arg: str, convert, what: str) -> dict:
+    # The comma-separated key=value pieces of a basis spec, keys stripped of
+    # whitespace; a repeated key, or a value convert rejects, is a parse error.
+    params = {}
+    for piece in arg.split(","):
+        key, _, raw = piece.partition("=")
+        key = key.strip()
+        if key in params:
+            raise SpecParseError(f"basis spec '{text}' repeats the key '{key}'")
+        try:
+            params[key] = convert(raw)
+        except ValueError:
+            raise SpecParseError(f"basis spec '{text}' has a malformed {what}") from None
+    return params
+
+
 def parse_basis_spec(text: str, dim: int) -> ProjectiveBasis:
     """Build a basis for a subsystem of dimension ``dim`` from CLI syntax.
 
     Recognized forms: ``zbasis``, ``xbasis``, ``ybasis``,
     ``bloch:theta=1.57,phi=0``, ``fourier:d=3``.  A spec of any other
-    dimension, or a Bloch spec that repeats a key, is rejected before its
-    basis is built.
+    dimension, or a spec that repeats a key, is rejected before its basis
+    is built.  Whitespace around a key is ignored.
     """
     spec = text.strip()
     head, _, arg = spec.partition(":")
     if head == "fourier":
-        key, _, raw = arg.partition("=")
-        if key != "d":
+        params = _spec_params(text, arg, int, "dimension")
+        if set(params) != {"d"}:
             raise SpecParseError(f"basis spec '{text}' needs d=<int>")
-        try:
-            d = int(raw)
-        except ValueError:
-            raise SpecParseError(f"basis spec '{text}' has a malformed dimension") from None
-        _require_dimension(text, d, dim)
-        return fourier_basis(d)
+        _require_dimension(text, params["d"], dim)
+        return fourier_basis(params["d"])
     if spec == "zbasis":
         theta, phi = 0.0, 0.0
     elif spec == "xbasis":
@@ -201,16 +213,7 @@ def parse_basis_spec(text: str, dim: int) -> ProjectiveBasis:
     elif spec == "ybasis":
         theta, phi = math.pi / 2.0, math.pi / 2.0
     elif head == "bloch":
-        params = {}
-        for piece in arg.split(","):
-            key, _, raw = piece.partition("=")
-            key = key.strip()
-            if key in params:
-                raise SpecParseError(f"basis spec '{text}' repeats the key '{key}'")
-            try:
-                params[key] = float(raw)
-            except ValueError:
-                raise SpecParseError(f"basis spec '{text}' has a malformed angle") from None
+        params = _spec_params(text, arg, float, "angle")
         if set(params) != {"theta", "phi"}:
             raise SpecParseError(f"basis spec '{text}' needs theta and phi")
         theta, phi = params["theta"], params["phi"]

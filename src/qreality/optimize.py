@@ -32,13 +32,16 @@ best; a pool holding fewer basins gives fewer starts.
 
 Two-qubit states are evaluated through the closed-form Bloch kernels.  The
 one-sided drop on the projector-dephasing (matrix) route has one engine,
-``_scan_drops``: it dephases point by point and takes each chunk's marginal
-spectra in one batched call.  :func:`brute_force_single` scans a dense grid
-with it, deliberately avoiding the kernels, and so serves as the
-independent oracle for the fast path.  A qubit against a higher-dimensional
-partner has no closed form, so :func:`minimize_single` walks the same
-engine there: its side grid in one scan, and each refinement evaluation as
-a scan of the five points of a central-difference stencil.
+``_drop_scan``, set up once per state: it takes the scanned qubit's
+marginal, the other marginal's entropy and I(rho) when it is built, then
+dephases point by point and reads each chunk's dephased marginals off the
+outcome probabilities of the chunk's bases.  :func:`brute_force_single`
+scans a dense grid with it, deliberately avoiding the kernels, and so
+serves as the independent oracle for the fast path.  A qubit against a
+higher-dimensional partner has no closed form, so :func:`minimize_single`
+builds the same engine there once per call: its side grid is one scan, and
+each refinement evaluation a scan of the five points of a
+central-difference stencil.
 
 The two pair objectives share their costliest part, the entropy of the state
 dephased on both sides.  Callers that minimize both on one state (the sweep
@@ -90,9 +93,10 @@ START_SEPARATION = 0.35
 # cells: enough to reach past the deepest basin's cells, few enough that the
 # choice costs nothing next to the grid.
 START_POOL = 5
-# Most matrix entries the matrix-route scan stacks at once: it runs in chunks
-# of SCAN_CHUNK_ENTRIES // dim**2 points (1,024 for two qubits, 256 kB of
-# dephased states), so its memory does not grow with the scan.
+# Matrix entries of dephased states per chunk of the matrix-route scan: it
+# runs in chunks of SCAN_CHUNK_ENTRIES // dim**2 points (1,024 for two
+# qubits) and keeps only each point's basis and spectrum, so its memory does
+# not grow with the scan.
 SCAN_CHUNK_ENTRIES = 2**14
 # Central-difference step, in radians, of the matrix-route objective's
 # gradient: near the cube root of the rounding error, where truncation and
@@ -378,9 +382,11 @@ def minimize_single(
         calls_per_evaluation = 1
     else:
         # Qubit basis against a higher-dimensional partner: the matrix route's
-        # scan engine, with central differences for the gradient.
+        # scan engine, set up once, with central differences for the gradient.
+        scan = _drop_scan(rho, subsystem)
+
         def drops(angles):
-            return np.concatenate(list(_scan_drops(rho, subsystem, angles)))
+            return np.concatenate(list(scan(angles)))
 
         def fun(x):
             theta, phi = x
@@ -466,46 +472,40 @@ def _check_qubit_side(rho: DensityMatrix, subsystem: int, task: str) -> None:
         raise ValueError("the optimized subsystem must be a qubit")
 
 
-def _scan_drops(rho: DensityMatrix, subsystem: int, angles):
-    # The matrix route's one-sided drop I(rho) - I(Ph rho) at each (theta,
-    # phi) of angles, read lazily and yielded as one array per chunk of at
-    # most SCAN_CHUNK_ENTRIES // dim**2 points.  Each point builds one basis
-    # and makes one dephase call, whose spectrum gives S(Ph rho).  Neither is
-    # validated again: the basis of finite angles is unitary to rounding, and
-    # the dephased state, a map of the validated rho, takes one
-    # symmetrization and one eigvalsh (plus the rounding repair when that
-    # spectrum dips below zero).  The chunk's dephased states are stacked,
-    # and their marginals on the scanned side are traced out in one einsum
-    # and diagonalized in one eigvalsh call.  S of the other side is that of
-    # rho's marginal, which dephasing the scanned side leaves unchanged.
-    from .measures import dephase  # resolved per call: a rebound measures.dephase is used
+def _drop_scan(rho: DensityMatrix, subsystem: int):
+    # The matrix route's one-sided drop I(rho) - I(Ph rho) on one state.  The
+    # state data are taken once, here: the marginal rho_q of the scanned
+    # qubit, S of the other marginal, which dephasing the scanned side leaves
+    # unchanged, and I(rho).  Returns scan(angles), which reads (theta, phi)
+    # pairs lazily and yields the drops of each chunk of at most
+    # SCAN_CHUNK_ENTRIES // dim**2 points.  Each point builds one basis and
+    # makes one dephase call, whose spectrum gives S(Ph rho); neither is
+    # validated again (the basis of finite angles is unitary to rounding, and
+    # the dephased state is a map of the validated rho).  The dephased
+    # marginal of the scanned qubit is sum_j p_j |b_j><b_j| with
+    # p_j = <b_j| rho_q |b_j>, so its spectrum is p: one einsum over the
+    # chunk's stacked bases.
+    from .measures import dephase  # resolved per engine: a rebound measures.dephase is used
 
-    s1 = entropy(partial_trace(rho, 0))
-    s2 = entropy(partial_trace(rho, 1))
-    mi = s1 + s2 - entropy(rho)
-    s_other = s2 if subsystem == 0 else s1
-    # Stacked (n, row A, row B, column A, column B): keep the scanned side.
-    trace_out = "nabcb->nac" if subsystem == 0 else "nabad->nbd"
+    rho_q = partial_trace(rho, subsystem)
+    s_other = entropy(partial_trace(rho, 1 - subsystem))
+    mi = entropy(rho_q) + s_other - entropy(rho)
     chunk = max(1, SCAN_CHUNK_ENTRIES // rho.dim**2)
-    mats = np.empty((chunk, rho.dim, rho.dim), dtype=complex)
-    spectra = np.empty((chunk, rho.dim))
 
-    def drops(count):
-        marginals = np.einsum(trace_out, mats[:count].reshape((count,) + rho.dims * 2))
-        s_local = _spectral_entropies(np.linalg.eigvalsh(marginals))
-        return mi - (s_local + s_other - _spectral_entropies(spectra[:count]))
+    def scan(angles):
+        angles = iter(angles)
+        vecs = np.empty((chunk, 2, 2), dtype=complex)
+        spectra = np.empty((chunk, rho.dim))
+        while points := list(itertools.islice(angles, chunk)):
+            for k, (theta, phi) in enumerate(points):
+                basis = qubit_basis(theta, phi)
+                vecs[k] = basis.vectors
+                spectra[k] = dephase(rho, basis, subsystem).eigenvalues
+            n = len(points)
+            p = np.einsum("nxj,xy,nyj->nj", vecs[:n].conj(), rho_q.mat, vecs[:n]).real
+            yield mi - (_spectral_entropies(p) + s_other - _spectral_entropies(spectra[:n]))
 
-    count = 0
-    for theta, phi in angles:
-        dephased = dephase(rho, qubit_basis(theta, phi), subsystem)
-        mats[count] = dephased.mat
-        spectra[count] = dephased.eigenvalues
-        count += 1
-        if count == chunk:
-            yield drops(count)
-            count = 0
-    if count:
-        yield drops(count)
+    return scan
 
 
 def brute_force_single(
@@ -518,13 +518,15 @@ def brute_force_single(
 
     Independent of the Bloch kernels by construction (projector dephasing plus
     eigendecompositions); used as the oracle for :func:`minimize_single`.
-    It walks ``_scan_drops``, the matrix route's one drop engine, which the
-    qubit-qudit :func:`minimize_single` walks too: per point one basis and
-    one :func:`~qreality.measures.dephase` call, and per chunk of at most
-    ``SCAN_CHUNK_ENTRIES`` matrix entries one batched trace and ``eigvalsh``
-    of the marginals.  The first point in (theta, phi) order with the lowest
-    drop wins; a NaN never does.  ``subsystem`` is checked as
-    :func:`minimize_single` checks it, before any work.
+    It builds ``_drop_scan``, the matrix route's one drop engine, once, as the
+    qubit-qudit :func:`minimize_single` does: two partial traces and I(rho)
+    at set-up, then per point one basis and one
+    :func:`~qreality.measures.dephase` call, and per chunk of
+    ``SCAN_CHUNK_ENTRIES // dim**2`` points one ``einsum`` for the outcome
+    probabilities, the spectra of the dephased marginals.  The first point
+    in (theta, phi) order with the lowest drop wins; a NaN never does.
+    ``subsystem`` is checked as :func:`minimize_single` checks it, before any
+    work.
     """
     _check_qubit_side(rho, subsystem, "oracle scan")
     for name, points in (("n_theta", n_theta), ("n_phi", n_phi)):
@@ -535,7 +537,7 @@ def brute_force_single(
     best = math.inf
     best_angles = (0.0, 0.0)
     start = 0
-    for drops in _scan_drops(rho, subsystem, itertools.product(thetas, phis)):
+    for drops in _drop_scan(rho, subsystem)(itertools.product(thetas, phis)):
         drops[np.isnan(drops)] = math.inf
         k = int(np.argmin(drops))
         if drops[k] < best:

@@ -118,7 +118,8 @@ def parse_state_spec(text: str) -> DensityMatrix:
     """Build a state from CLI syntax.
 
     Recognized forms: ``singlet``, ``werner:f=0.5``, ``alpha:a=0.7``,
-    ``slit:x=0.3``, ``file:<path>``.
+    ``slit:x=0.3``, ``file:<path>``.  Whitespace around a key is ignored,
+    as in basis specs.
     """
     spec = text.strip()
     if spec == "singlet":
@@ -134,6 +135,7 @@ def parse_state_spec(text: str) -> DensityMatrix:
         return load_state(arg)
 
     key, _, raw = arg.partition("=")
+    key = key.strip()
     try:
         value = float(raw)
     except ValueError:

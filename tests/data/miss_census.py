@@ -15,10 +15,19 @@ frames: the state itself and a copy rotated by seeded local unitaries, which
 has the same minima over bases but lays other bases on the grid.  So a start
 rule that misses a basin on one frame does not hide that miss in the
 reference too.  A miss is a default minimum more than ``MISS_TOL`` above the
-reference one.  The script prints every miss, then for each minimizer the
-number of calls and misses and the mean number of refinement evaluations per
-default call.  It takes about five minutes per 1,000 seeds on one core.
-pytest does not collect it.
+reference one.
+
+A qubit against a qutrit has no closed form, so ``minimize_single`` takes the
+matrix route there.  Each seed in ``QUDIT_SEEDS`` names two such states of
+rank 1 + seed % 6, ``random_density(6, rank, seed, dims=(2, 3))`` scanned on
+side 0 and ``random_density(6, rank, seed, dims=(3, 2))`` on side 1.  Their
+reference is the ``brute_force_single`` scan on ``ORACLE_GRID``, and a miss
+is a default minimum more than ``MISS_TOL`` above the scan's.
+
+The script prints every miss, then for each kind of call the number of calls
+and misses, the mean number of refinement evaluations per default call and
+the seconds the block took.  The two-qubit block takes about five minutes
+per 1,000 seeds on one core.  pytest does not collect it.
 
 Only names that ``qreality`` exports are used, and ``qreality.kernels.axis_grid``
 for the number of grid axes per side, so any version of the package that
@@ -30,10 +39,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SEED_BLOCKS = (range(70000, 70300), range(90000, 90300))
+QUDIT_SEEDS = range(80000, 80150)
+ORACLE_GRID = (64, 64)
 MISS_TOL = 1e-9
 REFERENCE_GRID = (49, 48)
 REFERENCE_STARTS = 10
@@ -64,7 +76,19 @@ def main(argv=None) -> int:
     cases += [(f"single side {side}",
                lambda state, cfg, side=side: qreality.minimize_single(state, side, cfg))
               for side in (0, 1)]
-    tally = {"pair": [0, 0, 0], "single": [0, 0, 0]}  # calls, misses, evaluations
+    # calls, misses, refinement evaluations, seconds
+    tally = {"pair": [0, 0, 0, 0.0], "single": [0, 0, 0, 0.0], "qudit": [0, 0, 0, 0.0]}
+
+    def record(kind, label, seed, rank, got, want, grid):
+        counts = tally[kind]
+        counts[0] += 1
+        counts[2] += got.evaluations - grid
+        gap = got.value - want
+        if gap > MISS_TOL:
+            counts[1] += 1
+            print(f"miss: seed {seed} rank {rank} {label}: "
+                  f"{got.value!r} vs reference {want!r} (+{gap:.2e})", flush=True)
+
     for block in SEED_BLOCKS:
         for seed in block:
             rank = 1 + seed % 4
@@ -74,20 +98,25 @@ def main(argv=None) -> int:
             rotated = qreality.DensityMatrix(local @ rho.mat @ local.conj().T, (2, 2))
             for label, minimize in cases:
                 kind = label.split()[0]
+                start = time.perf_counter()
                 got = minimize(rho, default)
                 want = min(minimize(state, reference).value for state in (rho, rotated))
-                grid = side_points ** (2 if kind == "pair" else 1)
-                counts = tally[kind]
-                counts[0] += 1
-                counts[2] += got.evaluations - grid
-                gap = got.value - want
-                if gap > MISS_TOL:
-                    counts[1] += 1
-                    print(f"miss: seed {seed} rank {rank} {label}: "
-                          f"{got.value!r} vs reference {want!r} (+{gap:.2e})", flush=True)
-    for kind, (calls, misses, evaluations) in tally.items():
+                tally[kind][3] += time.perf_counter() - start
+                record(kind, label, seed, rank, got, want,
+                       side_points ** (2 if kind == "pair" else 1))
+    for seed in QUDIT_SEEDS:
+        rank = 1 + seed % 6
+        for dims, side in (((2, 3), 0), ((3, 2), 1)):
+            rho = qreality.random_density(6, rank, seed, dims=dims)
+            start = time.perf_counter()
+            got = qreality.minimize_single(rho, side, default)
+            want, _ = qreality.brute_force_single(rho, side, *ORACLE_GRID)
+            tally["qudit"][3] += time.perf_counter() - start
+            record("qudit", f"{dims} side {side}", seed, rank, got, want, side_points)
+    for kind, (calls, misses, evaluations, seconds) in tally.items():
         print(f"{kind}: {calls} calls, {misses} misses, "
-              f"{evaluations / calls:.1f} refinement evaluations per default call")
+              f"{evaluations / calls:.1f} refinement evaluations per default call, "
+              f"{seconds:.1f} s")
     return 0
 
 

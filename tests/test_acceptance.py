@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from qreality.measures import mutual_information, nonlocality
+from qreality.measures import entropy, mutual_information, nonlocality
 from qreality.observables import qubit_basis
 from qreality.optimize import OptimizerConfig
 from qreality.states import alpha_state, werner
@@ -129,6 +129,27 @@ def _bell_diagonal_pair_discord(rho, c) -> float:
     return mutual_information(rho) - LN2 + _binary_entropy_of_bias(max(abs(x) for x in c))
 
 
+def _bell_diagonal_nonlocality(rho, c) -> float:
+    """Minimal nonlocality of a Bell-diagonal state: H(|c|_(1)) + H(|c|_(2)) - S(rho).
+
+    |c|_(1) >= |c|_(2) are the two largest |c_i|.  With r1 = r2 = 0 and
+    T = diag(c), dephasing A along the axis u leaves the four weights
+    (1 +/- |T u|)/4, each twice, so S(Ph_u rho) = ln 2 + H(|T u|); B alike
+    along v.  Dephasing both sides leaves (1 +/- u.T v)/4, each twice, so
+    S(Ph_u Ph_v rho) = ln 2 + H(u.T v).  Hence
+
+        N(u, v) = ln 2 + H(|T u|) + H(|T v|) - H(u.T v) - S(rho).
+
+    At u and v the axes of |c|_(1) and |c|_(2), |T u| = |c|_(1),
+    |T v| = |c|_(2) and u.T v = 0, where H(0) = ln 2 cancels the leading
+    term.  That this pair is the minimum is not derived here: the criterion
+    compares the value with the optimizer's N_min at every sweep point.  No
+    kernel or optimizer is involved.
+    """
+    first, second = sorted((abs(x) for x in c), reverse=True)[:2]
+    return _binary_entropy_of_bias(first) + _binary_entropy_of_bias(second) - entropy(rho)
+
+
 def _sweep_correlations(label: str, param: float) -> tuple[float, float, float]:
     # The diagonal of T for each sweep family.
     if label == "werner":
@@ -145,19 +166,21 @@ def test_criterion_12_sweep_reproduction():
     elapsed = time.monotonic() - start
 
     problems = []
-    worst_d12 = 0.0
+    worst = {"d12": 0.0, "n_min": 0.0}
     for label, rows, build in (("werner", werner_rows, werner),
                                ("alpha", alpha_rows, alpha_state)):
         for row in rows:
             if not row.n_min <= row.d12 + 1e-6:
                 problems.append(f"{label} param {row.param}: N_min above pair discord")
-            want = _bell_diagonal_pair_discord(build(row.param),
-                                               _sweep_correlations(label, row.param))
-            gap = abs(row.d12 - want)
-            worst_d12 = max(worst_d12, gap)
-            if not gap <= 1e-9:
-                problems.append(f"{label} param {row.param}: d12 {row.d12!r} != "
-                                f"closed form {want!r}")
+            rho = build(row.param)
+            c = _sweep_correlations(label, row.param)
+            for name, got, want in (("d12", row.d12, _bell_diagonal_pair_discord(rho, c)),
+                                    ("n_min", row.n_min, _bell_diagonal_nonlocality(rho, c))):
+                gap = abs(got - want)
+                worst[name] = max(worst[name], gap)
+                if not gap <= 1e-9:
+                    problems.append(f"{label} param {row.param}: {name} {got!r} != "
+                                    f"closed form {want!r}")
     for row in werner_rows:
         if row.param <= 1 / 3 and row.concurrence != 0.0:
             problems.append(f"concurrence nonzero at f={row.param}")
@@ -175,9 +198,10 @@ def test_criterion_12_sweep_reproduction():
     if elapsed > 600.0:
         problems.append(f"sweeps took {elapsed:.0f}s")
 
-    _report(12, "both sweeps reproduce the curve ordering, endpoints and pair discord",
+    _report(12, "both sweeps reproduce the curve ordering, endpoints, pair discord and N_min",
             not problems,
-            f"2x51 points, {elapsed:.1f}s, worst d12 gap {worst_d12:.1e}"
+            f"2x51 points, {elapsed:.1f}s, worst d12 gap {worst['d12']:.1e}, "
+            f"worst N_min gap {worst['n_min']:.1e}"
             + ("; " + "; ".join(problems) if problems else ""))
 
 

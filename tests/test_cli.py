@@ -111,6 +111,15 @@ def test_measure_exit_codes(capsys, tmp_path):
             in capsys.readouterr().err)
 
 
+def test_measure_reads_spec_keys_alike(capsys):
+    # Whitespace around a key is ignored in state, Bloch and Fourier specs,
+    # and a repeated Fourier key exits 2 naming it, as a Bloch one does.
+    assert main(["measure", "werner: f=0.5", "fourier: d=2@0", "bloch: theta=1, phi=0@1"]) == 0
+    capsys.readouterr()
+    assert main(["measure", "werner:f=0.5", "fourier:d=2,d=3@0"]) == 2
+    assert "basis spec 'fourier:d=2,d=3' repeats the key 'd'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("angle", ["nan", "inf"])
 def test_measure_non_finite_bloch_angle_exits_two(angle, capsys):
     spec = f"bloch:theta={angle},phi=0"

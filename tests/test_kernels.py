@@ -57,21 +57,24 @@ def _bloch_by_traces(mat):
     return r1, r2, tmat
 
 
+def _assert_bitwise(got, want):
+    for x, y in zip(got, want):
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 def test_bloch_correlations_match_the_trace_form():
+    # Equal bit for bit: random states of every rank, and the sweep families,
+    # so every sweep result is too.
     rng = np.random.default_rng(167)
     for k in range(200):
         mat = random_density(4, 1 + k % 4, rng, dims=(2, 2)).mat
-        for got, want in zip(kernels.bloch_correlations(mat), _bloch_by_traces(mat)):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-    # The sweep families: equal bit for bit, so every sweep result is too.
+        _assert_bitwise(kernels.bloch_correlations(mat), _bloch_by_traces(mat))
     for param in np.linspace(0.0, 1.0, 51):
         for rho in (werner(float(param)), alpha_state(float(param))):
-            for got, want in zip(kernels.bloch_correlations(rho.mat), _bloch_by_traces(rho.mat)):
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            _assert_bitwise(kernels.bloch_correlations(rho.mat), _bloch_by_traces(rho.mat))
     # Fresh contiguous arrays, also from a transposed (F-ordered) matrix.
     got = kernels.bloch_correlations(mat.T)
-    for x, y in zip(got, _bloch_by_traces(mat.T)):
-        np.testing.assert_allclose(x, y, rtol=0, atol=1e-15)
+    _assert_bitwise(got, _bloch_by_traces(mat.T))
     assert all(x.flags.c_contiguous and x.flags.owndata for x in got)
 
 

@@ -224,6 +224,20 @@ def test_parse_basis_spec():
             parse_basis_spec(bad, 2)
 
 
+def test_parse_basis_spec_reads_keys_alike_for_every_form():
+    # Whitespace around a key is ignored, and a repeated key is named, in
+    # Bloch and Fourier specs alike.
+    assert np.array_equal(parse_basis_spec("bloch: theta=1, phi=0", 2).vectors,
+                          qubit_basis(1.0, 0.0).vectors)
+    assert np.array_equal(parse_basis_spec("fourier: d=2", 2).vectors, fourier_basis(2).vectors)
+    for spec, key in (("fourier:d=2,d=3", "d"), ("fourier:d=2, d=2", "d"),
+                      ("bloch:theta=1,phi=0, theta=2", "theta")):
+        with pytest.raises(SpecParseError, match=f"basis spec '{spec}' repeats the key '{key}'"):
+            parse_basis_spec(spec, 2)
+    with pytest.raises(SpecParseError, match="needs d=<int>"):
+        parse_basis_spec("fourier:d=2,n=2", 2)
+
+
 @pytest.mark.parametrize("spec, size, dim", [
     ("zbasis", 2, 3), ("bloch:theta=1,phi=0", 2, 4), ("fourier:d=3", 3, 2),
     ("fourier:d=100000", 100000, 2),

@@ -608,9 +608,10 @@ def test_kept_grid_best_has_not_converged_when_its_start_hit_the_iteration_cap(m
 def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
     from qreality import measures, optimize
 
-    # Each dephased state is diagonalized once, when it is validated; each
-    # chunk's marginals are diagonalized together in one call; and the two
-    # marginals of rho once each at set-up.
+    # Each dephased state is diagonalized once, when it is validated, and the
+    # two marginals of rho once each when the engine is set up.  The dephased
+    # marginals take no eigvalsh at all, whatever the chunk size: their
+    # spectra are the outcome probabilities.
     calls = {"qubit_basis": 0, "dephase": 0, "eigvalsh": 0}
 
     def counted(name, fn):
@@ -626,11 +627,10 @@ def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
     chunk = optimize.SCAN_CHUNK_ENTRIES // rho.dim**2
     for points_per_chunk in (chunk, 6):
         monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", points_per_chunk * rho.dim**2)
-        chunks = math.ceil(20 / points_per_chunk)
         for subsystem in (0, 1):
             calls.update(qubit_basis=0, dephase=0, eigvalsh=0)
             brute_force_single(rho, subsystem, n_theta=4, n_phi=5)
-            assert calls == {"qubit_basis": 20, "dephase": 20, "eigvalsh": 20 + chunks + 2}
+            assert calls == {"qubit_basis": 20, "dephase": 20, "eigvalsh": 22}
 
 
 def _per_point_scan(rho, subsystem, n_theta, n_phi):
@@ -700,9 +700,10 @@ def test_batched_scan_keeps_the_first_lowest_point_and_never_a_nan(monkeypatch):
 
 
 def test_scan_memory_stays_within_one_chunk():
-    # A 1 x 5,000 scan of two qubits holds one chunk: 1,024 dephased states
-    # (256 kB) with their spectra and marginals, within 3 x 256 kB.  The
-    # whole scan's dephased states alone would be 1.28 MB.
+    # A 1 x 5,000 scan of two qubits holds one chunk of 1,024 points, their
+    # angles, bases and spectra, within 3 x 256 kB, three chunks' worth of
+    # dephased states.  The whole scan's dephased states alone would be
+    # 1.28 MB.
     rho = random_density(4, 3, 43, dims=(2, 2))
     chunk_bytes = optimize.SCAN_CHUNK_ENTRIES * 16
     whole_bytes = 5000 * rho.dim**2 * 16
@@ -765,7 +766,7 @@ def test_scan_drops_are_the_public_discord_like_drop(monkeypatch):
     # Chunks of 5 points: the 12 angles make two full chunks and a short one.
     for rho, side in _drop_cases():
         monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", 5 * rho.dim**2)
-        chunks = list(optimize._scan_drops(rho, side, iter(angles)))
+        chunks = list(optimize._drop_scan(rho, side)(iter(angles)))
         assert [len(c) for c in chunks] == [5, 5, 2]
         drops = np.concatenate(chunks)
         for (theta, phi), drop in zip(angles, drops):
@@ -801,6 +802,28 @@ def test_qubit_qudit_minimize_single_dephases_once_per_evaluation(monkeypatch):
         nfev.clear()
         res = minimize_single(random_density(6, 3, 47 + side, dims=dims), side)
         assert len(calls) == res.evaluations == grid_points + 5 * nfev[0]
+
+
+def test_qubit_qudit_engines_take_the_state_data_once_per_call(monkeypatch):
+    # The matrix-route engine traces out each marginal once when it is set up
+    # and reuses it for the side grid and every stencil, so a call makes two
+    # partial traces however many evaluations its refinement takes.
+    calls = []
+    traced = optimize.partial_trace
+
+    def counted(*args):
+        calls.append(args[1])
+        return traced(*args)
+
+    monkeypatch.setattr(optimize, "partial_trace", counted)
+    for dims, side in (((2, 3), 0), ((3, 2), 1)):
+        rho = random_density(6, 3, 48 + side, dims=dims)
+        calls.clear()
+        res = minimize_single(rho, side)
+        assert sorted(calls) == [0, 1] and res.evaluations > 379 + 5 * 10
+        calls.clear()
+        brute_force_single(rho, side, 4, 5)
+        assert sorted(calls) == [0, 1]
 
 
 def test_minimizers_compute_only_the_state_data_their_objective_reads(monkeypatch):

@@ -176,6 +176,14 @@ def test_parse_state_spec(tmp_path):
             parse_state_spec(bad)
 
 
+def test_parse_state_spec_ignores_whitespace_around_keys():
+    for spec, want in (("werner: f=0.5", werner(0.5)), ("alpha:a =0.7", alpha_state(0.7)),
+                       ("slit: x = 0.3", floating_slit(0.3))):
+        assert np.array_equal(parse_state_spec(spec).mat, want.mat)
+    with pytest.raises(SpecParseError, match="unrecognized state spec 'werner: g=0.5'"):
+        parse_state_spec("werner: g=0.5")
+
+
 def test_constructors_pass_entropy_sanity():
     assert entropy(werner(0.0)) == pytest.approx(math.log(4.0), abs=1e-12)
     assert entropy(singlet()) <= 1e-10
