@@ -15,11 +15,21 @@ because dephasing along a Bloch axis u produces a block-diagonal state whose
     dephased marginals:  binary entropy of (1 + u.r1)/2 (resp. v.r2)
 
 so a grid scan needs no eigendecompositions at all.  The grids are vectorized
-numpy and the only backend.  Each pair grid is one fused pass: the joint
-entropy and the objective are formed ``JOINT_BLOCK_ROWS`` rows at a time in
-block-sized scratch buffers, with every cell computed by the same floating
-point operations, in the same order, as the unfused composition of side and
-joint grids.  States whose marginals are maximally mixed have r1 = r2 = 0:
+numpy and the only backend.  Each grid computes only the side data its
+objective reads: the dephased-state entropies for nonlocality, the marginal
+binary entropies for the pair discord, both for the one-sided drop.  Each
+pair grid is one fused pass: the joint entropy and the objective are formed
+``JOINT_BLOCK_ROWS`` rows at a time in block-sized scratch buffers, with
+every cell computed by the same floating point operations, in the same
+order, as the unfused composition of side and joint grids.  A row that is
+added to every block (b = v.r2 in the joint weights, S_B or the binary
+entropy of B in the objective) is copied once per pass into a contiguous
+tile of block height, and each block adds its column into the tile, which
+numpy iterates faster than the broadcast of a column against a row.  A cell
+of either form is the one IEEE addition of the same two operands, so the
+tiles change no bit.
+
+States whose marginals are maximally mixed have r1 = r2 = 0:
 every Bell-diagonal state, so every werner point of the sweep and the alpha
 points whose r does not carry rounding from the state's construction.  When
 every a = u.r1 and b = v.r2 of the grid is zero, 1 +/- a +/- b is exactly 1,
@@ -31,10 +41,10 @@ from a setting.  A caller that minimizes both pair objectives on
 one state (``sweep.sweep_rows`` and ``verify.suite_bounds``) passes
 ``share=True`` to both grid calls: each thread keeps the S_AB of its last
 shared pass, keyed by the axes and Bloch data, and a shared call on equal
-inputs builds its grid from it instead of running the joint pass again, which
-is almost all of a pair grid's cost.  An unshared call keeps nothing: it
-would hold a second full-size grid for no later use.  The scalar ``*_value``
-functions are the refinement objectives:
+inputs builds its grid from it, in the same row blocks, instead of running
+the joint pass again, which is almost all of a pair grid's cost.  An
+unshared call keeps nothing: it would hold a second full-size grid for no
+later use.  The scalar ``*_value`` functions are the refinement objectives:
 each returns the value and its gradient by the Bloch axes, the gradient in
 plain Python floats (d(-p ln p)/dp = -(1 + ln p) for each live weight).
 The repository benchmark times the grid stage end to end:
@@ -129,21 +139,39 @@ def _entropy_terms_numpy(p: np.ndarray) -> np.ndarray:
     return np.where(live, -p * np.log(np.where(live, p, 1.0)), 0.0)
 
 
-def _side_entropies_numpy(axes, r_here, r_there, m):
-    # For each axis: entropy of the state dephased on this side, and the
-    # binary entropy of the dephased marginal.  m is T for side A and T^t
-    # (contiguous) for side B.
-    a = axes @ r_here
+def _dephased_entropies(axes, a, r_there, m):
+    # For each axis: entropy of the state dephased on this side, with
+    # a = axes @ r_here.  m is T for side A and T^t (contiguous) for side B.
     w = axes @ m
     mp = np.linalg.norm(r_there + w, axis=1)
     mm = np.linalg.norm(r_there - w, axis=1)
     weights = np.stack(
         [1.0 + a + mp, 1.0 + a - mp, 1.0 - a + mm, 1.0 - a - mm], axis=1
     ) / 4.0
-    s_out = _entropy_terms_numpy(weights).sum(axis=1)
+    return _entropy_terms_numpy(weights).sum(axis=1)
+
+
+def _marginal_entropies(a):
+    # For each a = u . r_here: binary entropy of the dephased marginal.
     pa = (1.0 + a) / 2.0
-    h_out = _entropy_terms_numpy(pa) + _entropy_terms_numpy(1.0 - pa)
-    return s_out, h_out
+    return _entropy_terms_numpy(pa) + _entropy_terms_numpy(1.0 - pa)
+
+
+def _row_tile(row, n_rows):
+    # The row repeated down min(JOINT_BLOCK_ROWS, n_rows) rows, contiguous.
+    # A column added into it takes one contiguous inner loop per row, where
+    # the broadcast of column against row is the slower iteration; each cell
+    # is the same one addition of the same two operands, so the bits are the
+    # same.
+    tile = np.empty((min(JOINT_BLOCK_ROWS, n_rows), row.size))
+    tile[...] = row
+    return tile
+
+
+def _row_blocks(n_rows):
+    # The slices of JOINT_BLOCK_ROWS rows that cover n_rows rows.
+    return (slice(start, start + JOINT_BLOCK_ROWS)
+            for start in range(0, n_rows, JOINT_BLOCK_ROWS))
 
 
 def _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
@@ -174,11 +202,10 @@ def _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
     buffers = np.empty(shape), np.empty(shape), np.empty(shape)
     if a.any() or b.any():  # a NaN counts as nonzero
         sides = ((1.0 + a)[:, None], (1.0 - a)[:, None])
-        block = functools.partial(_four_log_block, sides, b)
+        block = functools.partial(_four_log_block, sides, _row_tile(b, out.shape[0]))
     else:
         block = _two_log_block
-    for start in range(0, out.shape[0], JOINT_BLOCK_ROWS):
-        rows = slice(start, start + JOINT_BLOCK_ROWS)
+    for rows in _row_blocks(out.shape[0]):
         c = out[rows]
         n = c.shape[0]
         yield rows, block(rows, c, *(buf[:n] for buf in buffers))
@@ -190,8 +217,9 @@ def _live(p):
     return p if p.min() > ZERO_WEIGHT else np.where(p > ZERO_WEIGHT, p, 1.0)
 
 
-def _four_log_block(sides, b, rows, c, p, lq, acc):
+def _four_log_block(sides, b_tile, rows, c, p, lq, acc):
     acc.fill(0.0)
+    b = b_tile[:c.shape[0]]
     for s, side in enumerate(sides):
         for t, add_b in enumerate((np.add, np.subtract)):
             add_b(side[rows], b, out=p)
@@ -230,16 +258,19 @@ _KEPT = threading.local()
 
 def _shared_joint_entropy(axes_a, axes_b, r1, r2, tmat, out):
     # (rows, S_AB of those rows) as _joint_entropy_blocks yields them, keeping
-    # a copy in the thread's buffer; one block of all rows when the inputs
-    # equal those of the kept pass.  Equal Bloch data are one state, so a kept
-    # S_AB serves no other.  The buffer lives as long as the thread: a new one
-    # per state, or per call, would be freed together with that state's
-    # grids, and the heap would hand the pages back and fault them in again
-    # for the next state, which costs about half of a joint pass.
+    # a copy in the thread's buffer; the kept rows, in the same blocks, when
+    # the inputs equal those of the kept pass.  Equal Bloch data are one
+    # state, so a kept S_AB serves no other.  The buffer lives as long as the
+    # thread: a new one per state, or per call, would be freed together with
+    # that state's grids, and the heap would hand the pages back and fault
+    # them in again for the next state, which costs about half of a joint
+    # pass.
     inputs = (axes_a, axes_b, r1, r2, tmat)
     kept = getattr(_KEPT, "inputs", None)
     if kept is not None and all(np.array_equal(x, y) for x, y in zip(inputs, kept)):
-        yield slice(None), _KEPT.values
+        values = _KEPT.values
+        for rows in _row_blocks(out.shape[0]):
+            yield rows, values[rows]
         return
     _KEPT.inputs = None
     values = getattr(_KEPT, "values", None)
@@ -261,14 +292,14 @@ def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy, *, share=False)
     ``share=True`` when both pair objectives are minimized on one state: the
     second grid then reads the S_AB the first one kept.
     """
-    s_a, _ = _side_entropies_numpy(axes_a, r1, r2, tmat)
-    s_b, _ = _side_entropies_numpy(axes_b, r2, r1, np.ascontiguousarray(tmat.T))
-    s_a = s_a[:, None]
+    s_a = _dephased_entropies(axes_a, axes_a @ r1, r2, tmat)[:, None]
+    s_b = _dephased_entropies(axes_b, axes_b @ r2, r1, np.ascontiguousarray(tmat.T))
     out = np.empty((axes_a.shape[0], axes_b.shape[0]))
+    s_b = _row_tile(s_b, out.shape[0])
     joint = _shared_joint_entropy if share else _joint_entropy_blocks
     for rows, s_ab in joint(axes_a, axes_b, r1, r2, tmat, out):
         block = out[rows]
-        np.add(s_a[rows], s_b, out=block)
+        np.add(s_a[rows], s_b[:block.shape[0]], out=block)
         block -= s_ab
         block -= base_entropy
     return out
@@ -277,22 +308,22 @@ def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy, *, share=False)
 def pair_discord_grid(axes_a, axes_b, r1, r2, tmat, mutual_info, *, share=False):
     """Two-sided discord-like drop over all axis pairs; ``share`` as in
     :func:`nonlocality_grid`."""
-    _, h_a = _side_entropies_numpy(axes_a, r1, r2, tmat)
-    _, h_b = _side_entropies_numpy(axes_b, r2, r1, np.ascontiguousarray(tmat.T))
-    head = (mutual_info - h_a)[:, None]
+    head = (mutual_info - _marginal_entropies(axes_a @ r1))[:, None]
     out = np.empty((axes_a.shape[0], axes_b.shape[0]))
+    h_b = _row_tile(_marginal_entropies(axes_b @ r2), out.shape[0])
     joint = _shared_joint_entropy if share else _joint_entropy_blocks
     for rows, s_ab in joint(axes_a, axes_b, r1, r2, tmat, out):
         block = out[rows]
-        np.subtract(head[rows], h_b, out=block)
+        np.subtract(head[rows], h_b[:block.shape[0]], out=block)
         block += s_ab
     return out
 
 
 def single_discord_grid(axes, r1, r2, tmat, mutual_info, env_entropy):
     """One-sided discord-like drop over axes on the dephased side."""
-    s_a, h_a = _side_entropies_numpy(axes, r1, r2, tmat)
-    return mutual_info - h_a - env_entropy + s_a
+    a = axes @ r1
+    s_a = _dephased_entropies(axes, a, r2, tmat)
+    return mutual_info - _marginal_entropies(a) - env_entropy + s_a
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,13 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     entry[(i*dimB+k), (j*dimB+l)] = a[i,j] * b[k,l], i.e. subsystem order is
     preserved left to right.
     """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    # np.kron as one broadcast product, as in embed_operator: each entry is
+    # the one product a[i,j] * b[k,l], so the result is bitwise np.kron's,
+    # signed zeros included.
+    full = a[:, None, :, None] * b[None, :, None, :]
+    return full.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int] | int) -> DensityMatrix:
@@ -197,12 +203,18 @@ def embed_operator(op: np.ndarray, subsystem: int, dims: tuple[int, ...]) -> np.
             f"operator dimension {op.shape[0]} does not match subsystem "
             f"dimension {dims[subsystem]}"
         )
-    left = np.eye(math.prod(dims[:subsystem]), dtype=complex)
-    right = np.eye(math.prod(dims[subsystem + 1:]), dtype=complex)
+    return _embed_stack(op[None], subsystem, dims)[0]
+
+
+def _embed_stack(ops: np.ndarray, subsystem: int, dims: tuple[int, ...]) -> np.ndarray:
+    # embed_operator of each op in a (k, d, d) stack, without its checks.
     # np.kron(np.kron(left, op), right) as one broadcast product: the same
     # complex multiplications in the same order, so every entry is bitwise
     # equal (signed zeros included), without kron's per-call reshaping.
-    full = ((left[:, None, None, :, None, None] * op[None, :, None, None, :, None])
-            * right[None, None, :, None, None, :])
+    left = np.eye(math.prod(dims[:subsystem]), dtype=complex)
+    right = np.eye(math.prod(dims[subsystem + 1:]), dtype=complex)
+    full = ((left[None, :, None, None, :, None, None]
+             * ops[:, None, :, None, None, :, None])
+            * right[None, None, None, :, None, None, :])
     n = math.prod(dims)
-    return full.reshape(n, n)
+    return full.reshape(ops.shape[0], n, n)

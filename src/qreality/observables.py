@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecParseError, StateValidationError
-from .linalg import DensityMatrix, embed_operator
+from .linalg import DensityMatrix, _embed_stack
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -166,7 +166,11 @@ def check_placement(basis: ProjectiveBasis, subsystem: int, dims: tuple[int, ...
 def lift(basis: ProjectiveBasis, subsystem: int, dims: tuple[int, ...]) -> list[np.ndarray]:
     """Full-space projectors I x ... x |o_k><o_k| x ... x I in layout order."""
     check_placement(basis, subsystem, dims)
-    return [embed_operator(basis.projector(k), subsystem, dims) for k in range(basis.dim)]
+    # All d projectors v_k v_k^+ in one broadcast, each entry the product
+    # basis.projector(k) forms, and then all their embeddings in one: each
+    # lifted projector is bitwise embed_operator(basis.projector(k)).
+    vecs = basis.vectors.T
+    return list(_embed_stack(vecs[:, :, None] * vecs.conj()[:, None, :], subsystem, dims))
 
 
 def _require_dimension(text: str, size: int, dim: int) -> None:
@@ -174,19 +178,20 @@ def _require_dimension(text: str, size: int, dim: int) -> None:
         raise SpecParseError(f"basis spec '{text}' has dimension {size}, subsystem has {dim}")
 
 
-def _spec_params(text: str, arg: str, convert, what: str) -> dict:
-    # The comma-separated key=value pieces of a basis spec, keys stripped of
-    # whitespace; a repeated key, or a value convert rejects, is a parse error.
+def _spec_params(text: str, arg: str, convert, what: str, kind: str = "basis") -> dict:
+    # The comma-separated key=value pieces of a basis (or state) spec, keys
+    # stripped of whitespace; a repeated key, or a value convert rejects, is
+    # a parse error.
     params = {}
     for piece in arg.split(","):
         key, _, raw = piece.partition("=")
         key = key.strip()
         if key in params:
-            raise SpecParseError(f"basis spec '{text}' repeats the key '{key}'")
+            raise SpecParseError(f"{kind} spec '{text}' repeats the key '{key}'")
         try:
             params[key] = convert(raw)
         except ValueError:
-            raise SpecParseError(f"basis spec '{text}' has a malformed {what}") from None
+            raise SpecParseError(f"{kind} spec '{text}' has a malformed {what}") from None
     return params
 
 
@@ -196,10 +201,11 @@ def parse_basis_spec(text: str, dim: int) -> ProjectiveBasis:
     Recognized forms: ``zbasis``, ``xbasis``, ``ybasis``,
     ``bloch:theta=1.57,phi=0``, ``fourier:d=3``.  A spec of any other
     dimension, or a spec that repeats a key, is rejected before its basis
-    is built.  Whitespace around a key is ignored.
+    is built.  Whitespace around the head and around a key is ignored.
     """
     spec = text.strip()
     head, _, arg = spec.partition(":")
+    head = head.strip()
     if head == "fourier":
         params = _spec_params(text, arg, int, "dimension")
         if set(params) != {"d"}:

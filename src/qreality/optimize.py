@@ -182,11 +182,18 @@ def _lowest_cells(values: np.ndarray, k: int) -> np.ndarray:
     # index order.  Only rows whose minimum is at or below the bound can hold
     # one, and NaN rows, whose NaN minimum hides the rest of the row; the
     # scan stops once k cells are found.  Neither step copies a grid of tied
-    # cells: on a constant grid every cell equals the bound, and the first
-    # step searches one row at a time, so it copies no more than a row.
-    rows = np.flatnonzero(~(row_min >= bound))
-    below = np.concatenate([i * grid.shape[1] + np.flatnonzero(grid[i] < bound)
-                            for i in rows] or [np.empty(0, np.intp)])
+    # cells.  Fewer than k rows have a minimum strictly below the bound: it
+    # is the k-th smallest row minimum, or fewer than k rows have a minimum
+    # that is not NaN.  So one nonzero over a copy of those rows finds their
+    # cells, and each NaN row is searched on its own, so NaN rows never pull
+    # a block copy of the grid.  On a constant grid every cell equals the
+    # bound and no row is copied.
+    cols = grid.shape[1]
+    rows = np.flatnonzero(row_min < bound)
+    hit_rows, hit_cols = np.nonzero(grid[rows] < bound)
+    below = np.concatenate([rows[hit_rows] * cols + hit_cols,
+                            *(i * cols + np.flatnonzero(grid[i] < bound)
+                              for i in np.flatnonzero(row_min != row_min))])
     head = below[np.lexsort((below, flat[below]))[:k]]
     need = k - head.size
     ties = []
@@ -194,7 +201,7 @@ def _lowest_cells(values: np.ndarray, k: int) -> np.ndarray:
         if need == 0:
             break
         hits = np.flatnonzero(grid[i] == bound)[:need]
-        ties.append(i * grid.shape[1] + hits)
+        ties.append(i * cols + hits)
         need -= hits.size
     return np.concatenate([head, *ties])
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import SpecParseError, StateValidationError
 from .linalg import DensityMatrix, tensor_product
+from .observables import _spec_params
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -114,12 +115,17 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     return q * phases
 
 
+# The one-parameter spec forms: (head, key) -> constructor.
+_NAMED_STATES = {("werner", "f"): werner, ("alpha", "a"): alpha_state,
+                 ("slit", "x"): floating_slit}
+
+
 def parse_state_spec(text: str) -> DensityMatrix:
     """Build a state from CLI syntax.
 
     Recognized forms: ``singlet``, ``werner:f=0.5``, ``alpha:a=0.7``,
-    ``slit:x=0.3``, ``file:<path>``.  Whitespace around a key is ignored,
-    as in basis specs.
+    ``slit:x=0.3``, ``file:<path>``.  Whitespace around the head and around
+    a key is ignored, and a repeated key is named, as in basis specs.
     """
     spec = text.strip()
     if spec == "singlet":
@@ -127,6 +133,7 @@ def parse_state_spec(text: str) -> DensityMatrix:
     if ":" not in spec:
         raise SpecParseError(f"unrecognized state spec '{text}'")
     head, _, arg = spec.partition(":")
+    head = head.strip()
     if head == "file":
         if not arg:
             raise SpecParseError("file: spec requires a path")
@@ -134,18 +141,10 @@ def parse_state_spec(text: str) -> DensityMatrix:
 
         return load_state(arg)
 
-    key, _, raw = arg.partition("=")
-    key = key.strip()
-    try:
-        value = float(raw)
-    except ValueError:
-        raise SpecParseError(f"state spec '{text}' has a malformed parameter") from None
-    if not math.isfinite(value):
+    params = _spec_params(text, arg, float, "parameter", kind="state")
+    if not all(map(math.isfinite, params.values())):
         raise SpecParseError(f"state spec '{text}' has a non-finite parameter")
-    if head == "werner" and key == "f":
-        return werner(value)
-    if head == "alpha" and key == "a":
-        return alpha_state(value)
-    if head == "slit" and key == "x":
-        return floating_slit(value)
-    raise SpecParseError(f"unrecognized state spec '{text}'")
+    build = _NAMED_STATES.get((head, *params))
+    if build is None:
+        raise SpecParseError(f"unrecognized state spec '{text}'")
+    return build(*params.values())

@@ -120,6 +120,24 @@ def test_measure_reads_spec_keys_alike(capsys):
     assert "basis spec 'fourier:d=2,d=3' repeats the key 'd'" in capsys.readouterr().err
 
 
+def test_measure_names_a_repeated_state_key(capsys):
+    assert main(["measure", "werner:f=0.5,f=0.6", "zbasis@0"]) == 2
+    assert "state spec 'werner:f=0.5,f=0.6' repeats the key 'f'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state, basis", [
+    ("werner : f=0.5", "zbasis@0"),
+    ("werner:f=0.5", "bloch : theta=1,phi=0@0"),
+    ("werner:f=0.5", "fourier :d=2@0"),
+    (" alpha\t: a=0.7", "zbasis@1"),
+])
+def test_measure_ignores_whitespace_around_a_spec_head(state, basis, capsys):
+    assert main(["measure", state, basis]) == 0
+    captured = capsys.readouterr()
+    assert "unrecognized" not in captured.err
+    assert captured.out
+
+
 @pytest.mark.parametrize("angle", ["nan", "inf"])
 def test_measure_non_finite_bloch_angle_exits_two(angle, capsys):
     spec = f"bloch:theta={angle},phi=0"

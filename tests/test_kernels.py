@@ -295,8 +295,10 @@ def test_blocked_joint_grid_is_bitwise_one_shot(rows, cols):
 def _unfused_pair_grids(axes_a, axes_b, r1, r2, tmat, s_rho, mi):
     # The side grids, the one-shot joint grid and the objectives composed
     # from them, as the pair grids were computed before the fused pass.
-    s_a, h_a = kernels._side_entropies_numpy(axes_a, r1, r2, tmat)
-    s_b, h_b = kernels._side_entropies_numpy(axes_b, r2, r1, np.ascontiguousarray(tmat.T))
+    a, b = axes_a @ r1, axes_b @ r2
+    s_a = kernels._dephased_entropies(axes_a, a, r2, tmat)
+    s_b = kernels._dephased_entropies(axes_b, b, r1, np.ascontiguousarray(tmat.T))
+    h_a, h_b = kernels._marginal_entropies(a), kernels._marginal_entropies(b)
     s_ab = _joint_entropy_reference(axes_a, axes_b, r1, r2, tmat)
     return (s_a[:, None] + s_b[None, :] - s_ab - s_rho,
             mi - h_a[:, None] - h_b[None, :] + s_ab)
@@ -341,6 +343,29 @@ def test_fused_pair_grids_are_bitwise_unfused(rows, cols):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     if cols > 1:
         assert dead  # the zero-weight cells were exercised
+
+
+def test_each_grid_computes_only_the_side_data_it_reads(monkeypatch):
+    # The pair discord reads the binary marginal entropies and never the
+    # dephased-state entropies; nonlocality the reverse; the side grid both.
+    calls = []
+    for name in ("_dephased_entropies", "_marginal_entropies"):
+        def counted(*args, _name=name, _fn=getattr(kernels, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    axes, _, _ = kernels.axis_grid(9, 8)
+    r1, r2, tmat, s_rho, mi, s_env = _state_data(random_density(4, 3, 151, dims=(2, 2)))
+    for share in (False, True, True):
+        kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho, share=share)
+        assert calls == ["_dephased_entropies"] * 2
+        calls.clear()
+        kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi, share=share)
+        assert calls == ["_marginal_entropies"] * 2
+        calls.clear()
+    kernels.single_discord_grid(axes, r1, r2, tmat, mi, s_env)
+    assert sorted(calls) == ["_dephased_entropies", "_marginal_entropies"]
 
 
 def _euler_rotation(alpha, beta, gamma):

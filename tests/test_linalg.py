@@ -45,6 +45,32 @@ def test_tensor_product_trace_multiplicative():
         assert abs(np.trace(tensor_product(a, b)) - np.trace(a) * np.trace(b)) <= 1e-12
 
 
+def _signed_zero_complex(rng, shape):
+    # Random complex entries, about a third of the parts +0.0 or -0.0.
+    parts = rng.normal(size=(2, *shape))
+    zeros = rng.random(parts.shape) < 0.35
+    parts[zeros] = np.copysign(0.0, rng.normal(size=int(zeros.sum())))
+    return parts[0] + 1j * parts[1]
+
+
+def test_tensor_product_is_bitwise_kron():
+    rng = np.random.default_rng(23)
+    for shape_a, shape_b in [((2, 2), (2, 2)), ((3, 3), (4, 4)), ((2, 3), (3, 1)),
+                             ((1, 1), (2, 2))]:
+        for _ in range(25):
+            a = _signed_zero_complex(rng, shape_a)
+            b = _signed_zero_complex(rng, shape_b)
+            got = tensor_product(a, b)
+            want = np.kron(a, b)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+    # Real and signed-zero inputs are taken as complex, as np.kron of the
+    # complex arrays would.
+    z = np.array([[-0.0, 0.0], [1.0, -2.0]])
+    np.testing.assert_array_equal(_bits(tensor_product(z, -z)),
+                                  _bits(np.kron(z.astype(complex), (-z).astype(complex))))
+
+
 def test_partial_trace_product_state():
     rng = np.random.default_rng(5)
     rho1 = random_density(2, 2, rng)

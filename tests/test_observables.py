@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qreality.errors import SpecParseError, StateValidationError
-from qreality.linalg import frobenius_distance, partial_trace
+from qreality.linalg import embed_operator, frobenius_distance, partial_trace
 from qreality.measures import dephase
 from qreality.observables import (
     ProjectiveBasis,
@@ -24,6 +24,7 @@ from qreality.states import (
     floating_slit,
     pure_from_amplitudes,
     random_density,
+    random_unitary,
     singlet,
     werner,
 )
@@ -159,6 +160,35 @@ def test_lift_examples():
         lift(comp, 2, (2, 2))
     with pytest.raises(ValueError):
         lift(computational_basis(3), 0, (2, 2))
+
+
+def _bits(x):
+    # Raw IEEE words, so that signed zeros and every last bit count.
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2)])
+def test_lift_is_bitwise_the_embedded_projectors(dims):
+    # Random bases, and bases whose vectors hold signed zeros: qubit_basis at
+    # a pole (-0 * phase) and the computational basis with -0.0 - 0.0i off
+    # the diagonal, whose projectors hold -0.0 entries.
+    rng = np.random.default_rng(sum(dims) * 7 + len(dims))
+    for subsystem, d in enumerate(dims):
+        signed = np.full((d, d), complex(-0.0, -0.0))
+        np.fill_diagonal(signed, 1.0)
+        signed = ProjectiveBasis(signed)
+        assert np.signbit(signed.projector(0).real).any()
+        bases = [ProjectiveBasis(random_unitary(d, rng)), signed,
+                 fourier_of(ProjectiveBasis(random_unitary(d, rng)))]
+        if d == 2:
+            bases += [qubit_basis(0.0, 0.7), qubit_basis(math.pi, 2.0)]
+        for basis in bases:
+            got = lift(basis, subsystem, dims)
+            assert len(got) == d
+            for k, proj in enumerate(got):
+                want = embed_operator(basis.projector(k), subsystem, dims)
+                assert proj.shape == want.shape
+                np.testing.assert_array_equal(_bits(proj), _bits(want))
 
 
 def test_projective_basis_validation():

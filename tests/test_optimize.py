@@ -255,6 +255,28 @@ def test_lowest_cells_on_a_constant_grid_copies_no_grid():
 
 
 
+def test_lowest_cells_with_nan_rows_in_a_tied_grid():
+    # Every other row holds a NaN cell, which hides its minimum; some of those
+    # rows also hold the lowest cells, and the rest of the grid ties with the
+    # bound.  The NaN rows are searched one at a time: a block copy of them
+    # would take about 1.2 MB.
+    grid = np.full((553, 553), 0.25)
+    grid[1::2, 7] = np.nan
+    grid[[3, 200, 201], [100, 5, 552]] = -1.0
+    grid[[40, 41], [9, 9]] = -2.0
+    grid[[41, 300], [0, 17]] = 0.0
+    for k in (1, 2, 3, 5, 6, 8, 40):
+        assert np.array_equal(_lowest_cells(grid, k), _stable_head(grid, k))
+    tracemalloc.start()
+    try:
+        got = _lowest_cells(grid, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _stable_head(grid, 8))
+    assert peak < 1_000_000
+
+
 def _separated_head(values, axes, k):
     # The start rule written out: walk the START_POOL * k lowest cells in
     # stable argsort order and accept a cell unless some accepted start's
