@@ -37,16 +37,17 @@ so the four joint weights are pairwise equal bit for bit, (1 + c)/4 for
 s = t and (1 - c)/4 for s != t.  That pass takes each of the two logarithms
 once and subtracts the four terms in the usual order, so its S_AB is the
 four-log pass's, cell for cell.  The branch is chosen from a and b, never
-from a setting.  A caller that minimizes both pair objectives on
-one state (``sweep.sweep_rows`` and ``verify.suite_bounds``) passes
-``share=True`` to both grid calls: each thread keeps the S_AB of its last
-shared pass, keyed by the axes and Bloch data, and a shared call on equal
-inputs builds its grid from it, in the same row blocks, instead of running
-the joint pass again, which is almost all of a pair grid's cost.  An
-unshared call keeps nothing: it would hold a second full-size grid for no
-later use.  The scalar ``*_value`` functions are the refinement objectives:
-each returns the value and its gradient by the Bloch axes, the gradient in
-plain Python floats (d(-p ln p)/dp = -(1 + ln p) for each live weight).
+from a setting.  A thread keeps the S_AB of a joint pass when its own calls
+repeat a state: a pair grid on the axes and Bloch data of the thread's last
+call reads the pass that call kept instead of running it again, which is
+almost all of a pair grid's cost.  A call on new inputs keeps its pass only
+if the thread's previous call repeated the one before it, so a caller that
+minimizes both pair objectives on each state (``sweep.sweep_rows``,
+``verify.suite_bounds``) runs one pass per state after its first, and one
+that asks once per state keeps nothing.  The scalar ``*_value`` functions
+are the refinement objectives: each returns the value and its gradient by
+the Bloch axes, the gradient in plain Python floats (d(-p ln p)/dp =
+-(1 + ln p) for each live weight).
 The repository benchmark times the grid stage end to end:
 ``python3 perfbench/run.py --workload pair_min`` (``--trace 1`` for per-layer
 figures, see ``perfbench/NOTES.md``).
@@ -251,53 +252,56 @@ def _two_log_block(rows, c, p, lq, acc):
     return p
 
 
-# Per thread: the inputs of the last shared joint pass, and its S_AB in a
-# buffer reused from one shared pass to the next.
+# Per thread: the last joint pass's inputs, whether that call repeated the
+# one before it, whether its S_AB is kept, and the buffer that keeps it.
 _KEPT = threading.local()
 
 
-def _shared_joint_entropy(axes_a, axes_b, r1, r2, tmat, out):
-    # (rows, S_AB of those rows) as _joint_entropy_blocks yields them, keeping
-    # a copy in the thread's buffer; the kept rows, in the same blocks, when
-    # the inputs equal those of the kept pass.  Equal Bloch data are one
-    # state, so a kept S_AB serves no other.  The buffer lives as long as the
-    # thread: a new one per state, or per call, would be freed together with
-    # that state's grids, and the heap would hand the pages back and fault
-    # them in again for the next state, which costs about half of a joint
-    # pass.
+def _joint_entropy(axes_a, axes_b, r1, r2, tmat, out):
+    # (rows, S_AB of those rows) as _joint_entropy_blocks yields them, or
+    # the kept rows, in the same blocks, when the inputs equal the last
+    # call's and it kept its pass.  Equal Bloch data are one state, so a
+    # kept S_AB serves no other.  A pass is kept only after a repeat, so a
+    # thread that asks once per state writes no buffer that nobody reads.
+    # The buffer lives as long as the thread: a new one per state would be
+    # freed with that state's grids, and the heap would hand the pages back
+    # and fault them in again for the next state, about half a pass.
     inputs = (axes_a, axes_b, r1, r2, tmat)
-    kept = getattr(_KEPT, "inputs", None)
-    if kept is not None and all(np.array_equal(x, y) for x, y in zip(inputs, kept)):
+    last = getattr(_KEPT, "inputs", None)
+    repeat = last is not None and all(np.array_equal(x, y) for x, y in zip(inputs, last))
+    keep = getattr(_KEPT, "repeated", False)
+    _KEPT.repeated = repeat
+    if repeat and _KEPT.kept:
         values = _KEPT.values
         for rows in _row_blocks(out.shape[0]):
             yield rows, values[rows]
         return
-    _KEPT.inputs = None
+    _KEPT.inputs, _KEPT.kept = tuple(np.array(x) for x in inputs), False
     values = getattr(_KEPT, "values", None)
-    if values is None or values.shape != out.shape:
+    if keep and (values is None or values.shape != out.shape):
         values = _KEPT.values = np.empty_like(out)
     for rows, s_ab in _joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
-        values[rows] = s_ab
+        if keep:
+            values[rows] = s_ab
         yield rows, s_ab
-    _KEPT.inputs = tuple(np.array(x) for x in inputs)
+    _KEPT.kept = keep
 
 
 # ---------------------------------------------------------------------------
 # objective grids
 # ---------------------------------------------------------------------------
 
-def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy, *, share=False):
+def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy):
     """N over all axis pairs: S_A + S_B - S_AB - S(rho).
 
-    ``share=True`` when both pair objectives are minimized on one state: the
-    second grid then reads the S_AB the first one kept.
+    S_AB is read from this thread's kept pass when its calls repeat the
+    inputs (see the module docstring); the grid is the same bit for bit.
     """
     s_a = _dephased_entropies(axes_a, axes_a @ r1, r2, tmat)[:, None]
     s_b = _dephased_entropies(axes_b, axes_b @ r2, r1, np.ascontiguousarray(tmat.T))
     out = np.empty((axes_a.shape[0], axes_b.shape[0]))
     s_b = _row_tile(s_b, out.shape[0])
-    joint = _shared_joint_entropy if share else _joint_entropy_blocks
-    for rows, s_ab in joint(axes_a, axes_b, r1, r2, tmat, out):
+    for rows, s_ab in _joint_entropy(axes_a, axes_b, r1, r2, tmat, out):
         block = out[rows]
         np.add(s_a[rows], s_b[:block.shape[0]], out=block)
         block -= s_ab
@@ -305,14 +309,13 @@ def nonlocality_grid(axes_a, axes_b, r1, r2, tmat, base_entropy, *, share=False)
     return out
 
 
-def pair_discord_grid(axes_a, axes_b, r1, r2, tmat, mutual_info, *, share=False):
-    """Two-sided discord-like drop over all axis pairs; ``share`` as in
+def pair_discord_grid(axes_a, axes_b, r1, r2, tmat, mutual_info):
+    """Two-sided discord-like drop over all axis pairs; S_AB as in
     :func:`nonlocality_grid`."""
     head = (mutual_info - _marginal_entropies(axes_a @ r1))[:, None]
     out = np.empty((axes_a.shape[0], axes_b.shape[0]))
     h_b = _row_tile(_marginal_entropies(axes_b @ r2), out.shape[0])
-    joint = _shared_joint_entropy if share else _joint_entropy_blocks
-    for rows, s_ab in joint(axes_a, axes_b, r1, r2, tmat, out):
+    for rows, s_ab in _joint_entropy(axes_a, axes_b, r1, r2, tmat, out):
         block = out[rows]
         np.subtract(head[rows], h_b[:block.shape[0]], out=block)
         block += s_ab

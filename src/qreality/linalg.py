@@ -27,6 +27,7 @@ clamp-and-renormalize repair, so a derived state is bit for bit the
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -76,6 +77,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = _as_square_complex(self.mat)
+        # int() would truncate 2.7; a bool is an Integral but no dimension.
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool)
+                   for d in self.dims):
+            raise ValueError(f"subsystem dimensions must be integers, got {tuple(self.dims)}")
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")

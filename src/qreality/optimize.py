@@ -44,17 +44,16 @@ each refinement evaluation a scan of the five points of a
 central-difference stencil.
 
 The two pair objectives share their costliest part, the entropy of the state
-dephased on both sides.  Callers that minimize both on one state (the sweep
-rows and the bounds suite) pass ``share=True`` to both :func:`minimize_pair`
-calls, and the second reads the joint grid the first kept for this thread.
-An unshared call runs the fused single pass and keeps nothing: holding the
-joint grid would cost a second full-size grid and save nothing.
+dephased on both sides.  A thread that minimizes both on each state (the
+sweep rows and the bounds suite do) computes it once per state after its
+first: the kernels keep a thread's joint grid when its calls repeat a state.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +121,10 @@ class OptimizerConfig:
     refine_tolerance: float = 1e-7
 
     def __post_init__(self):
+        for name in ("grid_points_theta", "grid_points_phi", "refine_starts"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.grid_points_theta, self.grid_points_phi, self.refine_starts) < 1:
             raise ValueError("optimizer config fields must be positive")
         # NaN would make every start run all MAX_REFINE_ITERATIONS, and inf
@@ -413,14 +416,12 @@ def minimize_pair(
     rho: DensityMatrix,
     objective: str,
     cfg: OptimizerConfig = OptimizerConfig(),
-    *,
-    share: bool = False,
 ) -> OptimizationResult:
     """Minimize nonlocality or the two-sided discord-like drop over basis pairs.
 
-    A caller that minimizes both objectives on ``rho`` passes ``share=True``
-    to both calls, so the joint-entropy grid is computed once; the results
-    are the same bit for bit.
+    When this thread's previous call was on the same state and grid, the
+    joint-entropy grid it kept is read instead of computed again; the
+    results are the same bit for bit.
     """
     if objective not in (OBJECTIVE_NONLOCALITY, OBJECTIVE_DISCORD):
         raise ValueError(f"unsupported pair objective '{objective}'")
@@ -437,11 +438,11 @@ def minimize_pair(
 
     if objective == OBJECTIVE_NONLOCALITY:
         base = entropy(rho)
-        grid_values = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, base, share=share)
+        grid_values = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, base)
         value_of = kernels.nonlocality_value
     else:
         base = mutual_information(rho)
-        grid_values = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, base, share=share)
+        grid_values = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, base)
         value_of = kernels.pair_discord_value
 
     def fun(x):

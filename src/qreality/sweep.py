@@ -67,8 +67,8 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
     rows = []
     for param in np.linspace(spec.start, spec.stop, spec.points):
         state = build(float(param))
-        n_res = minimize_pair(state, OBJECTIVE_NONLOCALITY, spec.optimizer, share=True)
-        d_res = minimize_pair(state, OBJECTIVE_DISCORD, spec.optimizer, share=True)
+        n_res = minimize_pair(state, OBJECTIVE_NONLOCALITY, spec.optimizer)
+        d_res = minimize_pair(state, OBJECTIVE_DISCORD, spec.optimizer)
         (ta, pa), (tb, pb) = n_res.argmin
         rows.append(SweepRow(
             param=float(param),

@@ -352,8 +352,8 @@ def suite_bounds(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) ->
     for k in range(count):
         c.case()
         rho = _random_two_qubit(rng)
-        n_min = minimize_pair(rho, OBJECTIVE_NONLOCALITY, cfg, share=True).value
-        d_pair = minimize_pair(rho, OBJECTIVE_DISCORD, cfg, share=True).value
+        n_min = minimize_pair(rho, OBJECTIVE_NONLOCALITY, cfg).value
+        d_pair = minimize_pair(rho, OBJECTIVE_DISCORD, cfg).value
         c.check(f"lower bound (case {k})", -n_min, 1e-6)
         c.check(f"upper bound (case {k})", n_min - d_pair, 1e-6)
 

@@ -1,6 +1,8 @@
 import csv
 import io
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -352,3 +354,74 @@ def test_verify_oracle_over_the_side_grid_budget_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(optimize, "MAX_SIDE_GRID_POINTS", 41)
     assert main(["verify", "oracle", *FAST_FLAGS]) == 2
     assert "42 points exceeds the budget of 41" in capsys.readouterr().err
+
+
+# Values a fuzzed field takes: non-finite, out of range, of the wrong type,
+# or fine.  In a state file they are JSON; NaN and Infinity are the literals
+# Python's json reads and writes.
+_FUZZ_TOKENS = ["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400",
+                "true", "false", "null", "", "0", "-0", "1", "2", "-1", "0.5", "2.5",
+                "1,2", "[1]", "0x10", "9" * 400]
+_FUZZ_JSON = [math.nan, math.inf, -math.inf, "1e400", 10**400, True, False, None,
+              "1", [1], [], {}, 0.5, 2, -2, 2.7, 1e-320]
+_NON_FINITE_OUTPUT = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+def _fuzz_argv(rng, tmp_path, k):
+    # One mutated measure call: a state spec (or a mutated state file), one
+    # or two basis specs and a format.
+    token = _FUZZ_TOKENS[rng.integers(len(_FUZZ_TOKENS))]
+    states = [f"werner:f={token}", f"alpha:a={token}", f"slit:x={token}",
+              f"werner:f=0.5,f={token}", "singlet", "werner:f=0.3"]
+    bases = [f"bloch:theta={token},phi=0@1", f"bloch:theta=1,phi={token}@0",
+             f"fourier:d={token}@0", f"zbasis@{token}", "xbasis@1", "zbasis@0"]
+    if k % 2:
+        state = states[rng.integers(len(states))]
+    else:
+        state = f"file:{_fuzz_state_file(rng, tmp_path / f'state{k}.json')}"
+    picked = [bases[i] for i in rng.choice(len(bases), size=1 + k % 3 // 2, replace=False)]
+    return ["measure", state, *picked, "--format", ("human", "records", "csv")[k % 3]]
+
+
+def _fuzz_state_file(rng, path):
+    # werner(0.4) as a state file with one field mutated.
+    matrix = [[[float(z.real), float(z.imag)] for z in row] for row in werner(0.4).mat]
+    doc = {"dims": [2, 2], "matrix": matrix}
+    value = _FUZZ_JSON[rng.integers(len(_FUZZ_JSON))]
+    i, j, part = (int(x) for x in rng.integers(4, size=3))
+    kind = rng.integers(6)
+    if kind == 0:  # bad dims
+        doc["dims"] = [[2, value], [value, 2], value, [4], [2, 2, 1], [2.7, 2.2]][i + part % 3]
+    elif kind <= 2:  # one number of an entry
+        matrix[i][j][part % 2] = value
+    elif kind == 3:  # a whole entry
+        matrix[i][j] = value
+    elif kind == 4:  # ragged rows: one entry short, or one row too many
+        if part % 2:
+            del matrix[i][j]
+        else:
+            matrix.append(matrix[i])
+    else:  # the document's shape
+        doc = [value, {"dims": [2, 2]}, {"matrix": matrix}, [doc]][i]
+    # "1e400" stands for the JSON literal, which json.dumps cannot write.
+    path.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
+    return path
+
+
+def test_boundary_fuzz_maps_bad_input_to_documented_exits(tmp_path, capsys):
+    # Fixed-seed mutations of measure arguments and state files: every call
+    # exits 0, 2 or 3, with no traceback and no non-finite number printed.
+    rng = np.random.default_rng(20260)
+    exits = []
+    for k in range(240):
+        argv = _fuzz_argv(rng, tmp_path, k)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argument list
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        assert not _NON_FINITE_OUTPUT.search(out), (argv, out)
+        exits.append(code)
+    assert {0, 2, 3} <= set(exits)

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -357,11 +358,12 @@ def test_each_grid_computes_only_the_side_data_it_reads(monkeypatch):
         monkeypatch.setattr(kernels, name, counted)
     axes, _, _ = kernels.axis_grid(9, 8)
     r1, r2, tmat, s_rho, mi, s_env = _state_data(random_density(4, 3, 151, dims=(2, 2)))
-    for share in (False, True, True):
-        kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho, share=share)
+    # Three rounds on one state: fresh passes, then a kept pass, then reads.
+    for _ in range(3):
+        kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho)
         assert calls == ["_dephased_entropies"] * 2
         calls.clear()
-        kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi, share=share)
+        kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi)
         assert calls == ["_marginal_entropies"] * 2
         calls.clear()
     kernels.single_discord_grid(axes, r1, r2, tmat, mi, s_env)
@@ -455,25 +457,38 @@ def _bits_equal(got, want):
     return np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _in_new_thread(fn):
+    # fn() in a thread with no joint-pass history; its exception re-raised.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=120)
+
+
 def test_shared_joint_entropy_grids_are_bitwise_unshared(monkeypatch):
-    # Several blocks, and the Bell-diagonal states with dead weights; the
-    # second grid reads the pass the first one kept, in either order.
+    # Several blocks, and the Bell-diagonal states with dead weights.  Both
+    # pair grids on each state in turn, as a sweep asks for them, in either
+    # order: the first state runs two passes, and on every later state the
+    # first grid keeps its pass and the second reads it.
     axes, _, _ = kernels.axis_grid(13, 12)
     rng = np.random.default_rng(139)
     states = [random_density(4, rank, rng, dims=(2, 2)) for rank in (1, 2, 3, 4)]
     states += [werner(0.0), werner(0.5), alpha_state(0.3)]
+    data = [_state_data(rho) for rho in states]
     runs = _counted_joint_passes(monkeypatch)
-    for rho in states:
-        r1, r2, tmat, s_rho, mi, _ = _state_data(rho)
-        grids = (lambda **kw: kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho, **kw),
-                 lambda **kw: kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi, **kw))
-        want = [grid() for grid in grids]
-        for order in ((0, 1), (1, 0)):
-            kernels._KEPT.inputs = None  # the first grid of each order runs the pass
+
+    def sweep(order):
+        passes = []
+        for r1, r2, tmat, s_rho, mi, _ in data:
+            want = _unfused_pair_grids(axes, axes, r1, r2, tmat, s_rho, mi)
+            grids = (lambda: kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho),
+                     lambda: kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi))
             runs.clear()
             for k in order:
-                assert _bits_equal(grids[k](share=True), want[k])
-            assert len(runs) == 1
+                assert _bits_equal(grids[k](), want[k])
+            passes.append(len(runs))
+        return passes
+
+    for order in ((0, 1), (1, 0)):
+        assert _in_new_thread(lambda: sweep(order)) == [2] + [1] * (len(states) - 1)
 
 
 def test_shared_grid_recomputes_for_other_bloch_data_or_axes(monkeypatch):
@@ -490,17 +505,23 @@ def test_shared_grid_recomputes_for_other_bloch_data_or_axes(monkeypatch):
     for axes_a, axes_b in ((fewer, axes), (axes, fewer), (fewer, fewer), (axes[::-1], axes)):
         cases.append((axes_a, axes_b, r1, r2, tmat))
     runs = _counted_joint_passes(monkeypatch)
-    for case in cases:
-        kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho, share=True)
+
+    def check(case):
+        # Both grids on the base inputs, so the next call follows a repeat.
+        kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho)
+        kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi)
         runs.clear()
-        got = kernels.pair_discord_grid(*case, mi, share=True)
+        got = kernels.pair_discord_grid(*case, mi)
         assert len(runs) == 1
-        assert _bits_equal(got, kernels.pair_discord_grid(*case, mi))
+        want = _unfused_pair_grids(*case, s_rho, mi)
+        assert _bits_equal(got, want[1])
         # The pass it ran is kept for its own inputs.
         runs.clear()
-        got = kernels.nonlocality_grid(*case, s_rho, share=True)
+        got = kernels.nonlocality_grid(*case, s_rho)
         assert not runs
-        assert _bits_equal(got, kernels.nonlocality_grid(*case, s_rho))
+        assert _bits_equal(got, want[0])
+
+    _in_new_thread(lambda: [check(case) for case in cases])
 
 
 def _entropy_sum(weights) -> float:

@@ -189,6 +189,18 @@ def test_density_matrix_rejects_non_finite_entries(entry, where):
     assert not math.isfinite(err.value.residual)
 
 
+@pytest.mark.parametrize("dims", [(2.7, 2.2), (2.0, 2), (2, True), (True, 4), ("2", 2)])
+def test_density_matrix_rejects_non_integral_dims(dims):
+    # int() used to turn (2.7, 2.2) into (2, 2) without a word.
+    with pytest.raises(ValueError, match="subsystem dimensions must be integers"):
+        DensityMatrix(np.eye(4) / 4, dims)
+
+
+def test_density_matrix_accepts_numpy_integer_dims():
+    dims = DensityMatrix(np.eye(4) / 4, (np.int64(2), np.int32(2))).dims
+    assert dims == (2, 2) and all(type(d) is int for d in dims)
+
+
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(StateValidationError) as err:
         DensityMatrix(np.eye(2, dtype=complex), (2,))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,21 @@ def test_config_validation():
         OptimizerConfig(grid_points_theta=0)
     with pytest.raises(ValueError):
         OptimizerConfig(refine_tolerance=0.0)
+
+
+@pytest.mark.parametrize("field", ["grid_points_theta", "grid_points_phi", "refine_starts"])
+@pytest.mark.parametrize("value", [12.5, 9.0, True, "9", None])
+def test_config_rejects_non_integral_counts(field, value):
+    # 12.5 used to pass here and fail later inside axis_grid; a bool counts
+    # as non-integral, as in state files.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        OptimizerConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = OptimizerConfig(grid_points_theta=np.int64(9), grid_points_phi=np.int32(8),
+                          refine_starts=np.uint8(3))
+    assert minimize_pair(werner(0.3), "discord", cfg) == minimize_pair(werner(0.3), "discord", FAST)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
@@ -885,34 +901,65 @@ def _result_hex(res):
             res.grid_best.hex(), res.evaluations, res.converged)
 
 
+def _in_new_thread(fn):
+    # fn() in a thread with no joint-pass history; its exception re-raised.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=120)
+
+
+def _fresh_results(calls):
+    # Each (state, objective, cfg) minimized with no kept pass to read: one
+    # call per state in a row keeps none.
+    def run():
+        got = [_result_hex(minimize_pair(*call)) for call in calls]
+        assert not hasattr(kernels._KEPT, "values")
+        return got
+
+    return _in_new_thread(run)
+
+
 def test_shared_joint_entropy_leaves_minimize_pair_bitwise_unchanged():
-    # 171 axes per side: three joint blocks, the last one partial.
+    # 171 axes per side: three joint blocks, the last one partial.  Both
+    # objectives on each state in turn, in either order: from the second
+    # state on, the second call reads the pass the first one kept.
     cfg = OptimizerConfig(grid_points_theta=17, grid_points_phi=16)
     rng = np.random.default_rng(163)
     states = [random_density(4, 1 + k % 4, rng, dims=(2, 2)) for k in range(8)]
     states += [werner(0.0), werner(0.6), werner(1.0), alpha_state(0.0), alpha_state(0.4)]
-    for rho in states:
-        want = {obj: _result_hex(minimize_pair(rho, obj, cfg))
-                for obj in ("nonlocality", "discord")}
-        for order in (("nonlocality", "discord"), ("discord", "nonlocality")):
-            kernels._KEPT.inputs = None  # the first call of each order runs the pass
-            for obj in order:
-                assert _result_hex(minimize_pair(rho, obj, cfg, share=True)) == want[obj]
+    objectives = ("nonlocality", "discord")
+    keys = [(k, obj) for obj in objectives for k in range(len(states))]
+    want = dict(zip(keys, _fresh_results([(states[k], obj, cfg) for k, obj in keys])))
+    for order in (objectives, objectives[::-1]):
+        got = _in_new_thread(lambda: {(k, obj): _result_hex(minimize_pair(rho, obj, cfg))
+                                      for k, rho in enumerate(states) for obj in order})
+        assert got == want
 
 
 def test_shared_minimize_pair_recomputes_for_another_state():
     # A kept pass of werner(0.5) on the FAST grid serves neither another
-    # state nor another grid: each shared call below is its unshared result.
+    # state nor another grid: each call below is its result in a new thread.
     finer = OptimizerConfig(grid_points_theta=10, grid_points_phi=8, refine_starts=3)
-    minimize_pair(werner(0.5), "nonlocality", FAST, share=True)
-    for rho, cfg in ((alpha_state(0.5), FAST), (werner(0.5), finer)):
-        kept = kernels._KEPT.inputs
-        got = _result_hex(minimize_pair(rho, "discord", cfg, share=True))
-        assert kernels._KEPT.inputs is not kept
-        assert got == _result_hex(minimize_pair(rho, "discord", cfg))
+    cases = [(alpha_state(0.5), "discord", FAST), (werner(0.5), "discord", finer)]
+
+    def run():
+        # The third call on one state keeps its pass.
+        for obj in ("nonlocality", "discord", "nonlocality"):
+            minimize_pair(werner(0.5), obj, FAST)
+        assert kernels._KEPT.kept
+        got = []
+        for case in cases:
+            kept = kernels._KEPT.inputs
+            got.append(_result_hex(minimize_pair(*case)))
+            assert kernels._KEPT.inputs is not kept
+        return got
+
+    assert _in_new_thread(run) == _fresh_results(cases)
 
 
 def test_sweep_and_bounds_run_one_joint_pass_per_state(monkeypatch):
+    # In a new thread the first state runs two passes, one per objective;
+    # after that each state's first call keeps its pass and the second
+    # reads it.
     from qreality.sweep import SweepSpec, sweep_rows
     from qreality.verify import run_suite
 
@@ -924,23 +971,20 @@ def test_sweep_and_bounds_run_one_joint_pass_per_state(monkeypatch):
         return blocks(*args)
 
     monkeypatch.setattr(kernels, "_joint_entropy_blocks", counted)
-    rows = sweep_rows(SweepSpec("alpha", points=3, optimizer=FAST))
-    assert len(rows) == 3 and len(runs) == 3
-    runs.clear()
-    assert run_suite("bounds", 5, 2, FAST).ok
-    assert len(runs) == 2
-    runs.clear()
-    minimize_pair(werner(0.5), "nonlocality", FAST)
-    minimize_pair(werner(0.5), "discord", FAST)
-    assert len(runs) == 2
 
+    def passes(run):
+        runs.clear()
+        run()
+        return len(runs)
 
-def _in_new_thread(fn):
-    out = []
-    thread = threading.Thread(target=lambda: out.append(fn()))
-    thread.start()
-    thread.join()
-    return out[0]
+    def sweeps():
+        return [passes(lambda: sweep_rows(SweepSpec(family, points=3, optimizer=FAST)))
+                for family in ("alpha", "werner")]
+
+    assert _in_new_thread(sweeps) == [4, 3]
+    assert _in_new_thread(lambda: passes(lambda: run_suite("bounds", 5, 3, FAST))) == 4
+    assert _in_new_thread(lambda: [passes(lambda: run_suite("bounds", 5, 2, FAST)),
+                                   passes(lambda: run_suite("bounds", 6, 2, FAST))]) == [3, 2]
 
 
 def test_sweep_and_bounds_keep_one_joint_buffer_per_thread():
@@ -956,27 +1000,39 @@ def test_sweep_and_bounds_keep_one_joint_buffer_per_thread():
     assert _in_new_thread(lambda: vars(kernels._KEPT)) == {}
 
 
-def test_unshared_calls_keep_nothing():
-    # Unshared calls neither keep a pass of their own nor touch the one a
-    # shared call kept: they would hold a second full-size grid for nothing.
+def test_once_per_state_calls_keep_no_pass():
+    # A caller that asks once per state, as one minimize_pair per state
+    # does, keeps no pass and allocates no buffer: it would write a
+    # full-size grid that nobody reads.
     axes, _, _ = kernels.axis_grid(9, 8)
-    rho = random_density(4, 3, 181, dims=(2, 2))
-    r1, r2, tmat = kernels.bloch_correlations(rho.mat)
+    states = [random_density(4, 1 + k % 4, 181 + k, dims=(2, 2)) for k in range(6)]
 
-    def unshared():
-        minimize_pair(rho, "nonlocality", FAST)
-        minimize_pair(rho, "discord", FAST)
-        kernels.nonlocality_grid(axes, axes, r1, r2, tmat, 0.0)
-        kernels.pair_discord_grid(axes, axes, r1, r2, tmat, 0.0)
-        return vars(kernels._KEPT)
+    def once_per_state():
+        for k, rho in enumerate(states):
+            minimize_pair(rho, ("nonlocality", "discord")[k % 2], FAST)
+        for rho in states:
+            r1, r2, tmat = kernels.bloch_correlations(rho.mat)
+            kernels.pair_discord_grid(axes, axes, r1, r2, tmat, 0.0)
+        return dict(vars(kernels._KEPT))
 
-    assert _in_new_thread(unshared) == {}
-    minimize_pair(werner(0.3), "nonlocality", FAST, share=True)
-    kept = kernels._KEPT.inputs
-    values = kernels._KEPT.values.copy()
-    unshared()
-    assert kernels._KEPT.inputs is kept
-    assert np.array_equal(kernels._KEPT.values, values)
+    kept = _in_new_thread(once_per_state)
+    assert "values" not in kept and not kept["kept"] and not kept["repeated"]
+
+
+def test_single_calls_between_sweep_states_leave_every_result_unchanged():
+    # Sweep-like pairs of calls with single calls on other states between
+    # them: every mix of kept, read and fresh passes gives each call's
+    # result in a new thread.
+    rng = np.random.default_rng(191)
+    calls = []
+    for k in range(6):
+        rho = random_density(4, 1 + k % 4, rng, dims=(2, 2))
+        calls += [(rho, "nonlocality", FAST), (rho, "discord", FAST)]
+        calls += [(random_density(4, 2, rng, dims=(2, 2)), ("discord", "nonlocality")[j % 2], FAST)
+                  for j in range(k % 3)]
+    got = _in_new_thread(lambda: [_result_hex(minimize_pair(*call)) for call in calls])
+    assert got == [_in_new_thread(lambda call=call: _result_hex(minimize_pair(*call)))
+                   for call in calls]
 
 
 def test_sweeps_in_threads_keep_their_joint_passes_apart():
