@@ -1,4 +1,4 @@
-"""Closed-form two-qubit objective kernels for the basis-pair minimizations.
+"""Closed-form objective kernels for the basis minimizations.
 
 Every objective the optimizer searches over (nonlocality of a basis pair,
 single- and two-sided discord-like drops) reduces, for a two-qubit state, to
@@ -14,7 +14,10 @@ because dephasing along a Bloch axis u produces a block-diagonal state whose
     S(Ph_u^A Ph_v^B rho):  weights (1 + s u.r1 + t v.r2 + s t u.T v)/4
     dephased marginals:  binary entropy of (1 + u.r1)/2 (resp. v.r2)
 
-so a grid scan needs no eigendecompositions at all.  The grids are vectorized
+so a grid scan needs no eigendecompositions at all.  A qubit against a
+d-level partner keeps the one-sided drop's form, with the partner's data
+replaced by its marginal and operators R_i (:func:`qudit_partner_data`), and
+takes the spectra of two d x d blocks per point.  The grids are vectorized
 numpy and the only backend.  Each grid computes only the side data its
 objective reads: the dephased-state entropies for nonlocality, the marginal
 binary entropies for the pair discord, both for the one-sided drop.  Each
@@ -97,6 +100,19 @@ def bloch_correlations(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     coeffs = np.trace(mat @ PAULI_PRODUCTS, axis1=1, axis2=2).real.reshape(4, 4)
     return coeffs[1:, 0].copy(), coeffs[0, 1:].copy(), coeffs[1:, 1:].copy()
+
+
+def qudit_partner_data(mat, d, side):
+    """r, rho_B and R of the qubit on ``side`` of mat against a d-level partner.
+
+    rho = (I x rho_B + sum_i s_i x R_i) / 2, qubit factor first, with
+    R_i = Tr_q[(s_i x I) rho] stacked (3, d, d) and r_i = tr R_i.  Dephasing
+    the qubit along u leaves the blocks (rho_B +/- u.R)/2, of traces
+    (1 +/- u.r)/2, the dephased qubit's outcome probabilities.
+    """
+    m = mat.reshape(2, d, 2, d) if side == 0 else mat.reshape(d, 2, d, 2).transpose(1, 0, 3, 2)
+    parts = np.einsum("iab,bxay->ixy", np.stack(_PAULIS), m)
+    return np.trace(parts[1:], axis1=1, axis2=2).real, parts[0], parts[1:]
 
 
 @functools.lru_cache(maxsize=4)
@@ -329,6 +345,22 @@ def single_discord_grid(axes, r1, r2, tmat, mutual_info, env_entropy):
     return mutual_info - _marginal_entropies(a) - env_entropy + s_a
 
 
+def _dephased_blocks(axes, rho_b, ops):
+    # The blocks (rho_B +/- u.R)/2 of each axis u, stacked (..., 2, d, d).
+    u_r = np.tensordot(axes, ops, 1)
+    return np.stack([rho_b + u_r, rho_b - u_r], axis=-3) / 2.0
+
+
+def qudit_drop_grid(axes, r, rho_b, ops, mutual_info, env_entropy):
+    """:func:`single_discord_grid` with S(Ph_u rho) the entropy of the two
+    blocks' spectra, one stacked ``eigvalsh`` per JOINT_BLOCK_ROWS axes."""
+    s_a = np.empty(axes.shape[0])
+    for rows in _row_blocks(axes.shape[0]):
+        spectra = np.linalg.eigvalsh(_dephased_blocks(axes[rows], rho_b, ops))
+        s_a[rows] = _entropy_terms_numpy(spectra).sum(axis=(1, 2))
+    return mutual_info - _marginal_entropies(axes @ r) - env_entropy + s_a
+
+
 # ---------------------------------------------------------------------------
 # scalar values and gradients (refinement objectives)
 # ---------------------------------------------------------------------------
@@ -456,3 +488,20 @@ def single_discord_value(axis, r1, r2, tmat, mutual_info, env_entropy) -> tuple[
     h_a, ha_a = _marginal_entropy(a)
     value = mutual_info - h_a - env_entropy + s_a
     return value, tuple(_lift(sa_a - ha_a, r1.tolist(), tmat.tolist(), sa_w))
+
+
+def qudit_drop_value(axis, r, rho_b, ops, mutual_info, env_entropy) -> tuple[float, tuple]:
+    """The drop of :func:`qudit_drop_grid` at one axis, and its gradient.
+
+    d tr f(B) = tr f'(B) dB (Bhatia, Matrix Analysis, ch. V), so from one
+    ``eigh``, dS/du_i = sum over B+/- of +/- sum_k f'(l_k) <v_k|R_i|v_k>/2,
+    with f'(l) = -(1 + ln l) on live eigenvalues.
+    """
+    spectra, vecs = np.linalg.eigh(_dephased_blocks(axis, rho_b, ops))
+    live = spectra > ZERO_WEIGHT
+    slopes = np.where(live, -1.0 - np.log(np.where(live, spectra, 1.0)), 0.0)
+    diag = np.einsum("sxk,ixy,syk->sik", vecs.conj(), ops, vecs).real
+    h_a, ha_a = _marginal_entropy(float(axis.dot(r)))
+    grad = (diag[0] @ slopes[0] - diag[1] @ slopes[1]) / 2.0 - ha_a * r
+    value = mutual_info - h_a - env_entropy + float(_entropy_terms_numpy(spectra).sum())
+    return value, tuple(grad.tolist())

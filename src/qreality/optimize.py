@@ -9,10 +9,9 @@ basis {|0>, |1>} and appear once, and each inner theta row holds only as many
 phis as keep its spacing within the equator row's (see
 :func:`qreality.kernels.axis_grid`).  The refinement is an in-house BFGS on plain
 Python floats with a backtracking (Armijo) line search, so the package needs
-only numpy.  For two qubits each evaluation is one call of a closed-form
-kernel in :mod:`qreality.kernels`, which returns the value and its gradient by
-the Bloch axes; the chain rule through (theta, phi) is applied here.  The
-qubit-qudit matrix route takes its gradient from central differences.  A
+only numpy.  Each evaluation is one call of a kernel in
+:mod:`qreality.kernels`, which returns the value and its gradient by the
+Bloch axes; the chain rule through (theta, phi) is applied here.  A
 start converges when its gradient falls to ``refine_tolerance`` in every
 coordinate; one that reaches ``MAX_REFINE_ITERATIONS``, or whose line search
 finds no lower value, has not.  The grid best is a floor: refinement never
@@ -30,18 +29,9 @@ optimized side (an axis and its negative are one basis), and the walk stops
 after ``refine_starts`` accepted cells.  The first start is always the grid
 best; a pool holding fewer basins gives fewer starts.
 
-Two-qubit states are evaluated through the closed-form Bloch kernels.  The
-one-sided drop on the projector-dephasing (matrix) route has one engine,
-``_drop_scan``, set up once per state: it takes the scanned qubit's
-marginal, the other marginal's entropy and I(rho) when it is built, then
-dephases point by point and reads each chunk's dephased marginals off the
-outcome probabilities of the chunk's bases.  :func:`brute_force_single`
-scans a dense grid with it, deliberately avoiding the kernels, and so
-serves as the independent oracle for the fast path.  A qubit against a
-higher-dimensional partner has no closed form, so :func:`minimize_single`
-builds the same engine there once per call: its side grid is one scan, and
-each refinement evaluation a scan of the five points of a
-central-difference stencil.
+The projector-dephasing (matrix) route's one-sided drop has one engine,
+``_drop_scan``.  Only :func:`brute_force_single` uses it, avoiding the kernels
+by design: the independent oracle for every layout :func:`minimize_single` takes.
 
 The two pair objectives share their costliest part, the entropy of the state
 dephased on both sides.  A thread that minimizes both on each state (the
@@ -97,10 +87,6 @@ START_POOL = 5
 # qubits) and keeps only each point's basis and spectrum, so its memory does
 # not grow with the scan.
 SCAN_CHUNK_ENTRIES = 2**14
-# Central-difference step, in radians, of the matrix-route objective's
-# gradient: near the cube root of the rounding error, where truncation and
-# cancellation errors balance.
-DIFFERENCE_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -127,11 +113,11 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.grid_points_theta, self.grid_points_phi, self.refine_starts) < 1:
             raise ValueError("optimizer config fields must be positive")
-        # NaN would make every start run all MAX_REFINE_ITERATIONS, and inf
-        # would stop every start where it began.
-        if not (0.0 < self.refine_tolerance < math.inf):
-            raise ValueError(
-                f"refine_tolerance must be positive and finite, got {self.refine_tolerance}")
+        # A bool is no tolerance, NaN would make every start run all
+        # MAX_REFINE_ITERATIONS, and inf would stop every start where it began.
+        tol = self.refine_tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+            raise ValueError(f"refine_tolerance must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -322,13 +308,13 @@ def _angle_gradient(grad, d_theta, d_phi) -> list[float]:
             g0 * d_phi[0] + g1 * d_phi[1]]
 
 
-def _search(grid_values, axes, thetas, phis, fun, calls_per_evaluation, cfg) -> OptimizationResult:
+def _search(grid_values, axes, thetas, phis, fun, cfg) -> OptimizationResult:
     # Refine the best grid cell of each distinct basin and floor the result
     # at the grid best.  grid_values has one axis per optimized side, each
     # indexing the grid's (axes, thetas, phis); a start, like fun's argument,
-    # lists (theta, phi) of every side in order.  Each evaluation of fun
-    # counts calls_per_evaluation objective calls.  When every start ends
-    # above the grid best, the grid best is kept; it has converged if its own
+    # lists (theta, phi) of every side in order.  The evaluations are the
+    # grid cells plus the calls of fun.  When every start ends above the
+    # grid best, the grid best is kept; it has converged if its own
     # start, the first, passed the gradient test at its first evaluation, the
     # refinement's first, and so stopped there without moving.
     cells = _start_cells(grid_values, axes, cfg.refine_starts)
@@ -355,7 +341,7 @@ def _search(grid_values, axes, thetas, phis, fun, calls_per_evaluation, cfg) -> 
         value=value,
         argmin=tuple(_canonical_angles(t, p) for t, p in argmin_x.reshape(-1, 2)),
         grid_best=grid_best,
-        evaluations=int(grid_values.size + nfev * calls_per_evaluation),
+        evaluations=int(grid_values.size + nfev),
         converged=converged,
     )
 
@@ -374,42 +360,25 @@ def minimize_single(
             f"{MAX_SIDE_GRID_POINTS} points; lower the grid points per side")
 
     axes, thetas, phis = kernels.axis_grid(cfg.grid_points_theta, cfg.grid_points_phi)
-
+    mi = mutual_information(rho)
+    env_entropy = entropy(partial_trace(rho, 1 - subsystem))
     if rho.dims == (2, 2):
         r1, r2, tmat = kernels.bloch_correlations(rho.mat)
         if subsystem == 1:
-            r1, r2 = r2, r1
-            tmat = np.ascontiguousarray(tmat.T)
-        mi = mutual_information(rho)
-        env_entropy = entropy(partial_trace(rho, 1 - subsystem))
-        grid_values = kernels.single_discord_grid(axes, r1, r2, tmat, mi, env_entropy)
-
-        def fun(x):
-            axis, d_theta, d_phi = _angle_point(x[0], x[1])
-            value, grad = kernels.single_discord_value(axis, r1, r2, tmat, mi, env_entropy)
-            return value, _angle_gradient(grad, d_theta, d_phi)
-
-        calls_per_evaluation = 1
+            r1, r2, tmat = r2, r1, np.ascontiguousarray(tmat.T)
+        data = (r1, r2, tmat, mi, env_entropy)
+        grid_of, value_of = kernels.single_discord_grid, kernels.single_discord_value
     else:
-        # Qubit basis against a higher-dimensional partner: the matrix route's
-        # scan engine, set up once, with central differences for the gradient.
-        scan = _drop_scan(rho, subsystem)
+        data = (*kernels.qudit_partner_data(rho.mat, rho.dims[1 - subsystem], subsystem),
+                mi, env_entropy)
+        grid_of, value_of = kernels.qudit_drop_grid, kernels.qudit_drop_value
 
-        def drops(angles):
-            return np.concatenate(list(scan(angles)))
+    def fun(x):
+        axis, d_theta, d_phi = _angle_point(x[0], x[1])
+        value, grad = value_of(axis, *data)
+        return value, _angle_gradient(grad, d_theta, d_phi)
 
-        def fun(x):
-            theta, phi = x
-            step = DIFFERENCE_STEP
-            f, t_up, t_down, p_up, p_down = drops(
-                [(theta, phi), (theta + step, phi), (theta - step, phi),
-                 (theta, phi + step), (theta, phi - step)]).tolist()
-            return f, [(t_up - t_down) / (2 * step), (p_up - p_down) / (2 * step)]
-
-        grid_values = drops(zip(thetas, phis))
-        calls_per_evaluation = 5
-
-    return _search(grid_values, axes, thetas, phis, fun, calls_per_evaluation, cfg)
+    return _search(grid_of(axes, *data), axes, thetas, phis, fun, cfg)
 
 
 def minimize_pair(
@@ -451,7 +420,7 @@ def minimize_pair(
         value, grad = value_of(ua, ub, r1, r2, tmat, base)
         return value, _angle_gradient(grad[:3], ta, pa) + _angle_gradient(grad[3:], tb, pb)
 
-    return _search(grid_values, axes, thetas, phis, fun, 1, cfg)
+    return _search(grid_values, axes, thetas, phis, fun, cfg)
 
 
 def witness_pair_for_pure(psi: DensityMatrix) -> tuple[ProjectiveBasis, ProjectiveBasis]:
@@ -524,17 +493,12 @@ def brute_force_single(
 ) -> tuple[float, tuple[float, float]]:
     """Dense grid scan of the one-sided drop through the matrix route.
 
-    Independent of the Bloch kernels by construction (projector dephasing plus
-    eigendecompositions); used as the oracle for :func:`minimize_single`.
-    It builds ``_drop_scan``, the matrix route's one drop engine, once, as the
-    qubit-qudit :func:`minimize_single` does: two partial traces and I(rho)
-    at set-up, then per point one basis and one
-    :func:`~qreality.measures.dephase` call, and per chunk of
-    ``SCAN_CHUNK_ENTRIES // dim**2`` points one ``einsum`` for the outcome
-    probabilities, the spectra of the dephased marginals.  The first point
-    in (theta, phi) order with the lowest drop wins; a NaN never does.
-    ``subsystem`` is checked as :func:`minimize_single` checks it, before any
-    work.
+    Independent of the kernels by construction: it builds ``_drop_scan``,
+    the matrix route's one drop engine (projector dephasing plus
+    eigendecompositions), once, and is the oracle for :func:`minimize_single`
+    on every layout.  The first point in (theta, phi) order with the lowest
+    drop wins; a NaN never does.  ``subsystem`` is checked as
+    :func:`minimize_single` checks it, before any work.
     """
     _check_qubit_side(rho, subsystem, "oracle scan")
     for name, points in (("n_theta", n_theta), ("n_phi", n_phi)):

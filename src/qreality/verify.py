@@ -381,13 +381,15 @@ def suite_slit(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> N
 
 
 def suite_oracle(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
+    # Rank-2 states, whose landscapes the grid best alone can miss by more
+    # than the tolerance: two qubits on either side, a qubit against a qutrit.
     for k in range(count):
-        f = (0.2, 0.5, 0.8)[k % 3]
+        dims, side = (((2, 2), 0), ((2, 2), 1), ((2, 3), 0))[k % 3]
         c.case()
-        rho = werner(f)
-        fast = minimize_single(rho, 0, cfg=cfg).value
-        slow, _ = brute_force_single(rho, 0, n_theta=200, n_phi=200)
-        c.check(f"grid oracle agreement f={f}", abs(fast - slow), 1e-4)
+        rho = random_density(math.prod(dims), 2, rng, dims=dims)
+        fast = minimize_single(rho, side, cfg=cfg).value
+        slow, _ = brute_force_single(rho, side, n_theta=200, n_phi=200)
+        c.check(f"grid oracle agreement {dims} side {side}", abs(fast - slow), 1e-4)
 
 
 # suite name -> (runner, default case count)

@@ -9,8 +9,8 @@ The file was written from the last commit that refined with Nelder-Mead.  It
 stores, as ``float.hex``, the value of every minimization in ``CASES`` at the
 default optimizer configuration: both pair objectives and both
 ``minimize_single`` sides for seeded random two-qubit states of ranks 1-4 and
-for werner and alpha points, plus the matrix-route branch of
-``minimize_single`` on two qubit-qutrit states.  ``tests/test_optimize.py``
+for werner and alpha points, plus ``minimize_single`` on two qubit-qutrit
+states, which the qubit-qudit kernels serve.  ``tests/test_optimize.py``
 rebuilds each state from its recipe and holds the current minimizer to it.
 Only public names of ``qreality`` are used, so any version of the package can
 write the file.
@@ -41,7 +41,7 @@ def cases():
             yield recipe, {"task": "pair", "objective": objective}
         for subsystem in (0, 1):
             yield recipe, {"task": "single", "subsystem": subsystem}
-    # A qubit against a qutrit, on either side: the matrix-route branch.
+    # A qubit against a qutrit, on either side: the qubit-qudit kernels.
     yield {"family": "random", "rank": 4, "seed": 9100, "dims": [2, 3]}, \
         {"task": "single", "subsystem": 0}
     yield {"family": "random", "rank": 3, "seed": 9101, "dims": [3, 2]}, \

@@ -17,10 +17,12 @@ rule that misses a basin on one frame does not hide that miss in the
 reference too.  A miss is a default minimum more than ``MISS_TOL`` above the
 reference one.
 
-A qubit against a qutrit has no closed form, so ``minimize_single`` takes the
-matrix route there.  Each seed in ``QUDIT_SEEDS`` names two such states of
-rank 1 + seed % 6, ``random_density(6, rank, seed, dims=(2, 3))`` scanned on
-side 0 and ``random_density(6, rank, seed, dims=(3, 2))`` on side 1.  Their
+A qubit against a qutrit takes the qubit-qudit kernels of
+``qreality.kernels`` in ``minimize_single``, and the matrix-route engine in
+``brute_force_single``, so the two are independent there too.  Each seed in
+``QUDIT_SEEDS`` names two such states of rank 1 + seed % 6,
+``random_density(6, rank, seed, dims=(2, 3))`` scanned on side 0 and
+``random_density(6, rank, seed, dims=(3, 2))`` on side 1.  Their
 reference is the ``brute_force_single`` scan on ``ORACLE_GRID``, and a miss
 is a default minimum more than ``MISS_TOL`` above the scan's.
 

@@ -11,7 +11,10 @@ checkout's digests and, per family, how many values changed and the largest
 
 The states are the 110 seeded random two-qubit states
 ``random_density(4, 1 + k % 4, RANDOM_SEED + k, dims=(2, 2))`` and the 102
-points of the 51-point ``werner`` and ``alpha`` sweeps.  The families:
+points of the 51-point ``werner`` and ``alpha`` sweeps, and for the
+qubit-qudit family the ``QUDIT_STATES`` states
+``random_density(6, 1 + k % 6, QUDIT_SEED + k, dims=dims)`` with dims (2, 3)
+scanned on side 0 and (3, 2) on side 1.  The families:
 
 - pair grids, fresh: ``nonlocality_grid`` and ``pair_discord_grid`` on every
   state and axis layout, in a new thread, no call on the inputs of the call
@@ -21,6 +24,10 @@ points of the 51-point ``werner`` and ``alpha`` sweeps.  The families:
 - side grids: ``single_discord_grid`` on both sides of every state;
 - minimize_pair: both objectives on every state in turn, in a new thread;
 - minimize_single: both sides of every state;
+- qubit-qudit side grids: the side grid ``minimize_single`` scans on each
+  qubit-qudit state (``kernels.qudit_drop_grid``, or ``optimize._drop_scan``
+  on a version without it);
+- qubit-qudit minimize: ``minimize_single`` on each qubit-qudit state;
 - the 51-point ``qreality sweep`` werner and alpha CSVs, and the output of
   ``qreality verify all --seed 7``.
 
@@ -33,7 +40,8 @@ held longer than its comparison.  Each checkout takes about 15 s on one
 core.  pytest does not collect this script.
 
 Only ``qreality``'s exports, its ``kernels`` grids and ``cli.main`` are used,
-so any version of the package that has them can be digested.
+so any version of the package that has them can be digested; the
+qubit-qudit side grid falls back as above.
 """
 
 from __future__ import annotations
@@ -58,6 +66,8 @@ HERE = Path(__file__).resolve().parent
 RANDOM_SEED = 20000
 RANDOM_STATES = 110
 SWEEP_POINTS = 51
+QUDIT_SEED = 21000
+QUDIT_STATES = 12
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:inf|nan)\b")
 
 
@@ -147,6 +157,28 @@ def minimize_single(q):
             yield _result_values(q.minimize_single(rho, side))
 
 
+def _qudit_states(q):
+    for k in range(QUDIT_STATES):
+        for dims, side in (((2, 3), 0), ((3, 2), 1)):
+            yield q.random_density(6, 1 + k % 6, QUDIT_SEED + k, dims=dims), side
+
+
+def qudit_side_grids(q):
+    axes, thetas, phis = q.kernels.axis_grid(25, 24)
+    for rho, side in _qudit_states(q):
+        if hasattr(q.kernels, "qudit_drop_grid"):
+            data = q.kernels.qudit_partner_data(rho.mat, 3, side)
+            env = q.entropy(q.partial_trace(rho, 1 - side))
+            yield q.kernels.qudit_drop_grid(axes, *data, q.mutual_information(rho), env)
+        else:
+            yield np.concatenate(list(q.optimize._drop_scan(rho, side)(zip(thetas, phis))))
+
+
+def qudit_minimize_single(q):
+    for rho, side in _qudit_states(q):
+        yield _result_values(q.minimize_single(rho, side))
+
+
 def _cli_output(q, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out")
@@ -172,6 +204,8 @@ FAMILIES = {
     "side grids": side_grids,
     "minimize_pair": minimize_pair,
     "minimize_single": minimize_single,
+    "qubit-qudit side grids": qudit_side_grids,
+    "qubit-qudit minimize": qudit_minimize_single,
     "werner sweep CSV": sweep_werner,
     "alpha sweep CSV": sweep_alpha,
     "verify all --seed 7": verify_all,

@@ -643,3 +643,84 @@ def test_gradients_match_central_differences():
                     want = (f(x + step)[0] - f(x - step)[0]) / (2 * h)
                     assert got[k] == pytest.approx(want, abs=1e-6), (name, x, k)
 
+
+
+def _qudit_cases():
+    # (state, scanned qubit side) for a qubit against a qutrit and a ququart
+    # on either side, ranks 1 to full.
+    cases = []
+    for dims, side in (((2, 3), 0), ((3, 2), 1), ((2, 4), 0), ((4, 2), 1)):
+        dim = math.prod(dims)
+        for rank in (1, dim // 2, dim - 1, dim):
+            cases.append((random_density(dim, rank, 1700 + 10 * dim + rank + side, dims=dims),
+                          side))
+    return cases
+
+
+def _qudit_data(rho, side):
+    data = kernels.qudit_partner_data(rho.mat, rho.dims[1 - side], side)
+    return (*data, mutual_information(rho), entropy(partial_trace(rho, 1 - side)))
+
+
+def test_qudit_kernels_match_the_matrix_route():
+    # The partner kernels against the matrix-route engine on the whole side
+    # grid, and against discord_like at angles off it.  The grid's
+    # JOINT_BLOCK_ROWS blocks cover 379 axes with a short last block.
+    axes, thetas, phis = kernels.axis_grid(25, 24)
+    rng = np.random.default_rng(139)
+    for rho, side in _qudit_cases():
+        data = _qudit_data(rho, side)
+        grid = kernels.qudit_drop_grid(axes, *data)
+        scan = np.concatenate(list(optimize._drop_scan(rho, side)(zip(thetas, phis))))
+        assert np.abs(grid - scan).max() <= 1e-13, (rho.dims, side)
+        for i in (0, 1, 200, 378):
+            assert kernels.qudit_drop_value(axes[i], *data)[0] == pytest.approx(grid[i], abs=1e-13)
+        for theta, phi in rng.uniform(0.0, math.pi, (3, 2)):
+            want = discord_like(rho, [(qubit_basis(theta, phi), side)])
+            got, _ = kernels.qudit_drop_value(_axis(theta, phi), *data)
+            assert got == pytest.approx(want, abs=1e-12), (rho.dims, side, theta, phi)
+
+
+def test_qudit_kernels_on_two_qubits_match_the_bloch_kernels():
+    # With d = 2 the partner data re-encode r1, r2 and T, so both forms give
+    # the one drop.
+    axes, _, _ = kernels.axis_grid(9, 8)
+    rng = np.random.default_rng(149)
+    for k in range(4):
+        rho = random_density(4, 1 + k, rng, dims=(2, 2))
+        r1, r2, tmat, _, mi, _ = _state_data(rho)
+        for side, (here, there, m) in enumerate(((r1, r2, tmat), (r2, r1, tmat.T.copy()))):
+            data = _qudit_data(rho, side)
+            want = kernels.single_discord_grid(axes, here, there, m, *data[3:])
+            assert np.abs(kernels.qudit_drop_grid(axes, *data) - want).max() <= 1e-13
+            for i in (3, 40):
+                got, grad = kernels.qudit_drop_value(axes[i], *data)
+                value, bloch_grad = kernels.single_discord_value(axes[i], here, there, m, *data[3:])
+                assert got == pytest.approx(value, abs=1e-13)
+                assert grad == pytest.approx(bloch_grad, abs=1e-9)
+
+
+def test_qudit_gradient_matches_central_differences():
+    # Full-rank states, where every eigenvalue of the dephased blocks is live,
+    # at random angles and within 1e-3 of either pole.
+    rng = np.random.default_rng(151)
+    h = 1e-6
+    for rho, side in _qudit_cases():
+        if np.linalg.matrix_rank(rho.mat) < rho.dim:
+            continue
+        data = _qudit_data(rho, side)
+
+        def f(x):
+            return kernels.qudit_drop_value(_axis(x[0], x[1]), *data)
+
+        points = [rng.uniform(0.2, math.pi - 0.2, 2) for _ in range(4)]
+        points += [np.array([1e-3, 0.6]), np.array([math.pi - 1e-3, 2.1])]
+        for x in points:
+            value, grad = f(x)
+            assert len(grad) == 3 and all(isinstance(g, float) for g in grad)
+            got = _angle_gradient(grad, x[0], x[1])
+            for k in range(2):
+                step = np.zeros(2)
+                step[k] = h
+                want = (f(x + step)[0] - f(x - step)[0]) / (2 * h)
+                assert got[k] == pytest.approx(want, abs=1e-8), (rho.dims, side, x, k)

@@ -66,6 +66,19 @@ def test_config_rejects_non_finite_refine_tolerance(tol):
         OptimizerConfig(refine_tolerance=tol)
 
 
+@pytest.mark.parametrize("tol", [True, False, np.True_, "1e-7", None, 1e-7j])
+def test_config_rejects_a_refine_tolerance_that_is_no_real_number(tol):
+    # True used to be kept and used as 1.0, and a string or None raised
+    # TypeError from the comparison.
+    with pytest.raises(ValueError, match="refine_tolerance must be"):
+        OptimizerConfig(refine_tolerance=tol)
+
+
+def test_config_accepts_numpy_float_tolerances():
+    for tol in (np.float64(1e-7), np.float32(1e-6), 1e-7, 1):
+        assert OptimizerConfig(refine_tolerance=tol).refine_tolerance == tol
+
+
 def test_objective_and_layout_validation():
     with pytest.raises(ValueError):
         minimize_single(singlet(), 2)
@@ -173,7 +186,7 @@ def test_minimize_single_is_at_least_as_good_as_the_oracle_scan(state, side):
     assert minimize_single(rho, side).value <= scan + 1e-9
 
 
-def test_single_against_qutrit_partner_uses_matrix_route():
+def test_single_against_qutrit_partner_stays_at_or_below_its_grid_best():
     rho = random_density(6, 6, 5, dims=(2, 3))
     res = minimize_single(rho, 0, cfg=OptimizerConfig(grid_points_theta=7,
                                                       grid_points_phi=6,
@@ -632,13 +645,13 @@ def test_kept_grid_best_has_not_converged_when_its_start_hit_the_iteration_cap(m
         return 1.0, [0.0, 0.0]
 
     runs = _recorded_bfgs(monkeypatch)
-    res = optimize._search(grid, axes, thetas, phis, slope, 1, cfg)
+    res = optimize._search(grid, axes, thetas, phis, slope, cfg)
     assert res.value == 0.0 and res.argmin == ((0.0, 0.0),)
     assert [run[1] for run in runs] == [False] * 3
     assert all(run[0] > 1 for run in runs)
     assert res.converged is False
     runs.clear()
-    res = optimize._search(grid, axes, thetas, phis, plateau, 1, cfg)
+    res = optimize._search(grid, axes, thetas, phis, plateau, cfg)
     assert res.value == 0.0 and runs == [(1, True)] * 3
     assert res.converged is True
 
@@ -812,20 +825,28 @@ def test_scan_drops_are_the_public_discord_like_drop(monkeypatch):
             assert abs(drop - ref) <= 1e-12, (rho.dims, side, theta, phi)
 
 
-def test_qubit_qudit_minimize_single_dephases_once_per_evaluation(monkeypatch):
+def test_qubit_qudit_minimize_single_makes_one_kernel_call_per_evaluation(monkeypatch):
+    # One partner-kernel grid over the side's axes, then one value-and-gradient
+    # call per refinement evaluation; the matrix route is not touched.
     from qreality import measures
 
-    calls = []
-    dephase = measures.dephase
+    def no_dephase(*args):
+        raise AssertionError("minimize_single called dephase")
 
-    def counted(*args):
-        calls.append(args)
-        return dephase(*args)
+    monkeypatch.setattr(measures, "dephase", no_dephase)
+    calls = {"grid": [], "value": 0}
+    grid_of, value_of = kernels.qudit_drop_grid, kernels.qudit_drop_value
 
-    monkeypatch.setattr(measures, "dephase", counted)
-    cfg = OptimizerConfig()
-    grid_points = kernels.axis_grid(cfg.grid_points_theta, cfg.grid_points_phi)[0].shape[0]
-    assert grid_points == 379
+    def grid(axes, *args):
+        calls["grid"].append(axes.shape[0])
+        return grid_of(axes, *args)
+
+    def value(*args):
+        calls["value"] += 1
+        return value_of(*args)
+
+    monkeypatch.setattr(kernels, "qudit_drop_grid", grid)
+    monkeypatch.setattr(kernels, "qudit_drop_value", value)
     nfev = []
     refine = optimize._refine
 
@@ -836,32 +857,43 @@ def test_qubit_qudit_minimize_single_dephases_once_per_evaluation(monkeypatch):
 
     monkeypatch.setattr(optimize, "_refine", recorded)
     for dims, side in (((2, 3), 0), ((3, 2), 1)):
-        calls.clear()
+        calls.update(grid=[], value=0)
         nfev.clear()
         res = minimize_single(random_density(6, 3, 47 + side, dims=dims), side)
-        assert len(calls) == res.evaluations == grid_points + 5 * nfev[0]
+        assert calls["grid"] == [379]
+        assert calls["value"] == nfev[0] > 0
+        assert res.evaluations == 379 + nfev[0]
 
 
 def test_qubit_qudit_engines_take_the_state_data_once_per_call(monkeypatch):
-    # The matrix-route engine traces out each marginal once when it is set up
-    # and reuses it for the side grid and every stencil, so a call makes two
-    # partial traces however many evaluations its refinement takes.
+    # minimize_single traces out the unscanned marginal once and takes the
+    # partner data once, however many evaluations its refinement takes; the
+    # matrix-route engine traces out each marginal once when it is set up.
     calls = []
     traced = optimize.partial_trace
+    data = []
+    partner_data = kernels.qudit_partner_data
 
     def counted(*args):
         calls.append(args[1])
         return traced(*args)
 
+    def counted_data(*args):
+        data.append(args[1:])
+        return partner_data(*args)
+
     monkeypatch.setattr(optimize, "partial_trace", counted)
+    monkeypatch.setattr(kernels, "qudit_partner_data", counted_data)
     for dims, side in (((2, 3), 0), ((3, 2), 1)):
         rho = random_density(6, 3, 48 + side, dims=dims)
         calls.clear()
+        data.clear()
         res = minimize_single(rho, side)
-        assert sorted(calls) == [0, 1] and res.evaluations > 379 + 5 * 10
+        assert calls == [1 - side] and data == [(3, side)]
+        assert res.evaluations > 379 + 10
         calls.clear()
         brute_force_single(rho, side, 4, 5)
-        assert sorted(calls) == [0, 1]
+        assert sorted(calls) == [0, 1] and len(data) == 1
 
 
 def test_minimizers_compute_only_the_state_data_their_objective_reads(monkeypatch):

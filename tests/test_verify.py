@@ -29,14 +29,17 @@ def test_bounds_suite_small():
 
 
 def test_oracle_suite_scales_with_cfg():
-    # keep the unit-test scan coarse; acceptance runs the dense one
+    # keep the unit-test scan coarse; acceptance runs the dense one.  The
+    # suite's first state at seed 11 is mixed, and its coarse grid best alone
+    # loses to the 30 x 30 scan, so only a refined minimum agrees with it.
     from qreality.optimize import brute_force_single, minimize_single
-    from qreality.states import werner
+    from qreality.states import random_density
 
-    rho = werner(0.5)
-    fast = minimize_single(rho, 0, cfg=FAST).value
+    rho = random_density(4, 2, np.random.default_rng(11), dims=(2, 2))
+    fast = minimize_single(rho, 0, cfg=FAST)
     slow, _ = brute_force_single(rho, 0, n_theta=30, n_phi=30)
-    assert abs(fast - slow) <= 1e-4
+    assert fast.grid_best > slow + 1e-4
+    assert abs(fast.value - slow) <= 1e-4
 
 
 def test_unknown_suite():
