@@ -29,7 +29,7 @@ optimized side (an axis and its negative are one basis), and the walk stops
 after ``refine_starts`` accepted cells.  The first start is always the grid
 best; a pool holding fewer basins gives fewer starts.
 
-The projector-dephasing (matrix) route's one-sided drop has one engine,
+The matrix (projector-dephasing) route's one-sided drop is one generator,
 ``_drop_scan``.  Only :func:`brute_force_single` uses it, avoiding the kernels
 by design: the independent oracle for every layout :func:`minimize_single` takes.
 
@@ -122,6 +122,20 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The minimum a minimizer found, where, and how it got there.
+
+    ``value`` is the minimum found; it is never above ``grid_best``, the
+    lowest value on the grid.  ``argmin`` holds the canonical (theta, phi)
+    of each optimized side in order, theta in [0, pi] and phi in [0, pi):
+    one pair for :func:`minimize_single`, two for :func:`minimize_pair`.
+    ``evaluations`` is the number of grid cells plus one per kernel value
+    call of the refinement, on every layout.  ``converged`` is true when the
+    kept point passed the gradient test: the best start's when refinement
+    reaches the grid best or below it, and otherwise, when the grid best is
+    kept, only if the first start, which begins there, stopped at its first
+    evaluation without moving.
+    """
+
     value: float
     argmin: tuple[tuple[float, float], ...]
     grid_best: float
@@ -142,12 +156,6 @@ def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     if phi_c < 0.0:
         phi_c = 0.0
     return theta_c, phi_c
-
-
-def _half_spacing(cfg: OptimizerConfig) -> tuple[float, float]:
-    d_theta = math.pi / max(cfg.grid_points_theta - 1, 1) / 2.0
-    d_phi = math.pi / cfg.grid_points_phi / 2.0
-    return d_theta, d_phi
 
 
 def _lowest_cells(values: np.ndarray, k: int) -> np.ndarray:
@@ -235,7 +243,7 @@ def _bfgs(fun, x, cfg: OptimizerConfig):
     # gradient falls to refine_tolerance in every coordinate, False at
     # MAX_REFINE_ITERATIONS or when no step length decreases the value.
     tol = cfg.refine_tolerance
-    first_step = min(_half_spacing(cfg))
+    first_step = math.pi / max(cfg.grid_points_theta - 1, cfg.grid_points_phi, 1) / 2.0
     n = len(x)
     f, g = fun(x)
     nfev = 1
@@ -280,17 +288,20 @@ def _bfgs(fun, x, cfg: OptimizerConfig):
 
 
 def _refine(fun, starts, cfg: OptimizerConfig):
-    # BFGS from each start; returns (x, value, nfev, success) of the best
-    # start (the first of equal values), with nfev summed over all starts.
+    # BFGS from each start; returns (x, value, nfev, success, stopped): x, value
+    # and success of the best start (the first of equal values), nfev summed
+    # over all starts, and whether the first start converged at once.
     best_x, best_val = None, math.inf
     nfev = 0
-    best_success = False
-    for x0 in starts:
+    best_success = stopped = False
+    for k, x0 in enumerate(starts):
         x, value, calls, success = _bfgs(fun, [float(v) for v in x0], cfg)
         nfev += calls
+        if k == 0:
+            stopped = success and calls == 1
         if value < best_val:
             best_val, best_x, best_success = value, np.array(x), success
-    return best_x, best_val, nfev, best_success
+    return best_x, best_val, nfev, best_success, stopped
 
 
 def _angle_point(theta: float, phi: float):
@@ -315,28 +326,16 @@ def _search(grid_values, axes, thetas, phis, fun, cfg) -> OptimizationResult:
     # lists (theta, phi) of every side in order.  The evaluations are the
     # grid cells plus the calls of fun.  When every start ends above the
     # grid best, the grid best is kept; it has converged if its own
-    # start, the first, passed the gradient test at its first evaluation, the
-    # refinement's first, and so stopped there without moving.
+    # start, the first, stopped at its first evaluation without moving.
     cells = _start_cells(grid_values, axes, cfg.refine_starts)
     grid_best = float(grid_values.flat[cells[0]])
     sides = np.unravel_index(cells, grid_values.shape)
     starts = np.stack([a for i in sides for a in (thetas[i], phis[i])], axis=1)
-    first_gradient = []
-
-    def noted(x):
-        out = fun(x)
-        if not first_gradient:
-            first_gradient.append(out[1])
-        return out
-
-    best_x, best_val, nfev, success = _refine(noted, starts, cfg)
-
+    best_x, best_val, nfev, success, stopped = _refine(fun, starts, cfg)
     if best_val <= grid_best:
         value, argmin_x, converged = best_val, best_x, success
     else:
-        stationary = bool(first_gradient) and (
-            max(abs(g) for g in first_gradient[0]) <= cfg.refine_tolerance)
-        value, argmin_x, converged = grid_best, starts[0], stationary
+        value, argmin_x, converged = grid_best, starts[0], stopped
     return OptimizationResult(
         value=value,
         argmin=tuple(_canonical_angles(t, p) for t, p in argmin_x.reshape(-1, 2)),
@@ -443,46 +442,43 @@ def _spectral_entropies(spectra: np.ndarray) -> np.ndarray:
 def _check_qubit_side(rho: DensityMatrix, subsystem: int, task: str) -> None:
     if len(rho.dims) != 2:
         raise ValueError(f"{task} needs a bipartite state, got {rho.dims}")
-    if subsystem not in (0, 1):
-        raise ValueError(f"subsystem must be 0 or 1, got {subsystem}")
+    if not isinstance(subsystem, numbers.Integral) or isinstance(subsystem, bool) \
+            or subsystem not in (0, 1):
+        raise ValueError(f"subsystem must be 0 or 1, got {subsystem!r}")
     if rho.dims[subsystem] != 2:
         raise ValueError("the optimized subsystem must be a qubit")
 
 
-def _drop_scan(rho: DensityMatrix, subsystem: int):
-    # The matrix route's one-sided drop I(rho) - I(Ph rho) on one state.  The
-    # state data are taken once, here: the marginal rho_q of the scanned
-    # qubit, S of the other marginal, which dephasing the scanned side leaves
-    # unchanged, and I(rho).  Returns scan(angles), which reads (theta, phi)
-    # pairs lazily and yields the drops of each chunk of at most
-    # SCAN_CHUNK_ENTRIES // dim**2 points.  Each point builds one basis and
+def _drop_scan(rho: DensityMatrix, subsystem: int, angles):
+    # The matrix route's one-sided drop I(rho) - I(Ph rho) on one state at
+    # the (theta, phi) pairs of angles, read lazily; yields the drops of each
+    # chunk of at most SCAN_CHUNK_ENTRIES // dim**2 points.  The state data
+    # are taken once, before the first chunk: the marginal rho_q of the
+    # scanned qubit, S of the other marginal, which dephasing the scanned side
+    # leaves unchanged, and I(rho).  Each point builds one basis and
     # makes one dephase call, whose spectrum gives S(Ph rho); neither is
     # validated again (the basis of finite angles is unitary to rounding, and
     # the dephased state is a map of the validated rho).  The dephased
     # marginal of the scanned qubit is sum_j p_j |b_j><b_j| with
     # p_j = <b_j| rho_q |b_j>, so its spectrum is p: one einsum over the
     # chunk's stacked bases.
-    from .measures import dephase  # resolved per engine: a rebound measures.dephase is used
+    from .measures import dephase  # resolved per scan: a rebound measures.dephase is used
 
     rho_q = partial_trace(rho, subsystem)
     s_other = entropy(partial_trace(rho, 1 - subsystem))
     mi = entropy(rho_q) + s_other - entropy(rho)
     chunk = max(1, SCAN_CHUNK_ENTRIES // rho.dim**2)
-
-    def scan(angles):
-        angles = iter(angles)
-        vecs = np.empty((chunk, 2, 2), dtype=complex)
-        spectra = np.empty((chunk, rho.dim))
-        while points := list(itertools.islice(angles, chunk)):
-            for k, (theta, phi) in enumerate(points):
-                basis = qubit_basis(theta, phi)
-                vecs[k] = basis.vectors
-                spectra[k] = dephase(rho, basis, subsystem).eigenvalues
-            n = len(points)
-            p = np.einsum("nxj,xy,nyj->nj", vecs[:n].conj(), rho_q.mat, vecs[:n]).real
-            yield mi - (_spectral_entropies(p) + s_other - _spectral_entropies(spectra[:n]))
-
-    return scan
+    angles = iter(angles)
+    vecs = np.empty((chunk, 2, 2), dtype=complex)
+    spectra = np.empty((chunk, rho.dim))
+    while points := list(itertools.islice(angles, chunk)):
+        for k, (theta, phi) in enumerate(points):
+            basis = qubit_basis(theta, phi)
+            vecs[k] = basis.vectors
+            spectra[k] = dephase(rho, basis, subsystem).eigenvalues
+        n = len(points)
+        p = np.einsum("nxj,xy,nyj->nj", vecs[:n].conj(), rho_q.mat, vecs[:n]).real
+        yield mi - (_spectral_entropies(p) + s_other - _spectral_entropies(spectra[:n]))
 
 
 def brute_force_single(
@@ -493,15 +489,17 @@ def brute_force_single(
 ) -> tuple[float, tuple[float, float]]:
     """Dense grid scan of the one-sided drop through the matrix route.
 
-    Independent of the kernels by construction: it builds ``_drop_scan``,
+    Independent of the kernels by construction: one pass of ``_drop_scan``,
     the matrix route's one drop engine (projector dephasing plus
-    eigendecompositions), once, and is the oracle for :func:`minimize_single`
-    on every layout.  The first point in (theta, phi) order with the lowest
+    eigendecompositions), over the grid; it is the oracle for
+    :func:`minimize_single` on every layout.  The first point in (theta, phi) order with the lowest
     drop wins; a NaN never does.  ``subsystem`` is checked as
     :func:`minimize_single` checks it, before any work.
     """
     _check_qubit_side(rho, subsystem, "oracle scan")
     for name, points in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if not isinstance(points, numbers.Integral) or isinstance(points, bool):
+            raise ValueError(f"{name} must be an integer, got {points!r}")
         if points < 1:
             raise ValueError(f"{name} must be at least 1, got {points}")
     thetas = np.linspace(0.0, math.pi, n_theta)
@@ -509,7 +507,7 @@ def brute_force_single(
     best = math.inf
     best_angles = (0.0, 0.0)
     start = 0
-    for drops in _drop_scan(rho, subsystem)(itertools.product(thetas, phis)):
+    for drops in _drop_scan(rho, subsystem, itertools.product(thetas, phis)):
         drops[np.isnan(drops)] = math.inf
         k = int(np.argmin(drops))
         if drops[k] < best:

@@ -9,6 +9,9 @@ checkout's digests and, per family, how many values changed and the largest
     python3 tests/data/result_digest.py
     python3 tests/data/result_digest.py --src path/to/other/checkout
 
+The other checkout must have ``kernels.qudit_drop_grid``: commit f58af54 or
+later.
+
 The states are the 110 seeded random two-qubit states
 ``random_density(4, 1 + k % 4, RANDOM_SEED + k, dims=(2, 2))`` and the 102
 points of the 51-point ``werner`` and ``alpha`` sweeps, and for the
@@ -25,8 +28,7 @@ scanned on side 0 and (3, 2) on side 1.  The families:
 - minimize_pair: both objectives on every state in turn, in a new thread;
 - minimize_single: both sides of every state;
 - qubit-qudit side grids: the side grid ``minimize_single`` scans on each
-  qubit-qudit state (``kernels.qudit_drop_grid``, or ``optimize._drop_scan``
-  on a version without it);
+  qubit-qudit state, ``kernels.qudit_drop_grid``;
 - qubit-qudit minimize: ``minimize_single`` on each qubit-qudit state;
 - the 51-point ``qreality sweep`` werner and alpha CSVs, and the output of
   ``qreality verify all --seed 7``.
@@ -40,8 +42,7 @@ held longer than its comparison.  Each checkout takes about 15 s on one
 core.  pytest does not collect this script.
 
 Only ``qreality``'s exports, its ``kernels`` grids and ``cli.main`` are used,
-so any version of the package that has them can be digested; the
-qubit-qudit side grid falls back as above.
+so any version of the package that has them can be digested.
 """
 
 from __future__ import annotations
@@ -164,14 +165,11 @@ def _qudit_states(q):
 
 
 def qudit_side_grids(q):
-    axes, thetas, phis = q.kernels.axis_grid(25, 24)
+    axes = q.kernels.axis_grid(25, 24)[0]
     for rho, side in _qudit_states(q):
-        if hasattr(q.kernels, "qudit_drop_grid"):
-            data = q.kernels.qudit_partner_data(rho.mat, 3, side)
-            env = q.entropy(q.partial_trace(rho, 1 - side))
-            yield q.kernels.qudit_drop_grid(axes, *data, q.mutual_information(rho), env)
-        else:
-            yield np.concatenate(list(q.optimize._drop_scan(rho, side)(zip(thetas, phis))))
+        data = q.kernels.qudit_partner_data(rho.mat, 3, side)
+        env = q.entropy(q.partial_trace(rho, 1 - side))
+        yield q.kernels.qudit_drop_grid(axes, *data, q.mutual_information(rho), env)
 
 
 def qudit_minimize_single(q):

@@ -92,6 +92,16 @@ def test_objective_and_layout_validation():
         minimize_pair(qutrit_pair, "nonlocality")
     with pytest.raises(ValueError):
         minimize_single(qutrit_pair, 0)
+    # A side is an integer: True used to run as side 1, and 1.0 raised
+    # TypeError from tuple indexing.  numpy integers are sides.
+    for subsystem in (True, False, np.True_, 1.0, 0.0, "1", None):
+        with pytest.raises(ValueError, match="subsystem must be 0 or 1"):
+            minimize_single(singlet(), subsystem)
+        with pytest.raises(ValueError, match="subsystem must be 0 or 1"):
+            brute_force_single(singlet(), subsystem, 2, 2)
+    rho = random_density(4, 3, 83, dims=(2, 2))
+    assert minimize_single(rho, np.int64(1), FAST) == minimize_single(rho, 1, FAST)
+    assert brute_force_single(rho, np.uint8(1), 3, 4) == brute_force_single(rho, 1, 3, 4)
 
 
 def test_product_state_minima_vanish():
@@ -497,9 +507,9 @@ def test_vertex_order_is_argsort(values, distinct):
     def fun(x):
         return values[int(x[0])], [0.0]
 
-    x, value, nfev, success = _refine(fun, [(float(k),) for k in range(grid.size)],
-                                      OptimizerConfig())
-    assert nfev == grid.size and success is (x is not None)
+    x, value, nfev, success, stopped = _refine(fun, [(float(k),) for k in range(grid.size)],
+                                               OptimizerConfig())
+    assert nfev == grid.size and success is (x is not None) and stopped is True
     if values[want[0]] == values[want[0]]:
         assert int(x[0]) == want[0] and value.hex() == values[want[0]].hex()
     else:  # only NaN: no start wins, and the caller keeps the grid best
@@ -529,11 +539,12 @@ def test_converged_reports_the_winning_start(monkeypatch):
             return 0.0, [0.0, 0.0]
         return -1000.0 * x[0], [-1000.0, 0.0]
 
-    x, value, nfev, converged = _refine(fun, [(0.0, 0.0), (2.0, 0.0)], cfg)
+    x, value, nfev, converged, stopped = _refine(fun, [(0.0, 0.0), (2.0, 0.0)], cfg)
     assert value < -2000.0 and x[0] > 2.0
     assert nfev == 1 + 3
-    assert converged is False
-    assert _refine(fun, [(0.0, 0.0)], cfg)[3] is True
+    assert converged is False and stopped is True
+    assert _refine(fun, [(0.0, 0.0)], cfg)[3:] == (True, True)
+    assert _refine(fun, [(2.0, 0.0), (0.0, 0.0)], cfg)[3:] == (False, False)
 
 
 def test_refine_stops_when_no_step_decreases_the_value():
@@ -543,10 +554,10 @@ def test_refine_stops_when_no_step_decreases_the_value():
     def fun(x):
         return x[0], [-1.0, 0.0]
 
-    x, value, nfev, converged = _refine(fun, [(0.5, 0.5)], OptimizerConfig())
+    x, value, nfev, converged, stopped = _refine(fun, [(0.5, 0.5)], OptimizerConfig())
     assert list(x) == [0.5, 0.5] and value == 0.5
     assert nfev == 1 + optimize.LINE_SEARCH_HALVINGS
-    assert converged is False
+    assert converged is False and stopped is False
 
     # A plateau whose gradient, like rounding noise, is above the tolerance
     # but too small to change the value: steps of equal value are no
@@ -555,11 +566,11 @@ def test_refine_stops_when_no_step_decreases_the_value():
     def plateau(x):
         return 1.0, [1e-12, -1e-12]
 
-    x, value, nfev, converged = _refine(plateau, [(0.5, 0.5)],
-                                        OptimizerConfig(refine_tolerance=1e-13))
+    x, value, nfev, converged, stopped = _refine(plateau, [(0.5, 0.5)],
+                                                 OptimizerConfig(refine_tolerance=1e-13))
     assert list(x) == [0.5, 0.5] and value == 1.0
     assert nfev == 1 + optimize.LINE_SEARCH_HALVINGS
-    assert converged is False
+    assert converged is False and stopped is False
 
 
 def test_refine_converges_on_a_quadratic():
@@ -569,8 +580,8 @@ def test_refine_converges_on_a_quadratic():
         a, b = x[0] - 0.3, x[1] + 0.2
         return 50.0 * a * a + 0.5 * b * b, [100.0 * a, b]
 
-    x, value, nfev, converged = _refine(fun, [(1.0, 1.0)], OptimizerConfig())
-    assert converged is True
+    x, value, nfev, converged, stopped = _refine(fun, [(1.0, 1.0)], OptimizerConfig())
+    assert converged is True and stopped is False
     assert abs(x[0] - 0.3) <= 1e-8 and abs(x[1] + 0.2) <= 1e-6
     assert value <= 1e-13
     assert nfev <= 40
@@ -582,7 +593,7 @@ def test_converged_is_false_when_the_grid_best_wins(monkeypatch):
     from qreality import optimize
 
     def worse_refine(fun, starts, cfg):
-        return np.array(starts[0]), math.inf, 0, True
+        return np.array(starts[0]), math.inf, 0, True, False
 
     monkeypatch.setattr(optimize, "_refine", worse_refine)
     rho = random_density(4, 3, 11, dims=(2, 2))
@@ -654,6 +665,25 @@ def test_kept_grid_best_has_not_converged_when_its_start_hit_the_iteration_cap(m
     res = optimize._search(grid, axes, thetas, phis, plateau, cfg)
     assert res.value == 0.0 and runs == [(1, True)] * 3
     assert res.converged is True
+
+    # The first start at the pole on one of two landscapes, the others on
+    # the equator on the other.  A start on the line moves and stops at
+    # MAX_REFINE_ITERATIONS at about 0.3, below the plateau's 1.0 and above
+    # the grid best; a start on the plateau stops at once.  Whichever way
+    # round, the kept grid best has converged exactly when the first start
+    # stopped at once: not when any start did, nor the best one.
+    def line(x):
+        return 0.5 + x[1], [0.0, 1.0]
+
+    moved, stopped = (4, False), (1, True)
+    for first, others, want in ((line, plateau, [moved, stopped, stopped]),
+                                (plateau, line, [stopped, moved, moved])):
+        runs.clear()
+        res = optimize._search(grid, axes, thetas, phis,
+                               lambda x: (first if x[0] < math.pi / 4 else others)(x), cfg)
+        assert runs == want
+        assert res.value == 0.0 and res.argmin == ((0.0, 0.0),)
+        assert res.converged is want[0][1]
 
 
 def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
@@ -774,6 +804,14 @@ def test_brute_force_rejects_an_empty_scan():
                                  (10, 0, "n_phi"), (10, -3, "n_phi")):
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             brute_force_single(rho, 0, n_theta, n_phi)
+    # A count is an integer: True used to scan one theta, and 2.5 raised
+    # TypeError from linspace.  numpy integers are counts.
+    for n_theta, n_phi, name in ((True, 3, "n_theta"), (2.5, 3, "n_theta"),
+                                 (3.0, 3, "n_theta"), (3, False, "n_phi"),
+                                 (3, np.True_, "n_phi"), (3, "3", "n_phi")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            brute_force_single(rho, 0, n_theta, n_phi)
+    assert brute_force_single(rho, 0, np.int64(3), np.int32(4)) == brute_force_single(rho, 0, 3, 4)
     value, _ = brute_force_single(rho, 0, 1, 1)  # the single point theta = phi = 0
     assert value == pytest.approx(brute_force_single(rho, 0, 2, 1)[0])
 
@@ -817,7 +855,7 @@ def test_scan_drops_are_the_public_discord_like_drop(monkeypatch):
     # Chunks of 5 points: the 12 angles make two full chunks and a short one.
     for rho, side in _drop_cases():
         monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", 5 * rho.dim**2)
-        chunks = list(optimize._drop_scan(rho, side)(iter(angles)))
+        chunks = list(optimize._drop_scan(rho, side, iter(angles)))
         assert [len(c) for c in chunks] == [5, 5, 2]
         drops = np.concatenate(chunks)
         for (theta, phi), drop in zip(angles, drops):
