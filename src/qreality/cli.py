@@ -50,8 +50,6 @@ def _optimizer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--refine-starts", type=int, default=defaults.refine_starts,
                         help="most refinement starts: the best grid cell of each "
                              "distinct basin, lowest first")
-    parser.add_argument("--refine-tol", type=float, default=defaults.refine_tolerance,
-                        help="refinement tolerance")
 
 
 def _config(args) -> OptimizerConfig:
@@ -59,7 +57,6 @@ def _config(args) -> OptimizerConfig:
         grid_points_theta=args.grid_theta,
         grid_points_phi=args.grid_phi,
         refine_starts=args.refine_starts,
-        refine_tolerance=args.refine_tol,
     )
 
 
@@ -242,9 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _join_negative_values(argv: list[str]) -> list[str]:
     # argparse takes a token that starts with '-' for an option unless it is
-    # a plain negative decimal, so "--refine-tol -inf" or "--start -1e-3"
-    # would fail before the value is read and checked.  A number after a
-    # long option is joined to it as "--option=value".
+    # a plain negative decimal, so "--start -1e-3" would fail before it is
+    # checked.  A number after a long option is joined to it as "--option=value".
     out = []
     for token in argv:
         if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-"):

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -40,6 +40,14 @@ from .errors import StateValidationError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_CLAMP = -1e-10
+
+
+def _is_integer(x) -> bool:
+    # A count, dimension or subsystem index: int() would truncate 2.7, and a
+    # bool is an Integral but none of these.  numpy integers pass.  A plain
+    # int is tested first: the Integral test costs an ABC lookup, and
+    # dephase runs this once per call.
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 def _as_square_complex(mat: np.ndarray) -> np.ndarray:
@@ -77,9 +85,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = _as_square_complex(self.mat)
-        # int() would truncate 2.7; a bool is an Integral but no dimension.
-        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool)
-                   for d in self.dims):
+        if not all(_is_integer(d) for d in self.dims):
             raise ValueError(f"subsystem dimensions must be integers, got {tuple(self.dims)}")
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
@@ -167,10 +173,18 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int] | int) -> DensityMatrix:
-    """Reduced state on the kept subsystems, in their original order."""
-    if isinstance(keep, (int, np.integer)):
-        keep = (int(keep),)
-    keep_set = sorted({int(k) for k in keep})
+    """Reduced state on the kept subsystems, in their original order.
+
+    ``keep`` is one subsystem index or an iterable of them; anything else,
+    a bool or float among them, raises ``ValueError``.
+    """
+    if _is_integer(keep):
+        indices = (keep,)
+    else:
+        indices = tuple(keep) if isinstance(keep, Iterable) else (keep,)
+        if not all(_is_integer(k) for k in indices):
+            raise ValueError(f"keep must be a subsystem index or indices, got {keep!r}")
+    keep_set = sorted({int(k) for k in indices})
     n = len(rho.dims)
     if not keep_set:
         raise ValueError("keep set must be nonempty")
@@ -201,14 +215,20 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
 def embed_operator(op: np.ndarray, subsystem: int, dims: tuple[int, ...]) -> np.ndarray:
     """Extend an operator on one subsystem by identity on all others."""
     op = _as_square_complex(op)
+    _check_placement("operator", op.shape[0], subsystem, dims)
+    return _embed_stack(op[None], subsystem, dims)[0]
+
+
+def _check_placement(what: str, dim: int, subsystem: int, dims: tuple[int, ...]) -> None:
+    # Raise ValueError unless an operator or basis ``what`` of dimension dim
+    # acts on subsystem ``subsystem`` of dims.
+    if not _is_integer(subsystem):
+        raise ValueError(f"subsystem must be an integer, got {subsystem!r}")
     if subsystem < 0 or subsystem >= len(dims):
         raise ValueError(f"subsystem {subsystem} out of range for dims {dims}")
-    if op.shape[0] != dims[subsystem]:
+    if dim != dims[subsystem]:
         raise ValueError(
-            f"operator dimension {op.shape[0]} does not match subsystem "
-            f"dimension {dims[subsystem]}"
-        )
-    return _embed_stack(op[None], subsystem, dims)[0]
+            f"{what} dimension {dim} does not match subsystem dimension {dims[subsystem]}")
 
 
 def _embed_stack(ops: np.ndarray, subsystem: int, dims: tuple[int, ...]) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecParseError, StateValidationError
-from .linalg import DensityMatrix, _embed_stack
+from .linalg import DensityMatrix, _check_placement, _embed_stack
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -154,13 +154,7 @@ def schmidt_decompose(psi: DensityMatrix) -> SchmidtForm:
 
 def check_placement(basis: ProjectiveBasis, subsystem: int, dims: tuple[int, ...]) -> None:
     """Raise ValueError unless the basis measures subsystem ``subsystem`` of ``dims``."""
-    if subsystem < 0 or subsystem >= len(dims):
-        raise ValueError(f"subsystem {subsystem} out of range for dims {dims}")
-    if basis.dim != dims[subsystem]:
-        raise ValueError(
-            f"basis dimension {basis.dim} does not match subsystem "
-            f"dimension {dims[subsystem]}"
-        )
+    _check_placement("basis", basis.dim, subsystem, dims)
 
 
 def lift(basis: ProjectiveBasis, subsystem: int, dims: tuple[int, ...]) -> list[np.ndarray]:

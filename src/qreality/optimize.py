@@ -12,7 +12,7 @@ Python floats with a backtracking (Armijo) line search, so the package needs
 only numpy.  Each evaluation is one call of a kernel in
 :mod:`qreality.kernels`, which returns the value and its gradient by the
 Bloch axes; the chain rule through (theta, phi) is applied here.  A
-start converges when its gradient falls to ``refine_tolerance`` in every
+start converges when its gradient falls to ``REFINE_TOLERANCE`` in every
 coordinate; one that reaches ``MAX_REFINE_ITERATIONS``, or whose line search
 finds no lower value, has not.  The grid best is a floor: refinement never
 reports a value above it.  When the grid best is kept, it has converged if
@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .linalg import DensityMatrix, partial_trace
+from .linalg import DensityMatrix, _is_integer, partial_trace
 from .measures import ZERO_EIGENVALUE, entropy, mutual_information
 from .observables import ProjectiveBasis, fourier_of, qubit_basis, schmidt_decompose
 
@@ -71,6 +70,8 @@ ARMIJO = 1e-4
 LINE_SEARCH_HALVINGS = 30
 # BFGS iterations after which a start stops without converging.
 MAX_REFINE_ITERATIONS = 500
+# Largest gradient coordinate, by (theta, phi), at which a start has converged.
+REFINE_TOLERANCE = 1e-7
 # Angle, in radians, within which a cell's axis counts as near an accepted
 # start's axis on the same side.  A cell near one accepted start on every
 # optimized side lies in that start's basin and is not refined again.  It
@@ -91,33 +92,28 @@ SCAN_CHUNK_ENTRIES = 2**14
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Grid size per side, most refinement starts, and the gradient tolerance.
+    """Grid size per side and most refinement starts.
 
     Each side's grid has ``grid_points_theta`` thetas from pole to pole and
     ``grid_points_phi`` phis on the equator row; rows nearer the poles hold
     fewer (see :func:`qreality.kernels.axis_grid`).
 
     ``refine_starts`` is at most this many BFGS starts, one per basin among
-    the lowest grid cells (see the module docstring).
+    the lowest grid cells (see the module docstring), each refined to the
+    module's gradient tolerance ``REFINE_TOLERANCE``.
     """
 
     grid_points_theta: int = 25
     grid_points_phi: int = 24
     refine_starts: int = 5
-    refine_tolerance: float = 1e-7
 
     def __post_init__(self):
         for name in ("grid_points_theta", "grid_points_phi", "refine_starts"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.grid_points_theta, self.grid_points_phi, self.refine_starts) < 1:
             raise ValueError("optimizer config fields must be positive")
-        # A bool is no tolerance, NaN would make every start run all
-        # MAX_REFINE_ITERATIONS, and inf would stop every start where it began.
-        tol = self.refine_tolerance
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
-            raise ValueError(f"refine_tolerance must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -240,9 +236,8 @@ def _bfgs(fun, x, cfg: OptimizerConfig):
     # positive definite.
     # fun(x) returns (value, gradient); every call is one evaluation.
     # Returns (x, value, nfev, converged): converged is True when the
-    # gradient falls to refine_tolerance in every coordinate, False at
+    # gradient falls to REFINE_TOLERANCE in every coordinate, False at
     # MAX_REFINE_ITERATIONS or when no step length decreases the value.
-    tol = cfg.refine_tolerance
     first_step = math.pi / max(cfg.grid_points_theta - 1, cfg.grid_points_phi, 1) / 2.0
     n = len(x)
     f, g = fun(x)
@@ -250,7 +245,7 @@ def _bfgs(fun, x, cfg: OptimizerConfig):
     h = None
     for _ in range(MAX_REFINE_ITERATIONS):
         g_max = max(abs(gk) for gk in g)
-        if g_max <= tol:
+        if g_max <= REFINE_TOLERANCE:
             return x, f, nfev, True
         if h is not None:
             p = [-sum(hk[j] * g[j] for j in range(n)) for hk in h]
@@ -442,8 +437,7 @@ def _spectral_entropies(spectra: np.ndarray) -> np.ndarray:
 def _check_qubit_side(rho: DensityMatrix, subsystem: int, task: str) -> None:
     if len(rho.dims) != 2:
         raise ValueError(f"{task} needs a bipartite state, got {rho.dims}")
-    if not isinstance(subsystem, numbers.Integral) or isinstance(subsystem, bool) \
-            or subsystem not in (0, 1):
+    if not _is_integer(subsystem) or subsystem not in (0, 1):
         raise ValueError(f"subsystem must be 0 or 1, got {subsystem!r}")
     if rho.dims[subsystem] != 2:
         raise ValueError("the optimized subsystem must be a qubit")
@@ -498,7 +492,7 @@ def brute_force_single(
     """
     _check_qubit_side(rho, subsystem, "oracle scan")
     for name, points in (("n_theta", n_theta), ("n_phi", n_phi)):
-        if not isinstance(points, numbers.Integral) or isinstance(points, bool):
+        if not _is_integer(points):
             raise ValueError(f"{name} must be an integer, got {points!r}")
         if points < 1:
             raise ValueError(f"{name} must be at least 1, got {points}")

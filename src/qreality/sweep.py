@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import partial_trace
+from .linalg import _is_integer, partial_trace
 from .measures import concurrence, entanglement_entropy, irreality, nonlocality
 from .observables import qubit_basis
 from .optimize import (
@@ -30,6 +30,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _check_points(points: int) -> None:
+    if not _is_integer(points):
+        raise ValueError(f"points must be an integer, got {points!r}")
+    if points < 2:
+        raise ValueError("points must be at least 2")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     family: str
@@ -46,8 +53,7 @@ class SweepSpec:
                 f"start and stop must be finite, got {self.start} and {self.stop}")
         if self.start > self.stop:
             raise ValueError("start must not exceed stop")
-        if self.points < 2:
-            raise ValueError("points must be at least 2")
+        _check_points(self.points)
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,7 @@ def plot_script(csv_path: str, family: str) -> str:
 
 def slit_rows(points: int = 21) -> list[tuple[float, float, float, float]]:
     """(x, local irreality, global irreality, entanglement) over x in [0, 1]."""
-    if points < 2:
-        raise ValueError("points must be at least 2")
+    _check_points(points)
     zbasis = qubit_basis(0.0, 0.0)
     rows = []
     for x in np.linspace(0.0, 1.0, points):

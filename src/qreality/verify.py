@@ -19,6 +19,7 @@ import numpy as np
 from . import measures
 from .linalg import (
     DensityMatrix,
+    _is_integer,
     frobenius_distance,
     partial_trace,
     tensor_product,
@@ -423,8 +424,11 @@ def run_suite(
 ) -> VerifySuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite '{name}' (known: {', '.join(sorted(SUITES))})")
-    if count is not None and count < 1:
-        raise ValueError(f"suite case count must be at least 1, got {count}")
+    if count is not None:
+        if not _is_integer(count):
+            raise ValueError(f"count must be an integer, got {count!r}")
+        if count < 1:
+            raise ValueError(f"suite case count must be at least 1, got {count}")
     runner, default_count = SUITES[name]
     result = VerifySuiteResult(suite=name, cases=0)
     runner(result, np.random.default_rng(seed),

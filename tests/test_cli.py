@@ -10,6 +10,7 @@ import pytest
 from qreality.cli import EXIT_CROSS_CHECK, main
 from qreality.statefile import save_state
 from qreality.states import werner
+from qreality.sweep import SweepSpec, slit_rows
 
 LN2 = math.log(2.0)
 
@@ -259,25 +260,34 @@ def test_sweep_over_the_pair_grid_budget_exits_two(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
-def test_sweep_non_finite_refine_tolerance_exits_two(tol, tmp_path, capsys):
-    # "-inf" starts with '-' and is not a plain negative decimal, which
-    # argparse would take for an option; it must reach the tolerance check.
-    out = tmp_path / "w.csv"
-    assert main(["sweep", "--family", "werner", "--points", "2", *FAST_FLAGS,
-                 "--refine-tol", tol, "--output", str(out)]) == 2
-    assert "refine_tolerance must be positive and finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("family", ["werner", "alpha"])
-@pytest.mark.parametrize("bound", [["--start", "nan"], ["--stop", "inf"], ["--start=-inf"]])
+@pytest.mark.parametrize("bound", [["--start", "nan"], ["--stop", "inf"], ["--start=-inf"],
+                                   ["--start", "-inf"]])
 def test_sweep_non_finite_range_exits_two(family, bound, tmp_path, capsys):
+    # "-inf" as its own token starts with '-' and is not a plain negative
+    # decimal, which argparse would take for an option; it must reach the
+    # range check.
     out = tmp_path / "s.csv"
     assert main(["sweep", "--family", family, "--points", "2", *FAST_FLAGS, *bound,
                  "--output", str(out)]) == 2
     assert "start and stop must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_and_slit_points_must_be_integers_of_at_least_two():
+    # A float, bool or string is no point count; it is rejected before any
+    # state is built.
+    for points in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=rf"points must be an integer, got {points!r}"):
+            SweepSpec("werner", points=points)
+        with pytest.raises(ValueError, match=rf"points must be an integer, got {points!r}"):
+            slit_rows(points)
+    for points in (1, 0, np.int64(1)):
+        with pytest.raises(ValueError, match="points must be at least 2"):
+            SweepSpec("werner", points=points)
+        with pytest.raises(ValueError, match="points must be at least 2"):
+            slit_rows(points)
+    assert len(slit_rows(np.int64(2))) == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -286,6 +296,8 @@ def test_sweep_non_finite_range_exits_two(family, bound, tmp_path, capsys):
     ["slit", "--output", "x.csv", "--seed", "1"],
     ["verify", "singlet", "--format", "records"],
     ["measure", "singlet", "zbasis@0", "--seed", "1"],
+    # The gradient tolerance is the constant optimize.REFINE_TOLERANCE.
+    ["sweep", "--family", "werner", "--output", "x.csv", "--refine-tol", "1e-7"],
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """The documented API still exists: the README's library example runs, its
 CLI lines parse, and every name ``qreality`` exports resolves."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -33,6 +34,18 @@ def test_readme_cli_lines_parse():
     for line in lines:
         args = parser.parse_args(cli._join_negative_values(shlex.split(line)[1:]))
         assert callable(args.func), line
+
+
+def test_readme_cli_section_names_only_real_flags():
+    # A removed flag still named in the prose, where no CLI line parses it,
+    # fails here.
+    body = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    known = {flag for sub in commands.choices.values() for flag in sub._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", body))
+    assert "--output" in named
+    assert sorted(named - known) == []
 
 
 def test_every_exported_name_resolves():

@@ -126,6 +126,13 @@ def test_partial_trace_errors():
         partial_trace(rho, 2)
     with pytest.raises(ValueError):
         partial_trace(rho, -1)
+    # A bool, float or string is no subsystem index, even where int() would
+    # make one of it.
+    for keep in (True, (0.7, 2), "0", 1.0, (0, False)):
+        with pytest.raises(ValueError, match="keep must be a subsystem index or indices"):
+            partial_trace(rho, keep)
+    for keep in (np.int64(1), (np.uint8(1),), [1]):
+        np.testing.assert_array_equal(partial_trace(rho, keep).mat, partial_trace(rho, 1).mat)
 
 
 def test_hermitian_eigensystem_examples():
@@ -278,6 +285,10 @@ def test_embed_operator():
         embed_operator(z, 3, (2, 2))
     with pytest.raises(ValueError):
         embed_operator(np.eye(3, dtype=complex), 0, (2, 2))
+    for subsystem in (1.0, True):
+        with pytest.raises(ValueError, match="subsystem must be an integer"):
+            embed_operator(z, subsystem, (2, 2))
+    np.testing.assert_array_equal(embed_operator(z, np.int64(1), (2, 2, 2)), full)
 
 
 def _bits(x):

@@ -156,14 +156,20 @@ def test_dephase_matches_the_lifted_projector_sum():
 
 def test_dephase_rejects_a_misplaced_basis_with_lifts_messages():
     rho = random_density(6, 2, 3, dims=(2, 3))
+    # A bool or float subsystem is no index, even where int() would make one.
     for basis, subsystem, message in ((ZB, 2, "out of range"), (ZB, -1, "out of range"),
                                       (ZB, 1, "does not match"),
-                                      (fourier_basis(3), 0, "does not match")):
+                                      (fourier_basis(3), 0, "does not match"),
+                                      (ZB, True, "subsystem must be an integer"),
+                                      (ZB, 1.0, "subsystem must be an integer")):
         with pytest.raises(ValueError, match=message) as lifted:
             lift(basis, subsystem, rho.dims)
         with pytest.raises(ValueError) as dephased:
             dephase(rho, basis, subsystem)
-        assert str(dephased.value) == str(lifted.value)
+        with pytest.raises(ValueError) as discorded:
+            discord_like(rho, [(basis, subsystem)])
+        assert str(dephased.value) == str(lifted.value) == str(discorded.value)
+    np.testing.assert_array_equal(dephase(rho, ZB, np.int64(0)).mat, dephase(rho, ZB, 0).mat)
 
 
 # --- reality predicate ----------------------------------------------------------

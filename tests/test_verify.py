@@ -92,10 +92,13 @@ def test_determinism_of_suites():
     assert a == b
 
 
-@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("count", [0, -3, 2.5, True])
 def test_count_below_one_is_rejected(count):
-    # A suite that checks no case must not report success.
-    with pytest.raises(ValueError, match=rf"at least 1, got {count}"):
+    # A suite that checks no case must not report success, and a float or
+    # bool is no count.
+    message = (rf"at least 1, got {count}" if type(count) is int
+               else rf"count must be an integer, got {count!r}")
+    with pytest.raises(ValueError, match=message):
         run_suite("dephasing", count=count)
     with pytest.raises(ValueError, match=rf"got {count}"):
         run_all(count=count)
