@@ -47,11 +47,11 @@ from .observables import (
 from .optimize import (
     OptimizationResult,
     OptimizerConfig,
-    brute_force_single,
     minimize_pair,
     minimize_single,
     witness_pair_for_pure,
 )
+from .oracle import brute_force_single
 from .statefile import load_state, save_state
 from .states import (
     alpha_state,

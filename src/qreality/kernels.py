@@ -56,8 +56,8 @@ The repository benchmark times the grid stage end to end:
 figures, see ``perfbench/NOTES.md``).
 
 The matrix route (projector dephasing plus Hermitian eigendecomposition in
-:mod:`qreality.measures`) is kept fully independent of this module and is used
-to cross-check it.
+:mod:`qreality.measures`, and the dense scans of :mod:`qreality.oracle`) is
+kept fully independent of this module and is used to cross-check it.
 """
 
 from __future__ import annotations

@@ -50,6 +50,12 @@ def _is_integer(x) -> bool:
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
+def _check_integer(name: str, value) -> None:
+    # Raise ValueError, naming the argument, unless value is an integer.
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _as_square_complex(mat: np.ndarray) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -229,6 +235,17 @@ def _check_placement(what: str, dim: int, subsystem: int, dims: tuple[int, ...])
     if dim != dims[subsystem]:
         raise ValueError(
             f"{what} dimension {dim} does not match subsystem dimension {dims[subsystem]}")
+
+
+def _check_qubit_side(rho: DensityMatrix, subsystem: int, task: str) -> None:
+    # Raise ValueError unless subsystem names a qubit side of a bipartite
+    # rho: the side a one-sided minimizer or scan optimizes.
+    if len(rho.dims) != 2:
+        raise ValueError(f"{task} needs a bipartite state, got {rho.dims}")
+    if not _is_integer(subsystem) or subsystem not in (0, 1):
+        raise ValueError(f"subsystem must be 0 or 1, got {subsystem!r}")
+    if rho.dims[subsystem] != 2:
+        raise ValueError("the optimized subsystem must be a qubit")
 
 
 def _embed_stack(ops: np.ndarray, subsystem: int, dims: tuple[int, ...]) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecParseError, StateValidationError
-from .linalg import DensityMatrix, _check_placement, _embed_stack
+from .linalg import DensityMatrix, _check_integer, _check_placement, _embed_stack
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -101,6 +101,7 @@ def qubit_basis(theta: float, phi: float) -> ProjectiveBasis:
 
 def fourier_basis(dim: int) -> ProjectiveBasis:
     """Discrete-Fourier basis, mutually unbiased with the computational one."""
+    _check_integer("dim", dim)
     if dim < 2:
         raise ValueError("fourier basis needs dim >= 2")
     j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
@@ -109,6 +110,7 @@ def fourier_basis(dim: int) -> ProjectiveBasis:
 
 
 def computational_basis(dim: int) -> ProjectiveBasis:
+    _check_integer("dim", dim)
     return ProjectiveBasis(np.eye(dim, dtype=complex))
 
 

@@ -29,9 +29,9 @@ optimized side (an axis and its negative are one basis), and the walk stops
 after ``refine_starts`` accepted cells.  The first start is always the grid
 best; a pool holding fewer basins gives fewer starts.
 
-The matrix (projector-dephasing) route's one-sided drop is one generator,
-``_drop_scan``.  Only :func:`brute_force_single` uses it, avoiding the kernels
-by design: the independent oracle for every layout :func:`minimize_single` takes.
+The independent check of both minimizers, the matrix (projector-dephasing)
+route's dense scans, lives in :mod:`qreality.oracle`, which imports neither
+this module nor the kernels.
 
 The two pair objectives share their costliest part, the entropy of the state
 dephased on both sides.  A thread that minimizes both on each state (the
@@ -41,16 +41,18 @@ first: the kernels keep a thread's joint grid when its calls repeat a state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .linalg import DensityMatrix, _is_integer, partial_trace
-from .measures import ZERO_EIGENVALUE, entropy, mutual_information
-from .observables import ProjectiveBasis, fourier_of, qubit_basis, schmidt_decompose
+from .linalg import DensityMatrix, _check_integer, _check_qubit_side, partial_trace
+from .measures import entropy, mutual_information
+from .observables import ProjectiveBasis, fourier_of, schmidt_decompose
+# Bound here only for perfbench: its tracer and its oracle workload resolve
+# qreality.optimize.brute_force_single.
+from .oracle import brute_force_single  # noqa: F401
 
 OBJECTIVE_NONLOCALITY = "nonlocality"
 OBJECTIVE_DISCORD = "discord"
@@ -83,11 +85,6 @@ START_SEPARATION = 0.35
 # cells: enough to reach past the deepest basin's cells, few enough that the
 # choice costs nothing next to the grid.
 START_POOL = 5
-# Matrix entries of dephased states per chunk of the matrix-route scan: it
-# runs in chunks of SCAN_CHUNK_ENTRIES // dim**2 points (1,024 for two
-# qubits) and keeps only each point's basis and spectrum, so its memory does
-# not grow with the scan.
-SCAN_CHUNK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -109,9 +106,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("grid_points_theta", "grid_points_phi", "refine_starts"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if min(self.grid_points_theta, self.grid_points_phi, self.refine_starts) < 1:
             raise ValueError("optimizer config fields must be positive")
 
@@ -426,87 +421,3 @@ def witness_pair_for_pure(psi: DensityMatrix) -> tuple[ProjectiveBasis, Projecti
     """
     form = schmidt_decompose(psi)
     return form.basis_a, fourier_of(form.basis_b)
-
-
-def _spectral_entropies(spectra: np.ndarray) -> np.ndarray:
-    """-sum p ln p along the last axis, with 0 ln 0 = 0 below ZERO_EIGENVALUE."""
-    kept = np.where(spectra > ZERO_EIGENVALUE, spectra, 1.0)
-    return -np.sum(kept * np.log(kept), axis=-1)
-
-
-def _check_qubit_side(rho: DensityMatrix, subsystem: int, task: str) -> None:
-    if len(rho.dims) != 2:
-        raise ValueError(f"{task} needs a bipartite state, got {rho.dims}")
-    if not _is_integer(subsystem) or subsystem not in (0, 1):
-        raise ValueError(f"subsystem must be 0 or 1, got {subsystem!r}")
-    if rho.dims[subsystem] != 2:
-        raise ValueError("the optimized subsystem must be a qubit")
-
-
-def _drop_scan(rho: DensityMatrix, subsystem: int, angles):
-    # The matrix route's one-sided drop I(rho) - I(Ph rho) on one state at
-    # the (theta, phi) pairs of angles, read lazily; yields the drops of each
-    # chunk of at most SCAN_CHUNK_ENTRIES // dim**2 points.  The state data
-    # are taken once, before the first chunk: the marginal rho_q of the
-    # scanned qubit, S of the other marginal, which dephasing the scanned side
-    # leaves unchanged, and I(rho).  Each point builds one basis and
-    # makes one dephase call, whose spectrum gives S(Ph rho); neither is
-    # validated again (the basis of finite angles is unitary to rounding, and
-    # the dephased state is a map of the validated rho).  The dephased
-    # marginal of the scanned qubit is sum_j p_j |b_j><b_j| with
-    # p_j = <b_j| rho_q |b_j>, so its spectrum is p: one einsum over the
-    # chunk's stacked bases.
-    from .measures import dephase  # resolved per scan: a rebound measures.dephase is used
-
-    rho_q = partial_trace(rho, subsystem)
-    s_other = entropy(partial_trace(rho, 1 - subsystem))
-    mi = entropy(rho_q) + s_other - entropy(rho)
-    chunk = max(1, SCAN_CHUNK_ENTRIES // rho.dim**2)
-    angles = iter(angles)
-    vecs = np.empty((chunk, 2, 2), dtype=complex)
-    spectra = np.empty((chunk, rho.dim))
-    while points := list(itertools.islice(angles, chunk)):
-        for k, (theta, phi) in enumerate(points):
-            basis = qubit_basis(theta, phi)
-            vecs[k] = basis.vectors
-            spectra[k] = dephase(rho, basis, subsystem).eigenvalues
-        n = len(points)
-        p = np.einsum("nxj,xy,nyj->nj", vecs[:n].conj(), rho_q.mat, vecs[:n]).real
-        yield mi - (_spectral_entropies(p) + s_other - _spectral_entropies(spectra[:n]))
-
-
-def brute_force_single(
-    rho: DensityMatrix,
-    subsystem: int,
-    n_theta: int = 200,
-    n_phi: int = 200,
-) -> tuple[float, tuple[float, float]]:
-    """Dense grid scan of the one-sided drop through the matrix route.
-
-    Independent of the kernels by construction: one pass of ``_drop_scan``,
-    the matrix route's one drop engine (projector dephasing plus
-    eigendecompositions), over the grid; it is the oracle for
-    :func:`minimize_single` on every layout.  The first point in (theta, phi) order with the lowest
-    drop wins; a NaN never does.  ``subsystem`` is checked as
-    :func:`minimize_single` checks it, before any work.
-    """
-    _check_qubit_side(rho, subsystem, "oracle scan")
-    for name, points in (("n_theta", n_theta), ("n_phi", n_phi)):
-        if not _is_integer(points):
-            raise ValueError(f"{name} must be an integer, got {points!r}")
-        if points < 1:
-            raise ValueError(f"{name} must be at least 1, got {points}")
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, math.pi, n_phi, endpoint=False)
-    best = math.inf
-    best_angles = (0.0, 0.0)
-    start = 0
-    for drops in _drop_scan(rho, subsystem, itertools.product(thetas, phis)):
-        drops[np.isnan(drops)] = math.inf
-        k = int(np.argmin(drops))
-        if drops[k] < best:
-            best = float(drops[k])
-            i, j = divmod(start + k, n_phi)
-            best_angles = (float(thetas[i]), float(phis[j]))
-        start += drops.size
-    return best, best_angles

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import SpecParseError, StateValidationError
-from .linalg import DensityMatrix, tensor_product
+from .linalg import DensityMatrix, _check_integer, tensor_product
 from .observables import _spec_params
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -96,6 +96,8 @@ def random_density(dim: int, rank: int, seed, dims: tuple[int, ...] | None = Non
     place, for drawing sequences). ``rank=dim`` gives full support under the
     Hilbert-Schmidt measure; ``rank=1`` gives a random pure state.
     """
+    _check_integer("dim", dim)
+    _check_integer("rank", rank)
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
     rng = _rng(seed)
@@ -107,6 +109,7 @@ def random_density(dim: int, rank: int, seed, dims: tuple[int, ...] | None = Non
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
+    _check_integer("dim", dim)
     rng = _rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _is_integer, partial_trace
+from .linalg import _check_integer, partial_trace
 from .measures import concurrence, entanglement_entropy, irreality, nonlocality
 from .observables import qubit_basis
 from .optimize import (
@@ -31,8 +32,7 @@ def _fmt(x: float) -> str:
 
 
 def _check_points(points: int) -> None:
-    if not _is_integer(points):
-        raise ValueError(f"points must be an integer, got {points!r}")
+    _check_integer("points", points)
     if points < 2:
         raise ValueError("points must be at least 2")
 
@@ -48,6 +48,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown state family '{self.family}'")
+        for name in ("start", "stop"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError(
                 f"start and stop must be finite, got {self.start} and {self.stop}")

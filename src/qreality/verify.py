@@ -19,6 +19,7 @@ import numpy as np
 from . import measures
 from .linalg import (
     DensityMatrix,
+    _check_integer,
     _is_integer,
     frobenius_distance,
     partial_trace,
@@ -36,11 +37,11 @@ from .optimize import (
     OBJECTIVE_DISCORD,
     OBJECTIVE_NONLOCALITY,
     OptimizerConfig,
-    brute_force_single,
     minimize_pair,
     minimize_single,
     witness_pair_for_pure,
 )
+from .oracle import brute_force_single
 from .states import (
     alpha_state,
     floating_slit,
@@ -424,9 +425,10 @@ def run_suite(
 ) -> VerifySuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite '{name}' (known: {', '.join(sorted(SUITES))})")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if count is not None:
-        if not _is_integer(count):
-            raise ValueError(f"count must be an integer, got {count!r}")
+        _check_integer("count", count)
         if count < 1:
             raise ValueError(f"suite case count must be at least 1, got {count}")
     runner, default_count = SUITES[name]

@@ -30,6 +30,13 @@ scanned on side 0 and (3, 2) on side 1.  The families:
 - qubit-qudit side grids: the side grid ``minimize_single`` scans on each
   qubit-qudit state, ``kernels.qudit_drop_grid``;
 - qubit-qudit minimize: ``minimize_single`` on each qubit-qudit state;
+- oracle scans: ``brute_force_single`` at ``ORACLE_SCANS`` points on both
+  sides of the first ``ORACLE_STATES`` two-qubit states and on the first
+  ``ORACLE_STATES`` qubit-qudit states, as its minimum and argmin;
+- pair scan: ``brute_force_pair`` at ``PAIR_SCANS`` points per angle on the
+  first ``ORACLE_STATES`` two-qubit states.  Only a checkout with
+  ``qreality.oracle`` runs it; against one without, the family is printed
+  as new;
 - the 51-point ``qreality sweep`` werner and alpha CSVs, and the output of
   ``qreality verify all --seed 7``.
 
@@ -38,11 +45,12 @@ value, argmin angles, grid best, evaluations and converged), a text by its
 bytes; a text's values are the numbers in it.  Two runs on one tree print
 the same digests.  Both checkouts are imported in this process under
 different package names and run family by family in lockstep, so no grid is
-held longer than its comparison.  Each checkout takes about 15 s on one
+held longer than its comparison.  Each checkout takes about 17 s on one
 core.  pytest does not collect this script.
 
-Only ``qreality``'s exports, its ``kernels`` grids and ``cli.main`` are used,
-so any version of the package that has them can be digested.
+Only ``qreality``'s exports, its ``kernels`` grids, ``cli.main`` and, where
+it exists, ``oracle.brute_force_pair`` are used, so any version of the
+package that has them can be digested.
 """
 
 from __future__ import annotations
@@ -69,6 +77,9 @@ RANDOM_STATES = 110
 SWEEP_POINTS = 51
 QUDIT_SEED = 21000
 QUDIT_STATES = 12
+ORACLE_STATES = 8
+ORACLE_SCANS = ((9, 8), (20, 20))
+PAIR_SCANS = (8, 16)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:inf|nan)\b")
 
 
@@ -177,6 +188,21 @@ def qudit_minimize_single(q):
         yield _result_values(q.minimize_single(rho, side))
 
 
+def oracle_scans(q):
+    cases = [(rho, side) for rho in _states(q)[:ORACLE_STATES] for side in (0, 1)]
+    cases += list(_qudit_states(q))[:ORACLE_STATES]
+    for rho, side in cases:
+        for n_theta, n_phi in ORACLE_SCANS:
+            value, argmin = q.brute_force_single(rho, side, n_theta, n_phi)
+            yield np.array([value, *argmin])
+
+
+def pair_scan(q):
+    for rho in _states(q)[:ORACLE_STATES]:
+        for n in PAIR_SCANS:
+            yield np.array(q.oracle.brute_force_pair(rho, n))
+
+
 def _cli_output(q, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out")
@@ -204,10 +230,14 @@ FAMILIES = {
     "minimize_single": minimize_single,
     "qubit-qudit side grids": qudit_side_grids,
     "qubit-qudit minimize": qudit_minimize_single,
+    "oracle scans": oracle_scans,
+    "pair scan": pair_scan,
     "werner sweep CSV": sweep_werner,
     "alpha sweep CSV": sweep_alpha,
     "verify all --seed 7": verify_all,
 }
+# Families that only some versions can run, by the package attribute each needs.
+NEEDS = {"pair scan": "oracle"}
 
 
 def _values(chunk) -> np.ndarray:
@@ -259,9 +289,13 @@ def main(argv=None) -> int:
         sources.append(other / "src" if (other / "src" / "qreality").is_dir() else other)
     packages = [_load(src, f"qreality_digest_{k}") for k, src in enumerate(sources)]
     for name, family in FAMILIES.items():
-        hashes = [hashlib.sha256() for _ in packages]
+        runs = [q for q in packages if hasattr(q, NEEDS.get(name, "__name__"))]
+        if packages[0] not in runs:
+            print(f"{name:<22} not in this checkout", flush=True)
+            continue
+        hashes = [hashlib.sha256() for _ in runs]
         count, changed, largest = 0, 0, 0.0
-        for chunks in _run_family(packages, family):
+        for chunks in _run_family(runs, family):
             for h, chunk in zip(hashes, chunks):
                 h.update(_bytes(chunk))
             values = [_values(chunk) for chunk in chunks]
@@ -273,6 +307,8 @@ def main(argv=None) -> int:
         if len(hashes) == 2:
             line += (f"\n{'':<22} {hashes[1].hexdigest()}  other: {changed} changed, "
                      f"largest |delta| {largest:.3g}")
+        elif len(packages) == 2:
+            line += f"\n{'':<22} other: not in that checkout, new here"
         print(line, flush=True)
     return 0
 

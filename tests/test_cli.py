@@ -290,6 +290,18 @@ def test_sweep_and_slit_points_must_be_integers_of_at_least_two():
     assert len(slit_rows(np.int64(2))) == 2
 
 
+def test_sweep_range_must_be_real_numbers():
+    # "0" raised TypeError from math.isfinite, and True ran as 1.0.  numpy
+    # floats and plain ints are bounds.
+    for field in ("start", "stop"):
+        for bad in ("0", True, np.True_, None, 1j):
+            with pytest.raises(ValueError, match=rf"{field} must be a real number, got"):
+                SweepSpec("werner", **{field: bad})
+    spec = SweepSpec("werner", start=np.float64(0.25), stop=np.float32(0.5))
+    assert (spec.start, spec.stop) == (0.25, 0.5)
+    assert SweepSpec("werner", start=0, stop=1).stop == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--family", "werner", "--output", "x.csv", "--seed", "1"],
     ["sweep", "--family", "werner", "--output", "x.csv", "--format", "csv"],

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qreality import kernels, optimize
+from qreality import kernels, optimize, oracle
 from qreality.linalg import DensityMatrix, partial_trace, tensor_product
 from qreality.measures import discord_like, entropy, mutual_information, nonlocality
 from qreality.observables import qubit_basis
@@ -671,7 +671,7 @@ def test_qudit_kernels_match_the_matrix_route():
     for rho, side in _qudit_cases():
         data = _qudit_data(rho, side)
         grid = kernels.qudit_drop_grid(axes, *data)
-        scan = np.concatenate(list(optimize._drop_scan(rho, side, zip(thetas, phis))))
+        scan = np.concatenate(list(oracle._drop_scan(rho, side, zip(thetas, phis))))
         assert np.abs(grid - scan).max() <= 1e-13, (rho.dims, side)
         for i in (0, 1, 200, 378):
             assert kernels.qudit_drop_value(axes[i], *data)[0] == pytest.approx(grid[i], abs=1e-13)

@@ -91,6 +91,18 @@ def test_fourier_basis_examples():
         fourier_basis(1)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
+def test_basis_constructors_name_a_non_integer_dimension(bad):
+    # computational_basis(2.0) raised numpy's TypeError and fourier_basis(2.5)
+    # a misleading basis-orthonormality error.  numpy integers are dimensions.
+    with pytest.raises(ValueError, match=rf"dim must be an integer, got {bad!r}"):
+        computational_basis(bad)
+    with pytest.raises(ValueError, match=rf"dim must be an integer, got {bad!r}"):
+        fourier_basis(bad)
+    assert np.array_equal(computational_basis(np.int64(3)).vectors, np.eye(3))
+    assert np.array_equal(fourier_basis(np.uint8(3)).vectors, fourier_basis(3).vectors)
+
+
 def test_is_mub():
     for d in (2, 3, 4, 5):
         assert is_mub(computational_basis(d), fourier_basis(d), 1e-10)

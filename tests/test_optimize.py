@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qreality import kernels, optimize
+from qreality import kernels, optimize, oracle
 from qreality.linalg import DensityMatrix, partial_trace, tensor_product
 from qreality.measures import entropy, nonlocality
 from qreality.optimize import (
@@ -20,11 +20,11 @@ from qreality.optimize import (
     _lowest_cells,
     _refine,
     _start_cells,
-    brute_force_single,
     minimize_pair,
     minimize_single,
     witness_pair_for_pure,
 )
+from qreality.oracle import brute_force_single
 from qreality.states import (
     alpha_state,
     pure_from_amplitudes,
@@ -667,7 +667,7 @@ def test_kept_grid_best_has_not_converged_when_its_start_hit_the_iteration_cap(m
 
 
 def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
-    from qreality import measures, optimize
+    from qreality import measures
 
     # Each dephased state is diagonalized once, when it is validated, and the
     # two marginals of rho once each when the engine is set up.  The dephased
@@ -681,13 +681,13 @@ def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(optimize, "qubit_basis", counted("qubit_basis", optimize.qubit_basis))
+    monkeypatch.setattr(oracle, "qubit_basis", counted("qubit_basis", oracle.qubit_basis))
     monkeypatch.setattr(measures, "dephase", counted("dephase", measures.dephase))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     rho = random_density(4, 3, 41, dims=(2, 2))
-    chunk = optimize.SCAN_CHUNK_ENTRIES // rho.dim**2
+    chunk = oracle.SCAN_CHUNK_ENTRIES // rho.dim**2
     for points_per_chunk in (chunk, 6):
-        monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", points_per_chunk * rho.dim**2)
+        monkeypatch.setattr(oracle, "SCAN_CHUNK_ENTRIES", points_per_chunk * rho.dim**2)
         for subsystem in (0, 1):
             calls.update(qubit_basis=0, dephase=0, eigvalsh=0)
             brute_force_single(rho, subsystem, n_theta=4, n_phi=5)
@@ -725,13 +725,13 @@ def test_batched_scan_matches_the_per_point_scan(monkeypatch):
     cases += [(random_density(6, 3, 717, dims=(2, 3)), 0),
               (random_density(6, 4, 718, dims=(3, 2)), 1)]
     for rho, sub in cases:
-        monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", 3 * rho.dim**2 + 1)
+        monkeypatch.setattr(oracle, "SCAN_CHUNK_ENTRIES", 3 * rho.dim**2 + 1)
         value, argmin = brute_force_single(rho, sub, 7, 5)
         ref_value, ref_argmin = _per_point_scan(rho, sub, 7, 5)
         assert argmin == ref_argmin
         assert abs(value - ref_value) <= 1e-12
     # werner(0.5) is flat in the axis: only the value is comparable.
-    monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", 3 * 16)
+    monkeypatch.setattr(oracle, "SCAN_CHUNK_ENTRIES", 3 * 16)
     for sub in (0, 1):
         value, _ = brute_force_single(werner(0.5), sub, 7, 5)
         assert abs(value - _per_point_scan(werner(0.5), sub, 7, 5)[0]) <= 1e-12
@@ -750,8 +750,8 @@ def test_batched_scan_keeps_the_first_lowest_point_and_never_a_nan(monkeypatch):
             return np.zeros(len(spectra))
         return -np.array(next(drops)) - math.log(2.0)
 
-    monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", 3 * 16)
-    monkeypatch.setattr(optimize, "_spectral_entropies", spectral_entropies)
+    monkeypatch.setattr(oracle, "SCAN_CHUNK_ENTRIES", 3 * 16)
+    monkeypatch.setattr(oracle, "_spectral_entropies", spectral_entropies)
     rho = DensityMatrix(np.eye(4) / 4, (2, 2))
     value, argmin = brute_force_single(rho, 0, 2, 4)
     assert value == pytest.approx(0.5, abs=1e-12)
@@ -766,7 +766,7 @@ def test_scan_memory_stays_within_one_chunk():
     # dephased states.  The whole scan's dephased states alone would be
     # 1.28 MB.
     rho = random_density(4, 3, 43, dims=(2, 2))
-    chunk_bytes = optimize.SCAN_CHUNK_ENTRIES * 16
+    chunk_bytes = oracle.SCAN_CHUNK_ENTRIES * 16
     whole_bytes = 5000 * rho.dim**2 * 16
     brute_force_single(rho, 0, 1, 8)
     tracemalloc.start()
@@ -834,13 +834,34 @@ def test_scan_drops_are_the_public_discord_like_drop(monkeypatch):
     angles += [tuple(x) for x in rng.uniform([0.0, 0.0], [math.pi, 2 * math.pi], (8, 2))]
     # Chunks of 5 points: the 12 angles make two full chunks and a short one.
     for rho, side in _drop_cases():
-        monkeypatch.setattr(optimize, "SCAN_CHUNK_ENTRIES", 5 * rho.dim**2)
-        chunks = list(optimize._drop_scan(rho, side, iter(angles)))
+        monkeypatch.setattr(oracle, "SCAN_CHUNK_ENTRIES", 5 * rho.dim**2)
+        chunks = list(oracle._drop_scan(rho, side, iter(angles)))
         assert [len(c) for c in chunks] == [5, 5, 2]
         drops = np.concatenate(chunks)
         for (theta, phi), drop in zip(angles, drops):
             ref = discord_like(rho, [(qubit_basis(theta, phi), side)])
             assert abs(drop - ref) <= 1e-12, (rho.dims, side, theta, phi)
+
+
+def test_oracle_imports_neither_the_kernels_nor_the_minimizers():
+    # The scans are an independent check only while they share no code with
+    # what they check: oracle.py, read as source, imports from the package
+    # only linalg, observables and measures, at module level or inside a
+    # function.
+    import ast
+
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            # from .module import name, or from . import module
+            imported.update([node.module] if node.module else
+                            [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names]
+            assert not any(name.split(".")[0] == "qreality" for name in names)
+    assert imported == {"linalg", "observables", "measures"}
 
 
 def test_qubit_qudit_minimize_single_makes_one_kernel_call_per_evaluation(monkeypatch):
@@ -901,6 +922,7 @@ def test_qubit_qudit_engines_take_the_state_data_once_per_call(monkeypatch):
         return partner_data(*args)
 
     monkeypatch.setattr(optimize, "partial_trace", counted)
+    monkeypatch.setattr(oracle, "partial_trace", counted)
     monkeypatch.setattr(kernels, "qudit_partner_data", counted_data)
     for dims, side in (((2, 3), 0), ((3, 2), 1)):
         rho = random_density(6, 3, 48 + side, dims=dims)

@@ -134,6 +134,21 @@ def test_random_density_rank_errors():
         random_density(4, 5, 1)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
+def test_random_constructors_name_a_non_integer_dimension_or_rank(bad):
+    # 2.5 and 2.0 raised numpy's TypeError, and True ran as 1.  numpy
+    # integers are dimensions and ranks.
+    with pytest.raises(ValueError, match=rf"rank must be an integer, got {bad!r}"):
+        random_density(4, bad, 1)
+    with pytest.raises(ValueError, match=rf"dim must be an integer, got {bad!r}"):
+        random_density(bad, 1, 1)
+    with pytest.raises(ValueError, match=rf"dim must be an integer, got {bad!r}"):
+        random_unitary(bad, 1)
+    want = random_density(4, 2, 1)
+    assert np.array_equal(random_density(np.int64(4), np.uint8(2), 1).mat, want.mat)
+    assert np.array_equal(random_unitary(np.int32(3), 1), random_unitary(3, 1))
+
+
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(21)
     for dim in (2, 3, 4):

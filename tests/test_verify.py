@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,8 @@ def test_oracle_suite_scales_with_cfg():
     # keep the unit-test scan coarse; acceptance runs the dense one.  The
     # suite's first state at seed 11 is mixed, and its coarse grid best alone
     # loses to the 30 x 30 scan, so only a refined minimum agrees with it.
-    from qreality.optimize import brute_force_single, minimize_single
+    from qreality.optimize import minimize_single
+    from qreality.oracle import brute_force_single
     from qreality.states import random_density
 
     rho = random_density(4, 2, np.random.default_rng(11), dims=(2, 2))
@@ -102,3 +105,21 @@ def test_count_below_one_is_rejected(count):
         run_suite("dephasing", count=count)
     with pytest.raises(ValueError, match=rf"got {count}"):
         run_all(count=count)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "7", None])
+def test_seed_must_be_a_non_negative_integer(seed):
+    # True ran as seed 1, 2.5 raised numpy's TypeError, and -1 numpy's
+    # ValueError without naming the argument.
+    message = rf"seed must be a non-negative integer, got {re.escape(repr(seed))}"
+    with pytest.raises(ValueError, match=message):
+        run_suite("dephasing", seed=seed, count=1)
+    with pytest.raises(ValueError, match=message):
+        run_all(seed=seed, count=1)
+
+
+def test_numpy_integer_seeds_are_seeds():
+    want = run_suite("decomposition", seed=5, count=2)
+    assert run_suite("decomposition", seed=np.int64(5), count=2) == want
+    assert run_suite("decomposition", seed=np.uint32(0), count=2) == run_suite(
+        "decomposition", seed=0, count=2)
