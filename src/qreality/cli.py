@@ -43,21 +43,16 @@ def _output_flag(parser: argparse.ArgumentParser) -> None:
 
 def _optimizer_flags(parser: argparse.ArgumentParser) -> None:
     defaults = OptimizerConfig()
-    parser.add_argument("--grid-theta", type=int, default=defaults.grid_points_theta,
-                        help="theta grid points per optimized side")
-    parser.add_argument("--grid-phi", type=int, default=defaults.grid_points_phi,
-                        help="phi grid points on the equator row per optimized side")
+    parser.add_argument("--grid-steps", type=int, default=defaults.grid_steps,
+                        help="grid steps per optimized side: theta and the equator's "
+                             "phi step by pi / grid-steps")
     parser.add_argument("--refine-starts", type=int, default=defaults.refine_starts,
                         help="most refinement starts: the best grid cell of each "
                              "distinct basin, lowest first")
 
 
 def _config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        grid_points_theta=args.grid_theta,
-        grid_points_phi=args.grid_phi,
-        refine_starts=args.refine_starts,
-    )
+    return OptimizerConfig(grid_steps=args.grid_steps, refine_starts=args.refine_starts)
 
 
 def _parse_basis_token(token: str, dims: tuple[int, ...]) -> tuple[ProjectiveBasis, int, str]:

@@ -116,24 +116,24 @@ def qudit_partner_data(mat, d, side):
 
 
 @functools.lru_cache(maxsize=4)
-def axis_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def axis_grid(steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One axis per basis of a grid over theta in [0, pi], phi in [0, pi).
 
-    Row-major, theta outer, over the n_theta evenly spaced thetas.  At
-    theta = 0 and theta = pi every phi gives the axis +z or -z, and both are
-    the one projective basis {|0>, |1>}; that basis appears once, as the
-    first axis (theta = phi = 0).  Each inner theta row then holds
-    n_k = ceil(n_phi sin(theta) - 1e-9) evenly spaced phis from 0, so no two
-    neighbours on a row are farther apart than on the equator row, which
-    holds n_phi; the slack keeps rows theta and pi - theta the same size
-    through the rounding of sin.  So there are 1 + sum of n_k axes: 379 for
-    25 x 24, where full rows would hold 553.
+    Row-major, theta outer, over the steps + 1 thetas from pole to pole, pi /
+    steps apart.  At theta = 0 and theta = pi every phi gives the axis +z or
+    -z, and both are the one projective basis {|0>, |1>}; that basis appears
+    once, as the first axis (theta = phi = 0).  Each inner theta row then
+    holds n_k = ceil(steps sin(theta) - 1e-9) evenly spaced phis from 0, so no
+    two neighbours on a row are farther apart than on the equator row, which
+    holds steps phis, pi / steps apart; the slack keeps rows theta and
+    pi - theta the same size through the rounding of sin.  So there are
+    1 + sum of n_k axes: 379 for 24 steps, where full rows would hold 553.
 
     The last four grids asked for are kept and returned again, so the arrays
     are read-only.
     """
-    thetas = np.linspace(0.0, math.pi, n_theta)[1:-1]
-    sizes = np.ceil(n_phi * np.sin(thetas) - 1e-9).astype(np.intp)
+    thetas = np.linspace(0.0, math.pi, steps + 1)[1:-1]
+    sizes = np.ceil(steps * np.sin(thetas) - 1e-9).astype(np.intp)
     tt = np.concatenate([[0.0], np.repeat(thetas, sizes)])
     rows = (np.linspace(0.0, math.pi, n, endpoint=False) for n in sizes)
     pp = np.concatenate([[0.0], *rows])

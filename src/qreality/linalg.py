@@ -50,10 +50,13 @@ def _is_integer(x) -> bool:
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
-def _check_integer(name: str, value) -> None:
-    # Raise ValueError, naming the argument, unless value is an integer.
+def _check_integer(name: str, value, minimum: int | None = None) -> None:
+    # Raise ValueError, naming the argument, unless value is an integer of at
+    # least minimum.
     if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 def _as_square_complex(mat: np.ndarray) -> np.ndarray:

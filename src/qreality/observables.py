@@ -110,7 +110,7 @@ def fourier_basis(dim: int) -> ProjectiveBasis:
 
 
 def computational_basis(dim: int) -> ProjectiveBasis:
-    _check_integer("dim", dim)
+    _check_integer("dim", dim, minimum=1)
     return ProjectiveBasis(np.eye(dim, dtype=complex))
 
 

@@ -58,13 +58,14 @@ OBJECTIVE_NONLOCALITY = "nonlocality"
 OBJECTIVE_DISCORD = "discord"
 
 # Largest pair grid minimize_pair accepts, in cells: about 64 MB per float64
-# grid.  The budget is checked against (theta points * phi points)**2, an
-# upper bound on the cells: the pole axis is kept once and the rows away
-# from the equator hold fewer phis, so the default 25 x 24 grid per side
-# names 360,000 cells and has 143,641.
+# grid.  The budget is checked against ((steps + 1) * steps)**2, an upper
+# bound on the cells: the pole axis is kept once and the rows away from the
+# equator hold fewer phis, so the default 24 steps per side name 360,000
+# cells and have 143,641.  It admits grid_steps up to 53.
 MAX_PAIR_GRID_CELLS = 2**23
-# Largest side grid minimize_single accepts, in grid points: its (points, 3)
-# float64 axis array is 48 MB, within one pair grid's size.
+# Largest side grid minimize_single accepts, in grid points, checked against
+# (steps + 1) * steps: its (points, 3) float64 axis array is 48 MB, within
+# one pair grid's size.
 MAX_SIDE_GRID_POINTS = 2**21
 # Sufficient-decrease constant of the line search (Nocedal & Wright's c1).
 ARMIJO = 1e-4
@@ -89,26 +90,24 @@ START_POOL = 5
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Grid size per side and most refinement starts.
+    """Grid steps per side and most refinement starts.
 
-    Each side's grid has ``grid_points_theta`` thetas from pole to pole and
-    ``grid_points_phi`` phis on the equator row; rows nearer the poles hold
-    fewer (see :func:`qreality.kernels.axis_grid`).
+    Each side's grid has ``grid_steps + 1`` thetas from pole to pole and
+    ``grid_steps`` phis on the equator row, so both step by pi / grid_steps;
+    rows nearer the poles hold fewer phis (see
+    :func:`qreality.kernels.axis_grid`).
 
     ``refine_starts`` is at most this many BFGS starts, one per basin among
     the lowest grid cells (see the module docstring), each refined to the
     module's gradient tolerance ``REFINE_TOLERANCE``.
     """
 
-    grid_points_theta: int = 25
-    grid_points_phi: int = 24
+    grid_steps: int = 24
     refine_starts: int = 5
 
     def __post_init__(self):
-        for name in ("grid_points_theta", "grid_points_phi", "refine_starts"):
-            _check_integer(name, getattr(self, name))
-        if min(self.grid_points_theta, self.grid_points_phi, self.refine_starts) < 1:
-            raise ValueError("optimizer config fields must be positive")
+        for name in ("grid_steps", "refine_starts"):
+            _check_integer(name, getattr(self, name), minimum=1)
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ def _bfgs(fun, x, cfg: OptimizerConfig):
     # Returns (x, value, nfev, converged): converged is True when the
     # gradient falls to REFINE_TOLERANCE in every coordinate, False at
     # MAX_REFINE_ITERATIONS or when no step length decreases the value.
-    first_step = math.pi / max(cfg.grid_points_theta - 1, cfg.grid_points_phi, 1) / 2.0
+    first_step = math.pi / cfg.grid_steps / 2.0
     n = len(x)
     f, g = fun(x)
     nfev = 1
@@ -342,13 +341,13 @@ def minimize_single(
 ) -> OptimizationResult:
     """Minimize the one-sided discord-like drop over bases on one subsystem."""
     _check_qubit_side(rho, subsystem, "optimization")
-    grid_points = cfg.grid_points_theta * cfg.grid_points_phi
+    grid_points = (cfg.grid_steps + 1) * cfg.grid_steps
     if grid_points > MAX_SIDE_GRID_POINTS:
         raise ValueError(
             f"side grid of {grid_points} points exceeds the budget of "
-            f"{MAX_SIDE_GRID_POINTS} points; lower the grid points per side")
+            f"{MAX_SIDE_GRID_POINTS} points; lower the grid steps")
 
-    axes, thetas, phis = kernels.axis_grid(cfg.grid_points_theta, cfg.grid_points_phi)
+    axes, thetas, phis = kernels.axis_grid(cfg.grid_steps)
     mi = mutual_information(rho)
     env_entropy = entropy(partial_trace(rho, 1 - subsystem))
     if rho.dims == (2, 2):
@@ -385,14 +384,14 @@ def minimize_pair(
         raise ValueError(f"unsupported pair objective '{objective}'")
     if rho.dims != (2, 2):
         raise ValueError(f"pair optimization needs two qubits, got {rho.dims}")
-    grid_cells = (cfg.grid_points_theta * cfg.grid_points_phi) ** 2
+    grid_cells = ((cfg.grid_steps + 1) * cfg.grid_steps) ** 2
     if grid_cells > MAX_PAIR_GRID_CELLS:
         raise ValueError(
             f"pair grid of {grid_cells} cells exceeds the budget of "
-            f"{MAX_PAIR_GRID_CELLS} cells; lower the grid points per side")
+            f"{MAX_PAIR_GRID_CELLS} cells; lower the grid steps")
 
     r1, r2, tmat = kernels.bloch_correlations(rho.mat)
-    axes, thetas, phis = kernels.axis_grid(cfg.grid_points_theta, cfg.grid_points_phi)
+    axes, thetas, phis = kernels.axis_grid(cfg.grid_steps)
 
     if objective == OBJECTIVE_NONLOCALITY:
         base = entropy(rho)

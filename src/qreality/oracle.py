@@ -101,9 +101,7 @@ def brute_force_single(
     """
     _check_qubit_side(rho, subsystem, "oracle scan")
     for name, points in (("n_theta", n_theta), ("n_phi", n_phi)):
-        _check_integer(name, points)
-        if points < 1:
-            raise ValueError(f"{name} must be at least 1, got {points}")
+        _check_integer(name, points, minimum=1)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, math.pi, n_phi, endpoint=False)
     best = math.inf
@@ -202,9 +200,7 @@ def brute_force_pair(rho: DensityMatrix, n: int = 64) -> tuple[float, float]:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"pair oracle scan needs two qubits, got {rho.dims}")
-    _check_integer("n", n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_integer("n", n, minimum=1)
     axes = _axes(*_pair_scan_angles(n))
     best_n = best_d = math.inf
     for n_values, d_values in _pair_scan(rho, axes, axes):

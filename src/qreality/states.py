@@ -18,7 +18,11 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"seed must be a non-negative integer, a sequence of them "
+                         f"or a numpy Generator, got {seed!r}") from exc
 
 
 def pure_from_amplitudes(amps, dims: tuple[int, ...]) -> DensityMatrix:
@@ -96,7 +100,7 @@ def random_density(dim: int, rank: int, seed, dims: tuple[int, ...] | None = Non
     place, for drawing sequences). ``rank=dim`` gives full support under the
     Hilbert-Schmidt measure; ``rank=1`` gives a random pure state.
     """
-    _check_integer("dim", dim)
+    _check_integer("dim", dim, minimum=1)
     _check_integer("rank", rank)
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
@@ -109,7 +113,7 @@ def random_density(dim: int, rank: int, seed, dims: tuple[int, ...] | None = Non
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    _check_integer("dim", dim)
+    _check_integer("dim", dim, minimum=1)
     rng = _rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)

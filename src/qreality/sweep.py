@@ -31,12 +31,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _check_points(points: int) -> None:
-    _check_integer("points", points)
-    if points < 2:
-        raise ValueError("points must be at least 2")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     family: str
@@ -57,7 +51,7 @@ class SweepSpec:
                 f"start and stop must be finite, got {self.start} and {self.stop}")
         if self.start > self.stop:
             raise ValueError("start must not exceed stop")
-        _check_points(self.points)
+        _check_integer("points", self.points, minimum=2)
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,7 @@ def plot_script(csv_path: str, family: str) -> str:
 
 def slit_rows(points: int = 21) -> list[tuple[float, float, float, float]]:
     """(x, local irreality, global irreality, entanglement) over x in [0, 1]."""
-    _check_points(points)
+    _check_integer("points", points, minimum=2)
     zbasis = qubit_basis(0.0, 0.0)
     rows = []
     for x in np.linspace(0.0, 1.0, points):

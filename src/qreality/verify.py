@@ -50,6 +50,7 @@ from .states import (
     singlet,
     werner,
 )
+from .sweep import slit_rows
 
 LN2 = math.log(2.0)
 
@@ -361,25 +362,18 @@ def suite_bounds(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) ->
 
 
 def suite_slit(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
-    zb = qubit_basis(0.0, 0.0)
-    grid = np.linspace(0.0, 1.0, 21)
+    rows = slit_rows(21)
     previous = -math.inf
-    for x in grid:
+    for x, local, total, _ in rows:
         c.case()
-        psi = floating_slit(x)
-        local = measures.irreality(zb, 0, partial_trace(psi, 0))
-        total = measures.irreality(zb, 0, psi)
         c.check(f"global irreality is ln2 (x={x:.2f})", abs(total - LN2), 1e-10)
         c.check_true(f"local irreality strictly increasing (x={x:.2f})",
                      local > previous)
         previous = local
     c.case()
-    c.check("local irreality zero at x=0",
-            measures.irreality(zb, 0, partial_trace(floating_slit(0.0), 0)), 1e-12)
+    c.check("local irreality zero at x=0", rows[0][1], 1e-12)
     c.case()
-    c.check("local irreality ln2 at x=1",
-            abs(measures.irreality(zb, 0, partial_trace(floating_slit(1.0), 0)) - LN2),
-            1e-10)
+    c.check("local irreality ln2 at x=1", abs(rows[-1][1] - LN2), 1e-10)
 
 
 def suite_oracle(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:

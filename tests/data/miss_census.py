@@ -9,10 +9,11 @@ directory of another checkout to census that version instead:
 Each seed in ``SEED_BLOCKS`` names the two-qubit state
 ``random_density(4, 1 + seed % 4, seed, dims=(2, 2))``.  On it both pair
 objectives are minimized, and the one-sided drop on each subsystem, at the
-default configuration and at the reference configuration, a 49 x 48 grid per
-side with 10 refinement starts.  The reference minimum is the lower of two
-frames: the state itself and a copy rotated by seeded local unitaries, which
-has the same minima over bases but lays other bases on the grid.  So a start
+default configuration and at the reference configuration, ``REFERENCE_STEPS``
+= 48 grid steps per side (49 thetas by 48 phis) with 10 refinement starts.
+The reference minimum is the lower of two frames: the state itself and a
+copy rotated by seeded local unitaries, which has the same minima over bases
+but lays other bases on the grid.  So a start
 rule that misses a basin on one frame does not hide that miss in the
 reference too.  A miss is a default minimum more than ``MISS_TOL`` above the
 reference one.
@@ -33,7 +34,7 @@ per 1,000 seeds on one core.  pytest does not collect it.
 
 Only names that ``qreality`` exports are used, and ``qreality.kernels.axis_grid``
 for the number of grid axes per side, so any version of the package that
-has them can be censused.
+has them and ``OptimizerConfig.grid_steps`` can be censused.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ SEED_BLOCKS = (range(70000, 70300), range(90000, 90300))
 QUDIT_SEEDS = range(80000, 80150)
 ORACLE_GRID = (64, 64)
 MISS_TOL = 1e-9
-REFERENCE_GRID = (49, 48)
+REFERENCE_STEPS = 48
 REFERENCE_STARTS = 10
 
 
@@ -65,10 +66,8 @@ def main(argv=None) -> int:
 
     default = qreality.OptimizerConfig()
     # Axes on one side of the default grid, as the minimizers scan them.
-    side_points = len(qreality.kernels.axis_grid(default.grid_points_theta,
-                                                 default.grid_points_phi)[0])
-    reference = qreality.OptimizerConfig(grid_points_theta=REFERENCE_GRID[0],
-                                         grid_points_phi=REFERENCE_GRID[1],
+    side_points = len(qreality.kernels.axis_grid(default.grid_steps)[0])
+    reference = qreality.OptimizerConfig(grid_steps=REFERENCE_STEPS,
                                          refine_starts=REFERENCE_STARTS)
     # Each case names a minimizer and its calls: (label, minimize(state, cfg)).
     cases = [(f"pair {objective}",

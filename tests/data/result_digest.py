@@ -56,6 +56,7 @@ package that has them can be digested.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -105,11 +106,20 @@ def _states(q):
     return states
 
 
+def _axes(q, steps):
+    # The axes of a grid of ``steps`` steps per side: steps + 1 thetas, steps
+    # phis on the equator.  A package from before OptimizerConfig.grid_steps
+    # takes the theta and phi counts instead.
+    fields = {f.name for f in dataclasses.fields(q.OptimizerConfig)}
+    if "grid_steps" in fields:
+        return q.kernels.axis_grid(steps)[0]
+    return q.kernels.axis_grid(steps + 1, steps)[0]
+
+
 def _layouts(q):
-    grid = q.kernels.axis_grid
-    default = grid(25, 24)[0]
-    return [(default, default), (grid(11, 10)[0], grid(13, 12)[0]),
-            (grid(11, 10)[0], grid(13, 12)[0][-7:])]
+    default = _axes(q, 24)
+    return [(default, default), (_axes(q, 10), _axes(q, 12)),
+            (_axes(q, 10), _axes(q, 12)[-7:])]
 
 
 def _pair_inputs(q):
@@ -142,7 +152,7 @@ def pair_grids_repeated(q):
 
 
 def side_grids(q):
-    axes = q.kernels.axis_grid(25, 24)[0]
+    axes = _axes(q, 24)
     for rho in _states(q):
         r1, r2, tmat = q.kernels.bloch_correlations(rho.mat)
         mi = q.mutual_information(rho)
@@ -176,7 +186,7 @@ def _qudit_states(q):
 
 
 def qudit_side_grids(q):
-    axes = q.kernels.axis_grid(25, 24)[0]
+    axes = _axes(q, 24)
     for rho, side in _qudit_states(q):
         data = q.kernels.qudit_partner_data(rho.mat, 3, side)
         env = q.entropy(q.partial_trace(rho, 1 - side))

@@ -14,7 +14,7 @@ from qreality.sweep import SweepSpec, slit_rows
 
 LN2 = math.log(2.0)
 
-FAST_FLAGS = ["--grid-theta", "7", "--grid-phi", "6", "--refine-starts", "2"]
+FAST_FLAGS = ["--grid-steps", "6", "--refine-starts", "2"]
 
 
 def _records(text):
@@ -251,7 +251,8 @@ def test_sweep_requires_output():
 def test_sweep_over_the_pair_grid_budget_exits_two(tmp_path, capsys, monkeypatch):
     from qreality import optimize
 
-    # FAST_FLAGS give 7 x 6 = 42 axes per side, 1764 pair cells.
+    # FAST_FLAGS' 6 steps bound each side by 7 x 6 = 42 points, the pair grid
+    # by 42**2 = 1764 cells.
     monkeypatch.setattr(optimize, "MAX_PAIR_GRID_CELLS", 1000)
     out = tmp_path / "w.csv"
     assert main(["sweep", "--family", "werner", "--points", "2", *FAST_FLAGS,
@@ -310,6 +311,9 @@ def test_sweep_range_must_be_real_numbers():
     ["measure", "singlet", "zbasis@0", "--seed", "1"],
     # The gradient tolerance is the constant optimize.REFINE_TOLERANCE.
     ["sweep", "--family", "werner", "--output", "x.csv", "--refine-tol", "1e-7"],
+    # One grid knob, --grid-steps, replaced the theta and phi counts.
+    ["sweep", "--family", "werner", "--output", "x.csv", "--grid-theta", "25"],
+    ["verify", "singlet", "--grid-phi", "24"],
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -374,7 +378,7 @@ def test_verify_count_below_one_exits_two(count, capsys):
 def test_verify_oracle_over_the_side_grid_budget_exits_two(capsys, monkeypatch):
     from qreality import optimize
 
-    # FAST_FLAGS give 7 x 6 = 42 points per side.
+    # FAST_FLAGS' 6 steps bound each side by 7 x 6 = 42 points.
     monkeypatch.setattr(optimize, "MAX_SIDE_GRID_POINTS", 41)
     assert main(["verify", "oracle", *FAST_FLAGS]) == 2
     assert "42 points exceeds the budget of 41" in capsys.readouterr().err

@@ -89,8 +89,8 @@ def test_werner_states_have_zero_local_bloch_vectors():
 
 def test_axis_grid_layout():
     # The poles are one basis and come first, once; then the inner theta
-    # rows, each with ceil(n_phi sin(theta)) evenly spaced phis from 0.
-    axes, thetas, phis = kernels.axis_grid(5, 4)
+    # rows, each with ceil(steps sin(theta)) evenly spaced phis from 0.
+    axes, thetas, phis = kernels.axis_grid(4)
     assert axes.shape == (1 + 3 + 4 + 3, 3)
     assert thetas[0] == 0.0 and phis[0] == 0.0
     assert axes[0].tolist() == [0.0, 0.0, 1.0]
@@ -109,48 +109,52 @@ def test_axis_grid_layout():
     for theta in (0.0, math.pi):
         for phi in np.linspace(0.0, math.pi, 4, endpoint=False):
             assert np.max(np.abs(axes @ _axis(theta, phi))) == 1.0
-    # The default grid: 379 distinct axes, 24 on the equator row and 4 on
-    # each row next to the poles, where 25 x 24 angle pairs name 600.
-    _, thetas, _ = kernels.axis_grid(25, 24)
+    # The default 24 steps: 379 distinct axes, 24 on the equator row and 4 on
+    # each row next to the poles, where 25 thetas by 24 phis name 600.
+    _, thetas, _ = kernels.axis_grid(24)
     assert thetas.shape == (379,)
     sizes = np.unique(thetas, return_counts=True)[1]
     assert sizes.tolist() == [1, 4, 7, 10, 12, 15, 17, 20, 21, 23, 24, 24, 24,
                               24, 24, 23, 21, 20, 17, 15, 12, 10, 7, 4]
-    for n_theta in (1, 2):
-        only_pole, _, _ = kernels.axis_grid(n_theta, 5)
-        assert only_pole.tolist() == [[0.0, 0.0, 1.0]]
+    # One step has no inner row: only the pole axis.
+    only_pole, _, _ = kernels.axis_grid(1)
+    assert only_pole.tolist() == [[0.0, 0.0, 1.0]]
 
 
-@pytest.mark.parametrize("n_theta, n_phi", [(25, 24), (13, 12), (9, 8), (49, 48), (7, 30),
-                                            (30, 7), (3, 1), (101, 3)])
-def test_axis_grid_rows_are_no_sparser_than_the_equator(n_theta, n_phi):
+def _grid_shape(steps):
+    # A test id that names the grid: its thetas, then its equator's phis.
+    return f"{steps + 1}-{steps}"
+
+
+@pytest.mark.parametrize("steps", [24, 12, 8, 48, 1, 2, 3, 100], ids=_grid_shape)
+def test_axis_grid_rows_are_no_sparser_than_the_equator(steps):
     # Every inner row's arc between neighbours, sin(theta) pi / n_k, is at
-    # most the equator row's pi / n_phi (up to the 1e-9 slack in n_k), with
+    # most the equator row's pi / steps (up to the 1e-9 slack in n_k), with
     # no more phis than that needs; its phis are evenly spaced from 0, and
     # rows theta and pi - theta have the same size.
-    _, thetas, phis = kernels.axis_grid(n_theta, n_phi)
+    _, thetas, phis = kernels.axis_grid(steps)
     rows = [(theta, phis[thetas == theta]) for theta in np.unique(thetas[1:])]
-    assert len(rows) == max(n_theta - 2, 0)
+    assert len(rows) == steps - 1
     for theta, row in rows:
         n = row.size
-        assert math.sin(theta) * math.pi / n <= math.pi / n_phi * (1 + 1e-9)
-        assert n == 1 or math.sin(theta) * math.pi / (n - 1) > math.pi / n_phi
+        assert math.sin(theta) * math.pi / n <= math.pi / steps * (1 + 1e-9)
+        assert n == 1 or math.sin(theta) * math.pi / (n - 1) > math.pi / steps
         np.testing.assert_allclose(row, np.arange(n) * math.pi / n, rtol=0, atol=1e-15)
     sizes = [row.size for _, row in rows]
     assert sizes == sizes[::-1]
 
 
-@pytest.mark.parametrize("n_theta, n_phi", [(25, 24), (13, 12), (9, 8), (17, 16)])
-def test_axis_grid_covers_the_sphere_as_closely_as_full_rows(n_theta, n_phi):
+@pytest.mark.parametrize("steps", [24, 12, 8, 16], ids=_grid_shape)
+def test_axis_grid_covers_the_sphere_as_closely_as_full_rows(steps):
     # The largest angle from a sphere point to its nearest grid axis, up to
     # sign, over a seeded sample: no larger than with every inner row full.
-    points = np.random.default_rng(n_theta * 100 + n_phi).normal(size=(20_000, 3))
+    points = np.random.default_rng((steps + 1) * 100 + steps).normal(size=(20_000, 3))
     points /= np.linalg.norm(points, axis=1)[:, None]
-    tt, pp = np.meshgrid(np.linspace(0.0, math.pi, n_theta)[1:-1],
-                         np.linspace(0.0, math.pi, n_phi, endpoint=False), indexing="ij")
+    tt, pp = np.meshgrid(np.linspace(0.0, math.pi, steps + 1)[1:-1],
+                         np.linspace(0.0, math.pi, steps, endpoint=False), indexing="ij")
     full = np.concatenate([[[0.0, 0.0, 1.0]], np.stack(
         [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1).reshape(-1, 3)])
-    thinned, _, _ = kernels.axis_grid(n_theta, n_phi)
+    thinned, _, _ = kernels.axis_grid(steps)
     assert len(thinned) < len(full)
 
     def radius(axes):
@@ -163,8 +167,8 @@ def test_axis_grid_covers_the_sphere_as_closely_as_full_rows(n_theta, n_phi):
 
 
 def test_axis_grid_is_kept_read_only():
-    axes, thetas, phis = kernels.axis_grid(5, 4)
-    again = kernels.axis_grid(5, 4)
+    axes, thetas, phis = kernels.axis_grid(4)
+    again = kernels.axis_grid(4)
     assert all(x is y for x, y in zip(again, (axes, thetas, phis)))
     for x in (axes, thetas, phis):
         with pytest.raises(ValueError, match="read-only"):
@@ -212,7 +216,7 @@ def test_grids_match_scalar_reference():
     rng = np.random.default_rng(107)
     rho = random_density(4, 4, rng, dims=(2, 2))
     r1, r2, tmat, s_rho, mi, s_env = _state_data(rho)
-    axes, _, _ = kernels.axis_grid(5, 4)
+    axes, _, _ = kernels.axis_grid(4)
 
     n_grid = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, s_rho)
     d_grid = kernels.pair_discord_grid(axes, axes, r1, r2, tmat, mi)
@@ -324,7 +328,7 @@ def test_fused_pair_grids_are_bitwise_unfused(rows, cols):
     # Random axes, and grid axes on which the Bell-diagonal werner and alpha
     # states have outcome weights of exactly zero.
     rng = np.random.default_rng(rows * 1000 + cols + 7)
-    grid_axes, _, _ = kernels.axis_grid(25, 24)
+    grid_axes, _, _ = kernels.axis_grid(24)
     grid_axes = np.concatenate([grid_axes, grid_axes])  # 379 axes, up to 600 taken
     random_axes = rng.normal(size=(max(rows, cols), 3))
     random_axes /= np.linalg.norm(random_axes, axis=1)[:, None]
@@ -356,7 +360,7 @@ def test_each_grid_computes_only_the_side_data_it_reads(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(kernels, name, counted)
-    axes, _, _ = kernels.axis_grid(9, 8)
+    axes, _, _ = kernels.axis_grid(8)
     r1, r2, tmat, s_rho, mi, s_env = _state_data(random_density(4, 3, 151, dims=(2, 2)))
     # Three rounds on one state: fresh passes, then a kept pass, then reads.
     for _ in range(3):
@@ -403,7 +407,7 @@ def test_two_log_joint_pass_is_bitwise_unfused():
     # States with r1 = r2 = 0 on the default grid (six blocks): werner(0)
     # and werner(1) have dead joint weights, the rotated states a
     # non-diagonal T.  Both grids equal the four-log one-shot reference.
-    axes, _, _ = kernels.axis_grid(25, 24)
+    axes, _, _ = kernels.axis_grid(24)
     dead = False
     for rho in _zero_marginal_states():
         r1, r2, tmat, s_rho, mi, _ = _state_data(rho)
@@ -420,7 +424,7 @@ def test_two_log_joint_pass_is_bitwise_unfused():
 
 
 def test_joint_pass_takes_two_logs_per_block_when_marginals_vanish(monkeypatch):
-    axes, _, _ = kernels.axis_grid(17, 16)  # 171 axes: three blocks
+    axes, _, _ = kernels.axis_grid(16)  # 171 axes: three blocks
     log = np.log
     calls = []
 
@@ -468,7 +472,7 @@ def test_shared_joint_entropy_grids_are_bitwise_unshared(monkeypatch):
     # pair grids on each state in turn, as a sweep asks for them, in either
     # order: the first state runs two passes, and on every later state the
     # first grid keeps its pass and the second reads it.
-    axes, _, _ = kernels.axis_grid(13, 12)
+    axes, _, _ = kernels.axis_grid(12)
     rng = np.random.default_rng(139)
     states = [random_density(4, rank, rng, dims=(2, 2)) for rank in (1, 2, 3, 4)]
     states += [werner(0.0), werner(0.5), alpha_state(0.3)]
@@ -492,10 +496,10 @@ def test_shared_joint_entropy_grids_are_bitwise_unshared(monkeypatch):
 
 
 def test_shared_grid_recomputes_for_other_bloch_data_or_axes(monkeypatch):
-    axes, _, _ = kernels.axis_grid(9, 8)
+    axes, _, _ = kernels.axis_grid(8)
     r1, r2, tmat, s_rho, mi, _ = _state_data(random_density(4, 3, 151, dims=(2, 2)))
     other = _state_data(random_density(4, 3, 152, dims=(2, 2)))[:3]
-    fewer, _, _ = kernels.axis_grid(9, 7)
+    fewer, _, _ = kernels.axis_grid(7)
     data = [r1, r2, tmat]
     cases = []
     for k in range(3):
@@ -666,7 +670,7 @@ def test_qudit_kernels_match_the_matrix_route():
     # The partner kernels against the matrix-route engine on the whole side
     # grid, and against discord_like at angles off it.  The grid's
     # JOINT_BLOCK_ROWS blocks cover 379 axes with a short last block.
-    axes, thetas, phis = kernels.axis_grid(25, 24)
+    axes, thetas, phis = kernels.axis_grid(24)
     rng = np.random.default_rng(139)
     for rho, side in _qudit_cases():
         data = _qudit_data(rho, side)
@@ -684,7 +688,7 @@ def test_qudit_kernels_match_the_matrix_route():
 def test_qudit_kernels_on_two_qubits_match_the_bloch_kernels():
     # With d = 2 the partner data re-encode r1, r2 and T, so both forms give
     # the one drop.
-    axes, _, _ = kernels.axis_grid(9, 8)
+    axes, _, _ = kernels.axis_grid(8)
     rng = np.random.default_rng(149)
     for k in range(4):
         rho = random_density(4, 1 + k, rng, dims=(2, 2))

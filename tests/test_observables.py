@@ -103,6 +103,15 @@ def test_basis_constructors_name_a_non_integer_dimension(bad):
     assert np.array_equal(fourier_basis(np.uint8(3)).vectors, fourier_basis(3).vectors)
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_computational_basis_names_a_dimension_below_one(dim):
+    # computational_basis(0) failed inside numpy's "zero-size array to
+    # reduction operation", and -1 on numpy's negative dimensions.
+    with pytest.raises(ValueError, match=rf"dim must be at least 1, got {dim}"):
+        computational_basis(dim)
+    assert np.array_equal(computational_basis(1).vectors, np.eye(1))
+
+
 def test_is_mub():
     for d in (2, 3, 4, 5):
         assert is_mub(computational_basis(d), fourier_basis(d), 1e-10)

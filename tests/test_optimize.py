@@ -35,15 +35,17 @@ from qreality.states import (
 
 # Coarse but adequate settings keep the unit tests quick; acceptance runs the
 # defaults.
-FAST = OptimizerConfig(grid_points_theta=9, grid_points_phi=8, refine_starts=3)
+FAST = OptimizerConfig(grid_steps=8, refine_starts=3)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(grid_points_theta=0)
+    with pytest.raises(ValueError, match="grid_steps must be at least 1, got 0"):
+        OptimizerConfig(grid_steps=0)
+    with pytest.raises(ValueError, match="refine_starts must be at least 1, got -2"):
+        OptimizerConfig(refine_starts=-2)
 
 
-@pytest.mark.parametrize("field", ["grid_points_theta", "grid_points_phi", "refine_starts"])
+@pytest.mark.parametrize("field", ["grid_steps", "refine_starts"])
 @pytest.mark.parametrize("value", [12.5, 9.0, True, "9", None])
 def test_config_rejects_non_integral_counts(field, value):
     # 12.5 used to pass here and fail later inside axis_grid; a bool counts
@@ -53,8 +55,7 @@ def test_config_rejects_non_integral_counts(field, value):
 
 
 def test_config_accepts_numpy_integers():
-    cfg = OptimizerConfig(grid_points_theta=np.int64(9), grid_points_phi=np.int32(8),
-                          refine_starts=np.uint8(3))
+    cfg = OptimizerConfig(grid_steps=np.int64(8), refine_starts=np.uint8(3))
     assert minimize_pair(werner(0.3), "discord", cfg) == minimize_pair(werner(0.3), "discord", FAST)
 
 
@@ -177,9 +178,7 @@ def test_minimize_single_is_at_least_as_good_as_the_oracle_scan(state, side):
 
 def test_single_against_qutrit_partner_stays_at_or_below_its_grid_best():
     rho = random_density(6, 6, 5, dims=(2, 3))
-    res = minimize_single(rho, 0, cfg=OptimizerConfig(grid_points_theta=7,
-                                                      grid_points_phi=6,
-                                                      refine_starts=2))
+    res = minimize_single(rho, 0, cfg=OptimizerConfig(grid_steps=6, refine_starts=2))
     assert res.value >= -1e-9
     assert res.value <= res.grid_best + 1e-12
 
@@ -251,7 +250,7 @@ def test_lowest_cells_is_head_of_stable_sort():
 @pytest.mark.parametrize("rho", [werner(0.5), alpha_state(0.3)], ids=["werner", "alpha"])
 def test_lowest_cells_on_tied_bell_diagonal_grids(rho):
     # The Bell-diagonal landscapes have many exactly tied cells.
-    axes, _, _ = kernels.axis_grid(25, 24)
+    axes, _, _ = kernels.axis_grid(24)
     r1, r2, tmat = kernels.bloch_correlations(rho.mat)
     grid = kernels.nonlocality_grid(axes, axes, r1, r2, tmat, entropy(rho))
     assert np.sum(grid == grid.min()) > 1
@@ -319,7 +318,7 @@ def _pair_grid(rho, axes):
 
 
 def test_start_cells_are_separated_and_led_by_the_grid_best():
-    axes, _, _ = kernels.axis_grid(25, 24)
+    axes, _, _ = kernels.axis_grid(24)
     cos_sep = math.cos(optimize.START_SEPARATION)
     for seed, rank in ((50217, 2), (90169, 2), (90266, 3), (9003, 4), (9000, 1)):
         grid = _pair_grid(random_density(4, rank, seed, dims=(2, 2)), axes)
@@ -341,7 +340,7 @@ def test_start_cells_on_a_constant_grid_copy_no_grid():
     # into the third inner row (theta = pi/8, beyond START_SEPARATION from
     # the pole), whose cells 12, 16 and 20 lie apart from each other.  With
     # scattered axes on side B several are accepted, in linear-index order.
-    axes, _, _ = kernels.axis_grid(25, 24)
+    axes, _, _ = kernels.axis_grid(24)
     grid = np.full((len(axes), len(axes)), 0.25)
     rng = np.random.default_rng(233)
     scattered = rng.normal(size=(len(axes), 3))
@@ -364,7 +363,7 @@ def test_start_cells_for_many_starts_hold_no_pool_by_pool_matrix():
     # 2,000 starts make a pool of 10,000 cells; a matrix over pairs of pool
     # cells would take 100 MB.  The walk holds at most one copy of the grid,
     # which _lowest_cells partitions when the pool outnumbers the rows.
-    axes, _, _ = kernels.axis_grid(25, 24)
+    axes, _, _ = kernels.axis_grid(24)
     grid = np.random.default_rng(241).random((len(axes), len(axes)))
     k = 2000
     tracemalloc.start()
@@ -417,7 +416,7 @@ def test_minimize_single_refines_separated_starts(monkeypatch):
     # One optimized side: a cell is skipped when its one axis is near an
     # accepted start's.  The starts handed to the refinement are those cells.
     rho = random_density(4, 3, 90266, dims=(2, 2))
-    axes, thetas, phis = kernels.axis_grid(25, 24)
+    axes, thetas, phis = kernels.axis_grid(24)
     r1, r2, tmat = kernels.bloch_correlations(rho.mat)
     grid = kernels.single_discord_grid(axes, r1, r2, tmat, optimize.mutual_information(rho),
                                        entropy(partial_trace(rho, 1)))
@@ -994,7 +993,7 @@ def test_shared_joint_entropy_leaves_minimize_pair_bitwise_unchanged():
     # 171 axes per side: three joint blocks, the last one partial.  Both
     # objectives on each state in turn, in either order: from the second
     # state on, the second call reads the pass the first one kept.
-    cfg = OptimizerConfig(grid_points_theta=17, grid_points_phi=16)
+    cfg = OptimizerConfig(grid_steps=16)
     rng = np.random.default_rng(163)
     states = [random_density(4, 1 + k % 4, rng, dims=(2, 2)) for k in range(8)]
     states += [werner(0.0), werner(0.6), werner(1.0), alpha_state(0.0), alpha_state(0.4)]
@@ -1010,7 +1009,7 @@ def test_shared_joint_entropy_leaves_minimize_pair_bitwise_unchanged():
 def test_shared_minimize_pair_recomputes_for_another_state():
     # A kept pass of werner(0.5) on the FAST grid serves neither another
     # state nor another grid: each call below is its result in a new thread.
-    finer = OptimizerConfig(grid_points_theta=10, grid_points_phi=8, refine_starts=3)
+    finer = OptimizerConfig(grid_steps=9, refine_starts=3)
     cases = [(alpha_state(0.5), "discord", FAST), (werner(0.5), "discord", finer)]
 
     def run():
@@ -1076,7 +1075,7 @@ def test_once_per_state_calls_keep_no_pass():
     # A caller that asks once per state, as one minimize_pair per state
     # does, keeps no pass and allocates no buffer: it would write a
     # full-size grid that nobody reads.
-    axes, _, _ = kernels.axis_grid(9, 8)
+    axes, _, _ = kernels.axis_grid(8)
     states = [random_density(4, 1 + k % 4, 181 + k, dims=(2, 2)) for k in range(6)]
 
     def once_per_state():
@@ -1138,37 +1137,37 @@ def test_sweeps_in_threads_keep_their_joint_passes_apart():
 def test_minimize_pair_rejects_grids_over_the_budget(monkeypatch):
     from qreality import optimize
 
-    # A 6 x 6 grid per side is 36**2 = 1296 pair cells.
-    monkeypatch.setattr(optimize, "MAX_PAIR_GRID_CELLS", 1295)
+    # 5 steps per side bound the pair grid by ((5 + 1) * 5)**2 = 900 cells.
+    monkeypatch.setattr(optimize, "MAX_PAIR_GRID_CELLS", 899)
 
     def no_work(*args):
         raise AssertionError("the budget check must come before any grid work")
 
     monkeypatch.setattr(kernels, "bloch_correlations", no_work)
-    cfg = OptimizerConfig(grid_points_theta=6, grid_points_phi=6, refine_starts=2)
-    with pytest.raises(ValueError, match=r"1296 cells exceeds the budget of 1295"):
+    cfg = OptimizerConfig(grid_steps=5, refine_starts=2)
+    with pytest.raises(ValueError, match=r"900 cells exceeds the budget of 899"):
         minimize_pair(werner(0.5), "nonlocality", cfg)
     monkeypatch.undo()
-    monkeypatch.setattr(optimize, "MAX_PAIR_GRID_CELLS", 1296)
+    monkeypatch.setattr(optimize, "MAX_PAIR_GRID_CELLS", 900)
     assert minimize_pair(werner(0.5), "nonlocality", cfg).value >= -1e-9
 
 
 def test_minimize_single_rejects_grids_over_the_side_budget(monkeypatch):
     from qreality import optimize
 
-    # A 6 x 6 side grid is 36 points.
-    monkeypatch.setattr(optimize, "MAX_SIDE_GRID_POINTS", 35)
+    # 5 steps bound the side grid by (5 + 1) * 5 = 30 points.
+    monkeypatch.setattr(optimize, "MAX_SIDE_GRID_POINTS", 29)
 
     def no_grid(*args):
         raise AssertionError("the budget check must come before the side grid")
 
     monkeypatch.setattr(kernels, "axis_grid", no_grid)
-    cfg = OptimizerConfig(grid_points_theta=6, grid_points_phi=6, refine_starts=2)
+    cfg = OptimizerConfig(grid_steps=5, refine_starts=2)
     for subsystem in (0, 1):
-        with pytest.raises(ValueError, match=r"36 points exceeds the budget of 35"):
+        with pytest.raises(ValueError, match=r"30 points exceeds the budget of 29"):
             minimize_single(werner(0.5), subsystem, cfg=cfg)
     monkeypatch.undo()
-    monkeypatch.setattr(optimize, "MAX_SIDE_GRID_POINTS", 36)
+    monkeypatch.setattr(optimize, "MAX_SIDE_GRID_POINTS", 30)
     assert minimize_single(werner(0.5), 0, cfg=cfg).value >= -1e-9
 
 
@@ -1194,6 +1193,22 @@ def test_minima_match_the_nelder_mead_reference():
         if not (value <= ref + 1e-12 and abs(value - ref) <= 1e-9):
             problems.append((entry, value - ref))
     assert not problems
+
+
+def test_miss_census_runs_on_one_seed_of_each_block(monkeypatch, capsys):
+    # data/miss_census.py reads OptimizerConfig's fields and the axis grid by
+    # name; a renamed one breaks it here, not on the next census.
+    spec = importlib.util.spec_from_file_location("miss_census", DATA / "miss_census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    monkeypatch.setattr(census, "SEED_BLOCKS", (census.SEED_BLOCKS[0][:1],))
+    monkeypatch.setattr(census, "QUDIT_SEEDS", census.QUDIT_SEEDS[:1])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    assert census.main([]) == 0
+    out = capsys.readouterr().out
+    for kind in ("pair", "single", "qudit"):
+        assert f"{kind}: 2 calls, 0 misses" in out
 
 
 def test_import_does_not_load_scipy():

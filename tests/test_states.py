@@ -149,6 +149,34 @@ def test_random_constructors_name_a_non_integer_dimension_or_rank(bad):
     assert np.array_equal(random_unitary(np.int32(3), 1), random_unitary(3, 1))
 
 
+@pytest.mark.parametrize("dim", [0, -1, np.int64(-2)])
+def test_random_constructors_name_a_dimension_below_one(dim):
+    # random_unitary(0, 1) returned a 0 x 0 array, and negative dimensions
+    # raised numpy's "negative dimensions are not allowed".
+    with pytest.raises(ValueError, match=rf"dim must be at least 1, got {dim}"):
+        random_unitary(dim, 1)
+    with pytest.raises(ValueError, match=rf"dim must be at least 1, got {dim}"):
+        random_density(dim, 1, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, (3, -1), 2.5, "7"])
+def test_random_constructors_name_a_seed_numpy_rejects(seed):
+    # random_density(4, 2, -1) raised numpy's "expected non-negative integer"
+    # and a float seed numpy's TypeError, neither naming the seed.
+    with pytest.raises(ValueError, match=r"seed must be a non-negative integer"):
+        random_density(4, 2, seed)
+    with pytest.raises(ValueError, match=r"seed must be a non-negative integer"):
+        random_unitary(2, seed)
+
+
+def test_random_constructors_take_every_seed_numpy_takes():
+    # Integers, sequences of them (tests/data/miss_census.py seeds
+    # random_unitary with (seed, side)) and seed sequences, as numpy reads them.
+    for seed in (0, np.uint32(5), (7, 1), [7, 1], np.random.SeedSequence(9)):
+        want = np.random.default_rng(seed)
+        assert np.array_equal(random_unitary(2, seed), random_unitary(2, want))
+
+
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(21)
     for dim in (2, 3, 4):

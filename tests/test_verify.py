@@ -6,7 +6,7 @@ import pytest
 from qreality.optimize import OptimizerConfig
 from qreality.verify import SUITES, VerifySuiteResult, run_all, run_suite
 
-FAST = OptimizerConfig(grid_points_theta=7, grid_points_phi=6, refine_starts=2)
+FAST = OptimizerConfig(grid_steps=6, refine_starts=2)
 
 
 def test_registry_covers_every_suite():
