@@ -26,7 +26,7 @@ from .measures import (
 from .observables import ProjectiveBasis, parse_basis_spec
 from .optimize import OptimizerConfig
 from .states import parse_state_spec
-from .sweep import SweepSpec, plot_script, slit_csv, slit_rows, sweep_csv, sweep_rows
+from .sweep import FAMILIES, SweepSpec, plot_script, slit_csv, slit_rows, sweep_csv, sweep_rows
 from .verify import SUITES, run_all, run_suite
 
 EXIT_OK = 0
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.set_defaults(func=cmd_measure)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
-    p_sweep.add_argument("--family", choices=("werner", "alpha", "slit"), required=True)
+    p_sweep.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p_sweep.add_argument("--start", type=float, default=0.0)
     p_sweep.add_argument("--stop", type=float, default=1.0)
     p_sweep.add_argument("--points", type=int, default=51)

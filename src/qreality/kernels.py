@@ -55,9 +55,10 @@ The repository benchmark times the grid stage end to end:
 ``python3 perfbench/run.py --workload pair_min`` (``--trace 1`` for per-layer
 figures, see ``perfbench/NOTES.md``).
 
-The matrix route (projector dephasing plus Hermitian eigendecomposition in
-:mod:`qreality.measures`, and the dense scans of :mod:`qreality.oracle`) is
-kept fully independent of this module and is used to cross-check it.
+The matrix route (dephasing in the measured basis plus Hermitian
+eigendecomposition in :mod:`qreality.measures`, and the dense scans of
+:mod:`qreality.oracle`) is kept fully independent of this module and is used
+to cross-check it.
 """
 
 from __future__ import annotations

@@ -101,9 +101,7 @@ def qubit_basis(theta: float, phi: float) -> ProjectiveBasis:
 
 def fourier_basis(dim: int) -> ProjectiveBasis:
     """Discrete-Fourier basis, mutually unbiased with the computational one."""
-    _check_integer("dim", dim)
-    if dim < 2:
-        raise ValueError("fourier basis needs dim >= 2")
+    _check_integer("dim", dim, minimum=2)
     j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     vecs = np.exp(2j * np.pi * j * k / dim) / math.sqrt(dim)
     return ProjectiveBasis(vecs)

@@ -29,9 +29,9 @@ optimized side (an axis and its negative are one basis), and the walk stops
 after ``refine_starts`` accepted cells.  The first start is always the grid
 best; a pool holding fewer basins gives fewer starts.
 
-The independent check of both minimizers, the matrix (projector-dephasing)
-route's dense scans, lives in :mod:`qreality.oracle`, which imports neither
-this module nor the kernels.
+The independent check of both minimizers, the matrix route's dense scans,
+lives in :mod:`qreality.oracle`, which imports neither this module nor the
+kernels.
 
 The two pair objectives share their costliest part, the entropy of the state
 dephased on both sides.  A thread that minimizes both on each state (the

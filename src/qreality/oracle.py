@@ -2,8 +2,8 @@
 
 The minimizers in :mod:`qreality.optimize` read closed forms from
 :mod:`qreality.kernels`.  The scans here check them along another route,
-projector dephasing plus Hermitian eigendecompositions, and never import
-the kernels or the minimizers.
+dephasing in :func:`qreality.observables.qubit_basis` bases plus Hermitian
+eigendecompositions, and never import the kernels or the minimizers.
 
 - :func:`brute_force_single` scans the one-sided drop I(rho) - I(Ph rho)
   over a dense (theta, phi) grid of one qubit's bases, on every layout
@@ -11,13 +11,13 @@ the kernels or the minimizers.
   generator ``_drop_scan``: one basis and one ``dephase`` call per point.
 - :func:`brute_force_pair` scans both bases of two qubits for the lowest
   nonlocality and the lowest two-sided drop, the oracle for
-  :func:`qreality.optimize.minimize_pair`.  Each basis is the projector pair
-  (1 +- n.sigma)/2 of its Bloch axis n.  S(Ph_A rho) and S(Ph_B rho) are
-  entropies of the singly dephased 4 x 4 matrices from batched
-  ``eigvalsh``; the doubly dephased state is diagonal in the product basis,
-  so its spectrum is the joint outcome probabilities.  Its grid is offset by
-  half a cell from its edges, so no point falls on the default optimizer
-  grid.
+  :func:`qreality.optimize.minimize_pair`.  A state dephased on side A in
+  the basis {b_o} is block diagonal, with blocks B_o = <b_o| rho |b_o> on
+  side B, so S(Ph_A rho) is the entropy of the blocks' 2 x 2 spectra from
+  one batched ``eigvalsh`` (side B alike).  The doubly dephased state is
+  diagonal in the product basis, so its spectrum is the joint outcome
+  probabilities <b_q| B_o |b_q>.  Its grid is offset by half a cell from
+  its edges, so no point falls on the default optimizer grid.
 
 Both scans run in chunks of bounded size, so their memory does not grow
 with the scan.
@@ -40,16 +40,20 @@ from .observables import qubit_basis
 # not grow with the scan.
 SCAN_CHUNK_ENTRIES = 2**14
 # Joint outcome probabilities per block of the pair scan: 32 MB of float64,
-# 256 of side A's axes against all 4,096 of side B's at 64 points per angle.
+# 256 of side A's bases against all 4,096 of side B's at 64 points per angle.
 PAIR_BLOCK_ENTRIES = 2**22
-
-PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def _spectral_entropies(spectra: np.ndarray) -> np.ndarray:
     """-sum p ln p along the last axis, with 0 ln 0 = 0 below ZERO_EIGENVALUE."""
     kept = np.where(spectra > ZERO_EIGENVALUE, spectra, 1.0)
     return -np.sum(kept * np.log(kept), axis=-1)
+
+
+def _outcomes(rho_q: DensityMatrix, vecs) -> np.ndarray:
+    # (m, 2) outcome probabilities <b_j| rho_q |b_j> of a qubit's state in
+    # each of the (m, 2, 2) bases.
+    return np.einsum("nxj,xy,nyj->nj", vecs.conj(), rho_q.mat, vecs).real
 
 
 def _drop_scan(rho: DensityMatrix, subsystem: int, angles):
@@ -63,8 +67,8 @@ def _drop_scan(rho: DensityMatrix, subsystem: int, angles):
     # validated again (the basis of finite angles is unitary to rounding, and
     # the dephased state is a map of the validated rho).  The dephased
     # marginal of the scanned qubit is sum_j p_j |b_j><b_j| with
-    # p_j = <b_j| rho_q |b_j>, so its spectrum is p: one einsum over the
-    # chunk's stacked bases.
+    # p_j = <b_j| rho_q |b_j>, so its spectrum is p: one _outcomes einsum
+    # over the chunk's stacked bases.
     from .measures import dephase  # resolved per scan: a rebound measures.dephase is used
 
     rho_q = partial_trace(rho, subsystem)
@@ -80,7 +84,7 @@ def _drop_scan(rho: DensityMatrix, subsystem: int, angles):
             vecs[k] = basis.vectors
             spectra[k] = dephase(rho, basis, subsystem).eigenvalues
         n = len(points)
-        p = np.einsum("nxj,xy,nyj->nj", vecs[:n].conj(), rho_q.mat, vecs[:n]).real
+        p = _outcomes(rho_q, vecs[:n])
         yield mi - (_spectral_entropies(p) + s_other - _spectral_entropies(spectra[:n]))
 
 
@@ -93,7 +97,7 @@ def brute_force_single(
     """Dense grid scan of the one-sided drop through the matrix route.
 
     Independent of the kernels by construction: one pass of ``_drop_scan``,
-    the matrix route's one drop engine (projector dephasing plus
+    the matrix route's one drop engine (``dephase`` plus
     eigendecompositions), over the grid; it is the oracle for
     :func:`minimize_single` on every layout.  The first point in (theta, phi) order with the lowest
     drop wins; a NaN never does.  ``subsystem`` is checked as
@@ -118,12 +122,6 @@ def brute_force_single(
     return best, best_angles
 
 
-def _axes(thetas, phis) -> np.ndarray:
-    # (m,) angle pairs -> (m, 3) Bloch axes.
-    return np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis),
-                     np.cos(thetas)], axis=1)
-
-
 def _pair_scan_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     # The pair scan's n * n (theta, phi) points per side, theta-major, each
     # angle offset by half a cell from the edges of [0, pi].
@@ -132,60 +130,58 @@ def _pair_scan_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return thetas.reshape(-1), phis.reshape(-1)
 
 
-def _projectors(axes):
-    # (m, 3) axes -> (m, 2, 2, 2): basis, outcome, row, column.
-    n_sigma = np.einsum("mk,kij->mij", axes, PAULI)
-    eye = np.eye(2)
-    return np.stack([(eye + n_sigma) / 2, (eye - n_sigma) / 2], axis=1)
+def _bases(thetas, phis) -> np.ndarray:
+    # (m,) angle pairs -> (m, 2, 2) qubit_basis vectors, one basis per row,
+    # its outcome vectors as columns.
+    return np.stack([qubit_basis(theta, phi).vectors for theta, phi in zip(thetas, phis)])
 
 
-def _side_entropies(r, axes, subsystem):
-    # Per axis on one side of the state r[i, k, j, l] = rho[(i, k), (j, l)]:
-    # S of the state dephased there, from the dephased matrices' spectra, and
-    # the entropy of that side's outcomes.
-    proj = _projectors(axes)
-    if subsystem == 0:
-        dephased = np.einsum("aoxy,ykzl,aozj->axkjl", proj, r, proj)
-        outcomes = np.einsum("aoji,ikjk->ao", proj, r)
-    else:
-        dephased = np.einsum("boxy,iyjz,bozl->bixjl", proj, r, proj)
-        outcomes = np.einsum("bolk,ikil->bo", proj, r)
-    return (_spectral_entropies(np.linalg.eigvalsh(dephased.reshape(-1, 4, 4))),
-            _spectral_entropies(outcomes.real))
+def _blocks(r, vecs) -> np.ndarray:
+    # (m, 2, 2, 2) blocks B_o = <b_o| rho |b_o> on the other side, for the
+    # state r[i, k, j, l] = rho[(i, k), (j, l)] measured on its first index
+    # pair: basis, outcome, row, column.  r.transpose(1, 0, 3, 2) measures
+    # side B.  Dephasing in a basis leaves rho block diagonal in it, so the
+    # dephased state's spectrum is the union of its blocks' spectra.
+    return np.einsum("mio,ikjl,mjo->mokl", vecs.conj(), r, vecs)
 
 
-def _joint_entropies(r, axes_a, axes_b):
-    # S of the doubly dephased state for every pair of axes: the entropy of
-    # the joint outcome probabilities tr(rho P_a (x) Q_b).  The probabilities
-    # are real: Re(h q) = Re h Re q - Im h Im q, one real product over the
-    # 4 + 4 stacked parts.
-    proj_a, proj_b = _projectors(axes_a), _projectors(axes_b)
-    half = np.einsum("aoji,ikjl->aokl", proj_a, r).reshape(-1, 4)
-    other = proj_b.transpose(0, 1, 3, 2).reshape(-1, 4).T
+def _joint_entropies(blocks_a, vecs_b):
+    # S of the doubly dephased state for every pair of bases: the entropy of
+    # the joint outcome probabilities <b_q| B_o |b_q> of side A's blocks and
+    # side B's vectors.  The probabilities are real: Re(h q) = Re h Re q -
+    # Im h Im q, one real product over the 4 + 4 stacked parts.
+    half = blocks_a.reshape(-1, 4)
+    b = vecs_b.transpose(0, 2, 1)
+    other = (b.conj()[:, :, :, None] * b[:, :, None, :]).reshape(-1, 4).T
     joint = np.concatenate([half.real, -half.imag], axis=1) @ np.concatenate(
         [other.real, other.imag])
-    # Row 2a + o and column 2b + q hold outcome (o, q) of axes (a, b): the sum
-    # of the four strided outcome views' terms, which numpy adds faster than
-    # it reduces over the interleaved outcome axes.
+    # Row 2a + o and column 2b + q hold outcome (o, q) of bases (a, b): the
+    # sum of the four strided outcome views' terms, which numpy adds faster
+    # than it reduces over the interleaved outcome axes.
     return sum(_spectral_entropies(joint[o::2, q::2, None]) for o in (0, 1) for q in (0, 1))
 
 
-def _pair_scan(rho: DensityMatrix, axes_a, axes_b):
+def _pair_scan(rho: DensityMatrix, vecs_a, vecs_b):
     # Nonlocality S_A + S_B - S_AB - S(rho) and the two-sided drop
-    # I(rho) - (H_A + H_B - S_AB) of two qubits at every pair of (m, 3) axes;
-    # yields the two for each block of rows of axes_a, as (rows,
-    # len(axes_b)) arrays; a block holds at most PAIR_BLOCK_ENTRIES joint
-    # probabilities, or one row.  The state data and each side's entropies
-    # are taken once, before the first block.
+    # I(rho) - (H_A + H_B - S_AB) of two qubits at every pair of bases of
+    # the (m, 2, 2) vector stacks; yields the two for each block of rows of
+    # vecs_a, as (rows, len(vecs_b)) arrays; a block holds at most
+    # PAIR_BLOCK_ENTRIES joint probabilities, or one row.  The state data and
+    # each side's entropies are taken once, before the first block.
     r = rho.mat.reshape(2, 2, 2, 2)
+    rho_a, rho_b = partial_trace(rho, 0), partial_trace(rho, 1)
     s_rho = entropy(rho)
-    mi = entropy(partial_trace(rho, 0)) + entropy(partial_trace(rho, 1)) - s_rho
-    s_a, h_a = _side_entropies(r, axes_a, 0)
-    s_b, h_b = _side_entropies(r, axes_b, 1)
-    rows = max(1, PAIR_BLOCK_ENTRIES // (4 * len(axes_b)))
-    for start in range(0, len(axes_a), rows):
+    mi = entropy(rho_a) + entropy(rho_b) - s_rho
+    blocks_a = _blocks(r, vecs_a)
+    s_a = _spectral_entropies(np.linalg.eigvalsh(blocks_a).reshape(-1, 4))
+    s_b = _spectral_entropies(
+        np.linalg.eigvalsh(_blocks(r.transpose(1, 0, 3, 2), vecs_b)).reshape(-1, 4))
+    h_a = _spectral_entropies(_outcomes(rho_a, vecs_a))
+    h_b = _spectral_entropies(_outcomes(rho_b, vecs_b))
+    rows = max(1, PAIR_BLOCK_ENTRIES // (4 * len(vecs_b)))
+    for start in range(0, len(vecs_a), rows):
         block = slice(start, start + rows)
-        h_ab = _joint_entropies(r, axes_a[block], axes_b)
+        h_ab = _joint_entropies(blocks_a[block], vecs_b)
         yield (s_a[block, None] + s_b[None, :] - h_ab - s_rho,
                mi - (h_a[block, None] + h_b[None, :] - h_ab))
 
@@ -194,16 +190,16 @@ def brute_force_pair(rho: DensityMatrix, n: int = 64) -> tuple[float, float]:
     """Lowest nonlocality and lowest two-sided drop over a dense scan of basis pairs.
 
     Independent of the kernels by construction: each side scans n * n
-    axes, n thetas by n phis in [0, pi] offset by half a cell, so the scan
+    bases, n thetas by n phis in [0, pi] offset by half a cell, so the scan
     takes n**4 basis pairs.  It is the oracle for :func:`minimize_pair` on
     two qubits.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"pair oracle scan needs two qubits, got {rho.dims}")
     _check_integer("n", n, minimum=1)
-    axes = _axes(*_pair_scan_angles(n))
+    vecs = _bases(*_pair_scan_angles(n))
     best_n = best_d = math.inf
-    for n_values, d_values in _pair_scan(rho, axes, axes):
+    for n_values, d_values in _pair_scan(rho, vecs, vecs):
         best_n = min(best_n, float(n_values.min()))
         best_d = min(best_d, float(d_values.min()))
     return best_n, best_d

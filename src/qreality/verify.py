@@ -20,7 +20,6 @@ from . import measures
 from .linalg import (
     DensityMatrix,
     _check_integer,
-    _is_integer,
     frobenius_distance,
     partial_trace,
     tensor_product,
@@ -419,12 +418,9 @@ def run_suite(
 ) -> VerifySuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite '{name}' (known: {', '.join(sorted(SUITES))})")
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_integer("seed", seed, minimum=0)
     if count is not None:
-        _check_integer("count", count)
-        if count < 1:
-            raise ValueError(f"suite case count must be at least 1, got {count}")
+        _check_integer("count", count, minimum=1)
     runner, default_count = SUITES[name]
     result = VerifySuiteResult(suite=name, cases=0)
     runner(result, np.random.default_rng(seed),

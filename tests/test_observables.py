@@ -87,8 +87,9 @@ def test_fourier_basis_examples():
     overlaps = np.abs(np.eye(3).conj().T @ f3.vectors) ** 2
     np.testing.assert_allclose(overlaps, np.full((3, 3), 1 / 3), atol=1e-12)
 
-    with pytest.raises(ValueError):
-        fourier_basis(1)
+    for dim in (1, 0, np.int64(-2)):
+        with pytest.raises(ValueError, match=rf"dim must be at least 2, got {dim}"):
+            fourier_basis(dim)
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])

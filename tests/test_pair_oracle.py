@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from qreality import oracle
-from qreality.measures import discord_like, nonlocality
+from qreality.linalg import partial_trace
+from qreality.measures import dephase, discord_like, nonlocality
 from qreality.observables import qubit_basis
 from qreality.optimize import minimize_pair
 from qreality.oracle import brute_force_pair
 from qreality.states import random_density
 
-# Points per angle per side: SCAN**2 axes per side and SCAN**4 basis pairs.
+# Points per angle per side: SCAN**2 bases per side and SCAN**4 basis pairs.
 SCAN = 64
 
 
@@ -32,7 +33,7 @@ def test_scan_values_match_the_measures():
     pa = np.concatenate([phis[picks[:3]], [0.0, 2.9]])
     tb = np.concatenate([thetas[picks[3:]], [math.pi / 2, 0.3]])
     pb = np.concatenate([phis[picks[3:]], [0.7, 0.0]])
-    [(n_values, d_values)] = oracle._pair_scan(rho, oracle._axes(ta, pa), oracle._axes(tb, pb))
+    [(n_values, d_values)] = oracle._pair_scan(rho, oracle._bases(ta, pa), oracle._bases(tb, pb))
     for i in range(len(ta)):
         for j in range(len(tb)):
             basis_a, basis_b = qubit_basis(ta[i], pa[i]), qubit_basis(tb[j], pb[j])
@@ -42,14 +43,46 @@ def test_scan_values_match_the_measures():
                 discord_like(rho, [(basis_a, 0), (basis_b, 1)]), abs=1e-12)
 
 
+def test_pair_scan_blocks_are_the_dephased_spectra_on_each_side(monkeypatch):
+    # The blocks <b_o| rho |b_o> the scan takes on each side: their spectra
+    # together are the spectrum of rho dephased there, and their traces are
+    # the outcome probabilities of that side's marginal.  The state's local
+    # Bloch vectors are far from zero and the angles off the scan grid, so
+    # taking side B's blocks from the wrong index pair fails here.
+    rho = random_density(4, 2, 90251, dims=(2, 2))
+    for side in (0, 1):
+        marginal = partial_trace(rho, side).mat
+        assert np.abs(marginal - np.eye(2) / 2).max() > 0.05
+    angles = {0: ([0.4, 2.3], [1.9, 0.2]), 1: ([1.2, 2.9], [0.6, 2.5])}
+    vecs = {side: oracle._bases(*angles[side]) for side in (0, 1)}
+    taken = {}
+    blocks = oracle._blocks
+
+    def recorded(r, v):
+        out = blocks(r, v)
+        taken[next(side for side in (0, 1) if v is vecs[side])] = out
+        return out
+
+    monkeypatch.setattr(oracle, "_blocks", recorded)
+    list(oracle._pair_scan(rho, vecs[0], vecs[1]))
+    for side in (0, 1):
+        outcomes = oracle._outcomes(partial_trace(rho, side), vecs[side])
+        for k, (theta, phi) in enumerate(zip(*angles[side])):
+            spectrum = np.linalg.eigvalsh(taken[side][k]).reshape(-1)
+            dephased = dephase(rho, qubit_basis(theta, phi), side).eigenvalues
+            assert np.abs(np.sort(spectrum) - np.sort(dephased)).max() <= 1e-12
+            traces = np.trace(taken[side][k], axis1=1, axis2=2)
+            assert np.abs(traces - outcomes[k]).max() <= 1e-12
+
+
 def test_pair_scan_blocks_keep_the_minima(monkeypatch):
-    # Blocks of 3 of side A's 16 axes, the last one short, give the minima
+    # Blocks of 3 of side A's 16 bases, the last one short, give the minima
     # of the whole scan taken as one block.
     rho = random_density(4, 2, 90269, dims=(2, 2))
     whole = brute_force_pair(rho, 4)
     monkeypatch.setattr(oracle, "PAIR_BLOCK_ENTRIES", 3 * 4 * 16 + 1)
-    axes = oracle._axes(*oracle._pair_scan_angles(4))
-    assert [len(n) for n, _ in oracle._pair_scan(rho, axes, axes)] == [3] * 5 + [1]
+    vecs = oracle._bases(*oracle._pair_scan_angles(4))
+    assert [len(n) for n, _ in oracle._pair_scan(rho, vecs, vecs)] == [3] * 5 + [1]
     assert brute_force_pair(rho, 4) == whole
 
 

@@ -110,8 +110,10 @@ def test_count_below_one_is_rejected(count):
 @pytest.mark.parametrize("seed", [-1, 2.5, True, "7", None])
 def test_seed_must_be_a_non_negative_integer(seed):
     # True ran as seed 1, 2.5 raised numpy's TypeError, and -1 numpy's
-    # ValueError without naming the argument.
-    message = rf"seed must be a non-negative integer, got {re.escape(repr(seed))}"
+    # ValueError without naming the argument.  The messages are the shared
+    # integer check's.
+    message = (r"seed must be at least 0, got -1" if type(seed) is int
+               else rf"seed must be an integer, got {re.escape(repr(seed))}")
     with pytest.raises(ValueError, match=message):
         run_suite("dephasing", seed=seed, count=1)
     with pytest.raises(ValueError, match=message):
