@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: measure, sweep, slit, verify.  Exit codes: 0 success,
-1 verification failure, 2 usage/parse error, 3 invalid input state,
+1 verification failure, 2 usage/parse error (a count too large to allocate
+among them), 3 invalid input state,
 4 I/O error, 5 failed cross-check (two forms of one measure disagree).
 Diagnostics go to stderr; results go to stdout or --output.
 """
@@ -263,6 +264,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID_STATE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # A count too large to allocate, such as sweep --points 10**13, is a
+        # usage error, as a --grid-steps over the grid budgets is.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

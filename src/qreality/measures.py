@@ -6,9 +6,10 @@ All entropic values are in nats.  The unread-measurement map
 
 is the single primitive behind everything here: an observable is *real* for a
 preparation when dephasing in its eigenbasis leaves the state unchanged, and
-its *irreality* is the entropy the dephasing adds.  ``dephase`` computes the
-sum as a pinching in the basis: it keeps the diagonal blocks <b_j| rho |b_j>
-of the measured subsystem and never forms the full-space projectors.
+its *irreality* is the entropy the dephasing adds.  The dephased state is
+block diagonal in the basis: ``_blocks`` takes its blocks <b_j| rho |b_j>
+on any layout, for one basis or a stack, without full-space projectors;
+``dephase`` puts them back, and :mod:`qreality.oracle` reads their spectra.
 Nonlocality is the drop in one subsystem's irreality caused by an unread
 measurement on the other; it is computed through two independent routes
 (sequential ``dephase`` calls vs one Kraus pass with the lifted product
@@ -99,23 +100,27 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return max(value, 0.0) if value > -1e-9 else value
 
 
+def _blocks(rho: DensityMatrix, vecs: np.ndarray, subsystem: int) -> np.ndarray:
+    # <b_j| rho |b_j> for the basis of the (d, d) column vectors vecs, or for
+    # each basis of an (m, d, d) stack, measured on one subsystem: with rho as
+    # a (left, d, right)**2 tensor, the (..., d, left, right, left, right) blocks.
+    dims = rho.dims
+    d, left, right = dims[subsystem], math.prod(dims[:subsystem]), math.prod(dims[subsystem + 1:])
+    tensor = rho.mat.reshape(left, d, right, left, d, right)
+    return np.einsum("...xj,axrbys,...yj->...jarbs", vecs.conj(), tensor, vecs)
+
+
 def dephase(rho: DensityMatrix, basis: ProjectiveBasis, subsystem: int) -> DensityMatrix:
     """Unread projective measurement of the basis on one subsystem.
 
-    The pinching sum_j P_j rho P_j, computed in the basis: with rho as a
-    (left, d, right, left, d, right) tensor, the blocks <b_j| rho |b_j> of the
-    measured axes are taken and put back as sum_j |b_j><b_j| x block_j.
+    The pinching sum_j P_j rho P_j, computed in the basis: the blocks
+    <b_j| rho |b_j> of the measured axes are put back as
+    sum_j |b_j><b_j| x block_j.
     """
-    dims = rho.dims
-    check_placement(basis, subsystem, dims)
-    d = dims[subsystem]
-    left = math.prod(dims[:subsystem])
-    right = math.prod(dims[subsystem + 1:])
+    check_placement(basis, subsystem, rho.dims)
     vecs = basis.vectors
-    tensor = rho.mat.reshape(left, d, right, left, d, right)
-    blocks = np.einsum("xj,axrbys,yj->jarbs", vecs.conj(), tensor, vecs)
-    out = np.einsum("xj,jarbs,yj->axrbys", vecs, blocks, vecs.conj())
-    return _derived(out.reshape(rho.dim, rho.dim), dims)
+    out = np.einsum("xj,jarbs,yj->axrbys", vecs, _blocks(rho, vecs, subsystem), vecs.conj())
+    return _derived(out.reshape(rho.dim, rho.dim), rho.dims)
 
 
 def _dephase_joint(rho: DensityMatrix, pair_a: BasisOnSubsystem, pair_b: BasisOnSubsystem) -> DensityMatrix:

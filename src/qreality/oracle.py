@@ -19,8 +19,9 @@ eigendecompositions, and never import the kernels or the minimizers.
   probabilities <b_q| B_o |b_q>.  Its grid is offset by half a cell from
   its edges, so no point falls on the default optimizer grid.
 
-Both scans run in chunks of bounded size, so their memory does not grow
-with the scan.
+Both scans read blocks from :func:`qreality.measures._blocks`, outcome
+probabilities as a qubit marginal's 1 x 1 blocks, in chunks of bounded
+size, so their memory does not grow with the scan.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 import numpy as np
 
 from .linalg import DensityMatrix, _check_integer, _check_qubit_side, partial_trace
-from .measures import ZERO_EIGENVALUE, entropy
+from .measures import ZERO_EIGENVALUE, _blocks, entropy
 from .observables import qubit_basis
 
 # Matrix entries of dephased states per chunk of the matrix-route scan: it
@@ -50,12 +51,6 @@ def _spectral_entropies(spectra: np.ndarray) -> np.ndarray:
     return -np.sum(kept * np.log(kept), axis=-1)
 
 
-def _outcomes(rho_q: DensityMatrix, vecs) -> np.ndarray:
-    # (m, 2) outcome probabilities <b_j| rho_q |b_j> of a qubit's state in
-    # each of the (m, 2, 2) bases.
-    return np.einsum("nxj,xy,nyj->nj", vecs.conj(), rho_q.mat, vecs).real
-
-
 def _drop_scan(rho: DensityMatrix, subsystem: int, angles):
     # The matrix route's one-sided drop I(rho) - I(Ph rho) on one state at
     # the (theta, phi) pairs of angles, read lazily; yields the drops of each
@@ -67,8 +62,8 @@ def _drop_scan(rho: DensityMatrix, subsystem: int, angles):
     # validated again (the basis of finite angles is unitary to rounding, and
     # the dephased state is a map of the validated rho).  The dephased
     # marginal of the scanned qubit is sum_j p_j |b_j><b_j| with
-    # p_j = <b_j| rho_q |b_j>, so its spectrum is p: one _outcomes einsum
-    # over the chunk's stacked bases.
+    # p_j = <b_j| rho_q |b_j>, so its spectrum is p: the 1 x 1 blocks of
+    # rho_q in the chunk's stacked bases.
     from .measures import dephase  # resolved per scan: a rebound measures.dephase is used
 
     rho_q = partial_trace(rho, subsystem)
@@ -84,7 +79,7 @@ def _drop_scan(rho: DensityMatrix, subsystem: int, angles):
             vecs[k] = basis.vectors
             spectra[k] = dephase(rho, basis, subsystem).eigenvalues
         n = len(points)
-        p = _outcomes(rho_q, vecs[:n])
+        p = _blocks(rho_q, vecs[:n], 0).real.reshape(n, 2)
         yield mi - (_spectral_entropies(p) + s_other - _spectral_entropies(spectra[:n]))
 
 
@@ -136,15 +131,6 @@ def _bases(thetas, phis) -> np.ndarray:
     return np.stack([qubit_basis(theta, phi).vectors for theta, phi in zip(thetas, phis)])
 
 
-def _blocks(r, vecs) -> np.ndarray:
-    # (m, 2, 2, 2) blocks B_o = <b_o| rho |b_o> on the other side, for the
-    # state r[i, k, j, l] = rho[(i, k), (j, l)] measured on its first index
-    # pair: basis, outcome, row, column.  r.transpose(1, 0, 3, 2) measures
-    # side B.  Dephasing in a basis leaves rho block diagonal in it, so the
-    # dephased state's spectrum is the union of its blocks' spectra.
-    return np.einsum("mio,ikjl,mjo->mokl", vecs.conj(), r, vecs)
-
-
 def _joint_entropies(blocks_a, vecs_b):
     # S of the doubly dephased state for every pair of bases: the entropy of
     # the joint outcome probabilities <b_q| B_o |b_q> of side A's blocks and
@@ -168,16 +154,15 @@ def _pair_scan(rho: DensityMatrix, vecs_a, vecs_b):
     # vecs_a, as (rows, len(vecs_b)) arrays; a block holds at most
     # PAIR_BLOCK_ENTRIES joint probabilities, or one row.  The state data and
     # each side's entropies are taken once, before the first block.
-    r = rho.mat.reshape(2, 2, 2, 2)
     rho_a, rho_b = partial_trace(rho, 0), partial_trace(rho, 1)
     s_rho = entropy(rho)
     mi = entropy(rho_a) + entropy(rho_b) - s_rho
-    blocks_a = _blocks(r, vecs_a)
+    blocks_a = _blocks(rho, vecs_a, 0).reshape(-1, 2, 2, 2)
     s_a = _spectral_entropies(np.linalg.eigvalsh(blocks_a).reshape(-1, 4))
     s_b = _spectral_entropies(
-        np.linalg.eigvalsh(_blocks(r.transpose(1, 0, 3, 2), vecs_b)).reshape(-1, 4))
-    h_a = _spectral_entropies(_outcomes(rho_a, vecs_a))
-    h_b = _spectral_entropies(_outcomes(rho_b, vecs_b))
+        np.linalg.eigvalsh(_blocks(rho, vecs_b, 1).reshape(-1, 2, 2, 2)).reshape(-1, 4))
+    h_a = _spectral_entropies(_blocks(rho_a, vecs_a, 0).real.reshape(-1, 2))
+    h_b = _spectral_entropies(_blocks(rho_b, vecs_b, 0).real.reshape(-1, 2))
     rows = max(1, PAIR_BLOCK_ENTRIES // (4 * len(vecs_b)))
     for start in range(0, len(vecs_a), rows):
         block = slice(start, start + rows)

@@ -37,6 +37,11 @@ scanned on side 0 and (3, 2) on side 1.  The families:
   first ``ORACLE_STATES`` two-qubit states.  Only a checkout with
   ``qreality.oracle`` runs it; against one without, the family is printed
   as new;
+- dephase: the matrix and spectrum of ``dephase`` on every subsystem of
+  the ``DEPHASE_STATES`` states ``random_density(n, 1 + k % n,
+  DEPHASE_SEED + k, dims=dims)`` of each layout in ``DEPHASE_LAYOUTS``, in
+  a ``qubit_basis`` on a qubit and a ``random_unitary`` basis on a larger
+  subsystem;
 - the 51-point ``qreality sweep`` werner and alpha CSVs, and the output of
   ``qreality verify all --seed 7``.
 
@@ -81,6 +86,9 @@ QUDIT_STATES = 12
 ORACLE_STATES = 8
 ORACLE_SCANS = ((9, 8), (20, 20))
 PAIR_SCANS = (8, 16)
+DEPHASE_SEED = 22000
+DEPHASE_STATES = 12
+DEPHASE_LAYOUTS = ((2, 2), (2, 3), (3, 2), (2, 2, 2))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:inf|nan)\b")
 
 
@@ -213,6 +221,19 @@ def pair_scan(q):
             yield np.array(q.oracle.brute_force_pair(rho, n))
 
 
+def dephased_states(q):
+    for dims in DEPHASE_LAYOUTS:
+        n = math.prod(dims)
+        for k in range(DEPHASE_STATES):
+            rho = q.random_density(n, 1 + k % n, DEPHASE_SEED + k, dims=dims)
+            theta, phi = np.random.default_rng(DEPHASE_SEED + k).uniform(0.0, math.pi, 2)
+            for side, d in enumerate(dims):
+                basis = (q.qubit_basis(theta, phi) if d == 2 else
+                         q.ProjectiveBasis(q.random_unitary(d, DEPHASE_SEED + k)))
+                out = q.dephase(rho, basis, side)
+                yield np.concatenate([out.mat.real, out.mat.imag, out.eigenvalues[None]])
+
+
 def _cli_output(q, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out")
@@ -242,6 +263,7 @@ FAMILIES = {
     "qubit-qudit minimize": qudit_minimize_single,
     "oracle scans": oracle_scans,
     "pair scan": pair_scan,
+    "dephase": dephased_states,
     "werner sweep CSV": sweep_werner,
     "alpha sweep CSV": sweep_alpha,
     "verify all --seed 7": verify_all,

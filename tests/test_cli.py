@@ -261,6 +261,26 @@ def test_sweep_over_the_pair_grid_budget_exits_two(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, rows", [
+    (["sweep", "--family", "werner", "--points", "10000000000000"], "sweep_rows"),
+    (["slit", "--points", "10000000000000"], "slit_rows"),
+])
+def test_a_point_count_too_large_to_allocate_exits_two(argv, rows, tmp_path, capsys, monkeypatch):
+    # A count numpy cannot allocate is a usage error with one line, not a
+    # traceback and exit 1, the code of a failed verification.
+    from qreality import cli
+
+    out = tmp_path / "p.csv"
+    for message in ("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)", ""):
+        def no_memory(*args, message=message):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, rows, no_memory)
+        assert main([*argv, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("family", ["werner", "alpha"])
 @pytest.mark.parametrize("bound", [["--start", "nan"], ["--stop", "inf"], ["--start=-inf"],
                                    ["--start", "-inf"]])

@@ -13,6 +13,7 @@ from qreality.linalg import (
 from qreality.measures import (
     ZERO_EIGENVALUE,
     MeasureReport,
+    _blocks,
     available_information,
     concurrence,
     dephase,
@@ -152,6 +153,30 @@ def test_dephase_matches_the_lifted_projector_sum():
                     assert isinstance(got, DensityMatrix) and got.dims == dims
                     lifted = _lifted_dephase(rho, basis, subsystem)
                     assert frobenius_distance(got.mat, lifted) <= 1e-14
+
+
+def test_blocks_are_the_projected_state_read_through_lift():
+    # _blocks(rho, vecs, k)[j] is <b_j| rho |b_j>: P_j rho P_j, with P_j from
+    # lift, read through the isometry I x |b_j> x I.  One basis as its (d, d)
+    # vectors, and a stack of three as (3, d, d), on every subsystem.
+    rng = np.random.default_rng(29)
+    for dims in ((2, 2), (2, 3), (3, 2), (2, 3, 2)):
+        n = math.prod(dims)
+        rho = random_density(n, 2, rng, dims=dims)
+        for subsystem, d in enumerate(dims):
+            left, right = math.prod(dims[:subsystem]), math.prod(dims[subsystem + 1:])
+            bases = [_random_basis(rng) if d == 2 else ProjectiveBasis(random_unitary(d, rng))
+                     for _ in range(3)]
+            stack = _blocks(rho, np.stack([basis.vectors for basis in bases]), subsystem)
+            assert stack.shape == (3, d, left, right, left, right)
+            for basis, stacked in zip(bases, stack):
+                blocks = _blocks(rho, basis.vectors, subsystem)
+                assert blocks.shape == (d, left, right, left, right)
+                assert np.abs(blocks - stacked).max() <= 1e-15
+                for j, proj in enumerate(lift(basis, subsystem, dims)):
+                    iso = np.kron(np.kron(np.eye(left), basis.vectors[:, [j]]), np.eye(right))
+                    read = iso.conj().T @ proj @ rho.mat @ proj @ iso
+                    assert np.abs(blocks[j].reshape(left * right, -1) - read).max() <= 1e-14
 
 
 def test_dephase_rejects_a_misplaced_basis_with_lifts_messages():

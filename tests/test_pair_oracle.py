@@ -58,21 +58,24 @@ def test_pair_scan_blocks_are_the_dephased_spectra_on_each_side(monkeypatch):
     taken = {}
     blocks = oracle._blocks
 
-    def recorded(r, v):
-        out = blocks(r, v)
-        taken[next(side for side in (0, 1) if v is vecs[side])] = out
+    def recorded(state, v, subsystem):
+        out = blocks(state, v, subsystem)
+        if state is rho:  # not a marginal's outcome probabilities
+            taken[next(side for side in (0, 1) if v is vecs[side])] = out.reshape(-1, 2, 2, 2)
         return out
 
     monkeypatch.setattr(oracle, "_blocks", recorded)
     list(oracle._pair_scan(rho, vecs[0], vecs[1]))
     for side in (0, 1):
-        outcomes = oracle._outcomes(partial_trace(rho, side), vecs[side])
+        marginal = partial_trace(rho, side).mat
         for k, (theta, phi) in enumerate(zip(*angles[side])):
+            basis = qubit_basis(theta, phi)
             spectrum = np.linalg.eigvalsh(taken[side][k]).reshape(-1)
-            dephased = dephase(rho, qubit_basis(theta, phi), side).eigenvalues
+            dephased = dephase(rho, basis, side).eigenvalues
             assert np.abs(np.sort(spectrum) - np.sort(dephased)).max() <= 1e-12
             traces = np.trace(taken[side][k], axis1=1, axis2=2)
-            assert np.abs(traces - outcomes[k]).max() <= 1e-12
+            outcomes = np.diag(basis.vectors.conj().T @ marginal @ basis.vectors)
+            assert np.abs(traces - outcomes).max() <= 1e-12
 
 
 def test_pair_scan_blocks_keep_the_minima(monkeypatch):

@@ -30,10 +30,20 @@ def test_bounds_suite_small():
     assert result.ok, result.failures
 
 
-def test_oracle_suite_scales_with_cfg():
+@pytest.mark.parametrize("name", ["tensor", "states", "observables", "faithfulness", "perpair"])
+def test_suite_passes_at_its_default_count(name):
+    # The suites no acceptance criterion runs, at the CLI's default seed and
+    # each suite's own case count.
+    result = run_suite(name, seed=7)
+    assert result.cases > 0
+    assert result.ok, result.failures
+
+
+def test_refined_minimum_meets_a_scan_the_coarse_grid_best_misses():
     # keep the unit-test scan coarse; acceptance runs the dense one.  The
-    # suite's first state at seed 11 is mixed, and its coarse grid best alone
-    # loses to the 30 x 30 scan, so only a refined minimum agrees with it.
+    # oracle suite's first state at seed 11 is mixed, and its coarse grid
+    # best alone loses to the 30 x 30 scan, so only a refined minimum agrees
+    # with it.
     from qreality.optimize import minimize_single
     from qreality.oracle import brute_force_single
     from qreality.states import random_density
