@@ -17,11 +17,12 @@ through every ``DensityMatrix`` check.  A state that a map derives from
 validated states (``partial_trace`` here; ``dephase``, the joint dephasing
 and the product of marginals in ``measures``) is built by ``_derived``.  Its
 matrix is finite, Hermitian to rounding and of unit trace by construction,
-so those three checks cannot fail and are skipped, also when the state
-needs the rounding repair.  Both paths then settle the state in one function,
-``_settle``: the same symmetrized matrix, spectrum, rejection and
-clamp-and-renormalize repair, so a derived state is bit for bit the
-``DensityMatrix`` of the same matrix.
+so those three checks cannot fail and are skipped.  Both paths then settle
+the state in one function, ``_settle``: the same symmetrized matrix,
+spectrum and rejection, so a derived state is bit for bit the
+``DensityMatrix`` of the same matrix.  A state is stored as built, never
+rebuilt: its spectrum may hold rounding values in [-1e-10, 0), which every
+entropy reads as zero.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ import numpy as np
 
 from .errors import StateValidationError
 
-# Construction tolerances: violations below these are rounding noise and get
-# repaired; anything larger is rejected as genuinely invalid input.
+# Construction tolerances: violations below these are rounding noise and are
+# accepted; anything larger is rejected as genuinely invalid input.
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
-EIGENVALUE_CLAMP = -1e-10
+EIGENVALUE_FLOOR = -1e-10
 
 
 def _is_integer(x) -> bool:
@@ -70,15 +71,14 @@ def _as_square_complex(mat: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix with a subsystem layout.
 
-    Construction validates (and where legitimate, repairs) the state: finite
-    entries, and Hermiticity and unit trace within 1e-10, are required;
-    eigenvalues in [-1e-10, 0) are clamped to zero with the spectrum
-    renormalized, while anything more negative raises
-    :class:`StateValidationError`.
+    Construction validates the state: finite entries, and Hermiticity and
+    unit trace within 1e-10, are required; an eigenvalue below -1e-10 raises
+    :class:`StateValidationError`.  The symmetrized matrix is stored as
+    given, so eigenvalues in [-1e-10, 0) stay: rounding noise, which every
+    entropy reads as zero.
 
     ``eigenvalues`` is the read-only spectrum of the stored ``mat`` in
-    ascending order: the one validation takes, or, when a repair rebuilt the
-    matrix, that of the rebuilt matrix.
+    ascending order, the one validation takes.
 
     States compare and hash by identity: comparing the arrays would need a
     tolerance, which ``==`` cannot carry.
@@ -131,20 +131,13 @@ class DensityMatrix:
 
 def _settle(state: DensityMatrix, hermitian: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
     # Validation's last step, shared with _derived: the spectrum of the
-    # symmetrized matrix, rejection below EIGENVALUE_CLAMP (written so that a
-    # NaN eigenvalue is rejected too), the clamp-and-renormalize repair of a
-    # rounding-negative spectrum, and the read-only store.
+    # symmetrized matrix, rejection below EIGENVALUE_FLOOR (written so that a
+    # NaN eigenvalue is rejected too), and the read-only store.
     eigvals = np.linalg.eigvalsh(hermitian)
     lowest = float(eigvals[0])
-    if not lowest >= EIGENVALUE_CLAMP:
+    if not lowest >= EIGENVALUE_FLOOR:
         raise StateValidationError("positive-semidefinite", lowest,
                                    f"most negative eigenvalue {lowest:.6e}")
-    if lowest < 0.0:
-        vals, vecs = np.linalg.eigh(hermitian)
-        vals = np.clip(vals, 0.0, None)
-        hermitian = (vecs * (vals / vals.sum())) @ vecs.conj().T
-        hermitian = (hermitian + hermitian.conj().T) / 2.0
-        eigvals = np.linalg.eigvalsh(hermitian)
     hermitian.setflags(write=False)
     eigvals.setflags(write=False)
     object.__setattr__(state, "mat", hermitian)
@@ -159,9 +152,8 @@ def _derived(mat: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
     ``mat`` must come from validated states by a map that keeps the entries
     finite, the matrix Hermitian to rounding and the trace 1, and ``dims``
     must be a validated layout.  The finite-entry, Hermiticity and trace
-    checks are skipped, also when the spectrum needs the rounding repair;
-    the symmetrization, spectrum, repair and rejection are validation's own,
-    so the result is bitwise ``DensityMatrix(mat, dims)``.
+    checks are skipped; the symmetrization, spectrum and rejection are
+    validation's own, so the result is bitwise ``DensityMatrix(mat, dims)``.
     """
     return _settle(object.__new__(DensityMatrix), (mat + mat.conj().T) / 2.0, dims)
 

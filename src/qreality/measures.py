@@ -70,12 +70,17 @@ class IrrealityDecomposition(NamedTuple):
 
 
 def shannon_entropy(probs: np.ndarray) -> float:
-    """-sum p ln p over the given weights, with 0 ln 0 = 0."""
+    """-sum p ln p over the given weights, with 0 ln 0 = 0; >= 0, clamped at 0.
+
+    Rounding can put a pure state's one weight just above 1, and the sum
+    just below zero (-2.2e-16 for ``slit:x=1``); the clamp reads it as the
+    zero it is.
+    """
     total = 0.0
     for p in np.asarray(probs, dtype=float).reshape(-1).tolist():
         if p > ZERO_EIGENVALUE:
             total -= p * math.log(p)
-    return total
+    return max(total, 0.0)
 
 
 def entropy(rho: DensityMatrix) -> float:

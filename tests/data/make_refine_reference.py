@@ -1,9 +1,13 @@
 """Regenerate refine_reference.json, the minimizer values the refinement must keep.
 
 Run from the repository root, pointing ``--src`` at the ``src`` directory of
-the code whose minima are the reference (by default this checkout's):
+the code whose minima are the reference:
 
     python3 tests/data/make_refine_reference.py --src path/to/other/checkout/src
+
+``--src`` is required: the reference is frozen, and this checkout's code is
+what the test holds to it, so writing it from this checkout would compare
+the code with itself.
 
 The file was written from the last commit that refined with Nelder-Mead.  It
 stores, as ``float.hex``, the value of every minimization in ``CASES`` at the
@@ -66,7 +70,7 @@ def minimize(qreality, rho, task):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(HERE.parents[1] / "src"),
+    parser.add_argument("--src", required=True,
                         help="the src directory whose qreality writes the reference")
     parser.add_argument("--output", default=str(HERE / "refine_reference.json"))
     args = parser.parse_args(argv)

@@ -9,8 +9,8 @@ checkout's digests and, per family, how many values changed and the largest
     python3 tests/data/result_digest.py
     python3 tests/data/result_digest.py --src path/to/other/checkout
 
-The other checkout must have ``kernels.qudit_drop_grid``: commit f58af54 or
-later.
+The oldest checkout it can digest is commit b5cf709, the first with both
+``OptimizerConfig.grid_steps`` and ``qreality.oracle``.
 
 The states are the 110 seeded random two-qubit states
 ``random_density(4, 1 + k % 4, RANDOM_SEED + k, dims=(2, 2))`` and the 102
@@ -34,9 +34,7 @@ scanned on side 0 and (3, 2) on side 1.  The families:
   sides of the first ``ORACLE_STATES`` two-qubit states and on the first
   ``ORACLE_STATES`` qubit-qudit states, as its minimum and argmin;
 - pair scan: ``brute_force_pair`` at ``PAIR_SCANS`` points per angle on the
-  first ``ORACLE_STATES`` two-qubit states.  Only a checkout with
-  ``qreality.oracle`` runs it; against one without, the family is printed
-  as new;
+  first ``ORACLE_STATES`` two-qubit states;
 - dephase: the matrix and spectrum of ``dephase`` on every subsystem of
   the ``DEPHASE_STATES`` states ``random_density(n, 1 + k % n,
   DEPHASE_SEED + k, dims=dims)`` of each layout in ``DEPHASE_LAYOUTS``, in
@@ -53,15 +51,13 @@ different package names and run family by family in lockstep, so no grid is
 held longer than its comparison.  Each checkout takes about 17 s on one
 core.  pytest does not collect this script.
 
-Only ``qreality``'s exports, its ``kernels`` grids, ``cli.main`` and, where
-it exists, ``oracle.brute_force_pair`` are used, so any version of the
-package that has them can be digested.
+Only ``qreality``'s exports, its ``kernels`` grids, ``cli.main`` and
+``oracle.brute_force_pair`` are used.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -114,20 +110,9 @@ def _states(q):
     return states
 
 
-def _axes(q, steps):
-    # The axes of a grid of ``steps`` steps per side: steps + 1 thetas, steps
-    # phis on the equator.  A package from before OptimizerConfig.grid_steps
-    # takes the theta and phi counts instead.
-    fields = {f.name for f in dataclasses.fields(q.OptimizerConfig)}
-    if "grid_steps" in fields:
-        return q.kernels.axis_grid(steps)[0]
-    return q.kernels.axis_grid(steps + 1, steps)[0]
-
-
 def _layouts(q):
-    default = _axes(q, 24)
-    return [(default, default), (_axes(q, 10), _axes(q, 12)),
-            (_axes(q, 10), _axes(q, 12)[-7:])]
+    default, a10, a12 = (q.kernels.axis_grid(steps)[0] for steps in (24, 10, 12))
+    return [(default, default), (a10, a12), (a10, a12[-7:])]
 
 
 def _pair_inputs(q):
@@ -160,7 +145,7 @@ def pair_grids_repeated(q):
 
 
 def side_grids(q):
-    axes = _axes(q, 24)
+    axes = q.kernels.axis_grid(24)[0]
     for rho in _states(q):
         r1, r2, tmat = q.kernels.bloch_correlations(rho.mat)
         mi = q.mutual_information(rho)
@@ -194,7 +179,7 @@ def _qudit_states(q):
 
 
 def qudit_side_grids(q):
-    axes = _axes(q, 24)
+    axes = q.kernels.axis_grid(24)[0]
     for rho, side in _qudit_states(q):
         data = q.kernels.qudit_partner_data(rho.mat, 3, side)
         env = q.entropy(q.partial_trace(rho, 1 - side))
@@ -268,8 +253,6 @@ FAMILIES = {
     "alpha sweep CSV": sweep_alpha,
     "verify all --seed 7": verify_all,
 }
-# Families that only some versions can run, by the package attribute each needs.
-NEEDS = {"pair scan": "oracle"}
 
 
 def _values(chunk) -> np.ndarray:
@@ -321,13 +304,9 @@ def main(argv=None) -> int:
         sources.append(other / "src" if (other / "src" / "qreality").is_dir() else other)
     packages = [_load(src, f"qreality_digest_{k}") for k, src in enumerate(sources)]
     for name, family in FAMILIES.items():
-        runs = [q for q in packages if hasattr(q, NEEDS.get(name, "__name__"))]
-        if packages[0] not in runs:
-            print(f"{name:<22} not in this checkout", flush=True)
-            continue
-        hashes = [hashlib.sha256() for _ in runs]
+        hashes = [hashlib.sha256() for _ in packages]
         count, changed, largest = 0, 0, 0.0
-        for chunks in _run_family(runs, family):
+        for chunks in _run_family(packages, family):
             for h, chunk in zip(hashes, chunks):
                 h.update(_bytes(chunk))
             values = [_values(chunk) for chunk in chunks]
@@ -339,8 +318,6 @@ def main(argv=None) -> int:
         if len(hashes) == 2:
             line += (f"\n{'':<22} {hashes[1].hexdigest()}  other: {changed} changed, "
                      f"largest |delta| {largest:.3g}")
-        elif len(packages) == 2:
-            line += f"\n{'':<22} other: not in that checkout, new here"
         print(line, flush=True)
     return 0
 

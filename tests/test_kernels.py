@@ -80,11 +80,12 @@ def test_bloch_correlations_match_the_trace_form():
 
 
 def test_werner_states_have_zero_local_bloch_vectors():
-    # The sweep's werner states take the two-log joint pass only while their
-    # r1 and r2 come out exactly zero.
-    for param in np.linspace(0.0, 1.0, 51):
-        r1, r2, _ = kernels.bloch_correlations(werner(float(param)).mat)
-        assert not r1.any() and not r2.any(), param
+    # The sweep's werner and alpha states take the two-log joint pass only
+    # while their r1 and r2 come out exactly zero.
+    for family in (werner, alpha_state):
+        for param in np.linspace(0.0, 1.0, 51):
+            r1, r2, _ = kernels.bloch_correlations(family(float(param)).mat)
+            assert not r1.any() and not r2.any(), (family.__name__, param)
 
 
 def test_axis_grid_layout():

@@ -223,6 +223,15 @@ def test_density_matrix_rejects_negative_spectrum():
     assert err.value.residual == pytest.approx(-1e-3)
 
 
+def test_density_matrix_rejects_a_nan_spectrum(monkeypatch):
+    # The bound is written so that a NaN eigenvalue fails it too.
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([math.nan, 1.0]))
+    with pytest.raises(StateValidationError) as err:
+        DensityMatrix(np.eye(2) / 2, (2,))
+    assert err.value.invariant == "positive-semidefinite"
+    assert math.isnan(err.value.residual)
+
+
 def _assert_spectrum_of_stored_matrix(rho):
     np.testing.assert_array_equal(
         rho.eigenvalues.view(np.uint64), np.linalg.eigvalsh(rho.mat).view(np.uint64))
@@ -241,27 +250,38 @@ def test_eigenvalues_are_the_stored_matrix_spectrum():
             _assert_spectrum_of_stored_matrix(partial_trace(rho, 0))
 
 
-def test_density_matrix_repairs_rounding_noise(monkeypatch):
+def test_density_matrix_keeps_rounding_noise():
+    # An eigenvalue in [-1e-10, 0) is rounding noise: the state is accepted
+    # and stored as built, its spectrum that of the given matrix.
     mat = np.diag([-5e-11, 1 + 5e-11]).astype(complex)
     rho = DensityMatrix(mat, (2,))
-    eigs = np.linalg.eigvalsh(rho.mat)
-    assert eigs[0] >= 0.0
-    assert abs(np.trace(rho.mat) - 1.0) <= 1e-12
+    np.testing.assert_array_equal(_bits(rho.mat), _bits(mat))
+    assert float(rho.eigenvalues[0]) == -5e-11
     _assert_spectrum_of_stored_matrix(rho)
 
-    # alpha_state's exactly zero eigenvalue rounds below zero at a=0.18, so
-    # the stored matrix is rebuilt and the spectrum must be the rebuilt one's.
-    repairs = []
-    eigh = np.linalg.eigh
 
-    def counted_eigh(mat):
-        repairs.append(mat.shape)
-        return eigh(mat)
+@pytest.mark.parametrize("build", [lambda: alpha_state(0.18),
+                                   lambda: random_density(4, 1, 7, dims=(2, 2))],
+                         ids=["alpha_state", "rank-1 random_density"])
+def test_a_state_is_diagonalized_once(build, monkeypatch):
+    # alpha_state(0.18) has an exactly zero eigenvalue that rounds below zero,
+    # and a rank-1 state three: each is still diagonalized once, by eigvalsh,
+    # and never rebuilt.
+    calls = []
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
 
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    repaired = alpha_state(0.18)
-    assert repairs == [(4, 4)]
-    _assert_spectrum_of_stored_matrix(repaired)
+    def counted(name, fn):
+        def call(mat):
+            calls.append(name)
+            return fn(mat)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    rho = build()
+    assert calls == ["eigvalsh"]
+    assert float(rho.eigenvalues[0]) < 0.0
+    _assert_spectrum_of_stored_matrix(rho)
 
 
 def test_density_matrix_layout_mismatch():
@@ -441,7 +461,7 @@ def test_derived_validates_only_a_spectrum_below_zero(monkeypatch):
     from qreality.linalg import _derived
 
     validations = []
-    repairs = []
+    decompositions = []
     post_init = DensityMatrix.__post_init__
     eigh = np.linalg.eigh
 
@@ -450,33 +470,31 @@ def test_derived_validates_only_a_spectrum_below_zero(monkeypatch):
         post_init(self)
 
     def counted_eigh(mat):
-        repairs.append(mat.shape)
+        decompositions.append(mat.shape)
         return eigh(mat)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
 
-    # A derived state never runs the boundary checks, repaired or not.
-    # Exactly zero eigenvalues are not below zero: nothing is repaired.
+    # A derived state never runs the boundary checks, and nothing is rebuilt:
+    # not exactly zero eigenvalues, nor a pure state's zero eigenvalues that
+    # round below zero.
     state = _derived(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), (2, 2))
     assert float(state.eigenvalues[0]) == 0.0
-    assert validations == [] and repairs == []
-
-    # A pure state's zero eigenvalues round below zero: the one repair, with
-    # no hand-off to the constructor.
     rng = np.random.default_rng(1)
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     vec /= np.linalg.norm(vec)
     pure = np.outer(vec, vec.conj())
-    assert np.linalg.eigvalsh((pure + pure.conj().T) / 2.0)[0] < 0.0
     state = _derived(pure, (2, 2))
-    assert validations == [] and repairs == [(4, 4)]
+    assert float(state.eigenvalues[0]) < 0.0
+    assert validations == [] and decompositions == []
     _assert_bitwise_validated([(pure, (2, 2), state)])
 
-    # Beyond the clamp it is rejected as the constructor rejects it.
+    # Beyond the bound it is rejected as the constructor rejects it.
     with pytest.raises(StateValidationError) as err:
         _derived(np.diag([-1e-3, 1 + 1e-3]).astype(complex), (2,))
     assert err.value.invariant == "positive-semidefinite"
+    assert err.value.residual == pytest.approx(-1e-3)
 
 
 def test_derived_is_not_exported():

@@ -48,6 +48,7 @@ from qreality.states import (
     singlet,
     werner,
 )
+from qreality.sweep import slit_rows
 
 LN2 = math.log(2.0)
 ZB = qubit_basis(0.0, 0.0)
@@ -639,6 +640,13 @@ def test_measure_report_record_format():
     assert line.startswith("name=nonlocality value=0.69314718055994")
     assert 'inputs="singlet; zbasis@0; zbasis@1"' in line
     assert "residual.form_gap=0" in line
+
+
+def test_entropy_is_never_negative():
+    # A pure state's one weight can round just above 1, as the slit's
+    # marginal does at x = 1, where -p ln p < 0.
+    assert min(entropy(random_density(4, 1, k)) for k in range(2000)) >= 0.0
+    assert all(row[3] >= 0.0 for row in slit_rows(21))
 
 
 def test_shannon_entropy_matches_numpy_scalar_loop_bitwise():

@@ -468,7 +468,7 @@ NAN = math.nan
     ([NAN], True),  # one value is trivially in order
 ])
 def test_vertex_order_is_argsort(values, distinct):
-    # The refinement starts are the lowest grid vertices in stable argsort
+    # The refinement starts are the lowest grid cells in stable argsort
     # order (signed zeros tie, NaN sorts last), for every number of starts.
     grid = np.array(values)
     want = _stable_head(grid, grid.size).tolist()
@@ -494,7 +494,7 @@ def test_vertex_order_is_argsort(values, distinct):
         assert x is None and value == math.inf
 
 
-def test_vertex_order_is_argsort_on_random_values():
+def test_lowest_cells_is_the_stable_argsort_head_on_random_values():
     rng = np.random.default_rng(229)
     for size in (3, 5):
         for _ in range(200):
@@ -1174,14 +1174,19 @@ def test_minimize_single_rejects_grids_over_the_side_budget(monkeypatch):
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def test_minima_match_the_nelder_mead_reference():
-    # data/make_refine_reference.py wrote these minima with the Nelder-Mead
-    # refinement this BFGS replaced.  No minimum may end more than 1e-12
-    # above its reference, nor more than 1e-9 away from it.
+def _reference_maker():
     spec = importlib.util.spec_from_file_location(
         "make_refine_reference", DATA / "make_refine_reference.py")
     maker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(maker)
+    return maker
+
+
+def test_minima_match_the_nelder_mead_reference():
+    # data/make_refine_reference.py wrote these minima with the Nelder-Mead
+    # refinement this BFGS replaced.  No minimum may end more than 1e-12
+    # above its reference, nor more than 1e-9 away from it.
+    maker = _reference_maker()
     import qreality
 
     entries = json.loads((DATA / "refine_reference.json").read_text())
@@ -1193,6 +1198,17 @@ def test_minima_match_the_nelder_mead_reference():
         if not (value <= ref + 1e-12 and abs(value - ref) <= 1e-9):
             problems.append((entry, value - ref))
     assert not problems
+
+
+def test_reference_maker_needs_a_source(capsys):
+    # A bare run would overwrite the frozen reference with the code under
+    # test, which the test above would then compare with itself.
+    reference = (DATA / "refine_reference.json").read_bytes()
+    with pytest.raises(SystemExit) as stopped:
+        _reference_maker().main([])
+    assert stopped.value.code == 2
+    assert "--src" in capsys.readouterr().err
+    assert (DATA / "refine_reference.json").read_bytes() == reference
 
 
 def test_miss_census_runs_on_one_seed_of_each_block(monkeypatch, capsys):

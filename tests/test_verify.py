@@ -60,9 +60,26 @@ def test_unknown_suite():
         run_suite("nope")
 
 
-def test_run_all_aggregates_every_suite():
-    names = [r.suite for r in run_all(seed=11, count=1, cfg=FAST)]
-    assert names == list(SUITES)
+def test_run_all_aggregates_every_suite(monkeypatch):
+    # Probes stand in for the suites: run_all's bookkeeping is one result per
+    # registered suite, in registry order, each run with the given seed,
+    # count and cfg.  Criterion 14 runs the oracle suite itself.
+    from qreality import verify as verify_mod
+
+    seen = []
+
+    def probe(name):
+        def run(result, rng, count, cfg):
+            seen.append((name, result.suite, rng.integers(0, 2**31), count, cfg))
+            result.case()
+        return run
+
+    names = ["first", "second", "third"]
+    monkeypatch.setattr(verify_mod, "SUITES", {name: (probe(name), 4) for name in names})
+    results = run_all(seed=11, count=2, cfg=FAST)
+    expected = int(np.random.default_rng(11).integers(0, 2**31))
+    assert seen == [(name, name, expected, 2, FAST) for name in names]
+    assert results == [VerifySuiteResult(suite=name, cases=1) for name in names]
 
 
 def test_result_failure_semantics():
