@@ -150,7 +150,7 @@ def axis_grid(steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # grid building blocks
 # ---------------------------------------------------------------------------
 
-def _entropy_terms_numpy(p: np.ndarray) -> np.ndarray:
+def _entropy_terms(p: np.ndarray) -> np.ndarray:
     # -p ln p elementwise, 0 at or below ZERO_WEIGHT; the log is taken of a
     # copy with those cells set to 1 so it never sees a zero or negative.
     live = p > ZERO_WEIGHT
@@ -166,13 +166,13 @@ def _dephased_entropies(axes, a, r_there, m):
     weights = np.stack(
         [1.0 + a + mp, 1.0 + a - mp, 1.0 - a + mm, 1.0 - a - mm], axis=1
     ) / 4.0
-    return _entropy_terms_numpy(weights).sum(axis=1)
+    return _entropy_terms(weights).sum(axis=1)
 
 
 def _marginal_entropies(a):
     # For each a = u . r_here: binary entropy of the dephased marginal.
     pa = (1.0 + a) / 2.0
-    return _entropy_terms_numpy(pa) + _entropy_terms_numpy(1.0 - pa)
+    return _entropy_terms(pa) + _entropy_terms(1.0 - pa)
 
 
 def _row_tile(row, n_rows):
@@ -358,7 +358,7 @@ def qudit_drop_grid(axes, r, rho_b, ops, mutual_info, env_entropy):
     s_a = np.empty(axes.shape[0])
     for rows in _row_blocks(axes.shape[0]):
         spectra = np.linalg.eigvalsh(_dephased_blocks(axes[rows], rho_b, ops))
-        s_a[rows] = _entropy_terms_numpy(spectra).sum(axis=(1, 2))
+        s_a[rows] = _entropy_terms(spectra).sum(axis=(1, 2))
     return mutual_info - _marginal_entropies(axes @ r) - env_entropy + s_a
 
 
@@ -504,5 +504,5 @@ def qudit_drop_value(axis, r, rho_b, ops, mutual_info, env_entropy) -> tuple[flo
     diag = np.einsum("sxk,ixy,syk->sik", vecs.conj(), ops, vecs).real
     h_a, ha_a = _marginal_entropy(float(axis.dot(r)))
     grad = (diag[0] @ slopes[0] - diag[1] @ slopes[1]) / 2.0 - ha_a * r
-    value = mutual_info - h_a - env_entropy + float(_entropy_terms_numpy(spectra).sum())
+    value = mutual_info - h_a - env_entropy + float(_entropy_terms(spectra).sum())
     return value, tuple(grad.tolist())

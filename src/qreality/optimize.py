@@ -18,7 +18,11 @@ finds no lower value, has not.  The grid best is a floor: refinement never
 reports a value above it.  When the grid best is kept, it has converged if
 the gradient test passed there, at the first evaluation of its own start.
 Everything is deterministic: fixed grid order, ties broken by lowest linear
-grid index, and ties between starts by start order.
+grid index, and ties between starts by start order.  The grid of a validated
+state is finite: :class:`qreality.linalg.DensityMatrix` rejects non-finite
+entries, and the kernels take no log of a weight at or below
+``kernels.ZERO_WEIGHT``.  A NaN on it can only be a defect, so start
+selection raises ``FloatingPointError`` on one instead of ranking it.
 
 The best grid cells are those of distinct basins.  The lowest cells crowd
 into the deepest basin, and refining several of them descends that basin
@@ -151,40 +155,35 @@ def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
 def _lowest_cells(values: np.ndarray, k: int) -> np.ndarray:
     # Linear indices of the k smallest values, exactly the head of
     # np.argsort(values, kind="stable"): ties are ordered by linear index.
-    # Only cells below a bound on the k-th value are sorted.  The bound
-    # is the k-th smallest row minimum: k rows have a cell at or below it, so
-    # the k-th value is too.  Taking it from the row minima spares a
-    # partition of a full-size copy of the grid.
+    # A grid of a validated state is NaN-free, so a NaN, which the row
+    # minima carry, is a defect and raises FloatingPointError.  Only cells
+    # below a bound on the k-th value are sorted.  The bound is the k-th
+    # smallest row minimum: k rows have a cell at or below it, so the k-th
+    # value is too.  Taking it from the row minima spares a partition of a
+    # full-size copy of the grid; with fewer than k rows it is the k-th value.
     flat = values.reshape(-1)
-    if k >= flat.size:
-        return np.argsort(flat, kind="stable")
     grid = values.reshape(values.shape[0], -1)
     row_min = grid.min(axis=1)
-    bound = np.partition(row_min, k - 1)[k - 1] if k <= row_min.size else math.nan
-    if bound != bound:  # too few rows, or NaN rows: the k-th value itself
-        bound = np.partition(flat, k - 1)[k - 1]
-    if bound != bound:  # fewer than k cells below NaN: the head takes NaN cells
-        return np.argsort(flat, kind="stable")[:k]
+    if np.isnan(row_min).any():
+        raise FloatingPointError("objective grid holds NaN: a validated state's grid is finite")
+    if k >= flat.size:
+        return np.argsort(flat, kind="stable")
+    bound = np.partition(row_min if k <= row_min.size else flat, k - 1)[k - 1]
     # The cells strictly below the bound, then the first cells equal to it in
     # index order.  Only rows whose minimum is at or below the bound can hold
-    # one, and NaN rows, whose NaN minimum hides the rest of the row; the
-    # scan stops once k cells are found.  Neither step copies a grid of tied
-    # cells.  Fewer than k rows have a minimum strictly below the bound: it
-    # is the k-th smallest row minimum, or fewer than k rows have a minimum
-    # that is not NaN.  So one nonzero over a copy of those rows finds their
-    # cells, and each NaN row is searched on its own, so NaN rows never pull
-    # a block copy of the grid.  On a constant grid every cell equals the
-    # bound and no row is copied.
+    # one; the scan stops once k cells are found.  Neither step copies a grid
+    # of tied cells.  Fewer than k rows have a minimum strictly below the
+    # bound, so one nonzero over a copy of those rows finds their cells, in
+    # index order: a stable sort by value orders them as the full sort does.
+    # On a constant grid every cell equals the bound and no row is copied.
     cols = grid.shape[1]
     rows = np.flatnonzero(row_min < bound)
     hit_rows, hit_cols = np.nonzero(grid[rows] < bound)
-    below = np.concatenate([rows[hit_rows] * cols + hit_cols,
-                            *(i * cols + np.flatnonzero(grid[i] < bound)
-                              for i in np.flatnonzero(row_min != row_min))])
-    head = below[np.lexsort((below, flat[below]))[:k]]
+    below = rows[hit_rows] * cols + hit_cols
+    head = below[np.argsort(flat[below], kind="stable")[:k]]
     need = k - head.size
     ties = []
-    for i in np.flatnonzero(~(row_min > bound)):
+    for i in np.flatnonzero(row_min <= bound):
         if need == 0:
             break
         hits = np.flatnonzero(grid[i] == bound)[:need]

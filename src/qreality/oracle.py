@@ -94,27 +94,26 @@ def brute_force_single(
     Independent of the kernels by construction: one pass of ``_drop_scan``,
     the matrix route's one drop engine (``dephase`` plus
     eigendecompositions), over the grid; it is the oracle for
-    :func:`minimize_single` on every layout.  The first point in (theta, phi) order with the lowest
-    drop wins; a NaN never does.  ``subsystem`` is checked as
-    :func:`minimize_single` checks it, before any work.
+    :func:`minimize_single` on every layout.  The first point in (theta,
+    phi) order with the lowest drop wins; a NaN drop, which no validated
+    state gives, raises ``FloatingPointError``.  ``subsystem`` is checked
+    as :func:`minimize_single` checks it, before any work.
     """
     _check_qubit_side(rho, subsystem, "oracle scan")
     for name, points in (("n_theta", n_theta), ("n_phi", n_phi)):
         _check_integer(name, points, minimum=1)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, math.pi, n_phi, endpoint=False)
-    best = math.inf
-    best_angles = (0.0, 0.0)
-    start = 0
+    best, best_point, start = math.inf, 0, 0
     for drops in _drop_scan(rho, subsystem, itertools.product(thetas, phis)):
-        drops[np.isnan(drops)] = math.inf
-        k = int(np.argmin(drops))
+        k = int(np.argmin(drops))  # the first NaN, if the chunk holds one
+        if math.isnan(drops[k]):
+            raise FloatingPointError(f"NaN drop at scan point {start + k}: drops must be finite")
         if drops[k] < best:
-            best = float(drops[k])
-            i, j = divmod(start + k, n_phi)
-            best_angles = (float(thetas[i]), float(phis[j]))
+            best, best_point = float(drops[k]), start + k
         start += drops.size
-    return best, best_angles
+    i, j = divmod(best_point, n_phi)
+    return best, (float(thetas[i]), float(phis[j]))
 
 
 def _pair_scan_angles(n: int) -> tuple[np.ndarray, np.ndarray]:

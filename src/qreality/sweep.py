@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import _check_integer, partial_trace
-from .measures import concurrence, entanglement_entropy, irreality, nonlocality
+from .measures import concurrence, entropy, irreality, nonlocality
 from .observables import qubit_basis
 from .optimize import (
     OBJECTIVE_DISCORD,
@@ -115,15 +115,20 @@ def plot_script(csv_path: str, family: str) -> str:
 
 
 def slit_rows(points: int = 21) -> list[tuple[float, float, float, float]]:
-    """(x, local irreality, global irreality, entanglement) over x in [0, 1]."""
+    """(x, local irreality, global irreality, entanglement) over x in [0, 1].
+
+    ``floating_slit`` builds a pure state, so the entanglement is the entropy
+    of its marginal on the particle, the state the local irreality reads.
+    """
     _check_integer("points", points, minimum=2)
     zbasis = qubit_basis(0.0, 0.0)
     rows = []
     for x in np.linspace(0.0, 1.0, points):
         psi = floating_slit(float(x))
-        local = irreality(zbasis, 0, partial_trace(psi, 0))
+        particle = partial_trace(psi, 0)
+        local = irreality(zbasis, 0, particle)
         total = irreality(zbasis, 0, psi)
-        rows.append((float(x), local, total, entanglement_entropy(psi)))
+        rows.append((float(x), local, total, entropy(particle)))
     return rows
 
 

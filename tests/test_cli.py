@@ -202,6 +202,28 @@ def test_cross_check_failure_exits_five(monkeypatch, capsys):
     assert "mutual-information forms disagree" in err
 
 
+def test_nan_on_an_objective_grid_exits_five(monkeypatch, capsys, tmp_path):
+    from qreality import kernels
+
+    # No validated state gives a NaN cell, so one can only be a defect: start
+    # selection raises FloatingPointError, an ArithmeticError, and the sweep
+    # stops with the cross-check exit code.
+    grid = kernels.nonlocality_grid
+
+    def with_nan(*args):
+        values = grid(*args)
+        values[3, 5] = float("nan")
+        return values
+
+    monkeypatch.setattr(kernels, "nonlocality_grid", with_nan)
+    out = tmp_path / "w.csv"
+    args = ["sweep", "--family", "werner", "--points", "2", *FAST_FLAGS, "--output", str(out)]
+    assert main(args) == EXIT_CROSS_CHECK
+    err = capsys.readouterr().err
+    assert err.startswith("cross-check failed: objective grid holds NaN")
+    assert not out.exists()
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main([])

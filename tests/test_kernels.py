@@ -242,7 +242,7 @@ def _entropy_terms_reference(p):
     return out
 
 
-def _joint_entropy_numpy(axes_a, axes_b, r1, r2, tmat):
+def _joint_entropy_blocked(axes_a, axes_b, r1, r2, tmat):
     out = np.empty((axes_a.shape[0], axes_b.shape[0]))
     for rows, s_ab in kernels._joint_entropy_blocks(axes_a, axes_b, r1, r2, tmat, out):
         out[rows] = s_ab
@@ -268,7 +268,7 @@ def test_entropy_terms_match_mask_form_bitwise():
         [0.0, -0.0, 1e-15, np.nextafter(1e-15, 1.0), 1.0, -1e-17, np.nan, np.inf],
     ])
     for shaped in (p, p.reshape(-1, 4)):
-        got = kernels._entropy_terms_numpy(shaped)
+        got = kernels._entropy_terms(shaped)
         want = _entropy_terms_reference(shaped)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -292,7 +292,7 @@ def test_blocked_joint_grid_is_bitwise_one_shot(rows, cols):
     for rank in (1, 2, 4):
         rho = random_density(4, rank, rng, dims=(2, 2))
         r1, r2, tmat = kernels.bloch_correlations(rho.mat)
-        got = _joint_entropy_numpy(axes_a, axes_b, r1, r2, tmat)
+        got = _joint_entropy_blocked(axes_a, axes_b, r1, r2, tmat)
         want = _joint_entropy_reference(axes_a, axes_b, r1, r2, tmat)
         assert got.shape == (rows, cols)
         assert np.array_equal(got, want)

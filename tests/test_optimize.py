@@ -29,6 +29,7 @@ from qreality.states import (
     alpha_state,
     pure_from_amplitudes,
     random_density,
+    random_unitary,
     singlet,
     werner,
 )
@@ -211,6 +212,27 @@ def test_minimize_pair_matches_closed_form_for_werner():
     assert res_d.value == pytest.approx(expected_d, abs=1e-7)
 
 
+def test_pair_minima_do_not_change_under_local_unitaries():
+    # N_min and the pair discord are minima over all basis pairs, and a local
+    # unitary U_A (x) U_B maps basis pairs onto basis pairs, so both are the
+    # same in every frame.  The grid is not: each frame puts the minimum
+    # elsewhere between its cells, so this checks grid and refinement
+    # together.  The spread measured on these 16 states x 3 frames is at most
+    # 2.3e-13; a grid of 8 steps with 3 starts spreads nonlocality by 5e-4.
+    for k in range(16):
+        seed = 3100 + k
+        rho = random_density(4, 1 + k % 4, seed, dims=(2, 2))
+        values = []
+        for frame in range(3):
+            local = tensor_product(random_unitary(2, (seed, frame, 0)),
+                                   random_unitary(2, (seed, frame, 1)))
+            turned = DensityMatrix(local @ rho.mat @ local.conj().T, (2, 2))
+            values.append([minimize_pair(turned, objective).value
+                           for objective in ("nonlocality", "discord")])
+        spread = np.ptp(values, axis=0)
+        assert np.all(spread <= 1e-11), (seed, spread)
+
+
 def _stable_head(values, k):
     return np.argsort(values.reshape(-1), kind="stable")[:k]
 
@@ -235,16 +257,23 @@ def test_lowest_cells_is_head_of_stable_sort():
     side[[5, 77, 300]] = side.min() - 1.0
     assert np.array_equal(_lowest_cells(side, 5), _stable_head(side, 5))
 
-    # The bound comes from row minima: rows holding several of the lowest
-    # cells, NaN cells (sorted last, as np.argsort does) and NaN rows.
+    # The bound comes from row minima: one row holds several of the lowest
+    # cells.
     clustered = rng.normal(size=(30, 40))
     clustered[7, [3, 9, 20, 21, 38]] = -10.0 - np.arange(5)
-    clustered[7, 0] = np.nan
     for k in (1, 3, 5, 6, 30):
         assert np.array_equal(_lowest_cells(clustered, k), _stable_head(clustered, k))
+
+    # A NaN cell is a defect, not a value sorted last: it raises for every k,
+    # the full order included, as do NaN rows.
+    clustered[7, 0] = np.nan
+    for k in (1, 3, 5, 6, 30, clustered.size):
+        with pytest.raises(FloatingPointError, match="NaN"):
+            _lowest_cells(clustered, k)
     clustered[10:, 0] = np.nan
     for k in (5, 10, 11, 25):
-        assert np.array_equal(_lowest_cells(clustered, k), _stable_head(clustered, k))
+        with pytest.raises(FloatingPointError, match="NaN"):
+            _lowest_cells(clustered, k)
 
 
 @pytest.mark.parametrize("rho", [werner(0.5), alpha_state(0.3)], ids=["werner", "alpha"])
@@ -273,15 +302,28 @@ def test_lowest_cells_on_a_constant_grid_copies_no_grid():
 
 
 def test_lowest_cells_with_nan_rows_in_a_tied_grid():
-    # Every other row holds a NaN cell, which hides its minimum; some of those
-    # rows also hold the lowest cells, and the rest of the grid ties with the
-    # bound.  The NaN rows are searched one at a time: a block copy of them
-    # would take about 1.2 MB.
+    # Every other row holds a NaN cell; some of those rows also hold the
+    # lowest cells, and the rest of the grid ties with the bound.  The NaN
+    # raises from the row minima, before any row is copied: a block copy of
+    # the NaN rows would take about 1.2 MB.
     grid = np.full((553, 553), 0.25)
-    grid[1::2, 7] = np.nan
     grid[[3, 200, 201], [100, 5, 552]] = -1.0
     grid[[40, 41], [9, 9]] = -2.0
     grid[[41, 300], [0, 17]] = 0.0
+    grid[1::2, 7] = np.nan
+    tracemalloc.start()
+    try:
+        for k in (1, 2, 3, 5, 6, 8, 40):
+            with pytest.raises(FloatingPointError, match="NaN"):
+                _lowest_cells(grid, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+    # The same grid with the NaN cells tied at the bound: the lowest cells
+    # lie in rows of either parity, and the ties are found row by row.
+    grid[1::2, 7] = 0.25
     for k in (1, 2, 3, 5, 6, 8, 40):
         assert np.array_equal(_lowest_cells(grid, k), _stable_head(grid, k))
     tracemalloc.start()
@@ -393,12 +435,17 @@ def test_start_cells_for_many_starts_hold_no_pool_by_pool_matrix():
 
 
 def test_start_cells_put_nan_cells_last_and_stop_at_the_basins():
-    # Four well separated axes: every cell is its own basin, NaN cells last.
+    # Four well separated axes: every cell is its own basin, taken in order
+    # of value.  A NaN cell is a defect and raises, for any number of starts.
     axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                      [0.6, 0.0, 0.8]])
-    values = np.array([NAN, 0.5, NAN, 0.1])
+    values = np.array([0.7, 0.5, 0.9, 0.1])
     assert _start_cells(values, axes, 4).tolist() == [3, 1, 0, 2]
     assert _start_cells(values, axes, 2).tolist() == [3, 1]
+    values[[0, 2]] = NAN
+    for k in (1, 2, 4):
+        with pytest.raises(FloatingPointError, match="NaN"):
+            _start_cells(values, axes, k)
     # Six axes near +z (one as -z: the same basis) and four near +x: two
     # basins, so two starts however many are asked for.
     tilt = np.array([0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
@@ -467,16 +514,21 @@ NAN = math.nan
     ([2.0, NAN, 1.0], False),
     ([NAN], True),  # one value is trivially in order
 ])
-def test_vertex_order_is_argsort(values, distinct):
-    # The refinement starts are the lowest grid cells in stable argsort
-    # order (signed zeros tie, NaN sorts last), for every number of starts.
+def test_lowest_cells_and_refine_take_the_first_lowest(values, distinct):
+    # The lowest cells are in stable argsort order (signed zeros tie), for
+    # every number of starts; a grid holding NaN raises instead.
     grid = np.array(values)
     want = _stable_head(grid, grid.size).tolist()
+    has_nan = bool(np.isnan(grid).any())
     for k in range(1, grid.size + 1):
-        assert _lowest_cells(grid, k).tolist() == want[:k]
+        if has_nan:
+            with pytest.raises(FloatingPointError, match="NaN"):
+                _lowest_cells(grid, k)
+        else:
+            assert _lowest_cells(grid, k).tolist() == want[:k]
     in_order = [values[k] for k in want]
     assert all(a < b for a, b in zip(in_order, in_order[1:])) is distinct
-    if distinct:
+    if distinct and not has_nan:
         # Without ties the order cannot depend on the index tie-break.
         assert [grid.size - 1 - k for k in _lowest_cells(grid[::-1], grid.size)] == want
 
@@ -502,7 +554,11 @@ def test_lowest_cells_is_the_stable_argsort_head_on_random_values():
             if rng.random() < 0.5:
                 values = rng.normal(size=size)
             for k in range(1, size + 1):
-                assert np.array_equal(_lowest_cells(values, k), _stable_head(values, k))
+                if np.isnan(values).any():
+                    with pytest.raises(FloatingPointError, match="NaN"):
+                        _lowest_cells(values, k)
+                else:
+                    assert np.array_equal(_lowest_cells(values, k), _stable_head(values, k))
 
 
 def test_converged_reports_the_winning_start(monkeypatch):
@@ -739,9 +795,11 @@ def test_batched_scan_matches_the_per_point_scan(monkeypatch):
 def test_batched_scan_keeps_the_first_lowest_point_and_never_a_nan(monkeypatch):
     # The maximally mixed state has I(rho) = 0 and S(rho_B) = ln 2, so with
     # S(dephased) read as 0 a marginal entropy -(x + ln 2) scores the drop x.
-    # Drops in scan order: 3, NaN, 1 | 1, NaN, 0.5 | 0.5, NaN in chunks of 3
+    # Drops in scan order: 3, 4, 1 | 1, 4, 0.5 | 0.5, 4 in chunks of 3
     # points.  Point 5, the first 0.5, wins over the tie in the next chunk.
-    drops = iter([[3.0, math.nan, 1.0], [1.0, math.nan, 0.5], [0.5, math.nan],
+    # A NaN drop is a defect: the scan raises at the chunk holding it.
+    drops = iter([[3.0, 4.0, 1.0], [1.0, 4.0, 0.5], [0.5, 4.0],
+                  [3.0, 4.0, 1.0], [1.0, math.nan, 0.5],
                   [math.nan, math.nan]])
 
     def spectral_entropies(spectra):
@@ -755,8 +813,10 @@ def test_batched_scan_keeps_the_first_lowest_point_and_never_a_nan(monkeypatch):
     value, argmin = brute_force_single(rho, 0, 2, 4)
     assert value == pytest.approx(0.5, abs=1e-12)
     assert argmin == (math.pi, math.pi / 4)
-    # No point wins an all-NaN scan, as in the per-point loop.
-    assert brute_force_single(rho, 0, 1, 2) == (math.inf, (0.0, 0.0))
+    with pytest.raises(FloatingPointError, match="NaN drop at scan point 4"):
+        brute_force_single(rho, 0, 2, 4)
+    with pytest.raises(FloatingPointError, match="NaN drop at scan point 0"):
+        brute_force_single(rho, 0, 1, 2)
 
 
 def test_scan_memory_stays_within_one_chunk():
