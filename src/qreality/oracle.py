@@ -22,6 +22,20 @@ eigendecompositions, and never import the kernels or the minimizers.
 Both scans read blocks from :func:`qreality.measures._blocks`, outcome
 probabilities as a qubit marginal's 1 x 1 blocks, in chunks of bounded
 size, so their memory does not grow with the scan.
+
+- :func:`t_state_minima` gives both pair minima exactly on T-states, two
+  qubits with maximally mixed marginals: Bell diagonal up to local unitaries
+  (Luo, PRA 77, 042303 (2008)).  It measures T_ij = Tr[rho sigma_i x sigma_j]
+  by Pauli tomography, from side A's blocks in the x, y and z bases.  With
+  s1 >= s2 the two largest singular values of T and H(x) the entropy of the
+  weights (1 +/- x)/2, N_min = H(s1) + H(s2) - S(rho), and the pair discord
+  is I(rho) - ln 2 + H(s1).  Dephasing along the Bloch axes u on A and v on
+  B leaves the weights (1 +/- |T^t u|)/4, (1 +/- |T v|)/4 and, on both,
+  (1 +/- u.T v)/4, each twice, so the pair value is
+  N(u, v) = ln 2 + H(|T^t u|) + H(|T v|) - H(u.T v) - S(rho).  With u the
+  left singular vector of s1 and v the right one of s2, u.T v = 0 and
+  H(0) = ln 2, which gives the form.  That no pair goes lower is measured
+  against the minimizer, not derived.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ import math
 import numpy as np
 
 from .linalg import DensityMatrix, _check_integer, _check_qubit_side, partial_trace
-from .measures import ZERO_EIGENVALUE, _blocks, entropy
+from .measures import ZERO_EIGENVALUE, _blocks, entropy, mutual_information, shannon_entropy
 from .observables import qubit_basis
 
 # Matrix entries of dephased states per chunk of the matrix-route scan: it
@@ -187,3 +201,27 @@ def brute_force_pair(rho: DensityMatrix, n: int = 64) -> tuple[float, float]:
         best_n = min(best_n, float(n_values.min()))
         best_d = min(best_d, float(d_values.min()))
     return best_n, best_d
+
+
+def t_state_minima(rho: DensityMatrix) -> tuple[float, float]:
+    """(N_min, pair discord) of a T-state, from the forms in the module docstring.
+
+    Raises ``ValueError`` unless rho is two qubits whose marginals are within
+    1e-12 of I/2, entry by entry.
+    """
+    if rho.dims != (2, 2):
+        raise ValueError(f"T-state minima need two qubits, got {rho.dims}")
+    for side in (0, 1):
+        gap = float(np.abs(partial_trace(rho, side).mat - np.eye(2) / 2).max())
+        if gap > 1e-12:
+            raise ValueError(f"T-state minima need maximally mixed marginals: "
+                             f"qubit {side}'s is {gap:.3e} from I/2, above 1e-12")
+    # The x, y and z eigenbases, outcome 0 the +1 eigenvector: p[i, j, o, q]
+    # is the probability of outcomes (o, q) of sigma_i on A and sigma_j on B.
+    vecs = _bases((math.pi / 2, math.pi / 2, 0.0), (0.0, math.pi / 2, 0.0))
+    blocks = _blocks(rho, vecs, 0).reshape(3, 2, 2, 2)
+    p = np.einsum("jxq,ioxy,jyq->ijoq", vecs.conj(), blocks, vecs).real
+    tmat = p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
+    s1, s2, _ = np.linalg.svd(tmat, compute_uv=False)
+    h1, h2 = (shannon_entropy(((1 + s) / 2, (1 - s) / 2)) for s in (s1, s2))
+    return h1 + h2 - entropy(rho), mutual_information(rho) - math.log(2.0) + h1

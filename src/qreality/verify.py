@@ -360,11 +360,6 @@ def suite_bounds(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) ->
         c.check(f"upper bound (case {k})", n_min - d_pair, 1e-6)
 
 
-def _binary_entropy(x: float) -> float:
-    # H(x): Shannon entropy of the weights (1 + x)/2 and (1 - x)/2, in nats.
-    return -sum(p * math.log(p) for p in ((1 + x) / 2, (1 - x) / 2) if p > 0.0)
-
-
 def suite_slit(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> None:
     # The particle's marginal has the spectrum (1 +/- x)/2 and is maximally
     # mixed once dephased in the z basis, so the local irreality is
@@ -374,7 +369,7 @@ def suite_slit(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) -> N
     for x, local, total, ent in rows:
         c.case()
         c.check(f"global irreality is ln2 (x={x:.2f})", abs(total - LN2), 1e-10)
-        h = _binary_entropy(x)
+        h = measures.shannon_entropy(((1 + x) / 2, (1 - x) / 2))
         c.check(f"local irreality is ln2 - H(x) (x={x:.2f})", abs(local - (LN2 - h)), 1e-12)
         c.check(f"entanglement is H(x) (x={x:.2f})", abs(ent - h), 1e-12)
         c.check_true(f"local irreality strictly increasing (x={x:.2f})",

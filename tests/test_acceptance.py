@@ -9,14 +9,14 @@ import time
 
 import numpy as np
 
-from qreality.measures import entropy, mutual_information, nonlocality
+from qreality.measures import nonlocality
 from qreality.observables import qubit_basis
-from qreality.optimize import OptimizerConfig
+from qreality.optimize import OptimizerConfig, minimize_pair
+from qreality.oracle import t_state_minima
 from qreality.states import alpha_state, werner
 from qreality.sweep import SweepSpec, sweep_rows
 from qreality.verify import run_suite
 
-LN2 = math.log(2.0)
 DEFAULT_CFG = OptimizerConfig()
 
 
@@ -117,46 +117,6 @@ def test_criterion_11_werner_closed_form_anchor():
             residual <= 1e-10, f"value {got:.12f}, residual {residual:.2e}")
 
 
-def _binary_entropy_of_bias(x: float) -> float:
-    # H(x): Shannon entropy of the weights (1 + x)/2 and (1 - x)/2, in nats.
-    return -sum(p * math.log(p) for p in ((1 + x) / 2, (1 - x) / 2) if p > 0.0)
-
-
-def _bell_diagonal_pair_discord(rho, c) -> float:
-    # Minimal two-sided discord-like drop of a Bell-diagonal state
-    # (r1 = r2 = 0, T = diag(c)): I(rho) - ln 2 + H(max |c_i|), after Luo,
-    # PRA 77, 042303 (2008).  No kernel or optimizer is involved.
-    return mutual_information(rho) - LN2 + _binary_entropy_of_bias(max(abs(x) for x in c))
-
-
-def _bell_diagonal_nonlocality(rho, c) -> float:
-    """Minimal nonlocality of a Bell-diagonal state: H(|c|_(1)) + H(|c|_(2)) - S(rho).
-
-    |c|_(1) >= |c|_(2) are the two largest |c_i|.  With r1 = r2 = 0 and
-    T = diag(c), dephasing A along the axis u leaves the four weights
-    (1 +/- |T u|)/4, each twice, so S(Ph_u rho) = ln 2 + H(|T u|); B alike
-    along v.  Dephasing both sides leaves (1 +/- u.T v)/4, each twice, so
-    S(Ph_u Ph_v rho) = ln 2 + H(u.T v).  Hence
-
-        N(u, v) = ln 2 + H(|T u|) + H(|T v|) - H(u.T v) - S(rho).
-
-    At u and v the axes of |c|_(1) and |c|_(2), |T u| = |c|_(1),
-    |T v| = |c|_(2) and u.T v = 0, where H(0) = ln 2 cancels the leading
-    term.  That this pair is the minimum is not derived here: the criterion
-    compares the value with the optimizer's N_min at every sweep point.  No
-    kernel or optimizer is involved.
-    """
-    first, second = sorted((abs(x) for x in c), reverse=True)[:2]
-    return _binary_entropy_of_bias(first) + _binary_entropy_of_bias(second) - entropy(rho)
-
-
-def _sweep_correlations(label: str, param: float) -> tuple[float, float, float]:
-    # The diagonal of T for each sweep family.
-    if label == "werner":
-        return (-param, -param, -param)
-    return (param, -param, 2 * param - 1)
-
-
 def test_criterion_12_sweep_reproduction():
     start = time.monotonic()
     werner_rows = sweep_rows(SweepSpec(family="werner", points=51,
@@ -172,10 +132,8 @@ def test_criterion_12_sweep_reproduction():
         for row in rows:
             if not row.n_min <= row.d12 + 1e-6:
                 problems.append(f"{label} param {row.param}: N_min above pair discord")
-            rho = build(row.param)
-            c = _sweep_correlations(label, row.param)
-            for name, got, want in (("d12", row.d12, _bell_diagonal_pair_discord(rho, c)),
-                                    ("n_min", row.n_min, _bell_diagonal_nonlocality(rho, c))):
+            want_n, want_d = t_state_minima(build(row.param))
+            for name, got, want in (("d12", row.d12, want_d), ("n_min", row.n_min, want_n)):
                 gap = abs(got - want)
                 worst[name] = max(worst[name], gap)
                 if not gap <= 1e-9:
@@ -213,3 +171,29 @@ def test_criterion_13_slit_curve():
 def test_criterion_14_optimizer_oracle():
     _suite_ok(14, "default optimizer within 1e-4 of the 200x200 dense scan",
               "oracle", seed=7)
+
+
+def test_criterion_15_nonlocality_without_entanglement():
+    # The abstract's claim: N_min > 0 on separable states.  The partial
+    # transpose decides two-qubit separability exactly (Horodecki, Horodecki
+    # & Horodecki, PLA 223, 1 (1996)); at f = 1/3 its smallest eigenvalue is
+    # 5.6e-17, hence the -1e-12 floor.
+    problems = []
+    lowest, worst, values = math.inf, 0.0, []
+    for f in (0.05, 0.1, 0.2, 0.3, 1 / 3):
+        rho = werner(f)
+        transposed = rho.mat.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        smallest = float(np.linalg.eigvalsh(transposed)[0])
+        lowest = min(lowest, smallest)
+        n_min = minimize_pair(rho, "nonlocality", DEFAULT_CFG).value
+        gap = abs(n_min - t_state_minima(rho)[0])
+        worst = max(worst, gap)
+        values.append(f"{n_min:.3g}")
+        if not smallest >= -1e-12:
+            problems.append(f"f={f:.3g}: partial transpose has eigenvalue {smallest:.3e}")
+        if not (n_min > 0.0 and gap <= 1e-9):
+            problems.append(f"f={f:.3g}: N_min {n_min!r}, {gap:.1e} from the closed form")
+    _report(15, "separable werner states have N_min > 0",
+            not problems,
+            f"lowest partial-transpose eigenvalue {lowest:.1e}, N_min {', '.join(values)}, "
+            f"worst N_min gap {worst:.1e}" + ("; " + "; ".join(problems) if problems else ""))

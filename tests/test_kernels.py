@@ -385,7 +385,7 @@ def _euler_rotation(alpha, beta, gamma):
     return rz(alpha) @ np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]) @ rz(gamma)
 
 
-def _bell_diagonal_rotated(c, angles_a, angles_b):
+def _rotated_t_state(c, angles_a, angles_b):
     # (I + sum T_ij s_i x s_j)/4 with T = R_A diag(c) R_B^t: a Bell-diagonal
     # state turned by local unitaries, so r1 = r2 = 0 and T is not diagonal.
     tmat = _euler_rotation(*angles_a) @ np.diag(c) @ _euler_rotation(*angles_b).T
@@ -400,8 +400,8 @@ def _bell_diagonal_rotated(c, angles_a, angles_b):
 def _zero_marginal_states():
     return [werner(0.0), werner(0.5), werner(1.0),
             alpha_state(0.0), alpha_state(0.4), alpha_state(0.5),
-            _bell_diagonal_rotated([-0.4, 0.3, -0.2], (0.3, 1.1, -0.7), (2.0, 0.4, 0.9)),
-            _bell_diagonal_rotated([-0.8, 0.5, 0.6], (0.8, 0.5, 0.1), (-0.6, 1.3, 2.2))]
+            _rotated_t_state([-0.4, 0.3, -0.2], (0.3, 1.1, -0.7), (2.0, 0.4, 0.9)),
+            _rotated_t_state([-0.8, 0.5, 0.6], (0.8, 0.5, 0.1), (-0.6, 1.3, 2.2))]
 
 
 def test_two_log_joint_pass_is_bitwise_unfused():
@@ -434,7 +434,7 @@ def test_joint_pass_takes_two_logs_per_block_when_marginals_vanish(monkeypatch):
         return log(*args, **kwargs)
 
     monkeypatch.setattr(np, "log", counted)
-    tilted = _bell_diagonal_rotated([-0.4, 0.3, -0.2], (0.3, 1.1, -0.7), (2.0, 0.4, 0.9))
+    tilted = _rotated_t_state([-0.4, 0.3, -0.2], (0.3, 1.1, -0.7), (2.0, 0.4, 0.9))
     cases = [(rho, 2) for rho in (werner(0.5), alpha_state(0.4), tilted)]
     cases += [(random_density(4, rank, 173 + rank, dims=(2, 2)), 4) for rank in (1, 4)]
     for rho, logs_per_block in cases:

@@ -195,23 +195,6 @@ def test_witness_pair_for_pure():
         witness_pair_for_pure(werner(0.5))
 
 
-def test_minimize_pair_matches_closed_form_for_werner():
-    # Oracle: with r1 = r2 = 0 and T = -f I the pair value depends only on the
-    # axis alignment; the minimum sits at orthogonal axes.
-    f = 0.5
-    s_side = -2 * ((1 - f) / 4) * math.log((1 - f) / 4) \
-        - 2 * ((1 + f) / 4) * math.log((1 + f) / 4)
-    s_rho = -3 * ((1 - f) / 4) * math.log((1 - f) / 4) \
-        - ((1 + 3 * f) / 4) * math.log((1 + 3 * f) / 4)
-    expected_n = 2 * s_side - math.log(4.0) - s_rho
-    res = minimize_pair(werner(f), "nonlocality")
-    assert res.value == pytest.approx(expected_n, abs=1e-7)
-
-    expected_d = s_side - s_rho  # joint dephasing entropy is minimal on matched axes
-    res_d = minimize_pair(werner(f), "discord")
-    assert res_d.value == pytest.approx(expected_d, abs=1e-7)
-
-
 def test_pair_minima_do_not_change_under_local_unitaries():
     # N_min and the pair discord are minima over all basis pairs, and a local
     # unitary U_A (x) U_B maps basis pairs onto basis pairs, so both are the
@@ -434,7 +417,7 @@ def test_start_cells_for_many_starts_hold_no_pool_by_pool_matrix():
     assert np.all(np.array(position)[first_near[~accepted]] < np.flatnonzero(~accepted))
 
 
-def test_start_cells_put_nan_cells_last_and_stop_at_the_basins():
+def test_start_cells_take_basins_in_value_order_and_raise_on_nan():
     # Four well separated axes: every cell is its own basin, taken in order
     # of value.  A NaN cell is a defect and raises, for any number of starts.
     axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],

@@ -1,8 +1,9 @@
-"""The matrix-route pair scan: its values, and minimize_pair at or below it.
+"""The matrix-route pair oracles, and minimize_pair against them.
 
 ``qreality.oracle.brute_force_pair`` scans both bases of two qubits without
 ``qreality.kernels``; its grid is offset by half a cell from its edges, so
-no point falls on the default optimizer grid.
+no point falls on the default optimizer grid.  ``qreality.oracle.t_state_minima``
+gives both minima exactly on states with maximally mixed marginals.
 """
 
 import math
@@ -11,15 +12,17 @@ import numpy as np
 import pytest
 
 from qreality import oracle
-from qreality.linalg import partial_trace
+from qreality.linalg import DensityMatrix, partial_trace, tensor_product
 from qreality.measures import dephase, discord_like, nonlocality
 from qreality.observables import qubit_basis
 from qreality.optimize import minimize_pair
-from qreality.oracle import brute_force_pair
-from qreality.states import random_density
+from qreality.oracle import brute_force_pair, t_state_minima
+from qreality.states import random_density, random_unitary, werner
 
 # Points per angle per side: SCAN**2 bases per side and SCAN**4 basis pairs.
 SCAN = 64
+# The Bell states, one per row, in the product basis.
+BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2)
 
 
 def test_scan_values_match_the_measures():
@@ -113,3 +116,44 @@ def test_minimize_pair_is_at_or_below_the_matrix_route_scan(seed, rank):
     scan_n, scan_d = brute_force_pair(rho, SCAN)
     assert minimize_pair(rho, "nonlocality").value <= scan_n + 1e-9
     assert minimize_pair(rho, "discord").value <= scan_d + 1e-9
+
+
+def _turned_bell_mixture(seed):
+    # A mixture of the Bell states with seeded weights, turned by seeded
+    # local unitaries: its marginals are I/2 and its T is not diagonal.
+    weights = np.random.default_rng(seed).dirichlet(np.ones(4))
+    local = tensor_product(random_unitary(2, (seed, 0)), random_unitary(2, (seed, 1)))
+    return DensityMatrix(local @ (BELL.T * weights) @ BELL @ local.conj().T, (2, 2))
+
+
+def test_minimize_pair_meets_the_t_state_minima_on_turned_states():
+    # The exact minima, not a scan.  Neither objective may fall below its
+    # form beyond rounding (lowest measured -5.6e-16 on these 40 states).
+    # Above it, refinement can stop early on flat landscapes: nonlocality
+    # was up to 7.6e-10 above (seed 3237), 4 of 40 by more than 1e-12, all
+    # with converged=True; over seeds 3200-3499 up to 3.4e-8 (seed 3311).
+    # 1e-7 admits those misses; the pair discord was at most 1.6e-13 above.
+    for seed in range(3200, 3240):
+        rho = _turned_bell_mixture(seed)
+        want_n, want_d = t_state_minima(rho)
+        for objective, want, above in (("nonlocality", want_n, 1e-7), ("discord", want_d, 1e-9)):
+            gap = minimize_pair(rho, objective).value - want
+            assert -1e-12 <= gap <= above, (seed, objective, gap)
+
+
+def test_t_state_minima_reject_other_states():
+    with pytest.raises(ValueError, match=r"T-state minima need two qubits, got \(2, 3\)"):
+        t_state_minima(random_density(6, 2, 1, dims=(2, 3)))
+    with pytest.raises(ValueError, match="need maximally mixed marginals: qubit 0's"):
+        t_state_minima(random_density(4, 2, 90251, dims=(2, 2)))
+    # werner(0.5) with weight moved from |01> to |00>: qubit 0's marginal
+    # stays I/2, qubit 1's is 2e-12 from it, and 5e-13 passes.
+    mat = werner(0.5).mat.copy()
+    mat[0, 0] += 2e-12
+    mat[1, 1] -= 2e-12
+    with pytest.raises(ValueError, match="qubit 1's is 2.000e-12 from I/2, above 1e-12"):
+        t_state_minima(DensityMatrix(mat, (2, 2)))
+    mat = werner(0.5).mat.copy()
+    mat[0, 0] += 5e-13
+    mat[1, 1] -= 5e-13
+    assert t_state_minima(DensityMatrix(mat, (2, 2)))[0] > 0.0
