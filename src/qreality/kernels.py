@@ -49,8 +49,9 @@ minimizes both pair objectives on each state (``sweep.sweep_rows``,
 ``verify.suite_bounds``) runs one pass per state after its first, and one
 that asks once per state keeps nothing.  The scalar ``*_value`` functions
 are the refinement objectives: each returns the value and its gradient by
-the Bloch axes, the gradient in plain Python floats (d(-p ln p)/dp =
--(1 + ln p) for each live weight).
+the Bloch axes, the gradient in plain Python floats.  Their two-qubit
+entropies, with the slope d(-p ln p)/dp = -(1 + ln p) of each live weight,
+all come from one helper, ``_entropy_slopes``.
 The repository benchmark times the grid stage end to end:
 ``python3 perfbench/run.py --workload pair_min`` (``--trace 1`` for per-layer
 figures, see ``perfbench/NOTES.md``).
@@ -366,28 +367,20 @@ def qudit_drop_grid(axes, r, rho_b, ops, mutual_info, env_entropy):
 # scalar values and gradients (refinement objectives)
 # ---------------------------------------------------------------------------
 
-def _entropy4(w0, w1, w2, w3):
-    # Shannon entropy of four weights, skipping those at or below
-    # ZERO_WEIGHT, and the derivative of each term, -(1 + ln w).  A dead
-    # weight adds nothing to either, so it leaves the gradient finite.
-    s = d0 = d1 = d2 = d3 = 0.0
-    if w0 > ZERO_WEIGHT:
-        log = math.log(w0)
-        s -= w0 * log
-        d0 = -1.0 - log
-    if w1 > ZERO_WEIGHT:
-        log = math.log(w1)
-        s -= w1 * log
-        d1 = -1.0 - log
-    if w2 > ZERO_WEIGHT:
-        log = math.log(w2)
-        s -= w2 * log
-        d2 = -1.0 - log
-    if w3 > ZERO_WEIGHT:
-        log = math.log(w3)
-        s -= w3 * log
-        d3 = -1.0 - log
-    return s, d0, d1, d2, d3
+def _entropy_slopes(*weights):
+    # Shannon entropy of the weights, skipping those at or below
+    # ZERO_WEIGHT, and the derivative of each term, -(1 + ln w), as a list.
+    # A dead weight adds nothing to either, so it leaves the gradient finite.
+    s = 0.0
+    slopes = []
+    for w in weights:
+        if w > ZERO_WEIGHT:
+            log = math.log(w)
+            s -= w * log
+            slopes.append(-1.0 - log)
+        else:
+            slopes.append(0.0)
+    return s, slopes
 
 
 def _side_entropy(a, w, r_there):
@@ -401,8 +394,8 @@ def _side_entropy(a, w, r_there):
     minus = r_there - w
     mp = math.sqrt(plus.dot(plus))
     mm = math.sqrt(minus.dot(minus))
-    s, d0, d1, d2, d3 = _entropy4((1.0 + a + mp) / 4.0, (1.0 + a - mp) / 4.0,
-                                  (1.0 - a + mm) / 4.0, (1.0 - a - mm) / 4.0)
+    s, (d0, d1, d2, d3) = _entropy_slopes((1.0 + a + mp) / 4.0, (1.0 + a - mp) / 4.0,
+                                          (1.0 - a + mm) / 4.0, (1.0 - a - mm) / 4.0)
     kp = (d0 - d1) / (4.0 * mp) if mp > 0.0 else 0.0
     km = (d2 - d3) / (4.0 * mm) if mm > 0.0 else 0.0
     d_w = [kp * p - km * m for p, m in zip(plus.tolist(), minus.tolist())]
@@ -411,26 +404,16 @@ def _side_entropy(a, w, r_there):
 
 def _marginal_entropy(a):
     # Binary entropy of the dephased marginal, a = u . r_here, and its
-    # derivative by a.
-    s = d = 0.0
-    w = (1.0 + a) / 2.0
-    if w > ZERO_WEIGHT:
-        log = math.log(w)
-        s -= w * log
-        d -= (1.0 + log) / 2.0
-    w = (1.0 - a) / 2.0
-    if w > ZERO_WEIGHT:
-        log = math.log(w)
-        s -= w * log
-        d += (1.0 + log) / 2.0
-    return s, d
+    # derivative by a: half the difference of the two slopes.
+    s, (d0, d1) = _entropy_slopes((1.0 + a) / 2.0, (1.0 - a) / 2.0)
+    return s, (d0 - d1) / 2.0
 
 
 def _joint_value(a, b, c):
     # S_AB for a = u.r1, b = v.r2 and c = u.T v, and its derivatives by a,
     # b and c.
-    s, d0, d1, d2, d3 = _entropy4((1.0 + a + b + c) / 4.0, (1.0 + a - b - c) / 4.0,
-                                  (1.0 - a + b - c) / 4.0, (1.0 - a - b + c) / 4.0)
+    s, (d0, d1, d2, d3) = _entropy_slopes((1.0 + a + b + c) / 4.0, (1.0 + a - b - c) / 4.0,
+                                          (1.0 - a + b - c) / 4.0, (1.0 - a - b + c) / 4.0)
     return (s, (d0 + d1 - d2 - d3) / 4.0, (d0 - d1 + d2 - d3) / 4.0,
             (d0 - d1 - d2 + d3) / 4.0)
 
@@ -500,9 +483,10 @@ def qudit_drop_value(axis, r, rho_b, ops, mutual_info, env_entropy) -> tuple[flo
     """
     spectra, vecs = np.linalg.eigh(_dephased_blocks(axis, rho_b, ops))
     live = spectra > ZERO_WEIGHT
-    slopes = np.where(live, -1.0 - np.log(np.where(live, spectra, 1.0)), 0.0)
+    logs = np.log(np.where(live, spectra, 1.0))
+    slopes = np.where(live, -1.0 - logs, 0.0)
     diag = np.einsum("sxk,ixy,syk->sik", vecs.conj(), ops, vecs).real
     h_a, ha_a = _marginal_entropy(float(axis.dot(r)))
     grad = (diag[0] @ slopes[0] - diag[1] @ slopes[1]) / 2.0 - ha_a * r
-    value = mutual_info - h_a - env_entropy + float(_entropy_terms(spectra).sum())
+    value = mutual_info - h_a - env_entropy + float(np.where(live, -spectra * logs, 0.0).sum())
     return value, tuple(grad.tolist())

@@ -14,15 +14,15 @@ only numpy.  Each evaluation is one call of a kernel in
 Bloch axes; the chain rule through (theta, phi) is applied here.  A
 start converges when its gradient falls to ``REFINE_TOLERANCE`` in every
 coordinate; one that reaches ``MAX_REFINE_ITERATIONS``, or whose line search
-finds no lower value, has not.  The grid best is a floor: refinement never
-reports a value above it.  When the grid best is kept, it has converged if
-the gradient test passed there, at the first evaluation of its own start.
-Everything is deterministic: fixed grid order, ties broken by lowest linear
-grid index, and ties between starts by start order.  The grid of a validated
-state is finite: :class:`qreality.linalg.DensityMatrix` rejects non-finite
-entries, and the kernels take no log of a weight at or below
-``kernels.ZERO_WEIGHT``.  A NaN on it can only be a defect, so start
-selection raises ``FloatingPointError`` on one instead of ranking it.
+finds no lower value, has not.  Each start begins at the lower of its own
+grid cell's value and the objective's value there, so no start ends above
+its cell and the best start is never above the grid best.  Everything is
+deterministic: fixed grid order, ties broken by lowest linear grid index,
+and ties between starts by start order.  The grid of a validated state is
+finite: :class:`qreality.linalg.DensityMatrix` rejects non-finite entries,
+and the kernels take no log of a weight at or below ``kernels.ZERO_WEIGHT``.
+A NaN on it can only be a defect, so start selection raises
+``FloatingPointError`` on one instead of ranking it.
 
 The best grid cells are those of distinct basins.  The lowest cells crowd
 into the deepest basin, and refining several of them descends that basin
@@ -124,10 +124,7 @@ class OptimizationResult:
     one pair for :func:`minimize_single`, two for :func:`minimize_pair`.
     ``evaluations`` is the number of grid cells plus one per kernel value
     call of the refinement, on every layout.  ``converged`` is true when the
-    kept point passed the gradient test: the best start's when refinement
-    reaches the grid best or below it, and otherwise, when the grid best is
-    kept, only if the first start, which begins there, stopped at its first
-    evaluation without moving.
+    winning start passed the gradient test.
     """
 
     value: float
@@ -214,7 +211,7 @@ def _start_cells(values: np.ndarray, axes: np.ndarray, k: int) -> np.ndarray:
     return pool[accepted]
 
 
-def _bfgs(fun, x, cfg: OptimizerConfig):
+def _bfgs(fun, x, floor, cfg: OptimizerConfig):
     # Quasi-Newton BFGS on a list of floats (Nocedal & Wright, Numerical
     # Optimization, ch. 6): the inverse Hessian H is updated from each step s
     # and gradient change y, with a backtracking line search that accepts the
@@ -227,13 +224,17 @@ def _bfgs(fun, x, cfg: OptimizerConfig):
     # after the first accepted step H starts as (s.y / y.y) I, and an update
     # with s.y <= 0 (no curvature information) is skipped, so H stays
     # positive definite.
-    # fun(x) returns (value, gradient); every call is one evaluation.
-    # Returns (x, value, nfev, converged): converged is True when the
-    # gradient falls to REFINE_TOLERANCE in every coordinate, False at
-    # MAX_REFINE_ITERATIONS or when no step length decreases the value.
+    # fun(x) returns (value, gradient); every call is one evaluation.  floor
+    # is the grid value of the start's cell, and the start's value is the
+    # lower of floor and fun's, so the start never reports more than its
+    # cell and takes a step only below both.  Returns (x, value, nfev,
+    # converged): converged is True when the gradient falls to
+    # REFINE_TOLERANCE in every coordinate, False at MAX_REFINE_ITERATIONS
+    # or when no step length decreases the value.
     first_step = math.pi / cfg.grid_steps / 2.0
     n = len(x)
     f, g = fun(x)
+    f = min(floor, f)
     nfev = 1
     h = None
     for _ in range(MAX_REFINE_ITERATIONS):
@@ -275,21 +276,19 @@ def _bfgs(fun, x, cfg: OptimizerConfig):
     return x, f, nfev, False
 
 
-def _refine(fun, starts, cfg: OptimizerConfig):
-    # BFGS from each start; returns (x, value, nfev, success, stopped): x, value
-    # and success of the best start (the first of equal values), nfev summed
-    # over all starts, and whether the first start converged at once.
+def _refine(fun, starts, floors, cfg: OptimizerConfig):
+    # BFGS from each start, floored at its grid value; returns (x, value,
+    # nfev, success): x, value and success of the best start (the first of
+    # equal values) and nfev summed over all starts.
     best_x, best_val = None, math.inf
     nfev = 0
-    best_success = stopped = False
-    for k, x0 in enumerate(starts):
-        x, value, calls, success = _bfgs(fun, [float(v) for v in x0], cfg)
+    best_success = False
+    for x0, floor in zip(starts, floors):
+        x, value, calls, success = _bfgs(fun, [float(v) for v in x0], floor, cfg)
         nfev += calls
-        if k == 0:
-            stopped = success and calls == 1
         if value < best_val:
             best_val, best_x, best_success = value, np.array(x), success
-    return best_x, best_val, nfev, best_success, stopped
+    return best_x, best_val, nfev, best_success
 
 
 def _angle_point(theta: float, phi: float):
@@ -308,26 +307,20 @@ def _angle_gradient(grad, d_theta, d_phi) -> list[float]:
 
 
 def _search(grid_values, axes, thetas, phis, fun, cfg) -> OptimizationResult:
-    # Refine the best grid cell of each distinct basin and floor the result
-    # at the grid best.  grid_values has one axis per optimized side, each
-    # indexing the grid's (axes, thetas, phis); a start, like fun's argument,
-    # lists (theta, phi) of every side in order.  The evaluations are the
-    # grid cells plus the calls of fun.  When every start ends above the
-    # grid best, the grid best is kept; it has converged if its own
-    # start, the first, stopped at its first evaluation without moving.
+    # Refine the best grid cell of each distinct basin, each start floored
+    # at its cell's value, and return the best start.  grid_values has one
+    # axis per optimized side, each indexing the grid's (axes, thetas, phis);
+    # a start, like fun's argument, lists (theta, phi) of every side in
+    # order.  The evaluations are the grid cells plus the calls of fun.
     cells = _start_cells(grid_values, axes, cfg.refine_starts)
-    grid_best = float(grid_values.flat[cells[0]])
+    floors = grid_values.flat[cells].tolist()
     sides = np.unravel_index(cells, grid_values.shape)
     starts = np.stack([a for i in sides for a in (thetas[i], phis[i])], axis=1)
-    best_x, best_val, nfev, success, stopped = _refine(fun, starts, cfg)
-    if best_val <= grid_best:
-        value, argmin_x, converged = best_val, best_x, success
-    else:
-        value, argmin_x, converged = grid_best, starts[0], stopped
+    x, value, nfev, converged = _refine(fun, starts, floors, cfg)
     return OptimizationResult(
         value=value,
-        argmin=tuple(_canonical_angles(t, p) for t, p in argmin_x.reshape(-1, 2)),
-        grid_best=grid_best,
+        argmin=tuple(_canonical_angles(t, p) for t, p in x.reshape(-1, 2)),
+        grid_best=floors[0],
         evaluations=int(grid_values.size + nfev),
         converged=converged,
     )

@@ -4,7 +4,14 @@ Run from the repository root.  Alone, the script prints one sha256 per
 result family of this checkout's ``qreality``; given another checkout with
 ``--src`` (its root or its ``src`` directory), it also prints that
 checkout's digests and, per family, how many values changed and the largest
-|delta| between the two:
+|delta| between the two.  The minimizer families, the oracle scans and the
+sweep CSVs also print that count and |delta| per kind of value, so a tied
+argmin that moved is told from a moved value:
+
+- values: a minimum, the grid best, a scan minimum, and a CSV's numeric
+  columns;
+- argmins: the argmin angles, and a CSV's ``argmin_params``;
+- counts and flags: the evaluations and ``converged`` (and a CLI exit code).
 
     python3 tests/data/result_digest.py
     python3 tests/data/result_digest.py --src path/to/other/checkout
@@ -278,6 +285,53 @@ def _changed(a: np.ndarray, b: np.ndarray) -> tuple[int, float]:
     return int(differ.sum()), float(np.nan_to_num(delta, nan=math.inf).max())
 
 
+VALUES, ARGMINS, COUNTS = "values", "argmins", "counts and flags"
+KINDS = (VALUES, ARGMINS, COUNTS)
+
+
+def _result_kinds(chunk) -> list[str]:
+    # value, the (theta, phi) of each side, grid best, evaluations, converged
+    return [VALUES] + [ARGMINS] * (len(chunk) - 4) + [VALUES, COUNTS, COUNTS]
+
+
+def _scan_kinds(chunk) -> list[str]:
+    # the scan minimum, then its (theta, phi)
+    return [VALUES] + [ARGMINS] * (len(chunk) - 1)
+
+
+def _csv_kinds(text: str) -> list[str]:
+    # "exit <code>", then the CSV header and rows; the numbers of each field
+    # in text order, which is the order NUMBER finds them in the whole text.
+    lines = text.splitlines()
+    argmin_column = lines[1].split(",").index("argmin_params")
+    kinds = []
+    for row, line in enumerate(lines):
+        for column, field in enumerate(line.split(",")):
+            kind = COUNTS if row == 0 else ARGMINS if column == argmin_column else VALUES
+            kinds += [kind] * len(NUMBER.findall(field))
+    return kinds
+
+
+# The families whose values are split into KINDS, and the kinds of a chunk.
+SPLIT = {
+    "minimize_pair": _result_kinds,
+    "minimize_single": _result_kinds,
+    "qubit-qudit minimize": _result_kinds,
+    "oracle scans": _scan_kinds,
+    "werner sweep CSV": _csv_kinds,
+    "alpha sweep CSV": _csv_kinds,
+}
+
+
+def _changed_by_kind(kinds, a: np.ndarray, b: np.ndarray) -> list[tuple[int, float]]:
+    # _changed of the values of each kind in KINDS; kinds labels a's values.
+    # Arrays of different shapes count as changed in every kind.
+    if a.shape != b.shape:
+        return [_changed(a, b)] * len(KINDS)
+    kinds = np.array(kinds)
+    return [_changed(a[kinds == kind], b[kinds == kind]) for kind in KINDS]
+
+
 def _run_family(packages, family):
     # Each package's family runs on a new thread of its own, all its steps
     # on that thread; the chunks come back in lockstep.
@@ -305,19 +359,26 @@ def main(argv=None) -> int:
     packages = [_load(src, f"qreality_digest_{k}") for k, src in enumerate(sources)]
     for name, family in FAMILIES.items():
         hashes = [hashlib.sha256() for _ in packages]
-        count, changed, largest = 0, 0, 0.0
+        count = 0
+        # (changed, largest |delta|) in all, then per kind when split
+        tally = [(0, 0.0)] * (1 + len(KINDS) * (name in SPLIT))
         for chunks in _run_family(packages, family):
             for h, chunk in zip(hashes, chunks):
                 h.update(_bytes(chunk))
             values = [_values(chunk) for chunk in chunks]
             count += values[0].size
             if len(values) == 2:
-                n, d = _changed(*values)
-                changed, largest = changed + n, max(largest, d)
+                found = [_changed(*values)]
+                if name in SPLIT:
+                    found += _changed_by_kind(SPLIT[name](chunks[0]), *values)
+                tally = [(n + m, max(d, e)) for (n, d), (m, e) in zip(tally, found)]
         line = f"{name:<22} {hashes[0].hexdigest()}  {count} values"
         if len(hashes) == 2:
-            line += (f"\n{'':<22} {hashes[1].hexdigest()}  other: {changed} changed, "
-                     f"largest |delta| {largest:.3g}")
+            (n, d), *by_kind = tally
+            line += (f"\n{'':<22} {hashes[1].hexdigest()}  other: {n} changed, "
+                     f"largest |delta| {d:.3g}")
+            for kind, (n, d) in zip(KINDS, by_kind):
+                line += f"\n{'':<24}{kind}: {n} changed, largest |delta| {d:.3g}"
         print(line, flush=True)
     return 0
 

@@ -400,15 +400,6 @@ def test_nonlocality_schmidt_pair_gives_entanglement_entropy():
         assert n == pytest.approx(entanglement_entropy(psi), abs=1e-9)
 
 
-def test_nonlocality_werner_zz_closed_form():
-    f = 0.5
-    first = -2 * ((1 - f) / 4) * math.log((1 - f) / 4) \
-        - 2 * ((1 + f) / 4) * math.log((1 + f) / 4)
-    second = -3 * ((1 - f) / 4) * math.log((1 - f) / 4) \
-        - ((1 + 3 * f) / 4) * math.log((1 + 3 * f) / 4)
-    assert nonlocality(ZB, ZB, werner(f)) == pytest.approx(first - second, abs=1e-10)
-
-
 def test_nonlocality_forms_agree_and_nonnegative():
     rng = np.random.default_rng(29)
     for _ in range(30):

@@ -444,7 +444,8 @@ def test_start_cells_take_basins_in_value_order_and_raise_on_nan():
 
 def test_minimize_single_refines_separated_starts(monkeypatch):
     # One optimized side: a cell is skipped when its one axis is near an
-    # accepted start's.  The starts handed to the refinement are those cells.
+    # accepted start's.  The starts handed to the refinement are those cells,
+    # each with its cell's grid value as its floor.
     rho = random_density(4, 3, 90266, dims=(2, 2))
     axes, thetas, phis = kernels.axis_grid(24)
     r1, r2, tmat = kernels.bloch_correlations(rho.mat)
@@ -455,13 +456,14 @@ def test_minimize_single_refines_separated_starts(monkeypatch):
     seen = []
     refine = optimize._refine
 
-    def recorded(fun, starts, cfg):
-        seen.append(np.array(starts))
-        return refine(fun, starts, cfg)
+    def recorded(fun, starts, floors, cfg):
+        seen.append((np.array(starts), floors))
+        return refine(fun, starts, floors, cfg)
 
     monkeypatch.setattr(optimize, "_refine", recorded)
     result = minimize_single(rho, 0)
-    assert np.array_equal(seen[0], np.stack([thetas[cells], phis[cells]], axis=1))
+    assert np.array_equal(seen[0][0], np.stack([thetas[cells], phis[cells]], axis=1))
+    assert seen[0][1] == grid[cells].tolist()
     assert result.value <= result.grid_best
 
 
@@ -515,17 +517,17 @@ def test_lowest_cells_and_refine_take_the_first_lowest(values, distinct):
         # Without ties the order cannot depend on the index tie-break.
         assert [grid.size - 1 - k for k in _lowest_cells(grid[::-1], grid.size)] == want
 
-    # Each start stops at once on its own value: the first of the lowest
-    # values wins, and a NaN never does.
+    # Each start, floored at its own value, stops at once on it: the first
+    # of the lowest values wins, and a NaN never does.
     def fun(x):
         return values[int(x[0])], [0.0]
 
-    x, value, nfev, success, stopped = _refine(fun, [(float(k),) for k in range(grid.size)],
-                                               OptimizerConfig())
-    assert nfev == grid.size and success is (x is not None) and stopped is True
+    x, value, nfev, success = _refine(fun, [(float(k),) for k in range(grid.size)], values,
+                                      OptimizerConfig())
+    assert nfev == grid.size and success is (x is not None)
     if values[want[0]] == values[want[0]]:
         assert int(x[0]) == want[0] and value.hex() == values[want[0]].hex()
-    else:  # only NaN: no start wins, and the caller keeps the grid best
+    else:  # only NaN: no start wins; start selection raises before on such a grid
         assert x is None and value == math.inf
 
 
@@ -556,12 +558,12 @@ def test_converged_reports_the_winning_start(monkeypatch):
             return 0.0, [0.0, 0.0]
         return -1000.0 * x[0], [-1000.0, 0.0]
 
-    x, value, nfev, converged, stopped = _refine(fun, [(0.0, 0.0), (2.0, 0.0)], cfg)
+    x, value, nfev, converged = _refine(fun, [(0.0, 0.0), (2.0, 0.0)], [0.0, -2000.0], cfg)
     assert value < -2000.0 and x[0] > 2.0
     assert nfev == 1 + 3
-    assert converged is False and stopped is True
-    assert _refine(fun, [(0.0, 0.0)], cfg)[3:] == (True, True)
-    assert _refine(fun, [(2.0, 0.0), (0.0, 0.0)], cfg)[3:] == (False, False)
+    assert converged is False
+    assert _refine(fun, [(0.0, 0.0)], [0.0], cfg)[3] is True
+    assert _refine(fun, [(2.0, 0.0), (0.0, 0.0)], [-2000.0, 0.0], cfg)[3] is False
 
 
 def test_refine_stops_when_no_step_decreases_the_value(monkeypatch):
@@ -571,10 +573,10 @@ def test_refine_stops_when_no_step_decreases_the_value(monkeypatch):
     def fun(x):
         return x[0], [-1.0, 0.0]
 
-    x, value, nfev, converged, stopped = _refine(fun, [(0.5, 0.5)], OptimizerConfig())
+    x, value, nfev, converged = _refine(fun, [(0.5, 0.5)], [0.5], OptimizerConfig())
     assert list(x) == [0.5, 0.5] and value == 0.5
     assert nfev == 1 + optimize.LINE_SEARCH_HALVINGS
-    assert converged is False and stopped is False
+    assert converged is False
 
     # A plateau whose gradient, like rounding noise, is above the tolerance
     # but too small to change the value: steps of equal value are no
@@ -584,10 +586,10 @@ def test_refine_stops_when_no_step_decreases_the_value(monkeypatch):
         return 1.0, [1e-12, -1e-12]
 
     monkeypatch.setattr(optimize, "REFINE_TOLERANCE", 1e-13)
-    x, value, nfev, converged, stopped = _refine(plateau, [(0.5, 0.5)], OptimizerConfig())
+    x, value, nfev, converged = _refine(plateau, [(0.5, 0.5)], [1.0], OptimizerConfig())
     assert list(x) == [0.5, 0.5] and value == 1.0
     assert nfev == 1 + optimize.LINE_SEARCH_HALVINGS
-    assert converged is False and stopped is False
+    assert converged is False
 
 
 def test_refine_converges_on_a_quadratic():
@@ -597,22 +599,23 @@ def test_refine_converges_on_a_quadratic():
         a, b = x[0] - 0.3, x[1] + 0.2
         return 50.0 * a * a + 0.5 * b * b, [100.0 * a, b]
 
-    x, value, nfev, converged, stopped = _refine(fun, [(1.0, 1.0)], OptimizerConfig())
-    assert converged is True and stopped is False
+    x, value, nfev, converged = _refine(fun, [(1.0, 1.0)], [fun((1.0, 1.0))[0]], OptimizerConfig())
+    assert converged is True
     assert abs(x[0] - 0.3) <= 1e-8 and abs(x[1] + 0.2) <= 1e-6
     assert value <= 1e-13
     assert nfev <= 40
 
 
 def test_converged_is_false_when_the_grid_best_wins(monkeypatch):
-    # A refinement that ends above the grid best (and claims success) loses
-    # to the grid cell, which no refinement converged on.
-    from qreality import optimize
+    # An objective above every grid cell wherever the refinement looks, with
+    # a gradient that is not zero: each start keeps its floor, its cell's
+    # grid value, after a failed line search.  The grid best's start wins,
+    # and it has not converged.
+    for name in ("nonlocality_value", "single_discord_value"):
+        def uphill(*args, value_of=getattr(kernels, name)):
+            return math.inf, tuple(1.0 for _ in value_of(*args)[1])
 
-    def worse_refine(fun, starts, cfg):
-        return np.array(starts[0]), math.inf, 0, True, False
-
-    monkeypatch.setattr(optimize, "_refine", worse_refine)
+        monkeypatch.setattr(kernels, name, uphill)
     rho = random_density(4, 3, 11, dims=(2, 2))
     for res in (minimize_pair(rho, "nonlocality", cfg=FAST), minimize_single(rho, 0, cfg=FAST)):
         assert res.value == res.grid_best
@@ -624,8 +627,8 @@ def _recorded_bfgs(monkeypatch):
     runs = []
     bfgs = optimize._bfgs
 
-    def recorded(fun, x, cfg):
-        out = bfgs(fun, x, cfg)
+    def recorded(fun, x, floor, cfg):
+        out = bfgs(fun, x, floor, cfg)
         runs.append(out[2:])
         return out
 
@@ -635,9 +638,10 @@ def _recorded_bfgs(monkeypatch):
 
 def test_kept_grid_best_has_converged_when_its_start_stops_at_once(monkeypatch):
     # A rank-1 state's one-sided drop is the same at every axis: each start
-    # passes the gradient test at once, but its re-evaluated value lands a
-    # rounding above the grid cell's, so the grid best is kept.  Its own
-    # start converged there, so the result has too.
+    # passes the gradient test at once, and its re-evaluated value lands a
+    # rounding above the grid cell's, so the start keeps its floor, the
+    # cell's value, and the grid best is kept.  Its own start converged
+    # there, so the result has too.
     rho = random_density(4, 1, 9000, dims=(2, 2))
     runs = _recorded_bfgs(monkeypatch)
     res = minimize_single(rho, 0)
@@ -655,11 +659,33 @@ def test_kept_grid_best_has_converged_when_its_start_stops_at_once(monkeypatch):
     assert res.converged is False
 
 
+def test_flat_landscape_keeps_the_grid_best_cell():
+    # A rank-1 state's one-sided drop is the same in every basis, so every
+    # start's cell holds the grid best up to rounding and no start moves.
+    # Each keeps its floor, so ties between starts go by start order and the
+    # first start, the grid best's cell, wins with the grid best itself.
+    rho = random_density(4, 1, 20000, dims=(2, 2))
+    axes, thetas, phis = kernels.axis_grid(OptimizerConfig().grid_steps)
+    r1, r2, tmat = kernels.bloch_correlations(rho.mat)
+    grid = kernels.single_discord_grid(axes, r2, r1, np.ascontiguousarray(tmat.T),
+                                       optimize.mutual_information(rho),
+                                       entropy(partial_trace(rho, 0)))
+    cell = int(_lowest_cells(grid, 1)[0])
+    res = minimize_single(rho, 1)
+    assert res.argmin == (optimize._canonical_angles(thetas[cell], phis[cell]),)
+    assert res.grid_best.hex() == float(grid[cell]).hex()
+    assert res.value.hex() == res.grid_best.hex()
+    assert res.converged is True
+
+
 def test_kept_grid_best_has_not_converged_when_its_start_hit_the_iteration_cap(monkeypatch):
-    # Three axes, one basin each.  Every start descends a slope that stays
-    # above the grid best of 0 and stops at MAX_REFINE_ITERATIONS, so the
-    # grid best is kept without a converged start; on a plateau each start
-    # stops at once, converged, and so does the kept grid best.
+    # Three axes, one basin each.  Every start faces a slope that stays
+    # above its floor, the grid value of its cell, so no trial step is lower
+    # and each ends on a failed line search: the grid best is kept without a
+    # converged start.  A start that reaches MAX_REFINE_ITERATIONS has moved
+    # below its floor, so the grid best's start never keeps the grid best
+    # that way.  On a plateau each start stops at once, converged, and so
+    # does the kept grid best.
     monkeypatch.setattr(optimize, "MAX_REFINE_ITERATIONS", 3)
     axes = np.eye(3)[[2, 0, 1]]
     thetas = np.array([0.0, math.pi / 2, math.pi / 2])
@@ -676,8 +702,7 @@ def test_kept_grid_best_has_not_converged_when_its_start_hit_the_iteration_cap(m
     runs = _recorded_bfgs(monkeypatch)
     res = optimize._search(grid, axes, thetas, phis, slope, cfg)
     assert res.value == 0.0 and res.argmin == ((0.0, 0.0),)
-    assert [run[1] for run in runs] == [False] * 3
-    assert all(run[0] > 1 for run in runs)
+    assert runs == [(1 + optimize.LINE_SEARCH_HALVINGS, False)] * 3
     assert res.converged is False
     runs.clear()
     res = optimize._search(grid, axes, thetas, phis, plateau, cfg)
@@ -685,17 +710,19 @@ def test_kept_grid_best_has_not_converged_when_its_start_hit_the_iteration_cap(m
     assert res.converged is True
 
     # The first start at the pole on one of two landscapes, the others on
-    # the equator on the other.  A start on the line moves and stops at
-    # MAX_REFINE_ITERATIONS at about 0.3, below the plateau's 1.0 and above
-    # the grid best; a start on the plateau stops at once.  Whichever way
-    # round, the kept grid best has converged exactly when the first start
-    # stopped at once: not when any start did, nor the best one.
+    # the equator on the other.  The second start on the line begins at 0.5,
+    # below its floor of 1, moves and stops at MAX_REFINE_ITERATIONS at about
+    # 0.3, above the grid best; on the line the grid best's start and the
+    # third start (2.07 against its floor of 2) never get below their
+    # floors and end on a failed line search.  A start on the plateau stops
+    # at once.  Whichever way round, the kept grid best has converged exactly
+    # when its start, the winner, did: not when any start did.
     def line(x):
         return 0.5 + x[1], [0.0, 1.0]
 
-    moved, stopped = (4, False), (1, True)
-    for first, others, want in ((line, plateau, [moved, stopped, stopped]),
-                                (plateau, line, [stopped, moved, moved])):
+    moved, stuck, stopped = (4, False), (1 + optimize.LINE_SEARCH_HALVINGS, False), (1, True)
+    for first, others, want in ((line, plateau, [stuck, stopped, stopped]),
+                                (plateau, line, [stopped, moved, stuck])):
         runs.clear()
         res = optimize._search(grid, axes, thetas, phis,
                                lambda x: (first if x[0] < math.pi / 4 else others)(x), cfg)
@@ -1268,6 +1295,36 @@ def test_miss_census_runs_on_one_seed_of_each_block(monkeypatch, capsys):
     out = capsys.readouterr().out
     for kind in ("pair", "single", "qudit"):
         assert f"{kind}: 2 calls, 0 misses" in out
+
+
+def test_result_digest_tells_a_moved_argmin_from_a_moved_value(monkeypatch):
+    # data/result_digest.py splits a minimizer result, a scan and a sweep CSV
+    # into values, argmins, and counts and flags, so an argmin that moved
+    # between equal starts is not read as a moved value.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    spec = importlib.util.spec_from_file_location("result_digest", DATA / "result_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    assert digest.KINDS == ("values", "argmins", "counts and flags")
+    # value, (theta, phi) of sides A and B, grid best, evaluations, converged
+    parent = np.array([0.25, 0.1, 0.2, 0.3, 0.4, 0.25, 143677.0, 1.0])
+    for index, want in ((1, [0, 1, 0]), (0, [1, 0, 0]), (5, [1, 0, 0]), (6, [0, 0, 1])):
+        moved = parent.copy()
+        moved[index] += 1.2
+        got = digest._changed_by_kind(digest._result_kinds(parent), moved, parent)
+        assert [n for n, _ in got] == want
+        assert [d for _, d in got] == pytest.approx([1.2 * n for n in want])
+    single = parent[[0, 1, 2, 5, 6, 7]]
+    assert digest._result_kinds(single) == ["values", "argmins", "argmins", "values",
+                                            "counts and flags", "counts and flags"]
+    assert digest._scan_kinds(np.array([0.1, 0.2, 0.3])) == ["values", "argmins", "argmins"]
+    # A sweep CSV whose argmin_params moved and no other column.
+    head = "exit 0\nparam,n_min,d12,concurrence,n_zz,argmin_params\n0.5,0.05,0.18,0.25,0.18,"
+    texts = [head + f"ta={ta};pa=0.78;tb=1.7;pb=0.78\n" for ta in ("0.13", "0.92")]
+    kinds = digest._csv_kinds(texts[0])
+    assert len(kinds) == digest._values(texts[0]).size
+    got = digest._changed_by_kind(kinds, *(digest._values(text) for text in texts))
+    assert [n for n, _ in got] == [0, 1, 0]
 
 
 def test_import_does_not_load_scipy():
