@@ -4,7 +4,9 @@ Commands: measure, sweep, slit, verify.  Exit codes: 0 success,
 1 verification failure, 2 usage/parse error (a count too large to allocate
 among them), 3 invalid input state,
 4 I/O error, 5 failed cross-check (two forms of one measure disagree).
-Diagnostics go to stderr; results go to stdout or --output.
+Diagnostics go to stderr; results go to stdout or --output.  The parser
+owns the argument rules it can state: verify's suite names, and the --output
+that sweep and slit require; argparse reports their usage errors, exit 2.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ EXIT_IO = 4
 EXIT_CROSS_CHECK = 5
 
 
-def _output_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output", help="write results to this path instead of stdout")
+def _output_flag(parser: argparse.ArgumentParser, required: bool = False) -> None:
+    parser.add_argument("--output", required=required, help="write results to this path"
+                        + ("" if required else " instead of stdout"))
 
 
 def _optimizer_flags(parser: argparse.ArgumentParser) -> None:
@@ -150,8 +153,6 @@ def cmd_measure(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.output:
-        raise SpecParseError("sweep requires --output <path>")
     spec = SweepSpec(
         family=args.family,
         start=args.start,
@@ -166,8 +167,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_slit(args) -> int:
-    if not args.output:
-        raise SpecParseError("slit requires --output <path>")
     _emit(slit_csv(slit_rows(args.points)), args.output)
     return EXIT_OK
 
@@ -177,10 +176,7 @@ def cmd_verify(args) -> int:
     if args.suite == "all":
         results = run_all(seed=args.seed, count=args.count, cfg=cfg)
     else:
-        try:
-            results = [run_suite(args.suite, seed=args.seed, count=args.count, cfg=cfg)]
-        except KeyError as exc:
-            raise SpecParseError(exc.args[0]) from None
+        results = [run_suite(args.suite, seed=args.seed, count=args.count, cfg=cfg)]
     lines = []
     for result in results:
         lines.append(result.summary())
@@ -213,19 +209,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--stop", type=float, default=1.0)
     p_sweep.add_argument("--points", type=int, default=51)
     p_sweep.add_argument("--plot-script", help="also emit a gnuplot script here")
-    _output_flag(p_sweep)
+    _output_flag(p_sweep, required=True)
     _optimizer_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_slit = sub.add_parser("slit", help="slit-overlap irreality curve to CSV")
     p_slit.add_argument("--points", type=int, default=21)
-    _output_flag(p_slit)
+    _output_flag(p_slit, required=True)
     p_slit.set_defaults(func=cmd_slit)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument("suite", help=f"one of: all, {', '.join(SUITES)}")
+    # The choices are read here, so a suite registered before the parser is
+    # built is accepted.
+    p_verify.add_argument("suite", choices=("all", *SUITES), help="the suite to run, or all")
     p_verify.add_argument("--count", type=int, default=None,
-                          help="override the suite's case count")
+                          help="override the suite's case count; singlet and slit "
+                               "have fixed cases and take none")
     p_verify.add_argument("--seed", type=int, default=7, help="seed for the suite's random cases")
     _output_flag(p_verify)
     _optimizer_flags(p_verify)
@@ -256,9 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except StateValidationError as exc:
         print(f"invalid state: {exc}", file=sys.stderr)
         return EXIT_INVALID_STATE

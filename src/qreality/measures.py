@@ -26,13 +26,14 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
+    _check_placement,
     _derived,
     embed_operator,
     frobenius_distance,
     partial_trace,
     tensor_product,
 )
-from .observables import ProjectiveBasis, check_placement, lift
+from .observables import ProjectiveBasis, lift
 from .states import SIGMA_Y
 
 # 0 * ln 0 = 0 by continuity: eigenvalues at or below this are dropped.
@@ -122,7 +123,7 @@ def dephase(rho: DensityMatrix, basis: ProjectiveBasis, subsystem: int) -> Densi
     <b_j| rho |b_j> of the measured axes are put back as
     sum_j |b_j><b_j| x block_j.
     """
-    check_placement(basis, subsystem, rho.dims)
+    _check_placement("basis", basis.dim, subsystem, rho.dims)
     vecs = basis.vectors
     out = np.einsum("xj,jarbs,yj->axrbys", vecs, _blocks(rho, vecs, subsystem), vecs.conj())
     return _derived(out.reshape(rho.dim, rho.dim), rho.dims)

@@ -152,14 +152,9 @@ def schmidt_decompose(psi: DensityMatrix) -> SchmidtForm:
     )
 
 
-def check_placement(basis: ProjectiveBasis, subsystem: int, dims: tuple[int, ...]) -> None:
-    """Raise ValueError unless the basis measures subsystem ``subsystem`` of ``dims``."""
-    _check_placement("basis", basis.dim, subsystem, dims)
-
-
 def lift(basis: ProjectiveBasis, subsystem: int, dims: tuple[int, ...]) -> list[np.ndarray]:
     """Full-space projectors I x ... x |o_k><o_k| x ... x I in layout order."""
-    check_placement(basis, subsystem, dims)
+    _check_placement("basis", basis.dim, subsystem, dims)
     # All d projectors v_k v_k^+ in one broadcast, each entry the product
     # basis.projector(k) forms, and then all their embeddings in one: each
     # lifted projector is bitwise embed_operator(basis.projector(k)).

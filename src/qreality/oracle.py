@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .linalg import DensityMatrix, _check_integer, _check_qubit_side, partial_trace
-from .measures import ZERO_EIGENVALUE, _blocks, entropy, mutual_information, shannon_entropy
+from .measures import ZERO_EIGENVALUE, _blocks, dephase, entropy, mutual_information, shannon_entropy
 from .observables import qubit_basis
 
 # Matrix entries of dephased states per chunk of the matrix-route scan: it
@@ -78,8 +78,6 @@ def _drop_scan(rho: DensityMatrix, subsystem: int, angles):
     # marginal of the scanned qubit is sum_j p_j |b_j><b_j| with
     # p_j = <b_j| rho_q |b_j>, so its spectrum is p: the 1 x 1 blocks of
     # rho_q in the chunk's stacked bases.
-    from .measures import dephase  # resolved per scan: a rebound measures.dephase is used
-
     rho_q = partial_trace(rho, subsystem)
     s_other = entropy(partial_trace(rho, 1 - subsystem))
     mi = entropy(rho_q) + s_other - entropy(rho)
@@ -190,17 +188,19 @@ def brute_force_pair(rho: DensityMatrix, n: int = 64) -> tuple[float, float]:
     Independent of the kernels by construction: each side scans n * n
     bases, n thetas by n phis in [0, pi] offset by half a cell, so the scan
     takes n**4 basis pairs.  It is the oracle for :func:`minimize_pair` on
-    two qubits.
+    two qubits.  A NaN value, which no validated state gives, raises
+    ``FloatingPointError``, as in :func:`brute_force_single`.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"pair oracle scan needs two qubits, got {rho.dims}")
     _check_integer("n", n, minimum=1)
     vecs = _bases(*_pair_scan_angles(n))
-    best_n = best_d = math.inf
-    for n_values, d_values in _pair_scan(rho, vecs, vecs):
-        best_n = min(best_n, float(n_values.min()))
-        best_d = min(best_d, float(d_values.min()))
-    return best_n, best_d
+    best = np.full(2, math.inf)
+    for block in _pair_scan(rho, vecs, vecs):
+        best = np.minimum(best, [values.min() for values in block])  # keeps a NaN
+        if np.isnan(best).any():
+            raise FloatingPointError("NaN in the pair scan: its values must be finite")
+    return float(best[0]), float(best[1])
 
 
 def t_state_minima(rho: DensityMatrix) -> tuple[float, float]:

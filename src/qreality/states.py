@@ -9,6 +9,7 @@ import numpy as np
 from .errors import SpecParseError, StateValidationError
 from .linalg import DensityMatrix, _check_integer, tensor_product
 from .observables import _spec_params
+from .statefile import load_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -144,8 +145,6 @@ def parse_state_spec(text: str) -> DensityMatrix:
     if head == "file":
         if not arg:
             raise SpecParseError("file: spec requires a path")
-        from .statefile import load_state
-
         return load_state(arg)
 
     params = _spec_params(text, arg, float, "parameter", kind="state")

@@ -5,8 +5,9 @@ family of identities or bounds at fixed tolerances, and reports every
 violation as (case description, measured residual, tolerance).  A suite is a
 runner ``(result, rng, count, cfg)`` that records its cases and checks on the
 result it is given; ``run_suite`` builds that result and the seeded generator
-for it.  ``run_all`` executes the complete registry; a suite missing from it
-is a defect.
+for it.  A suite with a fixed case set, such as ``singlet``, has no default
+count and refuses one.  ``run_all`` executes the complete registry, passing
+its count to the suites that take one; a suite missing from it is a defect.
 """
 
 from __future__ import annotations
@@ -393,7 +394,7 @@ def suite_oracle(c: VerifySuiteResult, rng, count: int, cfg: OptimizerConfig) ->
         c.check(f"grid oracle agreement {dims} side {side}", abs(fast - slow), 1e-4)
 
 
-# suite name -> (runner, default case count)
+# suite name -> (runner, default case count, None for a fixed case set)
 SUITES = {
     "tensor": (suite_tensor, 50),
     "states": (suite_states, 50),
@@ -407,11 +408,11 @@ SUITES = {
     "premeasured": (suite_premeasured, 100),
     "remote": (suite_remote, 100),
     "dilation": (suite_dilation, 100),
-    "singlet": (suite_singlet, 9),
+    "singlet": (suite_singlet, None),
     "schmidt": (suite_schmidt, 50),
     "pure": (suite_pure, 20),
     "bounds": (suite_bounds, 50),
-    "slit": (suite_slit, 21),
+    "slit": (suite_slit, None),
     "oracle": (suite_oracle, 3),
 }
 
@@ -425,9 +426,11 @@ def run_suite(
     if name not in SUITES:
         raise KeyError(f"unknown suite '{name}' (known: {', '.join(sorted(SUITES))})")
     _check_integer("seed", seed, minimum=0)
-    if count is not None:
-        _check_integer("count", count, minimum=1)
     runner, default_count = SUITES[name]
+    if count is not None:
+        if default_count is None:
+            raise ValueError(f"suite '{name}' has a fixed case set and takes no count")
+        _check_integer("count", count, minimum=1)
     result = VerifySuiteResult(suite=name, cases=0)
     runner(result, np.random.default_rng(seed),
            default_count if count is None else count, cfg)
@@ -439,4 +442,5 @@ def run_all(
     count: int | None = None,
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> list[VerifySuiteResult]:
-    return [run_suite(name, seed=seed, count=count, cfg=cfg) for name in SUITES]
+    return [run_suite(name, seed=seed, count=None if default is None else count, cfg=cfg)
+            for name, (_, default) in SUITES.items()]

@@ -48,7 +48,10 @@ scanned on side 0 and (3, 2) on side 1.  The families:
   a ``qubit_basis`` on a qubit and a ``random_unitary`` basis on a larger
   subsystem;
 - the 51-point ``qreality sweep`` werner and alpha CSVs, and the output of
-  ``qreality verify all --seed 7``.
+  ``qreality verify all --seed 7``;
+- measure records: ``qreality measure <spec> <bases> --format records`` for
+  each of ``MEASURES``, the README's ``singlet`` and ``werner:f=0.5`` lines
+  and an ``alpha`` and a ``slit`` state.
 
 A grid or result is digested by the bytes of its float64 values (a result as
 value, argmin angles, grid best, evaluations and converged), a text by its
@@ -92,6 +95,12 @@ PAIR_SCANS = (8, 16)
 DEPHASE_SEED = 22000
 DEPHASE_STATES = 12
 DEPHASE_LAYOUTS = ((2, 2), (2, 3), (3, 2), (2, 2, 2))
+MEASURES = (
+    ("singlet", "zbasis@0", "zbasis@1"),
+    ("werner:f=0.5", "bloch:theta=1.57,phi=0@0"),
+    ("alpha:a=0.7", "xbasis@0", "ybasis@1"),
+    ("slit:x=0.3", "zbasis@0"),
+)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:inf|nan)\b")
 
 
@@ -245,6 +254,11 @@ def verify_all(q):
     yield _cli_output(q, ["verify", "all", "--seed", "7"])
 
 
+def measure_records(q):
+    for argv in MEASURES:
+        yield _cli_output(q, ["measure", *argv, "--format", "records"])
+
+
 FAMILIES = {
     "pair grids, fresh": pair_grids_fresh,
     "pair grids, repeated": pair_grids_repeated,
@@ -259,6 +273,7 @@ FAMILIES = {
     "werner sweep CSV": sweep_werner,
     "alpha sweep CSV": sweep_alpha,
     "verify all --seed 7": verify_all,
+    "measure records": measure_records,
 }
 
 

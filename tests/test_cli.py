@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qreality.cli import EXIT_CROSS_CHECK, main
+from qreality.linalg import DensityMatrix
 from qreality.statefile import save_state
 from qreality.states import werner
 from qreality.sweep import SweepSpec, slit_rows
@@ -86,6 +87,21 @@ def test_measure_file_state(tmp_path, capsys):
     expected = -3 * 0.125 * math.log(0.125) - 0.625 * math.log(0.625)
     value = next(float(r["value"]) for r in records if r["name"] == "entropy")
     assert abs(value - expected) <= 1e-10
+
+
+def test_measure_on_one_qubit_reports_only_entropy_and_irreality(tmp_path, capsys):
+    # A state of one subsystem has no partner: no split, discord, mutual
+    # information or concurrence.  Bloch vector (0.6, 0, 0): spectrum 0.8,
+    # 0.2, and maximally mixed once dephased in the z basis.
+    path = tmp_path / "qubit.json"
+    save_state(DensityMatrix(np.array([[0.5, 0.3], [0.3, 0.5]]), (2,)), path)
+    assert main(["measure", f"file:{path}", "zbasis@0", "--format", "records"]) == 0
+    records = _records(capsys.readouterr().out)
+    h = -0.8 * math.log(0.8) - 0.2 * math.log(0.2)
+    assert [r["name"] for r in records] == ["entropy", "irreality"]
+    assert records[1]["inputs"] == f'"file:{path}; zbasis@0"'
+    assert float(records[0]["value"]) == pytest.approx(h, abs=1e-12)
+    assert float(records[1]["value"]) == pytest.approx(LN2 - h, abs=1e-12)
 
 
 def test_measure_exit_codes(capsys, tmp_path):
@@ -266,8 +282,15 @@ def test_sweep_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_sweep_requires_output():
-    assert main(["sweep", "--family", "werner", "--points", "2", *FAST_FLAGS]) == 2
+def test_sweep_requires_output(capsys):
+    # The parser requires --output on sweep and slit, so the usage error
+    # leaves through argparse with exit 2.
+    for argv in (["sweep", "--family", "werner", "--points", "2", *FAST_FLAGS],
+                 ["slit", "--points", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "the following arguments are required: --output" in capsys.readouterr().err
 
 
 def test_sweep_over_the_pair_grid_budget_exits_two(tmp_path, capsys, monkeypatch):
@@ -333,6 +356,15 @@ def test_sweep_and_slit_points_must_be_integers_of_at_least_two():
     assert len(slit_rows(np.int64(2))) == 2
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"family": "nope"}, "unknown state family 'nope'"),
+    ({"family": "werner", "start": 0.75, "stop": 0.25}, "start must not exceed stop"),
+])
+def test_sweep_spec_rejects_an_unknown_family_or_a_reversed_range(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SweepSpec(**kwargs)
+
+
 def test_sweep_range_must_be_real_numbers():
     # "0" raised TypeError from math.isfinite, and True ran as 1.0.  numpy
     # floats and plain ints are bounds.
@@ -386,8 +418,13 @@ def test_verify_command(capsys, tmp_path):
     assert main(["verify", "decomposition", "--count", "10", "--seed", "3"]) == 0
     capsys.readouterr()
 
-    assert main(["verify", "unknown-suite"]) == 2
-    assert "unknown suite" in capsys.readouterr().err
+    # The parser checks the suite name and lists the valid ones.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "unknown-suite"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'unknown-suite'" in err
+    assert "'all', 'tensor'" in err and "'oracle'" in err
 
     out = tmp_path / "verify.txt"
     assert main(["verify", "slit", "--output", str(out)]) == 0
@@ -406,6 +443,27 @@ def test_verify_reports_failures(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "1 failures" in out
     assert "broken case" in out
+
+
+@pytest.mark.parametrize("suite", ["singlet", "slit"])
+def test_verify_fixed_suites_refuse_a_count(suite, capsys):
+    assert main(["verify", suite, "--count", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: suite '{suite}' has a fixed case set and takes no count\n"
+    assert captured.out == ""
+
+
+def test_verify_all_keeps_the_fixed_suites_cases_under_a_count(monkeypatch, capsys):
+    from qreality import verify as verify_mod
+
+    # The oracle suite's 200 x 200 scans are left out to keep this fast; the
+    # count reaches every other suite that takes one.
+    monkeypatch.delitem(verify_mod.SUITES, "oracle")
+    assert main(["verify", "all", "--count", "2", *FAST_FLAGS]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "suite singlet: 9 cases, 0 failures" in lines
+    assert "suite slit: 23 cases, 0 failures" in lines
+    assert "suite dephasing: 2 cases, 0 failures" in lines
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -502,3 +502,16 @@ def test_derived_is_not_exported():
 
     assert "_derived" not in qreality.__all__
     assert not hasattr(qreality, "_derived")
+
+
+@pytest.mark.parametrize("mat, dims, message", [
+    (np.ones((2, 3)) / 2, (2,), r"expected a square matrix, got shape \(2, 3\)"),
+    (np.ones((2, 2, 2)), (2,), r"expected a square matrix, got shape \(2, 2, 2\)"),
+    (np.eye(1), (0,), r"subsystem dimensions must be positive, got \(0,\)"),
+    (np.eye(2) / 2, (2, -1), r"subsystem dimensions must be positive, got \(2, -1\)"),
+    (np.eye(2) / 2, (), r"subsystem dimensions must be positive, got \(\)"),
+])
+def test_density_matrix_rejects_a_non_square_matrix_or_a_dimension_below_one(mat, dims, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        DensityMatrix(mat, dims)
+    assert type(exc.value) is ValueError

@@ -652,3 +652,20 @@ def test_shannon_entropy_matches_numpy_scalar_loop_bitwise():
                 if p > ZERO_EIGENVALUE:
                     reference -= p * math.log(p)
             assert shannon_entropy(probs).hex() == float(reference).hex()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda q: MeasureReport("entropy", math.nan, "singlet"),
+     "report 'entropy' has non-finite value nan"),
+    (lambda q: MeasureReport("entropy", -math.inf, "singlet"),
+     "report 'entropy' has non-finite value -inf"),
+    (lambda q: discord_like(q, [(ZB, 0)]), r"discord needs a bipartite layout, got \(2,\)"),
+    (lambda q: irreality_decomposition(ZB, 0, q),
+     r"decomposition needs a bipartite layout, got \(2,\)"),
+    (lambda q: entanglement_entropy(q), r"entanglement entropy needs a bipartite layout, got \(2,\)"),
+])
+def test_measures_reject_a_non_finite_report_or_a_non_bipartite_state(call, message):
+    qubit = DensityMatrix(np.eye(2) / 2, (2,))
+    with pytest.raises(ValueError, match=message) as exc:
+        call(qubit)
+    assert type(exc.value) is ValueError

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,3 +317,12 @@ def test_projector_is_bitwise_outer_product():
             reference = np.outer(v, v.conj())
             np.testing.assert_array_equal(
                 basis.projector(k).view(np.uint64), reference.view(np.uint64))
+
+
+@pytest.mark.parametrize("vectors", [np.eye(2, 3), np.ones(2), np.ones((2, 2, 2))])
+def test_basis_vectors_must_form_a_square_matrix(vectors):
+    shape = np.shape(vectors)
+    with pytest.raises(ValueError, match=f"basis vectors must form a square matrix, got "
+                                         rf"{re.escape(str(shape))}") as exc:
+        ProjectiveBasis(vectors)
+    assert type(exc.value) is ValueError

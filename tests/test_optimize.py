@@ -139,6 +139,15 @@ def test_argmin_is_canonical_and_usable():
     assert replay == pytest.approx(res.value, abs=1e-6)
 
 
+@pytest.mark.parametrize("phi", [-1e-13, -1e-14])
+def test_canonical_angles_fold_a_tiny_negative_phi_to_zero(phi):
+    # Within 1e-12 of the phi = 0 half-plane the point is not flipped, so
+    # atan2 can return a phi just below zero; it is folded to 0.0.
+    theta, folded = optimize._canonical_angles(1.0, phi)
+    assert folded == 0.0
+    assert theta == pytest.approx(1.0, abs=1e-12)
+
+
 def test_werner_oracle_agreement_coarse():
     # The dense scan is the oracle; the isotropic state's landscape is flat,
     # so even a coarse scan pins the value.
@@ -732,8 +741,6 @@ def test_kept_grid_best_has_not_converged_when_its_start_hit_the_iteration_cap(m
 
 
 def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
-    from qreality import measures
-
     # Each dephased state is diagonalized once, when it is validated, and the
     # two marginals of rho once each when the engine is set up.  The dephased
     # marginals take no eigvalsh at all, whatever the chunk size: their
@@ -747,7 +754,8 @@ def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(oracle, "qubit_basis", counted("qubit_basis", oracle.qubit_basis))
-    monkeypatch.setattr(measures, "dephase", counted("dephase", measures.dephase))
+    # oracle binds dephase at import, so the count is of oracle's binding.
+    monkeypatch.setattr(oracle, "dephase", counted("dephase", oracle.dephase))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     rho = random_density(4, 3, 41, dims=(2, 2))
     chunk = oracle.SCAN_CHUNK_ENTRIES // rho.dim**2
@@ -871,7 +879,10 @@ def test_brute_force_checks_the_subsystem_before_any_work(monkeypatch):
     def no_dephase(*args):
         raise AssertionError("dephase called")
 
+    # brute_force_single calls oracle's binding of dephase; measures' own
+    # guards any other route.
     monkeypatch.setattr(measures, "dephase", no_dephase)
+    monkeypatch.setattr(oracle, "dephase", no_dephase)
     qutrit_partner = random_density(6, 3, 45, dims=(2, 3))
     cases = [(werner(0.5), 2, "subsystem must be 0 or 1, got 2"),
              (werner(0.5), -1, "subsystem must be 0 or 1, got -1"),

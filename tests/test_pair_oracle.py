@@ -92,6 +92,28 @@ def test_pair_scan_blocks_keep_the_minima(monkeypatch):
     assert brute_force_pair(rho, 4) == whole
 
 
+def test_brute_force_pair_raises_on_a_nan(monkeypatch):
+    # A NaN in the only block, or in the second of six, raises as
+    # brute_force_single does, and the scan stops at that block.
+    joint = oracle._joint_entropies
+    rho = random_density(4, 3, 7, dims=(2, 2))
+    for n, block_entries, nan_block in ((8, oracle.PAIR_BLOCK_ENTRIES, 0), (4, 3 * 4 * 16 + 1, 1)):
+        monkeypatch.setattr(oracle, "PAIR_BLOCK_ENTRIES", block_entries)
+        blocks = []
+
+        def with_nan(blocks_a, vecs_b):
+            values = joint(blocks_a, vecs_b)
+            if len(blocks) == nan_block:
+                values[0, 1] = math.nan
+            blocks.append(values.shape)
+            return values
+
+        monkeypatch.setattr(oracle, "_joint_entropies", with_nan)
+        with pytest.raises(FloatingPointError, match="NaN in the pair scan"):
+            brute_force_pair(rho, n)
+        assert len(blocks) == nan_block + 1
+
+
 def test_brute_force_pair_rejects_a_bad_state_or_count():
     rho = random_density(4, 2, 90273, dims=(2, 2))
     with pytest.raises(ValueError, match=r"pair oracle scan needs two qubits, got \(2, 3\)"):

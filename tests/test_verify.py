@@ -20,7 +20,9 @@ def test_registry_covers_every_suite():
 
 @pytest.mark.parametrize("name", sorted(set(SUITES) - {"oracle", "bounds"}))
 def test_each_suite_passes_small(name):
-    result = run_suite(name, seed=11, count=3, cfg=FAST)
+    # singlet and slit have fixed case sets and take no count.
+    count = None if SUITES[name][1] is None else 3
+    result = run_suite(name, seed=11, count=count, cfg=FAST)
     assert result.cases > 0
     assert result.ok, result.failures
 
@@ -80,6 +82,28 @@ def test_run_all_aggregates_every_suite(monkeypatch):
     expected = int(np.random.default_rng(11).integers(0, 2**31))
     assert seen == [(name, name, expected, 2, FAST) for name in names]
     assert results == [VerifySuiteResult(suite=name, cases=1) for name in names]
+
+
+@pytest.mark.parametrize("name", ["singlet", "slit"])
+def test_fixed_suites_refuse_a_count(name):
+    # Their cases are fixed, so a count would be ignored: it is refused.
+    assert SUITES[name][1] is None
+    with pytest.raises(ValueError, match=f"suite '{name}' has a fixed case set and takes no count"):
+        run_suite(name, count=2)
+
+
+def test_run_all_passes_its_count_only_to_suites_that_take_one(monkeypatch):
+    from qreality import verify as verify_mod
+
+    seen = []
+
+    def probe(result, rng, count, cfg):
+        seen.append((result.suite, count))
+        result.case()
+
+    monkeypatch.setattr(verify_mod, "SUITES", {"counted": (probe, 4), "fixed": (probe, None)})
+    run_all(seed=11, count=2, cfg=FAST)
+    assert seen == [("counted", 2), ("fixed", None)]
 
 
 def test_result_failure_semantics():
