@@ -48,8 +48,8 @@ def _output_flag(parser: argparse.ArgumentParser, required: bool = False) -> Non
 def _optimizer_flags(parser: argparse.ArgumentParser) -> None:
     defaults = OptimizerConfig()
     parser.add_argument("--grid-steps", type=int, default=defaults.grid_steps,
-                        help="grid steps per optimized side: theta and the equator's "
-                             "phi step by pi / grid-steps")
+                        help="grid steps per optimized side, 1 to 53: theta and the "
+                             "equator's phi step by pi / grid-steps")
     parser.add_argument("--refine-starts", type=int, default=defaults.refine_starts,
                         help="most refinement starts: the best grid cell of each "
                              "distinct basin, lowest first")
@@ -223,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     # built is accepted.
     p_verify.add_argument("suite", choices=("all", *SUITES), help="the suite to run, or all")
     p_verify.add_argument("--count", type=int, default=None,
-                          help="override the suite's case count; singlet and slit "
-                               "have fixed cases and take none")
+                          help="override the suite's count of random cases; states, "
+                               "observables and pure add fixed cases to it, and "
+                               "singlet and slit have fixed cases and take none")
     p_verify.add_argument("--seed", type=int, default=7, help="seed for the suite's random cases")
     _output_flag(p_verify)
     _optimizer_flags(p_verify)
@@ -263,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except MemoryError as exc:
         # A count too large to allocate, such as sweep --points 10**13, is a
-        # usage error, as a --grid-steps over the grid budgets is.
+        # usage error.
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

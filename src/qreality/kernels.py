@@ -70,7 +70,7 @@ import threading
 
 import numpy as np
 
-from .states import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 ZERO_WEIGHT = 1e-15
 # Rows of a pair grid evaluated per block.

@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .linalg import (
+    SIGMA_Y,
     DensityMatrix,
     _check_placement,
     _derived,
@@ -34,7 +35,6 @@ from .linalg import (
     tensor_product,
 )
 from .observables import ProjectiveBasis, lift
-from .states import SIGMA_Y
 
 # 0 * ln 0 = 0 by continuity: eigenvalues at or below this are dropped.
 ZERO_EIGENVALUE = 1e-15

@@ -61,16 +61,10 @@ from .oracle import brute_force_single  # noqa: F401
 OBJECTIVE_NONLOCALITY = "nonlocality"
 OBJECTIVE_DISCORD = "discord"
 
-# Largest pair grid minimize_pair accepts, in cells: about 64 MB per float64
-# grid.  The budget is checked against ((steps + 1) * steps)**2, an upper
-# bound on the cells: the pole axis is kept once and the rows away from the
-# equator hold fewer phis, so the default 24 steps per side name 360,000
-# cells and have 143,641.  It admits grid_steps up to 53.
-MAX_PAIR_GRID_CELLS = 2**23
-# Largest side grid minimize_single accepts, in grid points, checked against
-# (steps + 1) * steps: its (points, 3) float64 axis array is 48 MB, within
-# one pair grid's size.
-MAX_SIDE_GRID_POINTS = 2**21
+# Most grid steps per side.  At 53 a side has 1,817 axes and a pair grid
+# 3,301,489 cells, about 26 MB of float64; every accepted setting stays
+# within that.
+MAX_GRID_STEPS = 53
 # Sufficient-decrease constant of the line search (Nocedal & Wright's c1).
 ARMIJO = 1e-4
 # Step halvings after which the line search gives up on a start.
@@ -99,7 +93,8 @@ class OptimizerConfig:
     Each side's grid has ``grid_steps + 1`` thetas from pole to pole and
     ``grid_steps`` phis on the equator row, so both step by pi / grid_steps;
     rows nearer the poles hold fewer phis (see
-    :func:`qreality.kernels.axis_grid`).
+    :func:`qreality.kernels.axis_grid`).  ``grid_steps`` is at most
+    ``MAX_GRID_STEPS`` (53), which bounds the memory of both minimizers.
 
     ``refine_starts`` is at most this many BFGS starts, one per basin among
     the lowest grid cells (see the module docstring), each refined to the
@@ -112,6 +107,8 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("grid_steps", "refine_starts"):
             _check_integer(name, getattr(self, name), minimum=1)
+        if self.grid_steps > MAX_GRID_STEPS:
+            raise ValueError(f"grid_steps must be at most {MAX_GRID_STEPS}, got {self.grid_steps}")
 
 
 @dataclass(frozen=True)
@@ -333,11 +330,6 @@ def minimize_single(
 ) -> OptimizationResult:
     """Minimize the one-sided discord-like drop over bases on one subsystem."""
     _check_qubit_side(rho, subsystem, "optimization")
-    grid_points = (cfg.grid_steps + 1) * cfg.grid_steps
-    if grid_points > MAX_SIDE_GRID_POINTS:
-        raise ValueError(
-            f"side grid of {grid_points} points exceeds the budget of "
-            f"{MAX_SIDE_GRID_POINTS} points; lower the grid steps")
 
     axes, thetas, phis = kernels.axis_grid(cfg.grid_steps)
     mi = mutual_information(rho)
@@ -376,11 +368,6 @@ def minimize_pair(
         raise ValueError(f"unsupported pair objective '{objective}'")
     if rho.dims != (2, 2):
         raise ValueError(f"pair optimization needs two qubits, got {rho.dims}")
-    grid_cells = ((cfg.grid_steps + 1) * cfg.grid_steps) ** 2
-    if grid_cells > MAX_PAIR_GRID_CELLS:
-        raise ValueError(
-            f"pair grid of {grid_cells} cells exceeds the budget of "
-            f"{MAX_PAIR_GRID_CELLS} cells; lower the grid steps")
 
     r1, r2, tmat = kernels.bloch_correlations(rho.mat)
     axes, thetas, phis = kernels.axis_grid(cfg.grid_steps)

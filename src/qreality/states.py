@@ -7,13 +7,9 @@ import math
 import numpy as np
 
 from .errors import SpecParseError, StateValidationError
-from .linalg import DensityMatrix, _check_integer, tensor_product
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, _check_integer, tensor_product
 from .observables import _spec_params
 from .statefile import load_state
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _rng(seed) -> np.random.Generator:

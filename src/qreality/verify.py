@@ -5,9 +5,11 @@ family of identities or bounds at fixed tolerances, and reports every
 violation as (case description, measured residual, tolerance).  A suite is a
 runner ``(result, rng, count, cfg)`` that records its cases and checks on the
 result it is given; ``run_suite`` builds that result and the seeded generator
-for it.  A suite with a fixed case set, such as ``singlet``, has no default
-count and refuses one.  ``run_all`` executes the complete registry, passing
-its count to the suites that take one; a suite missing from it is a defect.
+for it.  The count sets a suite's random cases: ``states``, ``observables``
+and ``pure`` also run 22, 4 and 2 fixed cases.  A suite with only a fixed
+case set, such as ``singlet``, has no default count and refuses one.
+``run_all`` executes the complete registry, passing its count to the suites
+that take one; a suite missing from it is a defect.
 """
 
 from __future__ import annotations
@@ -424,7 +426,7 @@ def run_suite(
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> VerifySuiteResult:
     if name not in SUITES:
-        raise KeyError(f"unknown suite '{name}' (known: {', '.join(sorted(SUITES))})")
+        raise ValueError(f"unknown suite '{name}' (known: {', '.join(sorted(SUITES))})")
     _check_integer("seed", seed, minimum=0)
     runner, default_count = SUITES[name]
     if count is not None:

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from qreality.cli import EXIT_CROSS_CHECK, main
+from qreality import cli
+from qreality.cli import EXIT_CROSS_CHECK, _join_negative_values, main
 from qreality.linalg import DensityMatrix
 from qreality.statefile import save_state
 from qreality.states import werner
@@ -293,16 +294,24 @@ def test_sweep_requires_output(capsys):
         assert "the following arguments are required: --output" in capsys.readouterr().err
 
 
-def test_sweep_over_the_pair_grid_budget_exits_two(tmp_path, capsys, monkeypatch):
-    from qreality import optimize
+def _no_work(monkeypatch, *names):
+    # The named cli functions, which build the states and grids, fail the
+    # test if they are reached.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the grid bound must be checked before any work")
 
-    # FAST_FLAGS' 6 steps bound each side by 7 x 6 = 42 points, the pair grid
-    # by 42**2 = 1764 cells.
-    monkeypatch.setattr(optimize, "MAX_PAIR_GRID_CELLS", 1000)
+    for name in names:
+        monkeypatch.setattr(cli, name, no_work)
+
+
+def test_sweep_over_the_pair_grid_budget_exits_two(tmp_path, capsys, monkeypatch):
+    # The bound of 53 grid steps is checked when the optimizer setting is
+    # made, before any state or grid.
+    _no_work(monkeypatch, "sweep_rows")
     out = tmp_path / "w.csv"
-    assert main(["sweep", "--family", "werner", "--points", "2", *FAST_FLAGS,
-                 "--output", str(out)]) == 2
-    assert "1764 cells exceeds the budget of 1000" in capsys.readouterr().err
+    assert main(["sweep", "--family", "werner", "--points", "2", "--grid-steps", "54",
+                 "--refine-starts", "2", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: grid_steps must be at most 53, got 54\n"
     assert not out.exists()
 
 
@@ -313,8 +322,6 @@ def test_sweep_over_the_pair_grid_budget_exits_two(tmp_path, capsys, monkeypatch
 def test_a_point_count_too_large_to_allocate_exits_two(argv, rows, tmp_path, capsys, monkeypatch):
     # A count numpy cannot allocate is a usage error with one line, not a
     # traceback and exit 1, the code of a failed verification.
-    from qreality import cli
-
     out = tmp_path / "p.csv"
     for message in ("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)", ""):
         def no_memory(*args, message=message):
@@ -338,6 +345,13 @@ def test_sweep_non_finite_range_exits_two(family, bound, tmp_path, capsys):
                  "--output", str(out)]) == 2
     assert "start and stop must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_join_negative_values_joins_only_a_number_to_its_long_option():
+    # A dash token after a long option is joined to it only when it is a
+    # number; any other stays a token of its own, for argparse to read.
+    assert _join_negative_values(["--start", "-1e-3"]) == ["--start=-1e-3"]
+    assert _join_negative_values(["--count", "--seed", "3"]) == ["--count", "--seed", "3"]
 
 
 def test_sweep_and_slit_points_must_be_integers_of_at_least_two():
@@ -457,13 +471,17 @@ def test_verify_all_keeps_the_fixed_suites_cases_under_a_count(monkeypatch, caps
     from qreality import verify as verify_mod
 
     # The oracle suite's 200 x 200 scans are left out to keep this fast; the
-    # count reaches every other suite that takes one.
+    # count reaches every other suite that takes one.  It sets the random
+    # cases: states, observables and pure add 22, 4 and 2 fixed ones.
     monkeypatch.delitem(verify_mod.SUITES, "oracle")
     assert main(["verify", "all", "--count", "2", *FAST_FLAGS]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "suite singlet: 9 cases, 0 failures" in lines
     assert "suite slit: 23 cases, 0 failures" in lines
     assert "suite dephasing: 2 cases, 0 failures" in lines
+    assert "suite states: 24 cases, 0 failures" in lines
+    assert "suite observables: 6 cases, 0 failures" in lines
+    assert "suite pure: 4 cases, 0 failures" in lines
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -476,12 +494,14 @@ def test_verify_count_below_one_exits_two(count, capsys):
 
 
 def test_verify_oracle_over_the_side_grid_budget_exits_two(capsys, monkeypatch):
-    from qreality import optimize
-
-    # FAST_FLAGS' 6 steps bound each side by 7 x 6 = 42 points.
-    monkeypatch.setattr(optimize, "MAX_SIDE_GRID_POINTS", 41)
-    assert main(["verify", "oracle", *FAST_FLAGS]) == 2
-    assert "42 points exceeds the budget of 41" in capsys.readouterr().err
+    # One bound for every suite: oracle and dephasing (which runs no
+    # minimizer) refuse 54 steps as all does, before any suite runs.
+    _no_work(monkeypatch, "run_suite", "run_all")
+    for suite in ("oracle", "dephasing", "all"):
+        assert main(["verify", suite, "--grid-steps", "54"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: grid_steps must be at most 53, got 54\n"
+        assert captured.out == ""
 
 
 # Values a fuzzed field takes: non-finite, out of range, of the wrong type,

@@ -53,7 +53,6 @@ from qreality.sweep import slit_rows
 LN2 = math.log(2.0)
 ZB = qubit_basis(0.0, 0.0)
 XB = qubit_basis(math.pi / 2, 0.0)
-YB = qubit_basis(math.pi / 2, math.pi / 2)
 
 
 def _h2(p: float) -> float:
@@ -380,17 +379,6 @@ def test_available_information_examples():
 
 # --- nonlocality -------------------------------------------------------------------
 
-def test_singlet_axis_table():
-    axes = {"x": XB, "y": YB, "z": ZB}
-    state = singlet()
-    for ra, basis_a in axes.items():
-        for rb, basis_b in axes.items():
-            expected = LN2 if ra == rb else 0.0
-            assert nonlocality(basis_a, basis_b, state) == pytest.approx(
-                expected, abs=1e-9
-            ), (ra, rb)
-
-
 def test_nonlocality_schmidt_pair_gives_entanglement_entropy():
     rng = np.random.default_rng(23)
     for _ in range(10):
@@ -407,6 +395,19 @@ def test_nonlocality_forms_agree_and_nonnegative():
         symmetric, sequential = nonlocality_forms(_random_basis(rng), _random_basis(rng), rho)
         assert abs(symmetric - sequential) <= 1e-9
         assert symmetric >= -1e-9
+
+
+def test_nonlocality_raises_when_its_forms_disagree(monkeypatch):
+    # No state makes the two forms disagree, so a disagreement is forced:
+    # beyond FORM_AGREEMENT_TOL it is an ArithmeticError, within it the
+    # symmetric form is returned.
+    from qreality import measures
+
+    monkeypatch.setattr(measures, "nonlocality_forms", lambda *args: (0.5, 0.5 + 2e-9))
+    with pytest.raises(ArithmeticError, match="nonlocality forms disagree: 0.5 vs"):
+        nonlocality(ZB, XB, singlet())
+    monkeypatch.setattr(measures, "nonlocality_forms", lambda *args: (0.5, 0.5 + 5e-10))
+    assert nonlocality(ZB, XB, singlet()) == 0.5
 
 
 def test_nonlocality_dephases_each_side_of_rho_once(monkeypatch):
@@ -516,6 +517,23 @@ def test_entanglement_entropy_examples():
         )
     with pytest.raises(ValueError, match="mixed"):
         entanglement_entropy(werner(0.5))
+
+
+def test_entanglement_entropy_raises_when_the_marginals_disagree(monkeypatch):
+    # A pure state's two marginals have one spectrum, so a disagreement is
+    # forced: the second marginal's entropy is read 2e-9 high.
+    from qreality import measures
+
+    read = []
+
+    def skewed(rho):
+        read.append(rho.dims)
+        return entropy(rho) + 2e-9 * (len(read) - 1)
+
+    monkeypatch.setattr(measures, "entropy", skewed)
+    with pytest.raises(ArithmeticError, match="marginal entropies disagree"):
+        entanglement_entropy(singlet())
+    assert read == [(2,), (2,)]
 
 
 # --- dilation ---------------------------------------------------------------------------

@@ -44,6 +44,9 @@ def test_config_validation():
         OptimizerConfig(grid_steps=0)
     with pytest.raises(ValueError, match="refine_starts must be at least 1, got -2"):
         OptimizerConfig(refine_starts=-2)
+    with pytest.raises(ValueError, match="grid_steps must be at most 53, got 54"):
+        OptimizerConfig(grid_steps=54)
+    assert OptimizerConfig(grid_steps=53).grid_steps == 53
 
 
 @pytest.mark.parametrize("field", ["grid_steps", "refine_starts"])
@@ -923,14 +926,12 @@ def test_scan_drops_are_the_public_discord_like_drop(monkeypatch):
             assert abs(drop - ref) <= 1e-12, (rho.dims, side, theta, phi)
 
 
-def test_oracle_imports_neither_the_kernels_nor_the_minimizers():
-    # The scans are an independent check only while they share no code with
-    # what they check: oracle.py, read as source, imports from the package
-    # only linalg, observables and measures, at module level or inside a
-    # function.
+def _package_imports(module) -> set[str]:
+    # The package modules a module's source imports, at module level or
+    # inside a function; it may import qreality only relatively.
     import ast
 
-    tree = ast.parse(Path(oracle.__file__).read_text())
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
@@ -941,7 +942,23 @@ def test_oracle_imports_neither_the_kernels_nor_the_minimizers():
             names = [node.module] if isinstance(node, ast.ImportFrom) else [
                 alias.name for alias in node.names]
             assert not any(name.split(".")[0] == "qreality" for name in names)
-    assert imported == {"linalg", "observables", "measures"}
+    return imported
+
+
+def test_oracle_imports_neither_the_kernels_nor_the_minimizers():
+    # The scans are an independent check only while they share no code with
+    # what they check: oracle.py imports from the package only linalg,
+    # observables and measures.
+    assert _package_imports(oracle) == {"linalg", "observables", "measures"}
+
+
+def test_kernels_and_measures_import_no_state_constructors():
+    # The kernels and the measures sit below the state constructors and spec
+    # parsing of states.py: the Pauli matrices they read live in linalg.
+    from qreality import measures
+
+    assert _package_imports(kernels) == {"linalg"}
+    assert _package_imports(measures) == {"linalg", "observables"}
 
 
 def test_qubit_qudit_minimize_single_makes_one_kernel_call_per_evaluation(monkeypatch):
@@ -1216,39 +1233,33 @@ def test_sweeps_in_threads_keep_their_joint_passes_apart():
 
 
 def test_minimize_pair_rejects_grids_over_the_budget(monkeypatch):
-    from qreality import optimize
-
-    # 5 steps per side bound the pair grid by ((5 + 1) * 5)**2 = 900 cells.
-    monkeypatch.setattr(optimize, "MAX_PAIR_GRID_CELLS", 899)
-
+    # The one grid bound is OptimizerConfig's: a setting over it is refused
+    # when it is made, before any grid work, and the largest it accepts runs.
     def no_work(*args):
-        raise AssertionError("the budget check must come before any grid work")
+        raise AssertionError("the grid bound must be checked before any grid work")
 
     monkeypatch.setattr(kernels, "bloch_correlations", no_work)
-    cfg = OptimizerConfig(grid_steps=5, refine_starts=2)
-    with pytest.raises(ValueError, match=r"900 cells exceeds the budget of 899"):
-        minimize_pair(werner(0.5), "nonlocality", cfg)
+    monkeypatch.setattr(kernels, "axis_grid", no_work)
+    with pytest.raises(ValueError, match=r"grid_steps must be at most 53, got 54"):
+        minimize_pair(werner(0.5), "nonlocality", OptimizerConfig(grid_steps=54, refine_starts=2))
     monkeypatch.undo()
-    monkeypatch.setattr(optimize, "MAX_PAIR_GRID_CELLS", 900)
+    cfg = OptimizerConfig(grid_steps=53, refine_starts=2)
     assert minimize_pair(werner(0.5), "nonlocality", cfg).value >= -1e-9
 
 
 def test_minimize_single_rejects_grids_over_the_side_budget(monkeypatch):
-    from qreality import optimize
-
-    # 5 steps bound the side grid by (5 + 1) * 5 = 30 points.
-    monkeypatch.setattr(optimize, "MAX_SIDE_GRID_POINTS", 29)
-
+    # minimize_single shares the pair bound: 54 steps, which the side grid
+    # alone would hold, are refused before the side grid is built.
     def no_grid(*args):
-        raise AssertionError("the budget check must come before the side grid")
+        raise AssertionError("the grid bound must be checked before the side grid")
 
     monkeypatch.setattr(kernels, "axis_grid", no_grid)
-    cfg = OptimizerConfig(grid_steps=5, refine_starts=2)
     for subsystem in (0, 1):
-        with pytest.raises(ValueError, match=r"30 points exceeds the budget of 29"):
-            minimize_single(werner(0.5), subsystem, cfg=cfg)
+        with pytest.raises(ValueError, match=r"grid_steps must be at most 53, got 54"):
+            minimize_single(werner(0.5), subsystem,
+                            cfg=OptimizerConfig(grid_steps=54, refine_starts=2))
     monkeypatch.undo()
-    monkeypatch.setattr(optimize, "MAX_SIDE_GRID_POINTS", 30)
+    cfg = OptimizerConfig(grid_steps=53, refine_starts=2)
     assert minimize_single(werner(0.5), 0, cfg=cfg).value >= -1e-9
 
 

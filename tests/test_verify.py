@@ -58,8 +58,9 @@ def test_refined_minimum_meets_a_scan_the_coarse_grid_best_misses():
 
 
 def test_unknown_suite():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError) as exc:
         run_suite("nope")
+    assert str(exc.value) == f"unknown suite 'nope' (known: {', '.join(sorted(SUITES))})"
 
 
 def test_run_all_aggregates_every_suite(monkeypatch):
