@@ -7,7 +7,11 @@ factorization.  Subsystem 0 is always the leftmost Kronecker factor
 
 Each state is diagonalized once, when it is built: ``DensityMatrix.eigenvalues``
 holds the ascending spectrum of the stored matrix, and every entropy in the
-package reads it (never a matrix logarithm).  Outside this module a state's
+package reads it (never a matrix logarithm).  ``_spectrum`` takes that
+spectrum: the LAPACK gufunc behind ``np.linalg.eigvalsh``, called without the
+wrapper, so the same bits at LAPACK's cost.  Where LAPACK fails it returns
+NaN with a ``RuntimeWarning`` instead of raising ``LinAlgError``, and the
+state is rejected as ``positive-semidefinite``.  Outside this module a state's
 matrix is decomposed again only where its eigenvectors are needed:
 ``measures.relative_entropy`` (sigma's support and eigenbasis) and
 ``observables.schmidt_decompose`` (the pure state's vector) call ``eigh``.
@@ -33,6 +37,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import StateValidationError
 
@@ -110,14 +115,18 @@ class DensityMatrix:
             )
 
         # Non-finite exactly when some entry is NaN or infinite.
+        adjoint = mat.conj().T
         with np.errstate(invalid="ignore"):
-            herm_residual = float(np.abs(mat - mat.conj().T).max())
+            herm_residual = float(np.abs(mat - adjoint).max())
         if not math.isfinite(herm_residual):
             raise StateValidationError(
                 "finite-entries", herm_residual, "matrix has NaN or infinite entries")
         if herm_residual > HERMITICITY_TOL:
             raise StateValidationError("hermiticity", herm_residual)
-        mat = (mat + mat.conj().T) / 2.0
+        # Halved in place, as in _derived.  Not *= 0.5: it differs from / 2.0
+        # in the sign of some zero parts, e.g. of (-0.0+1j).
+        mat = mat + adjoint
+        mat /= 2.0
 
         trace_residual = abs(complex(mat.trace()) - 1.0)
         if trace_residual > TRACE_TOL:
@@ -133,11 +142,28 @@ class DensityMatrix:
         return float(np.trace(self.mat @ self.mat).real)
 
 
+def _spectrum(hermitian: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a complex Hermitian matrix or ``(k, d, d)`` stack.
+
+    The gufunc ``np.linalg.eigvalsh`` calls, with its lower-triangle
+    signature, so the bits are ``np.linalg.eigvalsh``'s.  The wrapper is
+    skipped because its array checks and error-state context cost as much
+    as LAPACK's work on a state's small matrix: a 4 x 4 call took 5.6 us,
+    the gufunc alone 2.8 us (numpy 2.4.6, x86-64).  Without that context a
+    LAPACK failure does not raise ``LinAlgError``: the gufunc fills that
+    matrix's spectrum with NaN, which numpy's default error state reports
+    as a ``RuntimeWarning``, and ``_settle`` rejects the state as
+    ``positive-semidefinite``.
+    """
+    return _umath_linalg.eigvalsh_lo(hermitian, signature="D->d")
+
+
 def _settle(state: DensityMatrix, hermitian: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
-    # Validation's last step, shared with _derived: the spectrum of the
+    # Validation's last step, shared with _derived: the _spectrum of the
     # symmetrized matrix, rejection below EIGENVALUE_FLOOR (written so that a
-    # NaN eigenvalue is rejected too), and the read-only store.
-    eigvals = np.linalg.eigvalsh(hermitian)
+    # NaN eigenvalue is rejected too, as in the all-NaN spectrum _spectrum
+    # returns where LAPACK fails), and the read-only store.
+    eigvals = _spectrum(hermitian)
     lowest = float(eigvals[0])
     if not lowest >= EIGENVALUE_FLOOR:
         raise StateValidationError("positive-semidefinite", lowest,
@@ -159,7 +185,9 @@ def _derived(mat: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
     checks are skipped; the symmetrization, spectrum and rejection are
     validation's own, so the result is bitwise ``DensityMatrix(mat, dims)``.
     """
-    return _settle(object.__new__(DensityMatrix), (mat + mat.conj().T) / 2.0, dims)
+    hermitian = mat + mat.conj().T
+    hermitian /= 2.0
+    return _settle(object.__new__(DensityMatrix), hermitian, dims)
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,8 +13,17 @@ argmin that moved is told from a moved value:
 - argmins: the argmin angles, and a CSV's ``argmin_params``;
 - counts and flags: the evaluations and ``converged`` (and a CLI exit code).
 
+Against another checkout each family also gets a verdict on all its values:
+``bitwise``, ``within <tolerance>`` with the largest |delta|, or ``moved``
+when some value changed by more than ``--tolerance`` (default 0, so any
+change but a signed zero's is ``moved``).  The exit status is 1 when any
+family moved, else 0.  An argmin that moved counts as moved: whether the
+value at the new argmin is within the tolerance of the other minimum is not
+checked.
+
     python3 tests/data/result_digest.py
     python3 tests/data/result_digest.py --src path/to/other/checkout
+    python3 tests/data/result_digest.py --src path/to/other/checkout --tolerance 1e-12
 
 The oldest checkout it can digest is commit b5cf709, the first with both
 ``OptimizerConfig.grid_steps`` and ``qreality.oracle``.
@@ -347,6 +356,22 @@ def _changed_by_kind(kinds, a: np.ndarray, b: np.ndarray) -> list[tuple[int, flo
     return [_changed(a[kinds == kind], b[kinds == kind]) for kind in KINDS]
 
 
+def _verdict(changed: int, largest: float, tolerance: float) -> str:
+    # A family's verdict from its count of changed values and largest |delta|.
+    if changed == 0:
+        return "bitwise"
+    if largest <= tolerance:
+        return f"within {tolerance:g}, largest |delta| {largest:.3g}"
+    return f"moved, largest |delta| {largest:.3g}"
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _run_family(packages, family):
     # Each package's family runs on a new thread of its own, all its steps
     # on that thread; the chunks come back in lockstep.
@@ -366,12 +391,15 @@ def _run_family(packages, family):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", help="another checkout (or its src directory) to compare with")
+    parser.add_argument("--tolerance", type=_tolerance, default=0.0,
+                        help="largest |delta| a family may show and not be moved (default 0)")
     args = parser.parse_args(argv)
     sources = [HERE.parents[1] / "src"]
     if args.src:
         other = Path(args.src).resolve()
         sources.append(other / "src" if (other / "src" / "qreality").is_dir() else other)
     packages = [_load(src, f"qreality_digest_{k}") for k, src in enumerate(sources)]
+    moved = []
     for name, family in FAMILIES.items():
         hashes = [hashlib.sha256() for _ in packages]
         count = 0
@@ -394,8 +422,15 @@ def main(argv=None) -> int:
                      f"largest |delta| {d:.3g}")
             for kind, (n, d) in zip(KINDS, by_kind):
                 line += f"\n{'':<24}{kind}: {n} changed, largest |delta| {d:.3g}"
+            verdict = _verdict(*tally[0], args.tolerance)
+            line += f"\n{'':<22} verdict: {verdict}"
+            if verdict.startswith("moved"):
+                moved.append(name)
         print(line, flush=True)
-    return 0
+    if args.src:
+        print(f"{len(moved)} of {len(FAMILIES)} families moved beyond {args.tolerance:g}"
+              + "".join(f"\n  {name}" for name in moved), flush=True)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

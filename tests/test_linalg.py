@@ -223,13 +223,48 @@ def test_density_matrix_rejects_negative_spectrum():
     assert err.value.residual == pytest.approx(-1e-3)
 
 
+def _never_called(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return call
+
+
 def test_density_matrix_rejects_a_nan_spectrum(monkeypatch):
-    # The bound is written so that a NaN eigenvalue fails it too.
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([math.nan, 1.0]))
+    # The bound is written so that a NaN eigenvalue fails it too: where
+    # LAPACK fails, _spectrum returns numpy's all-NaN fill.
+    from qreality import linalg
+
+    monkeypatch.setattr(linalg, "_spectrum", lambda mat: np.full(mat.shape[0], math.nan))
+    monkeypatch.setattr(np.linalg, "eigvalsh", _never_called("np.linalg.eigvalsh"))
     with pytest.raises(StateValidationError) as err:
         DensityMatrix(np.eye(2) / 2, (2,))
     assert err.value.invariant == "positive-semidefinite"
     assert math.isnan(err.value.residual)
+
+
+def _hermitian(d, rank, rng):
+    # G G^dag of a complex Ginibre d x rank matrix: Hermitian of rank `rank`.
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    return g @ g.conj().T
+
+
+def test_spectrum_is_bitwise_eigvalsh():
+    # _spectrum skips np.linalg.eigvalsh's wrapper, not its gufunc: every
+    # spectrum keeps its bits, on each numpy the package supports.
+    from qreality.linalg import _spectrum
+
+    rng = np.random.default_rng(2024)
+    cases = [_hermitian(d, rank, rng) for d in (1, 2, 3, 4, 6, 8) for rank in range(1, d + 1)]
+    zeros = _hermitian(4, 4, rng)
+    zeros[:2, 2:] = zeros[2:, :2] = 0.0
+    # A transposed view is Hermitian too, and not C-contiguous.
+    strided = _hermitian(8, 8, rng).T
+    stack = np.stack([_hermitian(4, 1 + k % 4, rng) for k in range(5)])
+    cases += [np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex), zeros, strided, stack]
+    for mat in cases:
+        got, want = _spectrum(mat), np.linalg.eigvalsh(mat)
+        assert got.shape == want.shape == mat.shape[:-1] and got.dtype == np.float64
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def _assert_spectrum_of_stored_matrix(rho):
@@ -265,10 +300,11 @@ def test_density_matrix_keeps_rounding_noise():
                          ids=["alpha_state", "rank-1 random_density"])
 def test_a_state_is_diagonalized_once(build, monkeypatch):
     # alpha_state(0.18) has an exactly zero eigenvalue that rounds below zero,
-    # and a rank-1 state three: each is still diagonalized once, by eigvalsh,
-    # and never rebuilt.
+    # and a rank-1 state three: each is still diagonalized once, by
+    # _spectrum, never by np.linalg.eigvalsh, and never rebuilt.
+    from qreality import linalg
+
     calls = []
-    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
 
     def counted(name, fn):
         def call(mat):
@@ -276,10 +312,10 @@ def test_a_state_is_diagonalized_once(build, monkeypatch):
             return fn(mat)
         return call
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    for module, name in ((linalg, "_spectrum"), (np.linalg, "eigvalsh"), (np.linalg, "eigh")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     rho = build()
-    assert calls == ["eigvalsh"]
+    assert calls == ["_spectrum"]
     assert float(rho.eigenvalues[0]) < 0.0
     _assert_spectrum_of_stored_matrix(rho)
 

@@ -277,19 +277,23 @@ def test_mutual_information_examples():
 
 
 def test_mutual_information_diagonalizes_each_matrix_once(monkeypatch):
-    # One eigvalsh per validated matrix (two marginals and their product),
-    # and one eigh for the relative-entropy cross-check's sigma.
+    # One _spectrum per validated matrix (two marginals and their product),
+    # none through np.linalg.eigvalsh, and one eigh for the relative-entropy
+    # cross-check's sigma.
+    from qreality import linalg
+
     rho = random_density(4, 4, 19, dims=(2, 2))
-    calls = {"eigvalsh": 0, "eigh": 0}
-    for name in calls:
-        fn = getattr(np.linalg, name)
+    modules = {"_spectrum": linalg, "eigvalsh": np.linalg, "eigh": np.linalg}
+    calls = dict.fromkeys(modules, 0)
+    for name, module in modules.items():
+        fn = getattr(module, name)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     mutual_information(rho)
-    assert calls == {"eigvalsh": 3, "eigh": 1}
+    assert calls == {"_spectrum": 3, "eigvalsh": 0, "eigh": 1}
 
 
 # --- discord-like drops -----------------------------------------------------------

@@ -109,6 +109,56 @@ def test_pure_states_reach_zero_nonlocality():
         assert res.value >= -1e-9
 
 
+def _pure_states(dims, count, seed):
+    return [random_density(math.prod(dims), 1, seed + k, dims=dims) for k in range(count)]
+
+
+def test_pure_state_minima_are_exact():
+    # Measuring B on a pure state leaves pure states on A, so every basis of
+    # B drops I from 2E to E, and the Schmidt bases keep that: the pair
+    # discord is E and N_min is 0; the one-sided drop is E in every basis
+    # (Henderson & Vedral 2001).  E is the entanglement entropy S(rho_A).
+    for rho in [singlet(), alpha_state(1.0), *_pure_states((2, 2), 20, 3100)]:
+        e = entropy(partial_trace(rho, 0))
+        assert abs(minimize_pair(rho, "nonlocality").value) <= 1e-12
+        assert abs(minimize_pair(rho, "discord").value - e) <= 1e-12
+        assert abs(minimize_single(rho, 0).value - e) <= 1e-12
+    for dims in ((2, 3), (2, 4)):
+        for rho in _pure_states(dims, 5, 3200):
+            e = entropy(partial_trace(rho, 0))
+            assert abs(minimize_single(rho, 0).value - e) <= 1e-12
+
+
+def _bloch_axis(vec):
+    # <b| sigma |b> for a unit qubit vector b.
+    from qreality.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+
+    return np.array([np.vdot(vec, op @ vec).real for op in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+
+
+@pytest.mark.parametrize("partner", [2, 3, 4])
+def test_classical_quantum_states_have_a_zero_one_sided_minimum(partner):
+    # rho = sum_j p_j |b_j><b_j| x sigma_j is unchanged by dephasing the
+    # qubit in {b_j}, so its one-sided drop there is 0, the minimum
+    # (Ollivier & Zurek 2001), and the argmin axis is the basis' own, up to
+    # sign.
+    from qreality.observables import qubit_basis
+
+    rng = np.random.default_rng(3300 + partner)
+    for k in range(10):
+        basis = random_unitary(2, rng)
+        weights = rng.dirichlet(np.ones(2))
+        sigmas = [random_density(partner, 1 + (k + j) % partner, rng).mat for j in range(2)]
+        mat = sum(w * tensor_product(np.outer(basis[:, j], basis[:, j].conj()), sigma)
+                  for j, (w, sigma) in enumerate(zip(weights, sigmas)))
+        res = minimize_single(DensityMatrix(mat, (2, partner)), 0)
+        assert res.value <= 1e-12 and res.converged
+        found = _bloch_axis(qubit_basis(*res.argmin[0]).vectors[:, 0])
+        want = _bloch_axis(basis[:, 0])
+        angle = math.atan2(np.linalg.norm(np.cross(found, want)), abs(found @ want))
+        assert angle <= 1e-5
+
+
 def test_determinism():
     rho = random_density(4, 4, 7, dims=(2, 2))
     first = minimize_pair(rho, "nonlocality", cfg=FAST)
@@ -744,11 +794,14 @@ def test_kept_grid_best_has_not_converged_when_its_start_hit_the_iteration_cap(m
 
 
 def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
-    # Each dephased state is diagonalized once, when it is validated, and the
-    # two marginals of rho once each when the engine is set up.  The dephased
-    # marginals take no eigvalsh at all, whatever the chunk size: their
-    # spectra are the outcome probabilities.
-    calls = {"qubit_basis": 0, "dephase": 0, "eigvalsh": 0}
+    # Each dephased state is diagonalized once, by _spectrum when it is
+    # validated, and the two marginals of rho once each when the engine is
+    # set up; np.linalg.eigvalsh is never called.  The dephased marginals
+    # take no spectrum at all, whatever the chunk size: their spectra are
+    # the outcome probabilities.
+    from qreality import linalg
+
+    calls = {"qubit_basis": 0, "dephase": 0, "_spectrum": 0, "eigvalsh": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -759,15 +812,17 @@ def test_brute_force_makes_one_basis_and_one_dephase_per_point(monkeypatch):
     monkeypatch.setattr(oracle, "qubit_basis", counted("qubit_basis", oracle.qubit_basis))
     # oracle binds dephase at import, so the count is of oracle's binding.
     monkeypatch.setattr(oracle, "dephase", counted("dephase", oracle.dephase))
+    monkeypatch.setattr(linalg, "_spectrum", counted("_spectrum", linalg._spectrum))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     rho = random_density(4, 3, 41, dims=(2, 2))
     chunk = oracle.SCAN_CHUNK_ENTRIES // rho.dim**2
     for points_per_chunk in (chunk, 6):
         monkeypatch.setattr(oracle, "SCAN_CHUNK_ENTRIES", points_per_chunk * rho.dim**2)
         for subsystem in (0, 1):
-            calls.update(qubit_basis=0, dephase=0, eigvalsh=0)
+            calls.update(qubit_basis=0, dephase=0, _spectrum=0, eigvalsh=0)
             brute_force_single(rho, subsystem, n_theta=4, n_phi=5)
-            assert calls == {"qubit_basis": 20, "dephase": 20, "eigvalsh": 22}
+            assert calls == {"qubit_basis": 20, "dephase": 20, "_spectrum": 22,
+                             "eigvalsh": 0}
 
 
 def _per_point_scan(rho, subsystem, n_theta, n_phi):
@@ -1319,10 +1374,11 @@ def test_miss_census_runs_on_one_seed_of_each_block(monkeypatch, capsys):
         assert f"{kind}: 2 calls, 0 misses" in out
 
 
-def test_result_digest_tells_a_moved_argmin_from_a_moved_value(monkeypatch):
+def test_result_digest_tells_a_moved_argmin_from_a_moved_value(monkeypatch, tmp_path, capsys):
     # data/result_digest.py splits a minimizer result, a scan and a sweep CSV
     # into values, argmins, and counts and flags, so an argmin that moved
-    # between equal starts is not read as a moved value.
+    # between equal starts is not read as a moved value.  Each family gets a
+    # verdict, and the exit status says whether any moved beyond --tolerance.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
     spec = importlib.util.spec_from_file_location("result_digest", DATA / "result_digest.py")
     digest = importlib.util.module_from_spec(spec)
@@ -1347,6 +1403,34 @@ def test_result_digest_tells_a_moved_argmin_from_a_moved_value(monkeypatch):
     assert len(kinds) == digest._values(texts[0]).size
     got = digest._changed_by_kind(kinds, *(digest._values(text) for text in texts))
     assert [n for n, _ in got] == [0, 1, 0]
+
+    assert digest._verdict(0, 0.0, 0.0) == "bitwise"
+    assert digest._verdict(2, 3e-15, 1e-12) == "within 1e-12, largest |delta| 3e-15"
+    assert digest._verdict(1, 0.0, 0.0) == "within 0, largest |delta| 0"
+    assert digest._verdict(1, 3e-15, 0.0) == "moved, largest |delta| 3e-15"
+    assert digest._verdict(1, math.inf, 1e-12) == "moved, largest |delta| inf"
+    # The whole script on stand-in families: each checkout is the number k
+    # of its package name, qreality_digest_k.
+    monkeypatch.setattr(digest, "_load", lambda src, name: float(name[-1]))
+    families = {"same": lambda k: iter([np.array([0.5, -0.25])]),
+                "close": lambda k: iter([np.array([0.5 + 2.0**-44 * k])]),
+                "far": lambda k: iter([np.array([0.5 + k])])}
+    for names, argv, want, lines in (
+            (("same", "close"), ["--tolerance", "1e-12"], 0,
+             ["verdict: bitwise", "verdict: within 1e-12, largest |delta| 5.68e-14",
+              "0 of 2 families moved beyond 1e-12"]),
+            (("same", "close", "far"), ["--tolerance", "1e-12"], 1,
+             ["verdict: moved, largest |delta| 1", "1 of 3 families moved beyond 1e-12",
+              "  far"]),
+            (("same", "close"), [], 1,
+             ["verdict: moved, largest |delta| 5.68e-14", "1 of 2 families moved beyond 0"])):
+        monkeypatch.setattr(digest, "FAMILIES", {name: families[name] for name in names})
+        assert digest.main(["--src", str(tmp_path), *argv]) == want
+        out = capsys.readouterr().out.splitlines()
+        assert all(any(line.endswith(text) for line in out) for text in lines), out
+    with pytest.raises(SystemExit):
+        digest.main(["--tolerance", "-1"])
+    assert "must be a finite number >= 0, got -1" in capsys.readouterr().err
 
 
 def test_import_does_not_load_scipy():
