@@ -16,6 +16,14 @@ matrix is decomposed again only where its eigenvectors are needed:
 ``measures.relative_entropy`` (sigma's support and eigenbasis) and
 ``observables.schmidt_decompose`` (the pure state's vector) call ``eigh``.
 
+``partial_trace`` contracts through ``c_einsum``, the C entry point that
+``np.einsum`` calls with its default ``optimize=False``, so its bits are
+``np.einsum``'s without the dispatcher's cost; ``measures`` takes its
+blocks and pinchings through the same name.  It is imported from
+``numpy._core.multiarray``, or from ``numpy.core.multiarray`` on
+numpy < 2, where ``numpy._core`` does not exist; importing ``numpy.core``
+on numpy 2 raises a ``DeprecationWarning``.
+
 Validation happens at the boundary.  A state built from outside data goes
 through every ``DensityMatrix`` check.  A state that a map derives from
 validated states (``partial_trace`` here; ``dephase``, the joint dephasing
@@ -38,6 +46,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2, where numpy.core is not yet deprecated
+    from numpy.core.multiarray import c_einsum
 
 from .errors import StateValidationError
 
@@ -105,8 +118,8 @@ class DensityMatrix:
         mat = _as_square_complex(self.mat)
         if not all(_is_integer(d) for d in self.dims):
             raise ValueError(f"subsystem dimensions must be integers, got {tuple(self.dims)}")
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
+        dims = tuple(map(int, self.dims))
+        if not dims or min(dims) < 1:
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")
         if math.prod(dims) != mat.shape[0]:
             raise StateValidationError(
@@ -164,15 +177,18 @@ def _settle(state: DensityMatrix, hermitian: np.ndarray, dims: tuple[int, ...]) 
     # NaN eigenvalue is rejected too, as in the all-NaN spectrum _spectrum
     # returns where LAPACK fails), and the read-only store.
     eigvals = _spectrum(hermitian)
-    lowest = float(eigvals[0])
-    if not lowest >= EIGENVALUE_FLOOR:
+    if not eigvals[0] >= EIGENVALUE_FLOOR:
+        lowest = float(eigvals[0])
         raise StateValidationError("positive-semidefinite", lowest,
                                    f"most negative eigenvalue {lowest:.6e}")
     hermitian.setflags(write=False)
     eigvals.setflags(write=False)
-    object.__setattr__(state, "mat", hermitian)
-    object.__setattr__(state, "dims", dims)
-    object.__setattr__(state, "eigenvalues", eigvals)
+    # The frozen fields, written to the instance dict in one pass rather
+    # than by three object.__setattr__ calls.
+    fields = vars(state)
+    fields["mat"] = hermitian
+    fields["dims"] = dims
+    fields["eigenvalues"] = eigvals
     return state
 
 
@@ -229,7 +245,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int] | int) -> DensityMatri
     # label k (a trace) otherwise.
     cols = [n + k if k in keep_set else k for k in range(n)]
     out = keep_set + [n + k for k in keep_set]
-    reduced = np.einsum(tensor, [*range(n), *cols], out)
+    reduced = c_einsum(tensor, [*range(n), *cols], out)
 
     kept_dims = tuple(rho.dims[k] for k in keep_set)
     d = math.prod(kept_dims)

@@ -10,6 +10,11 @@ its *irreality* is the entropy the dephasing adds.  The dephased state is
 block diagonal in the basis: ``_blocks`` takes its blocks <b_j| rho |b_j>
 on any layout, for one basis or a stack, without full-space projectors;
 ``dephase`` puts them back, and :mod:`qreality.oracle` reads their spectra.
+Both contractions call numpy's ``c_einsum`` directly, the C entry point
+that ``np.einsum`` itself calls with its default ``optimize=False``: the
+same bits without the Python dispatcher, which was about a quarter of each
+``einsum`` call on a two-qubit state.  ``linalg`` imports it, from
+``numpy.core`` on numpy < 2.
 Nonlocality is the drop in one subsystem's irreality caused by an unread
 measurement on the other; it is computed through two independent routes
 (sequential ``dephase`` calls vs one Kraus pass with the lifted product
@@ -29,6 +34,7 @@ from .linalg import (
     DensityMatrix,
     _check_placement,
     _derived,
+    c_einsum,
     embed_operator,
     frobenius_distance,
     partial_trace,
@@ -108,12 +114,17 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def _blocks(rho: DensityMatrix, vecs: np.ndarray, subsystem: int) -> np.ndarray:
     # <b_j| rho |b_j> for the basis of the (d, d) column vectors vecs, or for
-    # each basis of an (m, d, d) stack, measured on one subsystem: with rho as
-    # a (left, d, right)**2 tensor, the (..., d, left, right, left, right) blocks.
+    # each basis of an (m, d, d) stack, measured on one subsystem.
+    return _conj_blocks(rho, vecs.conj(), vecs, subsystem)
+
+
+def _conj_blocks(rho: DensityMatrix, conj: np.ndarray, vecs: np.ndarray, subsystem: int) -> np.ndarray:
+    # _blocks with vecs.conj() given: with rho as a (left, d, right)**2
+    # tensor, the (..., d, left, right, left, right) blocks.
     dims = rho.dims
     d, left, right = dims[subsystem], math.prod(dims[:subsystem]), math.prod(dims[subsystem + 1:])
     tensor = rho.mat.reshape(left, d, right, left, d, right)
-    return np.einsum("...xj,axrbys,...yj->...jarbs", vecs.conj(), tensor, vecs)
+    return c_einsum("...xj,axrbys,...yj->...jarbs", conj, tensor, vecs)
 
 
 def dephase(rho: DensityMatrix, basis: ProjectiveBasis, subsystem: int) -> DensityMatrix:
@@ -125,8 +136,9 @@ def dephase(rho: DensityMatrix, basis: ProjectiveBasis, subsystem: int) -> Densi
     """
     _check_placement("basis", basis.dim, subsystem, rho.dims)
     vecs = basis.vectors
-    out = np.einsum("xj,jarbs,yj->axrbys", vecs, _blocks(rho, vecs, subsystem), vecs.conj())
-    return _derived(out.reshape(rho.dim, rho.dim), rho.dims)
+    conj = vecs.conj()
+    out = c_einsum("xj,jarbs,yj->axrbys", vecs, _conj_blocks(rho, conj, vecs, subsystem), conj)
+    return _derived(out.reshape(rho.mat.shape), rho.dims)
 
 
 def _dephase_joint(rho: DensityMatrix, pair_a: BasisOnSubsystem, pair_b: BasisOnSubsystem) -> DensityMatrix:

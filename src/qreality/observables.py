@@ -88,14 +88,12 @@ def qubit_basis(theta: float, phi: float) -> ProjectiveBasis:
     half = theta / 2.0
     c, s = math.cos(half), math.sin(half)
     phase = complex(math.cos(phi), math.sin(phi))
-    vecs = np.array(
-        [[c, -s * phase.conjugate()],
-         [s * phase, c]],
-        dtype=complex,
-    )
+    # Built flat and reshaped: numpy converts a flat tuple faster than
+    # nested lists, to the same bytes.
+    vecs = np.array((c, -s * phase.conjugate(), s * phase, c), dtype=complex).reshape(2, 2)
     vecs.setflags(write=False)
     basis = object.__new__(ProjectiveBasis)
-    object.__setattr__(basis, "vectors", vecs)
+    vars(basis)["vectors"] = vecs  # the frozen field, as linalg._settle writes a state's
     return basis
 
 

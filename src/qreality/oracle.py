@@ -36,6 +36,15 @@ size, so their memory does not grow with the scan.
   left singular vector of s1 and v the right one of s2, u.T v = 0 and
   H(0) = ln 2, which gives the form.  That no pair goes lower is measured
   against the minimizer, not derived.
+- :func:`pure_state_minima` gives both pair minima exactly on pure states
+  (Henderson & Vedral, J. Phys. A 34, 6899 (2001)), with E = S(rho_A) the
+  entanglement entropy.  Measuring B on a pure state leaves pure
+  conditional states on A, so I(Ph_B rho) = E in every basis of B, down
+  from I(rho) = 2E.  Dephasing A as well cannot raise I, and the Schmidt
+  bases keep it at E, so the pair discord is 2E - E = E.  With B in its
+  Schmidt basis and A in a basis unbiased with A's, A's outcomes are
+  uniform whether B is read or not, so A's irreality is ln d_A both times
+  and the nonlocality is 0, the least it can be: N_min = 0.
 """
 
 from __future__ import annotations
@@ -46,7 +55,15 @@ import math
 import numpy as np
 
 from .linalg import DensityMatrix, _check_integer, _check_qubit_side, partial_trace
-from .measures import ZERO_EIGENVALUE, _blocks, dephase, entropy, mutual_information, shannon_entropy
+from .measures import (
+    ZERO_EIGENVALUE,
+    _blocks,
+    dephase,
+    entanglement_entropy,
+    entropy,
+    mutual_information,
+    shannon_entropy,
+)
 from .observables import qubit_basis
 
 # Matrix entries of dephased states per chunk of the matrix-route scan: it
@@ -117,7 +134,9 @@ def brute_force_single(
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, math.pi, n_phi, endpoint=False)
     best, best_point, start = math.inf, 0, 0
-    for drops in _drop_scan(rho, subsystem, itertools.product(thetas, phis)):
+    # Python floats, not np.float64: qubit_basis's scalar math on them is
+    # cheaper, and the same bits.
+    for drops in _drop_scan(rho, subsystem, itertools.product(thetas.tolist(), phis.tolist())):
         k = int(np.argmin(drops))  # the first NaN, if the chunk holds one
         if math.isnan(drops[k]):
             raise FloatingPointError(f"NaN drop at scan point {start + k}: drops must be finite")
@@ -225,3 +244,14 @@ def t_state_minima(rho: DensityMatrix) -> tuple[float, float]:
     s1, s2, _ = np.linalg.svd(tmat, compute_uv=False)
     h1, h2 = (shannon_entropy(((1 + s) / 2, (1 - s) / 2)) for s in (s1, s2))
     return h1 + h2 - entropy(rho), mutual_information(rho) - math.log(2.0) + h1
+
+
+def pure_state_minima(rho: DensityMatrix) -> tuple[float, float]:
+    """(N_min, pair discord) of a bipartite pure state: (0.0, E).
+
+    E is :func:`qreality.measures.entanglement_entropy`, the entropy of
+    ``partial_trace(rho, 0)``, which raises ``ValueError`` for a state that
+    is not bipartite or whose purity is below 1 - 1e-9.  The derivation is
+    in the module docstring.
+    """
+    return 0.0, entanglement_entropy(rho)

@@ -12,8 +12,8 @@ import numpy as np
 from qreality.measures import nonlocality
 from qreality.observables import qubit_basis
 from qreality.optimize import OptimizerConfig, minimize_pair
-from qreality.oracle import t_state_minima
-from qreality.states import alpha_state, werner
+from qreality.oracle import pure_state_minima, t_state_minima
+from qreality.states import alpha_state, random_density, singlet, werner
 from qreality.sweep import SweepSpec, sweep_rows
 from qreality.verify import run_suite
 
@@ -197,3 +197,25 @@ def test_criterion_15_nonlocality_without_entanglement():
             not problems,
             f"lowest partial-transpose eigenvalue {lowest:.1e}, N_min {', '.join(values)}, "
             f"worst N_min gap {worst:.1e}" + ("; " + "; ".join(problems) if problems else ""))
+
+
+def test_criterion_16_pure_state_minima_are_exact():
+    # On pure states both pair minima have a closed form (Henderson & Vedral
+    # 2001): N_min = 0 and the pair discord is the entanglement entropy E.
+    # The default minimizer must meet both within 1e-12 on the singlet,
+    # alpha(1) and 20 seeded pure two-qubit states.
+    states = [("singlet", singlet()), ("alpha(1)", alpha_state(1.0))]
+    states += [(f"seed {seed}", random_density(4, 1, seed, dims=(2, 2)))
+               for seed in range(1600, 1620)]
+    problems, worst_n, worst_d = [], 0.0, 0.0
+    for name, rho in states:
+        want_n, want_d = pure_state_minima(rho)
+        gap_n = abs(minimize_pair(rho, "nonlocality", DEFAULT_CFG).value - want_n)
+        gap_d = abs(minimize_pair(rho, "discord", DEFAULT_CFG).value - want_d)
+        worst_n, worst_d = max(worst_n, gap_n), max(worst_d, gap_d)
+        if not (gap_n <= 1e-12 and gap_d <= 1e-12):
+            problems.append(f"{name}: N_min {gap_n:.1e}, pair discord {gap_d:.1e} from the form")
+    _report(16, "pure states: N_min = 0 and pair discord = E within 1e-12 (22 states)",
+            not problems,
+            f"worst N_min gap {worst_n:.1e}, worst pair-discord gap {worst_d:.1e}"
+            + ("; " + "; ".join(problems) if problems else ""))

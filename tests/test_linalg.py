@@ -267,6 +267,98 @@ def test_spectrum_is_bitwise_eigvalsh():
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
+_EINSUM_LAYOUTS = ((2,), (2, 2), (2, 3), (3, 2), (2, 2, 2))
+
+
+def _signed_zero_state(dims):
+    # A diagonal state with -0.0 real parts above the diagonal and +0.0
+    # below.  Validation halves complex entries, which keeps a -0.0 real
+    # part only where the imaginary part is -0.0 too, as it is above.
+    n = math.prod(dims)
+    weights = np.linspace(2.0, 1.0, n)
+    mat = np.diag(weights / weights.sum()).astype(complex)
+    upper = np.triu_indices(n, 1)
+    mat[upper] = complex(-0.0, -0.0)
+    mat.T[upper] = complex(-0.0, 0.0)
+    rho = DensityMatrix(mat, dims)
+    assert np.signbit(rho.mat.real).sum() == n * (n - 1) // 2
+    return rho
+
+
+def _einsum_bases(d, rng):
+    # (d, d) basis vectors for the measured subsystem: exact and signed
+    # zeros from the computational basis and its negation, and generic ones.
+    from qreality.observables import qubit_basis
+    from qreality.states import random_unitary
+
+    generic = qubit_basis(*rng.uniform(0.0, math.pi, 2)).vectors if d == 2 else random_unitary(d, rng)
+    return [np.eye(d, dtype=complex), -np.eye(d, dtype=complex), generic]
+
+
+def test_c_einsum_is_bitwise_einsum():
+    # The matrix route calls numpy's c_einsum, not the np.einsum wrapper, on
+    # the hot path.  With optimize=False, its default, np.einsum calls
+    # c_einsum itself, so each subscript form the package sends must give
+    # np.einsum's bits, signed zeros included, on each numpy the package
+    # supports: _blocks for one basis and for a stack, dephase's put-back,
+    # and partial_trace's interleaved sublists.  Each form is checked as raw
+    # operands and through the package's own function.
+    from qreality.linalg import _derived, c_einsum
+    from qreality.measures import _blocks, dephase
+    from qreality.observables import ProjectiveBasis
+
+    blocks_form = "...xj,axrbys,...yj->...jarbs"
+    put_back_form = "xj,jarbs,yj->axrbys"
+    rng = np.random.default_rng(2025)
+    for dims in _EINSUM_LAYOUTS:
+        n = math.prod(dims)
+        states = [_signed_zero_state(dims), random_density(n, min(3, n), 41, dims=dims)]
+        raw = _signed_zero_complex(rng, (n, n))
+        for subsystem, d in enumerate(dims):
+            left, right = math.prod(dims[:subsystem]), math.prod(dims[subsystem + 1:])
+            bases = _einsum_bases(d, rng)
+            stack = np.stack(bases)
+            raw_vecs = _signed_zero_complex(rng, (d, d))
+            tensor = raw.reshape(left, d, right, left, d, right)
+            for vecs in (*bases, stack, raw_vecs, np.stack([raw_vecs, -raw_vecs])):
+                got = c_einsum(blocks_form, vecs.conj(), tensor, vecs)
+                np.testing.assert_array_equal(
+                    _bits(got), _bits(np.einsum(blocks_form, vecs.conj(), tensor, vecs)))
+                if vecs.ndim == 2:
+                    np.testing.assert_array_equal(
+                        _bits(c_einsum(put_back_form, vecs, got, vecs.conj())),
+                        _bits(np.einsum(put_back_form, vecs, got, vecs.conj())))
+            for rho in states:
+                tensor = rho.mat.reshape(left, d, right, left, d, right)
+                np.testing.assert_array_equal(
+                    _bits(_blocks(rho, stack, subsystem)),
+                    _bits(np.einsum(blocks_form, stack.conj(), tensor, stack)))
+                for vecs in bases:
+                    blocks = np.einsum(blocks_form, vecs.conj(), tensor, vecs)
+                    np.testing.assert_array_equal(_bits(_blocks(rho, vecs, subsystem)),
+                                                  _bits(blocks))
+                    put_back = np.einsum(put_back_form, vecs, blocks, vecs.conj())
+                    want = _derived(put_back.reshape(n, n), dims)
+                    got = dephase(rho, ProjectiveBasis(vecs), subsystem)
+                    np.testing.assert_array_equal(_bits(got.mat), _bits(want.mat))
+                    np.testing.assert_array_equal(_bits(got.eigenvalues), _bits(want.eigenvalues))
+        for size in range(1, len(dims) + 1):
+            for keep in itertools.combinations(range(len(dims)), size):
+                k = len(dims)
+                sublists = ([*range(k), *(k + j if j in keep else j for j in range(k))],
+                            [*keep, *(k + j for j in keep)])
+                for mat in (raw, *(rho.mat for rho in states)):
+                    tensor = mat.reshape(dims + dims)
+                    np.testing.assert_array_equal(
+                        _bits(c_einsum(tensor, *sublists)), _bits(np.einsum(tensor, *sublists)))
+                for rho in states:
+                    d = math.prod(dims[j] for j in keep)
+                    reduced = np.einsum(rho.mat.reshape(dims + dims), *sublists)
+                    want = DensityMatrix(reduced.reshape(d, d), tuple(dims[j] for j in keep))
+                    np.testing.assert_array_equal(_bits(partial_trace(rho, keep).mat),
+                                                  _bits(want.mat))
+
+
 def _assert_spectrum_of_stored_matrix(rho):
     np.testing.assert_array_equal(
         rho.eigenvalues.view(np.uint64), np.linalg.eigvalsh(rho.mat).view(np.uint64))

@@ -197,6 +197,45 @@ def test_dephase_rejects_a_misplaced_basis_with_lifts_messages():
     np.testing.assert_array_equal(dephase(rho, ZB, np.int64(0)).mat, dephase(rho, ZB, 0).mat)
 
 
+def test_dephase_and_partial_trace_skip_the_einsum_wrapper(monkeypatch):
+    # The matrix route's hot path calls numpy's c_einsum directly: with
+    # np.einsum patched to raise, dephase on every subsystem of each layout,
+    # partial_trace on every keep set and a 4 x 4 oracle scan still run, and
+    # give the unpatched results bit for bit.
+    import itertools
+
+    from qreality.oracle import brute_force_single
+
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.uint64)
+
+    def calls():
+        out = []
+        for dims in ((2,), (2, 2), (2, 3), (3, 2), (2, 2, 2)):
+            rho = random_density(math.prod(dims), 2, 43, dims=dims)
+            for subsystem, d in enumerate(dims):
+                basis = qubit_basis(0.3, 0.7) if d == 2 else fourier_basis(d)
+                state = dephase(rho, basis, subsystem)
+                out += [state.mat, state.eigenvalues]
+            for size in range(1, len(dims) + 1):
+                for keep in itertools.combinations(range(len(dims)), size):
+                    state = partial_trace(rho, keep)
+                    out += [state.mat, state.eigenvalues]
+        value, angles = brute_force_single(random_density(4, 2, 44, dims=(2, 2)), 0, 4, 4)
+        return out + [np.array([value, *angles])]
+
+    want = calls()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum was called")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    got = calls()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(bits(g), bits(w))
+
+
 # --- reality predicate ----------------------------------------------------------
 
 def test_is_real_examples():

@@ -3,7 +3,8 @@
 ``qreality.oracle.brute_force_pair`` scans both bases of two qubits without
 ``qreality.kernels``; its grid is offset by half a cell from its edges, so
 no point falls on the default optimizer grid.  ``qreality.oracle.t_state_minima``
-gives both minima exactly on states with maximally mixed marginals.
+gives both minima exactly on states with maximally mixed marginals, and
+``qreality.oracle.pure_state_minima`` on pure states.
 """
 
 import math
@@ -16,8 +17,8 @@ from qreality.linalg import DensityMatrix, partial_trace, tensor_product
 from qreality.measures import dephase, discord_like, nonlocality
 from qreality.observables import qubit_basis
 from qreality.optimize import minimize_pair
-from qreality.oracle import brute_force_pair, t_state_minima
-from qreality.states import random_density, random_unitary, werner
+from qreality.oracle import brute_force_pair, pure_state_minima, t_state_minima
+from qreality.states import random_density, random_unitary, singlet, werner
 
 # Points per angle per side: SCAN**2 bases per side and SCAN**4 basis pairs.
 SCAN = 64
@@ -179,3 +180,16 @@ def test_t_state_minima_reject_other_states():
     mat[0, 0] += 5e-13
     mat[1, 1] -= 5e-13
     assert t_state_minima(DensityMatrix(mat, (2, 2)))[0] > 0.0
+
+
+def test_pure_state_minima_reject_other_states():
+    # The form holds on bipartite pure states only: a rank-2 state and a
+    # three-qubit one are refused, naming the condition.
+    with pytest.raises(ValueError, match=r"state is mixed \(purity 0.500000\)"):
+        pure_state_minima(DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), (2, 2)))
+    with pytest.raises(ValueError, match="state is mixed"):
+        pure_state_minima(random_density(4, 2, 1, dims=(2, 2)))
+    with pytest.raises(ValueError, match="needs a bipartite layout"):
+        pure_state_minima(random_density(8, 1, 1, dims=(2, 2, 2)))
+    n_min, discord = pure_state_minima(singlet())
+    assert n_min == 0.0 and abs(discord - math.log(2.0)) <= 1e-15
