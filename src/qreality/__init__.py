@@ -49,9 +49,8 @@ from .optimize import (
     OptimizerConfig,
     minimize_pair,
     minimize_single,
-    witness_pair_for_pure,
 )
-from .oracle import brute_force_single
+from .oracle import brute_force_single, witness_pair_for_pure
 from .statefile import load_state, save_state
 from .states import (
     alpha_state,

@@ -59,7 +59,8 @@ figures, see ``perfbench/NOTES.md``).
 The matrix route (dephasing in the measured basis plus Hermitian
 eigendecomposition in :mod:`qreality.measures`, and the dense scans of
 :mod:`qreality.oracle`) is kept fully independent of this module and is used
-to cross-check it.
+to cross-check it.  The two routes share one rule, the "0 ln 0 = 0" cut-off
+``linalg.ZERO_WEIGHT``: every weight at or below it counts as zero.
 """
 
 from __future__ import annotations
@@ -70,9 +71,8 @@ import threading
 
 import numpy as np
 
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, ZERO_WEIGHT
 
-ZERO_WEIGHT = 1e-15
 # Rows of a pair grid evaluated per block.
 JOINT_BLOCK_ROWS = 64
 

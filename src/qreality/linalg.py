@@ -30,11 +30,17 @@ validated states (``partial_trace`` here; ``dephase``, the joint dephasing
 and the product of marginals in ``measures``) is built by ``_derived``.  Its
 matrix is finite, Hermitian to rounding and of unit trace by construction,
 so those three checks cannot fail and are skipped.  Both paths then settle
-the state in one function, ``_settle``: the same symmetrized matrix,
-spectrum and rejection, so a derived state is bit for bit the
-``DensityMatrix`` of the same matrix.  A state is stored as built, never
-rebuilt: its spectrum may hold rounding values in [-1e-10, 0), which every
-entropy reads as zero.
+the state in one function, ``_settle``, which owns the symmetrization
+(mat + mat^+) / 2, the spectrum and the rejection, so a derived state is
+bit for bit the ``DensityMatrix`` of the same matrix.  A state is stored as
+built, never rebuilt: its spectrum may hold rounding values in [-1e-10, 0),
+which every entropy reads as zero.
+
+Each rule that two modules share is stated here once.  ``ZERO_WEIGHT`` is
+the "0 ln 0 = 0" cut-off of every entropy, on the kernel route
+(:mod:`qreality.kernels`) and the matrix route (:mod:`qreality.measures`,
+:mod:`qreality.oracle`) alike.  ``_check_pure`` is the pure-state test of
+``measures.entanglement_entropy`` and ``observables.schmidt_decompose``.
 """
 
 from __future__ import annotations
@@ -59,6 +65,10 @@ from .errors import StateValidationError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
+# 0 * ln 0 = 0 by continuity: every entropy in the package, on the kernel
+# route and on the matrix route, drops weights and eigenvalues at or below
+# this.
+ZERO_WEIGHT = 1e-15
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -136,16 +146,14 @@ class DensityMatrix:
                 "finite-entries", herm_residual, "matrix has NaN or infinite entries")
         if herm_residual > HERMITICITY_TOL:
             raise StateValidationError("hermiticity", herm_residual)
-        # Halved in place, as in _derived.  Not *= 0.5: it differs from / 2.0
-        # in the sign of some zero parts, e.g. of (-0.0+1j).
-        mat = mat + adjoint
-        mat /= 2.0
-
-        trace_residual = abs(complex(mat.trace()) - 1.0)
+        # On the matrix as given: its real diagonal is the symmetrized
+        # matrix's, since (x + x) / 2 = x exactly short of overflow, so this
+        # is the stored state's trace residual.
+        trace_residual = abs(float(mat.trace().real) - 1.0)
         if trace_residual > TRACE_TOL:
             raise StateValidationError("unit-trace", trace_residual)
 
-        _settle(self, mat, dims)
+        _settle(self, mat, adjoint, dims)
 
     @property
     def dim(self) -> int:
@@ -171,11 +179,16 @@ def _spectrum(hermitian: np.ndarray) -> np.ndarray:
     return _umath_linalg.eigvalsh_lo(hermitian, signature="D->d")
 
 
-def _settle(state: DensityMatrix, hermitian: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
-    # Validation's last step, shared with _derived: the _spectrum of the
-    # symmetrized matrix, rejection below EIGENVALUE_FLOOR (written so that a
-    # NaN eigenvalue is rejected too, as in the all-NaN spectrum _spectrum
-    # returns where LAPACK fails), and the read-only store.
+def _settle(state: DensityMatrix, mat: np.ndarray, adjoint: np.ndarray,
+            dims: tuple[int, ...]) -> DensityMatrix:
+    # Validation's last step, shared with _derived: the symmetrized matrix
+    # (mat + adjoint) / 2, its _spectrum, rejection below EIGENVALUE_FLOOR
+    # (written so that a NaN eigenvalue is rejected too, as in the all-NaN
+    # spectrum _spectrum returns where LAPACK fails), and the read-only
+    # store.  Halved in place, and not by *= 0.5: that differs from / 2.0
+    # in the sign of some zero parts, e.g. of (-0.0+1j).
+    hermitian = mat + adjoint
+    hermitian /= 2.0
     eigvals = _spectrum(hermitian)
     if not eigvals[0] >= EIGENVALUE_FLOOR:
         lowest = float(eigvals[0])
@@ -201,9 +214,7 @@ def _derived(mat: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
     checks are skipped; the symmetrization, spectrum and rejection are
     validation's own, so the result is bitwise ``DensityMatrix(mat, dims)``.
     """
-    hermitian = mat + mat.conj().T
-    hermitian /= 2.0
-    return _settle(object.__new__(DensityMatrix), hermitian, dims)
+    return _settle(object.__new__(DensityMatrix), mat, mat.conj().T, dims)
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -278,6 +289,16 @@ def _check_placement(what: str, dim: int, subsystem: int, dims: tuple[int, ...])
     if dim != dims[subsystem]:
         raise ValueError(
             f"{what} dimension {dim} does not match subsystem dimension {dims[subsystem]}")
+
+
+def _check_pure(psi: DensityMatrix, task: str) -> None:
+    # Raise ValueError unless psi is a bipartite pure state: exactly two
+    # subsystems and purity at least 1 - 1e-9.
+    if len(psi.dims) != 2:
+        raise ValueError(f"{task} needs a bipartite layout, got {psi.dims}")
+    purity = psi.purity()
+    if purity < 1.0 - 1e-9:
+        raise ValueError(f"state is mixed (purity {purity:.6f})")
 
 
 def _check_qubit_side(rho: DensityMatrix, subsystem: int, task: str) -> None:

@@ -15,6 +15,8 @@ that ``np.einsum`` itself calls with its default ``optimize=False``: the
 same bits without the Python dispatcher, which was about a quarter of each
 ``einsum`` call on a two-qubit state.  ``linalg`` imports it, from
 ``numpy.core`` on numpy < 2.
+Every entropy here drops the eigenvalues and weights at or below
+``linalg.ZERO_WEIGHT`` (0 ln 0 = 0), the cut-off the kernels use.
 Nonlocality is the drop in one subsystem's irreality caused by an unread
 measurement on the other; it is computed through two independent routes
 (sequential ``dephase`` calls vs one Kraus pass with the lifted product
@@ -31,8 +33,10 @@ import numpy as np
 
 from .linalg import (
     SIGMA_Y,
+    ZERO_WEIGHT,
     DensityMatrix,
     _check_placement,
+    _check_pure,
     _derived,
     c_einsum,
     embed_operator,
@@ -42,8 +46,6 @@ from .linalg import (
 )
 from .observables import ProjectiveBasis, lift
 
-# 0 * ln 0 = 0 by continuity: eigenvalues at or below this are dropped.
-ZERO_EIGENVALUE = 1e-15
 # Eigenvalues above this count as support for relative-entropy purposes.
 SUPPORT_CUTOFF = 1e-12
 FORM_AGREEMENT_TOL = 1e-9
@@ -85,7 +87,7 @@ def shannon_entropy(probs: np.ndarray) -> float:
     """
     total = 0.0
     for p in np.asarray(probs, dtype=float).reshape(-1).tolist():
-        if p > ZERO_EIGENVALUE:
+        if p > ZERO_WEIGHT:
             total -= p * math.log(p)
     return max(total, 0.0)
 
@@ -154,9 +156,15 @@ def _dephase_joint(rho: DensityMatrix, pair_a: BasisOnSubsystem, pair_b: BasisOn
     return _derived(out, rho.dims)
 
 
+def _dephasing_distance(basis: ProjectiveBasis, subsystem: int, rho: DensityMatrix) -> float:
+    # The Frobenius distance dephasing in the basis moves rho: the test of
+    # is_real, which oracle.classical_quantum_minimum reports as well.
+    return frobenius_distance(dephase(rho, basis, subsystem).mat, rho.mat)
+
+
 def is_real(basis: ProjectiveBasis, subsystem: int, rho: DensityMatrix, tol: float = 1e-9) -> bool:
     """True iff dephasing in the basis leaves the state unchanged within tol."""
-    return frobenius_distance(dephase(rho, basis, subsystem).mat, rho.mat) <= tol
+    return _dephasing_distance(basis, subsystem, rho) <= tol
 
 
 def irreality(basis: ProjectiveBasis, subsystem: int, rho: DensityMatrix) -> float:
@@ -290,11 +298,7 @@ def concurrence(rho: DensityMatrix) -> float:
 
 def entanglement_entropy(psi: DensityMatrix) -> float:
     """Entropy of either marginal of a bipartite pure state."""
-    if len(psi.dims) != 2:
-        raise ValueError(f"entanglement entropy needs a bipartite layout, got {psi.dims}")
-    purity = psi.purity()
-    if purity < 1.0 - 1e-9:
-        raise ValueError(f"state is mixed (purity {purity:.6f})")
+    _check_pure(psi, "entanglement entropy")
     s1 = entropy(partial_trace(psi, 0))
     s2 = entropy(partial_trace(psi, 1))
     if abs(s1 - s2) > 1e-9:

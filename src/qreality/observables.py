@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecParseError, StateValidationError
-from .linalg import DensityMatrix, _check_integer, _check_placement, _embed_stack
+from .linalg import DensityMatrix, _check_integer, _check_placement, _check_pure, _embed_stack
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -131,11 +131,7 @@ def schmidt_decompose(psi: DensityMatrix) -> SchmidtForm:
     out nonincreasing (SVD order); within degenerate groups the SVD's vector
     order is kept.
     """
-    if len(psi.dims) != 2:
-        raise ValueError(f"schmidt decomposition needs a bipartite layout, got {psi.dims}")
-    purity = psi.purity()
-    if purity < 1.0 - 1e-9:
-        raise ValueError(f"state is mixed (purity {purity:.6f})")
+    _check_pure(psi, "schmidt decomposition")
     vals, vecs = np.linalg.eigh(psi.mat)
     ket = vecs[:, -1]
     da, db = psi.dims

@@ -20,7 +20,7 @@ its cell and the best start is never above the grid best.  Everything is
 deterministic: fixed grid order, ties broken by lowest linear grid index,
 and ties between starts by start order.  The grid of a validated state is
 finite: :class:`qreality.linalg.DensityMatrix` rejects non-finite entries,
-and the kernels take no log of a weight at or below ``kernels.ZERO_WEIGHT``.
+and the kernels take no log of a weight at or below ``linalg.ZERO_WEIGHT``.
 A NaN on it can only be a defect, so start selection raises
 ``FloatingPointError`` on one instead of ranking it.
 
@@ -53,7 +53,6 @@ import numpy as np
 from . import kernels
 from .linalg import DensityMatrix, _check_integer, _check_qubit_side, partial_trace
 from .measures import entropy, mutual_information
-from .observables import ProjectiveBasis, fourier_of, schmidt_decompose
 # Bound here only for perfbench: its tracer and its oracle workload resolve
 # qreality.optimize.brute_force_single.
 from .oracle import brute_force_single  # noqa: F401
@@ -388,14 +387,3 @@ def minimize_pair(
         return value, _angle_gradient(grad[:3], ta, pa) + _angle_gradient(grad[3:], tb, pb)
 
     return _search(grid_values, axes, thetas, phis, fun, cfg)
-
-
-def witness_pair_for_pure(psi: DensityMatrix) -> tuple[ProjectiveBasis, ProjectiveBasis]:
-    """Observable pair certifying zero nonlocality for a bipartite pure state.
-
-    Returns (Schmidt basis on side A, Fourier partner of the Schmidt basis on
-    side B); nonlocality evaluated on this pair vanishes identically, no
-    optimization involved.
-    """
-    form = schmidt_decompose(psi)
-    return form.basis_a, fourier_of(form.basis_b)

@@ -19,9 +19,10 @@ eigendecompositions, and never import the kernels or the minimizers.
   probabilities <b_q| B_o |b_q>.  Its grid is offset by half a cell from
   its edges, so no point falls on the default optimizer grid.
 
-Both scans read blocks from :func:`qreality.measures._blocks`, outcome
-probabilities as a qubit marginal's 1 x 1 blocks, in chunks of bounded
-size, so their memory does not grow with the scan.
+Both scans read blocks from :func:`qreality.measures._blocks`, in chunks
+of bounded size, so their memory does not grow with the scan.  Both take
+a qubit's outcome entropies H in one step, ``_outcome_entropies``: the
+outcome probabilities are its marginal's 1 x 1 blocks.
 
 - :func:`t_state_minima` gives both pair minima exactly on T-states, two
   qubits with maximally mixed marginals: Bell diagonal up to local unitaries
@@ -44,7 +45,23 @@ size, so their memory does not grow with the scan.
   bases keep it at E, so the pair discord is 2E - E = E.  With B in its
   Schmidt basis and A in a basis unbiased with A's, A's outcomes are
   uniform whether B is read or not, so A's irreality is ln d_A both times
-  and the nonlocality is 0, the least it can be: N_min = 0.
+  and the nonlocality is 0, the least it can be: N_min = 0.  The sides
+  swap: :func:`witness_pair_for_pure` returns A's Schmidt basis and the
+  Fourier partner of B's, a pair of zero nonlocality found with no search.
+- :func:`classical_quantum_minimum` gives the one-sided minimum exactly on
+  classical-quantum states, rho = sum_j p_j |b_j><b_j| x sigma_j with {b_j}
+  a basis of the measured qubit and sigma_j states of its partner
+  (Ollivier & Zurek, PRL 88, 017901 (2001)).  Dephasing the qubit in {b_j}
+  leaves rho unchanged, so I(Ph rho) = I(rho) and the drop there is 0; no
+  basis gives a negative drop, since a local map cannot raise the mutual
+  information, so 0 is the minimum.  The qubit's marginal is
+  sum_j p_j |b_j><b_j|, so for p_0 != p_1 its eigenbasis is {b_j}.  For
+  p_0 = p_1 the marginal is I/2 and names no basis, and the function
+  refuses the state.  Conversely, a state that dephasing in some basis
+  leaves unchanged is of this form in that basis.  So a state whose
+  marginal is nondegenerate is classical-quantum exactly when dephasing in
+  the marginal's eigenbasis leaves it unchanged, which is
+  :func:`qreality.measures.is_real`'s test.
 """
 
 from __future__ import annotations
@@ -54,17 +71,17 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, _check_integer, _check_qubit_side, partial_trace
+from .linalg import ZERO_WEIGHT, DensityMatrix, _check_integer, _check_qubit_side, partial_trace
 from .measures import (
-    ZERO_EIGENVALUE,
     _blocks,
+    _dephasing_distance,
     dephase,
     entanglement_entropy,
     entropy,
     mutual_information,
     shannon_entropy,
 )
-from .observables import qubit_basis
+from .observables import ProjectiveBasis, fourier_of, qubit_basis, schmidt_decompose
 
 # Matrix entries of dephased states per chunk of the matrix-route scan: it
 # runs in chunks of SCAN_CHUNK_ENTRIES // dim**2 points (1,024 for two
@@ -77,9 +94,17 @@ PAIR_BLOCK_ENTRIES = 2**22
 
 
 def _spectral_entropies(spectra: np.ndarray) -> np.ndarray:
-    """-sum p ln p along the last axis, with 0 ln 0 = 0 below ZERO_EIGENVALUE."""
-    kept = np.where(spectra > ZERO_EIGENVALUE, spectra, 1.0)
+    """-sum p ln p along the last axis, with 0 ln 0 = 0 at or below ZERO_WEIGHT."""
+    kept = np.where(spectra > ZERO_WEIGHT, spectra, 1.0)
     return -np.sum(kept * np.log(kept), axis=-1)
+
+
+def _outcome_entropies(marginal: DensityMatrix, vecs: np.ndarray) -> np.ndarray:
+    # The outcome entropy H of a qubit marginal measured in each basis of
+    # the (m, 2, 2) stack vecs: its outcome probabilities are the marginal's
+    # 1 x 1 blocks <b_j| rho_q |b_j>, real to rounding, so their imaginary
+    # parts are dropped.
+    return _spectral_entropies(_blocks(marginal, vecs, 0).real.reshape(-1, 2))
 
 
 def _drop_scan(rho: DensityMatrix, subsystem: int, angles):
@@ -93,8 +118,8 @@ def _drop_scan(rho: DensityMatrix, subsystem: int, angles):
     # validated again (the basis of finite angles is unitary to rounding, and
     # the dephased state is a map of the validated rho).  The dephased
     # marginal of the scanned qubit is sum_j p_j |b_j><b_j| with
-    # p_j = <b_j| rho_q |b_j>, so its spectrum is p: the 1 x 1 blocks of
-    # rho_q in the chunk's stacked bases.
+    # p_j = <b_j| rho_q |b_j>, so its entropy is the outcome entropy of
+    # rho_q in each of the chunk's stacked bases.
     rho_q = partial_trace(rho, subsystem)
     s_other = entropy(partial_trace(rho, 1 - subsystem))
     mi = entropy(rho_q) + s_other - entropy(rho)
@@ -108,8 +133,8 @@ def _drop_scan(rho: DensityMatrix, subsystem: int, angles):
             vecs[k] = basis.vectors
             spectra[k] = dephase(rho, basis, subsystem).eigenvalues
         n = len(points)
-        p = _blocks(rho_q, vecs[:n], 0).real.reshape(n, 2)
-        yield mi - (_spectral_entropies(p) + s_other - _spectral_entropies(spectra[:n]))
+        yield mi - (_outcome_entropies(rho_q, vecs[:n]) + s_other
+                    - _spectral_entropies(spectra[:n]))
 
 
 def brute_force_single(
@@ -191,8 +216,7 @@ def _pair_scan(rho: DensityMatrix, vecs_a, vecs_b):
     s_a = _spectral_entropies(np.linalg.eigvalsh(blocks_a).reshape(-1, 4))
     s_b = _spectral_entropies(
         np.linalg.eigvalsh(_blocks(rho, vecs_b, 1).reshape(-1, 2, 2, 2)).reshape(-1, 4))
-    h_a = _spectral_entropies(_blocks(rho_a, vecs_a, 0).real.reshape(-1, 2))
-    h_b = _spectral_entropies(_blocks(rho_b, vecs_b, 0).real.reshape(-1, 2))
+    h_a, h_b = _outcome_entropies(rho_a, vecs_a), _outcome_entropies(rho_b, vecs_b)
     rows = max(1, PAIR_BLOCK_ENTRIES // (4 * len(vecs_b)))
     for start in range(0, len(vecs_a), rows):
         block = slice(start, start + rows)
@@ -255,3 +279,42 @@ def pure_state_minima(rho: DensityMatrix) -> tuple[float, float]:
     in the module docstring.
     """
     return 0.0, entanglement_entropy(rho)
+
+
+def witness_pair_for_pure(psi: DensityMatrix) -> tuple[ProjectiveBasis, ProjectiveBasis]:
+    """Observable pair certifying zero nonlocality for a bipartite pure state.
+
+    Returns (Schmidt basis on side A, Fourier partner of the Schmidt basis on
+    side B); nonlocality evaluated on this pair vanishes identically, no
+    optimization involved (see the module docstring).
+    """
+    form = schmidt_decompose(psi)
+    return form.basis_a, fourier_of(form.basis_b)
+
+
+def classical_quantum_minimum(rho: DensityMatrix, subsystem: int) -> tuple[float, np.ndarray]:
+    """(0.0, axis): the one-sided minimum of a classical-quantum state and where it lies.
+
+    ``axis`` is the Bloch axis of outcome 0 of the eigenbasis of the qubit's
+    marginal; its sign is arbitrary, since it names a basis.  Raises
+    ``ValueError`` unless ``subsystem`` is a qubit side of a bipartite
+    state (checked as :func:`brute_force_single` checks it), the marginal's
+    eigenvalues are more than 1e-9 apart, and dephasing the qubit in that
+    basis leaves rho within 1e-10 in the Frobenius norm.  The derivation is
+    in the module docstring.
+    """
+    _check_qubit_side(rho, subsystem, "classical-quantum minimum")
+    values, vecs = np.linalg.eigh(partial_trace(rho, subsystem).mat)
+    gap = float(values[1] - values[0])
+    if gap <= 1e-9:
+        raise ValueError(f"classical-quantum minimum needs a nondegenerate marginal: "
+                         f"qubit {subsystem}'s eigenvalues are {gap:.3e} apart, within 1e-9")
+    distance = _dephasing_distance(ProjectiveBasis(vecs), subsystem, rho)
+    if not distance <= 1e-10:
+        raise ValueError(f"state is not classical on qubit {subsystem}: dephasing in its "
+                         f"marginal's eigenbasis moves it by {distance:.3e}, above 1e-10")
+    # The Bloch axis (<b| sigma_i |b>) of outcome 0, b = vecs[:, 0].
+    overlap = vecs[0, 0].conjugate() * vecs[1, 0]
+    axis = np.array([2.0 * overlap.real, 2.0 * overlap.imag,
+                     abs(vecs[0, 0]) ** 2 - abs(vecs[1, 0]) ** 2])
+    return 0.0, axis

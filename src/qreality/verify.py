@@ -41,9 +41,8 @@ from .optimize import (
     OptimizerConfig,
     minimize_pair,
     minimize_single,
-    witness_pair_for_pure,
 )
-from .oracle import brute_force_single
+from .oracle import brute_force_single, witness_pair_for_pure
 from .states import (
     alpha_state,
     floating_slit,

@@ -9,11 +9,12 @@ import time
 
 import numpy as np
 
+from qreality.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, tensor_product
 from qreality.measures import nonlocality
 from qreality.observables import qubit_basis
-from qreality.optimize import OptimizerConfig, minimize_pair
-from qreality.oracle import pure_state_minima, t_state_minima
-from qreality.states import alpha_state, random_density, singlet, werner
+from qreality.optimize import OptimizerConfig, minimize_pair, minimize_single
+from qreality.oracle import classical_quantum_minimum, pure_state_minima, t_state_minima
+from qreality.states import alpha_state, random_density, random_unitary, singlet, werner
 from qreality.sweep import SweepSpec, sweep_rows
 from qreality.verify import run_suite
 
@@ -218,4 +219,42 @@ def test_criterion_16_pure_state_minima_are_exact():
     _report(16, "pure states: N_min = 0 and pair discord = E within 1e-12 (22 states)",
             not problems,
             f"worst N_min gap {worst_n:.1e}, worst pair-discord gap {worst_d:.1e}"
+            + ("; " + "; ".join(problems) if problems else ""))
+
+
+def _bloch_axis(vec):
+    # <b| sigma |b> for a unit qubit vector b.
+    return np.array([np.vdot(vec, op @ vec).real for op in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+
+
+def test_criterion_17_classical_quantum_minimum_is_exact():
+    # On a classical-quantum state sum_j p_j |b_j><b_j| x sigma_j the
+    # one-sided drop on the qubit is 0 in {b_j} (Ollivier & Zurek 2001).
+    # The default minimizer must reach it within 1e-12, converged, with its
+    # argmin axis within 1e-5 rad of +/- the form's axis, on 10 seeded states
+    # per (layout, side), the qubit on either side and against a qudit.
+    problems, worst_value, worst_angle = [], 0.0, 0.0
+    for layout, side in (((2, 2), 0), ((2, 2), 1), ((2, 3), 0), ((3, 2), 1), ((2, 4), 0)):
+        partner = layout[1 - side]
+        rng = np.random.default_rng(1700 + 10 * partner + side)
+        for k in range(10):
+            basis = random_unitary(2, rng)
+            weights = rng.dirichlet(np.ones(2))
+            sigmas = [random_density(partner, 1 + (k + j) % partner, rng).mat for j in range(2)]
+            qubit = [np.outer(basis[:, j], basis[:, j].conj()) for j in range(2)]
+            factors = [(q, sigma) if side == 0 else (sigma, q) for q, sigma in zip(qubit, sigmas)]
+            mat = sum(w * tensor_product(*f) for w, f in zip(weights, factors))
+            rho = DensityMatrix(mat, layout)
+            want, axis = classical_quantum_minimum(rho, side)
+            res = minimize_single(rho, side, DEFAULT_CFG)
+            found = _bloch_axis(qubit_basis(*res.argmin[0]).vectors[:, 0])
+            angle = math.atan2(np.linalg.norm(np.cross(found, axis)), abs(found @ axis))
+            gap = abs(res.value - want)
+            worst_value, worst_angle = max(worst_value, gap), max(worst_angle, angle)
+            if not (gap <= 1e-12 and res.converged and angle <= 1e-5):
+                problems.append(f"{layout} side {side} state {k}: value {gap:.1e} from 0, "
+                                f"converged {res.converged}, axis {angle:.1e} rad off")
+    _report(17, "classical-quantum states: one-sided minimum 0 at the form's basis (50 states)",
+            not problems,
+            f"worst value gap {worst_value:.1e}, worst axis angle {worst_angle:.1e} rad"
             + ("; " + "; ".join(problems) if problems else ""))

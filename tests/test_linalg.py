@@ -359,6 +359,20 @@ def test_c_einsum_is_bitwise_einsum():
                                                   _bits(want.mat))
 
 
+def test_c_einsum_is_numpys_own():
+    # linalg takes c_einsum from numpy._core.multiarray, or from
+    # numpy.core.multiarray on numpy < 2, where numpy._core does not exist.
+    # numpy.core is imported only there: on numpy 2 it warns, which the
+    # warnings filter turns into an error.
+    import importlib
+
+    from qreality import linalg
+
+    major = int(np.__version__.split(".")[0])
+    name = "numpy._core.multiarray" if major >= 2 else "numpy.core.multiarray"
+    assert linalg.c_einsum is importlib.import_module(name).c_einsum
+
+
 def _assert_spectrum_of_stored_matrix(rho):
     np.testing.assert_array_equal(
         rho.eigenvalues.view(np.uint64), np.linalg.eigvalsh(rho.mat).view(np.uint64))

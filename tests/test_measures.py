@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qreality.linalg import (
+    ZERO_WEIGHT,
     DensityMatrix,
     embed_operator,
     frobenius_distance,
@@ -11,7 +12,6 @@ from qreality.linalg import (
     tensor_product,
 )
 from qreality.measures import (
-    ZERO_EIGENVALUE,
     MeasureReport,
     _blocks,
     available_information,
@@ -710,7 +710,7 @@ def test_shannon_entropy_matches_numpy_scalar_loop_bitwise():
             probs[rng.integers(size)] = rng.choice([0.0, 1e-16, -1e-17])
             reference = 0.0
             for p in probs:
-                if p > ZERO_EIGENVALUE:
+                if p > ZERO_WEIGHT:
                     reference -= p * math.log(p)
             assert shannon_entropy(probs).hex() == float(reference).hex()
 
@@ -724,6 +724,10 @@ def test_shannon_entropy_matches_numpy_scalar_loop_bitwise():
     (lambda q: irreality_decomposition(ZB, 0, q),
      r"decomposition needs a bipartite layout, got \(2,\)"),
     (lambda q: entanglement_entropy(q), r"entanglement entropy needs a bipartite layout, got \(2,\)"),
+    (lambda q: schmidt_decompose(q), r"schmidt decomposition needs a bipartite layout, got \(2,\)"),
+    # Both pure-state callers refuse a mixed bipartite state alike.
+    (lambda q: entanglement_entropy(werner(0.5)), r"state is mixed \(purity 0.437500\)"),
+    (lambda q: schmidt_decompose(werner(0.5)), r"state is mixed \(purity 0.437500\)"),
 ])
 def test_measures_reject_a_non_finite_report_or_a_non_bipartite_state(call, message):
     qubit = DensityMatrix(np.eye(2) / 2, (2,))

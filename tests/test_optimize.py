@@ -22,9 +22,8 @@ from qreality.optimize import (
     _start_cells,
     minimize_pair,
     minimize_single,
-    witness_pair_for_pure,
 )
-from qreality.oracle import brute_force_single
+from qreality.oracle import brute_force_single, witness_pair_for_pure
 from qreality.states import (
     alpha_state,
     pure_from_amplitudes,
@@ -1010,10 +1009,13 @@ def test_oracle_imports_neither_the_kernels_nor_the_minimizers():
 def test_kernels_and_measures_import_no_state_constructors():
     # The kernels and the measures sit below the state constructors and spec
     # parsing of states.py: the Pauli matrices they read live in linalg.
-    from qreality import measures
+    from qreality import linalg, measures
 
     assert _package_imports(kernels) == {"linalg"}
     assert _package_imports(measures) == {"linalg", "observables"}
+    # Both routes read the one "0 ln 0" cut-off, defined in linalg.
+    for module in (kernels, measures, oracle):
+        assert module.ZERO_WEIGHT is linalg.ZERO_WEIGHT
 
 
 def test_qubit_qudit_minimize_single_makes_one_kernel_call_per_evaluation(monkeypatch):

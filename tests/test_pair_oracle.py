@@ -13,11 +13,16 @@ import numpy as np
 import pytest
 
 from qreality import oracle
-from qreality.linalg import DensityMatrix, partial_trace, tensor_product
+from qreality.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, partial_trace, tensor_product
 from qreality.measures import dephase, discord_like, nonlocality
 from qreality.observables import qubit_basis
 from qreality.optimize import minimize_pair
-from qreality.oracle import brute_force_pair, pure_state_minima, t_state_minima
+from qreality.oracle import (
+    brute_force_pair,
+    classical_quantum_minimum,
+    pure_state_minima,
+    t_state_minima,
+)
 from qreality.states import random_density, random_unitary, singlet, werner
 
 # Points per angle per side: SCAN**2 bases per side and SCAN**4 basis pairs.
@@ -193,3 +198,28 @@ def test_pure_state_minima_reject_other_states():
         pure_state_minima(random_density(8, 1, 1, dims=(2, 2, 2)))
     n_min, discord = pure_state_minima(singlet())
     assert n_min == 0.0 and abs(discord - math.log(2.0)) <= 1e-15
+
+
+def test_classical_quantum_minimum_rejects_other_states():
+    # The form needs a qubit side whose marginal names one basis, and a state
+    # that dephasing the qubit in that basis leaves unchanged.
+    with pytest.raises(ValueError, match=r"state is not classical on qubit 0: dephasing "
+                       r"in its marginal's eigenbasis moves it by \S+, above 1e-10"):
+        classical_quantum_minimum(random_density(4, 2, 1, dims=(2, 2)), 0)
+    basis = random_unitary(2, 1701)
+    plus, minus = (np.outer(basis[:, j], basis[:, j].conj()) for j in range(2))
+    sigmas = [random_density(3, 2, seed).mat for seed in (1702, 1703)]
+    equal = DensityMatrix((tensor_product(plus, sigmas[0]) + tensor_product(minus, sigmas[1])) / 2,
+                          (2, 3))
+    with pytest.raises(ValueError, match=r"needs a nondegenerate marginal: qubit 0's "
+                       r"eigenvalues are \S+ apart, within 1e-9"):
+        classical_quantum_minimum(equal, 0)
+    with pytest.raises(ValueError, match="the optimized subsystem must be a qubit"):
+        classical_quantum_minimum(equal, 1)
+    # Unequal weights: the minimum 0, at +/- the Bloch axis of b_0.
+    mat = 0.7 * tensor_product(plus, sigmas[0]) + 0.3 * tensor_product(minus, sigmas[1])
+    rho = DensityMatrix(mat, (2, 3))
+    value, axis = classical_quantum_minimum(rho, 0)
+    b = basis[:, 0]
+    want = np.array([np.vdot(b, op @ b).real for op in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+    assert value == 0.0 and min(np.abs(axis - want).max(), np.abs(axis + want).max()) <= 1e-12
