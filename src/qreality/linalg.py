@@ -11,10 +11,14 @@ package reads it (never a matrix logarithm).  ``_spectrum`` takes that
 spectrum: the LAPACK gufunc behind ``np.linalg.eigvalsh``, called without the
 wrapper, so the same bits at LAPACK's cost.  Where LAPACK fails it returns
 NaN with a ``RuntimeWarning`` instead of raising ``LinAlgError``, and the
-state is rejected as ``positive-semidefinite``.  Outside this module a state's
-matrix is decomposed again only where its eigenvectors are needed:
-``measures.relative_entropy`` (sigma's support and eigenbasis) and
-``observables.schmidt_decompose`` (the pure state's vector) call ``eigh``.
+state is rejected as ``positive-semidefinite``.  A state's matrix is
+decomposed again only where its eigenvectors are needed.
+``measures.relative_entropy`` and the cross-check of
+``measures.mutual_information`` take sigma's support and eigenbasis from
+``_eigensystem``, the gufunc behind ``np.linalg.eigh``, called as
+``_spectrum`` calls ``eigvalsh``'s.  ``observables.schmidt_decompose`` (the
+pure state's vector) and ``oracle.classical_quantum_minimum`` (the
+marginal's eigenbasis) call ``np.linalg.eigh``.
 
 ``partial_trace`` contracts through ``c_einsum``, the C entry point that
 ``np.einsum`` calls with its default ``optimize=False``, so its bits are
@@ -26,8 +30,8 @@ on numpy 2 raises a ``DeprecationWarning``.
 
 Validation happens at the boundary.  A state built from outside data goes
 through every ``DensityMatrix`` check.  A state that a map derives from
-validated states (``partial_trace`` here; ``dephase``, the joint dephasing
-and the product of marginals in ``measures``) is built by ``_derived``.  Its
+validated states (``partial_trace`` here; ``dephase`` and the joint
+dephasing in ``measures``) is built by ``_derived``.  Its
 matrix is finite, Hermitian to rounding and of unit trace by construction,
 so those three checks cannot fail and are skipped.  Both paths then settle
 the state in one function, ``_settle``, which owns the symmetrization
@@ -177,6 +181,17 @@ def _spectrum(hermitian: np.ndarray) -> np.ndarray:
     ``positive-semidefinite``.
     """
     return _umath_linalg.eigvalsh_lo(hermitian, signature="D->d")
+
+
+def _eigensystem(hermitian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and unit eigenvectors (columns) of a complex Hermitian matrix.
+
+    The gufunc ``np.linalg.eigh`` calls, with its lower-triangle signature,
+    so the bits are ``np.linalg.eigh``'s; the wrapper is skipped as
+    ``_spectrum`` skips ``eigvalsh``'s.  Where LAPACK fails, the values and
+    vectors are NaN, with a ``RuntimeWarning``, instead of ``LinAlgError``.
+    """
+    return _umath_linalg.eigh_lo(hermitian, signature="D->dD")
 
 
 def _settle(state: DensityMatrix, mat: np.ndarray, adjoint: np.ndarray,

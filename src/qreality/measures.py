@@ -17,6 +17,15 @@ same bits without the Python dispatcher, which was about a quarter of each
 ``numpy.core`` on numpy < 2.
 Every entropy here drops the eigenvalues and weights at or below
 ``linalg.ZERO_WEIGHT`` (0 ln 0 = 0), the cut-off the kernels use.
+Mutual information is S(rho_1) + S(rho_2) - S(rho), from the three
+validated spectra.  Its relative-entropy form S(rho || rho_1 x rho_2) is the
+cross-check, run on every call where it is defined: the product of
+marginals is diagonalized once, by ``linalg._eigensystem`` (the gufunc of
+``np.linalg.eigh``), and when its lowest eigenvalue exceeds
+``SUPPORT_CUTOFF`` that eigensystem feeds the same private step as
+``relative_entropy``.  The product is not built as a state: the kron of two
+validated, exactly Hermitian marginals is exactly Hermitian, so it already
+is the matrix a state of it would store.
 Nonlocality is the drop in one subsystem's irreality caused by an unread
 measurement on the other; it is computed through two independent routes
 (sequential ``dephase`` calls vs one Kraus pass with the lifted product
@@ -38,6 +47,7 @@ from .linalg import (
     _check_placement,
     _check_pure,
     _derived,
+    _eigensystem,
     c_einsum,
     embed_operator,
     frobenius_distance,
@@ -49,6 +59,8 @@ from .observables import ProjectiveBasis, lift
 # Eigenvalues above this count as support for relative-entropy purposes.
 SUPPORT_CUTOFF = 1e-12
 FORM_AGREEMENT_TOL = 1e-9
+# sigma_y x sigma_y, the spin flip of the two-qubit concurrence.
+_SPIN_FLIP = tensor_product(SIGMA_Y, SIGMA_Y)
 
 BasisOnSubsystem = tuple[ProjectiveBasis, int]
 
@@ -78,6 +90,16 @@ class IrrealityDecomposition(NamedTuple):
     correlated: float
 
 
+def _weights_entropy(weights: list[float]) -> float:
+    # -sum p ln p over a list of floats, with 0 ln 0 = 0, clamped at 0:
+    # shannon_entropy's rule, shared with entropy.
+    total = 0.0
+    for p in weights:
+        if p > ZERO_WEIGHT:
+            total -= p * math.log(p)
+    return max(total, 0.0)
+
+
 def shannon_entropy(probs: np.ndarray) -> float:
     """-sum p ln p over the given weights, with 0 ln 0 = 0; >= 0, clamped at 0.
 
@@ -85,31 +107,34 @@ def shannon_entropy(probs: np.ndarray) -> float:
     just below zero (-2.2e-16 for ``slit:x=1``); the clamp reads it as the
     zero it is.
     """
-    total = 0.0
-    for p in np.asarray(probs, dtype=float).reshape(-1).tolist():
-        if p > ZERO_WEIGHT:
-            total -= p * math.log(p)
-    return max(total, 0.0)
+    return _weights_entropy(np.asarray(probs, dtype=float).reshape(-1).tolist())
 
 
 def entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy in nats, from the spectrum the state was validated with."""
-    return shannon_entropy(rho.eigenvalues)
+    return _weights_entropy(rho.eigenvalues.tolist())
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr(rho ln rho - rho ln sigma) on sigma's support; +inf outside it."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    svals, svecs = np.linalg.eigh(sigma.mat)
-    support = svals > SUPPORT_CUTOFF
-    if not np.all(support):
+    return _relative_entropy(rho, *_eigensystem(sigma.mat))
+
+
+def _relative_entropy(rho: DensityMatrix, svals: np.ndarray, svecs: np.ndarray) -> float:
+    # relative_entropy against the sigma of ascending eigenvalues svals and
+    # eigenvectors svecs (columns), as _eigensystem returns them.  On full
+    # support, the lowest eigenvalue above SUPPORT_CUTOFF, no mask is built.
+    support = slice(None)
+    if not svals[0] > SUPPORT_CUTOFF:
+        support = svals > SUPPORT_CUTOFF
         kernel = svecs[:, ~support]
         leak = float(np.real(np.trace(kernel.conj().T @ rho.mat @ kernel)))
         if leak > 1e-9:
             return math.inf
-    overlaps = np.real(np.einsum("ij,jk,ki->i", svecs.conj().T, rho.mat, svecs))
-    tr_rho_ln_sigma = float(np.sum(overlaps[support] * np.log(svals[support])))
+    overlaps = c_einsum("ij,jk,ki->i", svecs.conj().T, rho.mat, svecs).real
+    tr_rho_ln_sigma = float((overlaps[support] * np.log(svals[support])).sum())
     value = -entropy(rho) - tr_rho_ln_sigma
     return max(value, 0.0) if value > -1e-9 else value
 
@@ -176,17 +201,21 @@ def irreality(basis: ProjectiveBasis, subsystem: int, rho: DensityMatrix) -> flo
 def mutual_information(rho: DensityMatrix) -> float:
     """S(rho_1) + S(rho_2) - S(rho) for a bipartite state.
 
-    When the product of marginals has full support, the relative-entropy form
-    is evaluated as well and agreement within 1e-9 is asserted.
+    When the product of marginals has full support (its lowest eigenvalue
+    above ``SUPPORT_CUTOFF``), the relative-entropy form is evaluated as
+    well; forms more than ``FORM_AGREEMENT_TOL`` apart raise
+    ``ArithmeticError``.
     """
     if len(rho.dims) != 2:
         raise ValueError(f"mutual information needs a bipartite layout, got {rho.dims}")
     rho1 = partial_trace(rho, 0)
     rho2 = partial_trace(rho, 1)
     value = entropy(rho1) + entropy(rho2) - entropy(rho)
-    product = _derived(tensor_product(rho1.mat, rho2.mat), rho.dims)
-    if float(product.eigenvalues[0]) > SUPPORT_CUTOFF:
-        alt = relative_entropy(rho, product)
+    # Not built as a state: the kron of two validated marginals is exactly
+    # Hermitian, the matrix a state of it would store.
+    svals, svecs = _eigensystem(tensor_product(rho1.mat, rho2.mat))
+    if float(svals[0]) > SUPPORT_CUTOFF:
+        alt = _relative_entropy(rho, svals, svecs)
         if abs(alt - value) > FORM_AGREEMENT_TOL:
             raise ArithmeticError(
                 f"mutual-information forms disagree: {value} vs {alt}"
@@ -288,8 +317,7 @@ def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit state (computational-basis conjugation)."""
     if rho.dims != (2, 2):
         raise ValueError(f"concurrence is defined for 2x2 layouts, got {rho.dims}")
-    yy = tensor_product(SIGMA_Y, SIGMA_Y)
-    spun = rho.mat @ yy @ rho.mat.conj() @ yy
+    spun = rho.mat @ _SPIN_FLIP @ rho.mat.conj() @ _SPIN_FLIP
     eigs = np.linalg.eigvals(spun)
     mags = np.sqrt(np.clip(eigs.real, 0.0, None))
     mags[::-1].sort()

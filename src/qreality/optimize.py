@@ -207,6 +207,15 @@ def _start_cells(values: np.ndarray, axes: np.ndarray, k: int) -> np.ndarray:
     return pool[accepted]
 
 
+def _sum(terms) -> float:
+    # Left to right from 0.0, as sum() adds floats up to Python 3.11: from
+    # 3.12 it compensates, which changes the last bits of _bfgs's products.
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def _bfgs(fun, x, floor, cfg: OptimizerConfig):
     # Quasi-Newton BFGS on a list of floats (Nocedal & Wright, Numerical
     # Optimization, ch. 6): the inverse Hessian H is updated from each step s
@@ -238,14 +247,14 @@ def _bfgs(fun, x, floor, cfg: OptimizerConfig):
         if g_max <= REFINE_TOLERANCE:
             return x, f, nfev, True
         if h is not None:
-            p = [-sum(hk[j] * g[j] for j in range(n)) for hk in h]
-            slope = sum(gk * pk for gk, pk in zip(g, p))
+            p = [-_sum(hk[j] * g[j] for j in range(n)) for hk in h]
+            slope = _sum(gk * pk for gk, pk in zip(g, p))
         if h is None or not slope < 0.0:
             # Steepest descent, also when rounding has left H no descent
             # direction: then H starts afresh.
             h = None
             p = [-first_step / g_max * gk for gk in g]
-            slope = sum(gk * pk for gk, pk in zip(g, p))
+            slope = _sum(gk * pk for gk, pk in zip(g, p))
         alpha = 1.0
         for _ in range(LINE_SEARCH_HALVINGS):
             x_new = [xk + alpha * pk for xk, pk in zip(x, p)]
@@ -258,14 +267,14 @@ def _bfgs(fun, x, floor, cfg: OptimizerConfig):
             return x, f, nfev, False
         s = [a - b for a, b in zip(x_new, x)]
         y = [a - b for a, b in zip(g_new, g)]
-        sy = sum(sk * yk for sk, yk in zip(s, y))
+        sy = _sum(sk * yk for sk, yk in zip(s, y))
         if sy > 0.0:
             if h is None:
-                scale = sy / sum(yk * yk for yk in y)
+                scale = sy / _sum(yk * yk for yk in y)
                 h = [[scale if i == j else 0.0 for j in range(n)] for i in range(n)]
-            hy = [sum(hk[j] * y[j] for j in range(n)) for hk in h]
+            hy = [_sum(hk[j] * y[j] for j in range(n)) for hk in h]
             rho = 1.0 / sy
-            c = rho * (1.0 + rho * sum(yk * hyk for yk, hyk in zip(y, hy)))
+            c = rho * (1.0 + rho * _sum(yk * hyk for yk, hyk in zip(y, hy)))
             h = [[h[i][j] + c * s[i] * s[j] - rho * (hy[i] * s[j] + s[i] * hy[j])
                   for j in range(n)] for i in range(n)]
         x, f, g = x_new, f_new, g_new

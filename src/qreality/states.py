@@ -104,7 +104,7 @@ def random_density(dim: int, rank: int, seed, dims: tuple[int, ...] | None = Non
     rng = _rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     mat = g @ g.conj().T
-    mat /= np.trace(mat).real
+    mat /= mat.trace().real
     return DensityMatrix(mat, dims if dims is not None else (dim,))
 
 

@@ -60,7 +60,13 @@ scanned on side 0 and (3, 2) on side 1.  The families:
   ``qreality verify all --seed 7``;
 - measure records: ``qreality measure <spec> <bases> --format records`` for
   each of ``MEASURES``, the README's ``singlet`` and ``werner:f=0.5`` lines
-  and an ``alpha`` and a ``slit`` state.
+  and an ``alpha`` and a ``slit`` state;
+- matrix-route measures: on each of the 110 seeded random states, with the
+  two ``qubit_basis`` drawn from ``MATRIX_ROUTE_SEED + k``, its
+  ``mutual_information``, the ``relative_entropy`` to the product of its
+  marginals, the one-sided ``discord_like`` of each basis and the
+  two-sided one of both, both ``nonlocality_forms`` and the
+  ``irreality_decomposition`` of the first basis on subsystem 0.
 
 A grid or result is digested by the bytes of its float64 values (a result as
 value, argmin angles, grid best, evaluations and converged), a text by its
@@ -104,6 +110,7 @@ PAIR_SCANS = (8, 16)
 DEPHASE_SEED = 22000
 DEPHASE_STATES = 12
 DEPHASE_LAYOUTS = ((2, 2), (2, 3), (3, 2), (2, 2, 2))
+MATRIX_ROUTE_SEED = 23000
 MEASURES = (
     ("singlet", "zbasis@0", "zbasis@1"),
     ("werner:f=0.5", "bloch:theta=1.57,phi=0@0"),
@@ -244,6 +251,19 @@ def dephased_states(q):
                 yield np.concatenate([out.mat.real, out.mat.imag, out.eigenvalues[None]])
 
 
+def matrix_route_measures(q):
+    for k, rho in enumerate(_states(q)[:RANDOM_STATES]):
+        angles = np.random.default_rng(MATRIX_ROUTE_SEED + k).uniform(0.0, math.pi, 4)
+        ba, bb = q.qubit_basis(*angles[:2]), q.qubit_basis(*angles[2:])
+        product = q.DensityMatrix(q.tensor_product(q.partial_trace(rho, 0).mat,
+                                                   q.partial_trace(rho, 1).mat), rho.dims)
+        yield np.array([
+            q.mutual_information(rho), q.relative_entropy(rho, product),
+            q.discord_like(rho, [(ba, 0)]), q.discord_like(rho, [(bb, 1)]),
+            q.discord_like(rho, [(ba, 0), (bb, 1)]), *q.nonlocality_forms(ba, bb, rho),
+            *q.irreality_decomposition(ba, 0, rho)])
+
+
 def _cli_output(q, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out")
@@ -283,6 +303,7 @@ FAMILIES = {
     "alpha sweep CSV": sweep_alpha,
     "verify all --seed 7": verify_all,
     "measure records": measure_records,
+    "matrix-route measures": matrix_route_measures,
 }
 
 

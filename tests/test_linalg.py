@@ -267,6 +267,21 @@ def test_spectrum_is_bitwise_eigvalsh():
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
+def test_eigensystem_is_bitwise_eigh():
+    # _eigensystem skips np.linalg.eigh's wrapper, not its gufunc: values
+    # and vectors keep their bits.
+    from qreality.linalg import _eigensystem
+
+    rng = np.random.default_rng(2025)
+    cases = [_hermitian(d, rank, rng) for d in (1, 2, 3, 4, 6, 8, 9) for rank in range(1, d + 1)]
+    cases += [np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex), _hermitian(8, 8, rng).T]
+    for mat in cases:
+        (values, vectors), (want_values, want_vectors) = _eigensystem(mat), np.linalg.eigh(mat)
+        assert values.dtype == np.float64 and vectors.dtype == np.complex128
+        np.testing.assert_array_equal(_bits(values), _bits(want_values))
+        np.testing.assert_array_equal(_bits(vectors), _bits(want_vectors))
+
+
 _EINSUM_LAYOUTS = ((2,), (2, 2), (2, 3), (3, 2), (2, 2, 2))
 
 
@@ -371,6 +386,30 @@ def test_c_einsum_is_numpys_own():
     major = int(np.__version__.split(".")[0])
     name = "numpy._core.multiarray" if major >= 2 else "numpy.core.multiarray"
     assert linalg.c_einsum is importlib.import_module(name).c_einsum
+
+
+def test_eigh_gufunc_is_numpys_own(monkeypatch):
+    # _eigensystem calls the gufunc that np.linalg.eigh itself calls, looked
+    # up in the module np.linalg.eigh is defined in (numpy.linalg.linalg on
+    # numpy < 2, numpy.linalg._linalg on numpy 2), not a copy of it.
+    import inspect
+
+    from qreality import linalg
+
+    numpys = inspect.unwrap(np.linalg.eigh).__globals__["_umath_linalg"]
+    assert linalg._umath_linalg is numpys
+    calls = []
+    eigh_lo = numpys.eigh_lo
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["signature"])
+        return eigh_lo(*args, **kwargs)
+
+    monkeypatch.setattr(numpys, "eigh_lo", counted)
+    mat = np.diag([0.75, 0.25]).astype(complex)
+    linalg._eigensystem(mat)
+    np.linalg.eigh(mat)
+    assert calls == ["D->dD", "D->dD"]
 
 
 def _assert_spectrum_of_stored_matrix(rho):
@@ -577,8 +616,6 @@ def test_derived_states_are_bitwise_validated_states(dims, rank, monkeypatch):
     d = math.prod(dims)
     rho = random_density(d, rank or d, 500 + 10 * d + n, dims=dims)
     bases = [_random_basis(dims[k], 600 + 10 * d + k) for k in range(n)]
-    # The product of marginals needs two subsystems: the rest are one.
-    bipartite = DensityMatrix(rho.mat, (dims[0], math.prod(dims[1:])))
     keeps = [keep for size in range(1, n + 1) for keep in itertools.combinations(range(n), size)]
     # (site, call, the spy that sees the site, its derived states per call)
     sites = [
@@ -588,8 +625,6 @@ def test_derived_states_are_bitwise_validated_states(dims, rank, monkeypatch):
          in_linalg, len(keeps)),
         ("dephase_joint", lambda: measures._dephase_joint(
             rho, (bases[0], 0), (bases[n - 1], n - 1)), in_measures, 1),
-        ("product of marginals", lambda: measures.mutual_information(bipartite),
-         in_measures, 1),
     ]
     for site, call, seen, expected in sites:
         in_linalg.clear()
@@ -597,6 +632,24 @@ def test_derived_states_are_bitwise_validated_states(dims, rank, monkeypatch):
         call()
         assert len(seen) == expected, site
         _assert_bitwise_validated(in_linalg + in_measures)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_product_of_validated_marginals_is_the_matrix_a_state_stores(dims):
+    # mutual_information diagonalizes the kron of the two marginals without
+    # building it as a state: it is exactly Hermitian, so the symmetrization
+    # a state applies leaves every bit, signed zeros included, as it is.
+    from qreality.linalg import _derived
+
+    d = math.prod(dims)
+    states = [random_density(d, 1 + k % d, 700 + 10 * d + k, dims=dims) for k in range(3 * d)]
+    if dims == (2, 2):
+        grid = np.linspace(0.0, 1.0, 11)
+        states += [werner(x) for x in grid] + [alpha_state(x) for x in grid] + [singlet()]
+    for rho in states:
+        product = tensor_product(partial_trace(rho, 0).mat, partial_trace(rho, 1).mat)
+        assert np.array_equal(product, product.conj().T)
+        np.testing.assert_array_equal(_bits(_derived(product, dims).mat), _bits(product))
 
 
 def test_derived_validates_only_a_spectrum_below_zero(monkeypatch):

@@ -316,13 +316,15 @@ def test_mutual_information_examples():
 
 
 def test_mutual_information_diagonalizes_each_matrix_once(monkeypatch):
-    # One _spectrum per validated matrix (two marginals and their product),
-    # none through np.linalg.eigvalsh, and one eigh for the relative-entropy
-    # cross-check's sigma.
-    from qreality import linalg
+    # One _spectrum per marginal, none through np.linalg.eigvalsh.  The
+    # product of marginals is not built as a state: _eigensystem diagonalizes
+    # it once, and that one eigensystem both gates the relative-entropy
+    # cross-check and feeds it, without np.linalg.eigh's wrapper.
+    from qreality import linalg, measures
 
     rho = random_density(4, 4, 19, dims=(2, 2))
-    modules = {"_spectrum": linalg, "eigvalsh": np.linalg, "eigh": np.linalg}
+    modules = {"_spectrum": linalg, "_eigensystem": measures, "_relative_entropy": measures,
+               "eigvalsh": np.linalg, "eigh": np.linalg}
     calls = dict.fromkeys(modules, 0)
     for name, module in modules.items():
         fn = getattr(module, name)
@@ -332,7 +334,25 @@ def test_mutual_information_diagonalizes_each_matrix_once(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     mutual_information(rho)
-    assert calls == {"_spectrum": 3, "eigvalsh": 0, "eigh": 1}
+    assert calls == {"_spectrum": 2, "_eigensystem": 1, "_relative_entropy": 1,
+                     "eigvalsh": 0, "eigh": 0}
+
+
+def test_mutual_information_cross_check_runs_where_the_product_has_full_support(monkeypatch):
+    # With a negative tolerance no two forms agree, so mutual_information
+    # raises wherever the relative-entropy form is evaluated.  A pure
+    # marginal leaves the product of marginals rank-deficient: there the
+    # form is not evaluated, and the value is returned as before.
+    from qreality import measures
+
+    full_rank = random_density(4, 4, 23, dims=(2, 2))
+    pure_marginal = DensityMatrix(
+        tensor_product(np.diag([1.0, 0.0]), random_density(2, 2, 24).mat), (2, 2))
+    want = mutual_information(pure_marginal)
+    monkeypatch.setattr(measures, "FORM_AGREEMENT_TOL", -1.0)
+    with pytest.raises(ArithmeticError, match="mutual-information forms disagree"):
+        mutual_information(full_rank)
+    assert mutual_information(pure_marginal) == want
 
 
 # --- discord-like drops -----------------------------------------------------------

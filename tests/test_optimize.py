@@ -667,6 +667,37 @@ def test_refine_converges_on_a_quadratic():
     assert nfev <= 40
 
 
+def test_bfgs_adds_left_to_right_on_every_python(monkeypatch):
+    # From Python 3.12 sum() compensates float rounding, so its last bits
+    # differ from 3.11's left-to-right sum.  With the builtin shadowed by one
+    # that raises, both minimizers still run: _bfgs adds through _sum alone,
+    # and each of its sums is the left-to-right one from 0.0.
+    import functools
+    import operator
+
+    def builtin_sum(*args):
+        raise AssertionError("optimize called the builtin sum")
+
+    seen = []
+    left_to_right = optimize._sum
+
+    def recorded(terms):
+        terms = list(terms)
+        seen.append((terms, left_to_right(terms)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(optimize, "sum", builtin_sum, raising=False)
+    monkeypatch.setattr(optimize, "_sum", recorded)
+    rho = random_density(4, 3, 29, dims=(2, 2))
+    minimize_pair(rho, "nonlocality", cfg=FAST)
+    minimize_single(rho, 0, cfg=FAST)
+    assert len(seen) > 100
+    for terms, total in seen:
+        assert total.hex() == float(functools.reduce(operator.add, terms, 0.0)).hex()
+    assert left_to_right([0.1, 0.2, 0.3, 1e-17]) == 0.6000000000000001
+    assert left_to_right([]) == 0.0
+
+
 def test_converged_is_false_when_the_grid_best_wins(monkeypatch):
     # An objective above every grid cell wherever the refinement looks, with
     # a gradient that is not zero: each start keeps its floor, its cell's
