@@ -31,14 +31,14 @@ on numpy 2 raises a ``DeprecationWarning``.
 Validation happens at the boundary.  A state built from outside data goes
 through every ``DensityMatrix`` check.  A state that a map derives from
 validated states (``partial_trace`` here; ``dephase`` and the joint
-dephasing in ``measures``) is built by ``_derived``.  Its
-matrix is finite, Hermitian to rounding and of unit trace by construction,
-so those three checks cannot fail and are skipped.  Both paths then settle
-the state in one function, ``_settle``, which owns the symmetrization
-(mat + mat^+) / 2, the spectrum and the rejection, so a derived state is
-bit for bit the ``DensityMatrix`` of the same matrix.  A state is stored as
-built, never rebuilt: its spectrum may hold rounding values in [-1e-10, 0),
-which every entropy reads as zero.
+dephasing in ``measures``) is built by ``_derived``.  Its matrix has
+bounded entries, is Hermitian to rounding and has unit trace by
+construction, so those checks cannot fail and are skipped.  Both paths
+then settle the state in one function, ``_settle``, which owns the
+symmetrization (mat + mat^+) / 2, the spectrum and the rejection, so a
+derived state is bit for bit the ``DensityMatrix`` of the same matrix.  A
+state is stored as built, never rebuilt: its spectrum may hold rounding
+values in [-1e-10, 0), which every entropy reads as zero.
 
 Each rule that two modules share is stated here once.  ``ZERO_WEIGHT`` is
 the "0 ln 0 = 0" cut-off of every entropy, on the kernel route
@@ -69,6 +69,14 @@ from .errors import StateValidationError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
+# Every entry of a density matrix has |rho_ij| <= sqrt(rho_ii rho_jj) <= 1,
+# from its 2 x 2 principal minors; within the tolerances above an accepted
+# n x n input's entries stay below 1 + (n + 1) * 1e-10.  Validation rejects
+# an entry above 1 + ENTRY_SLACK before any arithmetic on the entries, so
+# no sum or difference of two entries can overflow.  The slack is wide on
+# purpose: below it every input meets the Hermiticity, trace and spectrum
+# checks as before, with the same invariant and residual.
+ENTRY_SLACK = 1.0
 # 0 * ln 0 = 0 by continuity: every entropy in the package, on the kernel
 # route and on the matrix route, drops weights and eigenvalues at or below
 # this.
@@ -107,8 +115,9 @@ def _as_square_complex(mat: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix with a subsystem layout.
 
-    Construction validates the state: finite entries, and Hermiticity and
-    unit trace within 1e-10, are required; an eigenvalue below -1e-10 raises
+    Construction validates the state: finite entries of modulus at most
+    1 + ``ENTRY_SLACK``, and Hermiticity and unit trace within 1e-10, are
+    required; an eigenvalue below -1e-10 raises
     :class:`StateValidationError`.  The symmetrized matrix is stored as
     given, so eigenvalues in [-1e-10, 0) stay: rounding noise, which every
     entropy reads as zero.
@@ -121,7 +130,7 @@ class DensityMatrix:
 
     Every public input path validates in full.  States that internal maps
     derive from validated states are built by ``_derived``, which skips only
-    the finite-entry, Hermiticity and trace checks those maps cannot fail.
+    the entry, Hermiticity and trace checks those maps cannot fail.
     """
 
     mat: np.ndarray
@@ -141,18 +150,24 @@ class DensityMatrix:
                 f"dims {dims} do not factor a {mat.shape[0]}-dimensional matrix",
             )
 
-        # Non-finite exactly when some entry is NaN or infinite.
-        adjoint = mat.conj().T
-        with np.errstate(invalid="ignore"):
-            herm_residual = float(np.abs(mat - adjoint).max())
-        if not math.isfinite(herm_residual):
+        # First, before any arithmetic on the entries: NaN fails the bound
+        # too.  Below it no residual here or in _settle can overflow.
+        largest = np.abs(mat).max()
+        if not largest <= 1.0 + ENTRY_SLACK:
+            if not np.isfinite(mat).all():
+                raise StateValidationError(
+                    "finite-entries", largest, "matrix has NaN or infinite entries")
+            if not math.isfinite(largest):  # a modulus beyond the float range
+                largest = max(np.abs(mat.real).max(), np.abs(mat.imag).max())
             raise StateValidationError(
-                "finite-entries", herm_residual, "matrix has NaN or infinite entries")
+                "bounded-entries", largest, f"an entry's modulus exceeds 1 + {ENTRY_SLACK:g}")
+        adjoint = mat.conj().T
+        herm_residual = np.abs(mat - adjoint).max()
         if herm_residual > HERMITICITY_TOL:
             raise StateValidationError("hermiticity", herm_residual)
         # On the matrix as given: its real diagonal is the symmetrized
-        # matrix's, since (x + x) / 2 = x exactly short of overflow, so this
-        # is the stored state's trace residual.
+        # matrix's, since (x + x) / 2 = x exactly for bounded x, so this is
+        # the stored state's trace residual.
         trace_residual = abs(float(mat.trace().real) - 1.0)
         if trace_residual > TRACE_TOL:
             raise StateValidationError("unit-trace", trace_residual)
@@ -225,8 +240,8 @@ def _derived(mat: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
 
     ``mat`` must come from validated states by a map that keeps the entries
     finite, the matrix Hermitian to rounding and the trace 1, and ``dims``
-    must be a validated layout.  The finite-entry, Hermiticity and trace
-    checks are skipped; the symmetrization, spectrum and rejection are
+    must be a validated layout.  The entry, Hermiticity and trace checks
+    are skipped; the symmetrization, spectrum and rejection are
     validation's own, so the result is bitwise ``DensityMatrix(mat, dims)``.
     """
     return _settle(object.__new__(DensityMatrix), mat, mat.conj().T, dims)

@@ -194,8 +194,13 @@ def is_real(basis: ProjectiveBasis, subsystem: int, rho: DensityMatrix, tol: flo
 
 def irreality(basis: ProjectiveBasis, subsystem: int, rho: DensityMatrix) -> float:
     """Entropy added by the unread measurement; >= 0, clamped at 0."""
-    value = entropy(dephase(rho, basis, subsystem)) - entropy(rho)
-    return max(value, 0.0)
+    return _added_entropy(dephase(rho, basis, subsystem), rho)
+
+
+def _added_entropy(dephased: DensityMatrix, rho: DensityMatrix) -> float:
+    # The irreality of a measurement whose unread outcome takes rho to
+    # dephased: the entropy it adds, clamped at 0.
+    return max(entropy(dephased) - entropy(rho), 0.0)
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -243,14 +248,17 @@ def irreality_decomposition(
 ) -> IrrealityDecomposition:
     """Split total irreality into the local part plus the correlated part.
 
-    Returns (total, local, correlated), each computed independently; they
-    close to total = local + correlated within numerical tolerance.
+    Returns (total, local, correlated).  The total and the correlated part
+    (the mutual-information drop) read one dephased state; the local part
+    dephases the marginal.  No part is derived from the others, so they
+    close to total = local + correlated only within numerical tolerance.
     """
     if len(rho.dims) != 2:
         raise ValueError(f"decomposition needs a bipartite layout, got {rho.dims}")
-    total = irreality(basis, subsystem, rho)
+    dephased = dephase(rho, basis, subsystem)
+    total = _added_entropy(dephased, rho)
     local = irreality(basis, 0, partial_trace(rho, subsystem))
-    correlated = discord_like(rho, [(basis, subsystem)])
+    correlated = mutual_information(rho) - mutual_information(dephased)
     return IrrealityDecomposition(total, local, correlated)
 
 
@@ -280,7 +288,7 @@ def nonlocality_forms(
     phi_a = dephase(rho, basis_a, subsystem_a)
     phi_b = dephase(rho, basis_b, subsystem_b)
     # irreality(basis_a, subsystem_a, rho), from the phi_a the symmetric form reads
-    sequential = max(entropy(phi_a) - entropy(rho), 0.0) - irreality(basis_a, subsystem_a, phi_b)
+    sequential = _added_entropy(phi_a, rho) - irreality(basis_a, subsystem_a, phi_b)
     joint = _dephase_joint(rho, (basis_a, subsystem_a), (basis_b, subsystem_b))
     symmetric = (
         entropy(phi_a)

@@ -9,7 +9,10 @@ basis {|0>, |1>} and appear once, and each inner theta row holds only as many
 phis as keep its spacing within the equator row's (see
 :func:`qreality.kernels.axis_grid`).  The refinement is an in-house BFGS on plain
 Python floats with a backtracking (Armijo) line search, so the package needs
-only numpy.  Each evaluation is one call of a kernel in
+only numpy.  A start's first step is the unit step along minus its gradient,
+capped at half a grid step per coordinate: the gradient, not the grid, sets
+its length, so a start already near its minimum is not sent past it and
+halved back.  Each evaluation is one call of a kernel in
 :mod:`qreality.kernels`, which returns the value and its gradient by the
 Bloch axes; the chain rule through (theta, phi) is applied here.  A
 start converges when its gradient falls to ``REFINE_TOLERANCE`` in every
@@ -224,9 +227,13 @@ def _bfgs(fun, x, floor, cfg: OptimizerConfig):
     # f(x + alpha p) <= f(x) + ARMIJO * alpha * g.p with a value strictly
     # below f(x).  Near a minimum alpha * g.p can fall below the rounding of
     # f, where the Armijo test alone would accept steps of equal value and
-    # let a gradient of rounding noise walk x for every iteration.  The first
-    # trial step moves no coordinate by more than the grid's half spacing;
-    # after the first accepted step H starts as (s.y / y.y) I, and an update
+    # let a gradient of rounding noise walk x for every iteration.  A
+    # steepest-descent step (the first, and any after rounding leaves H no
+    # descent direction) is the unit step -g capped so that no coordinate
+    # moves by more than the grid's half spacing (Nocedal & Wright, sec.
+    # 3.5): the gradient sets its scale, so a start near its minimum is not
+    # sent past it for the line search to halve back.  After the first
+    # accepted step H starts as (s.y / y.y) I, and an update
     # with s.y <= 0 (no curvature information) is skipped, so H stays
     # positive definite.
     # fun(x) returns (value, gradient); every call is one evaluation.  floor
@@ -253,7 +260,7 @@ def _bfgs(fun, x, floor, cfg: OptimizerConfig):
             # Steepest descent, also when rounding has left H no descent
             # direction: then H starts afresh.
             h = None
-            p = [-first_step / g_max * gk for gk in g]
+            p = [-min(first_step / g_max, 1.0) * gk for gk in g]
             slope = _sum(gk * pk for gk, pk in zip(g, p))
         alpha = 1.0
         for _ in range(LINE_SEARCH_HALVINGS):

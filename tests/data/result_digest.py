@@ -17,9 +17,13 @@ Against another checkout each family also gets a verdict on all its values:
 ``bitwise``, ``within <tolerance>`` with the largest |delta|, or ``moved``
 when some value changed by more than ``--tolerance`` (default 0, so any
 change but a signed zero's is ``moved``).  The exit status is 1 when any
-family moved, else 0.  An argmin that moved counts as moved: whether the
-value at the new argmin is within the tolerance of the other minimum is not
-checked.
+family moved, else 0.  A minimizer result whose argmin moved is judged by
+value: its objective at this checkout's argmin, through the other
+checkout's matrix route (``nonlocality``, or ``discord_like`` in
+``qubit_basis`` bases), must be within the tolerance of the other
+checkout's minimum.  A moved argmin elsewhere (an oracle scan's, a CSV's)
+is judged by its angles.  In a split family a changed count or flag always
+counts as moved, and the verdict names each kind that moved.
 
     python3 tests/data/result_digest.py
     python3 tests/data/result_digest.py --src path/to/other/checkout
@@ -93,6 +97,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 # One BLAS thread, set before numpy loads, as the Tier-1 job runs.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -187,21 +192,38 @@ def side_grids(q):
             yield q.kernels.single_discord_grid(axes, here, there, m, mi, env)
 
 
-def _result_values(res):
-    return np.array([res.value, *(x for pair in res.argmin for x in pair),
-                     res.grid_best, res.evaluations, res.converged], dtype=float)
+class Minimum(NamedTuple):
+    # A minimizer result as value, argmin angles, grid best, evaluations and
+    # converged, and its objective at given argmin angles through the
+    # matrix route of the checkout that found it.
+    values: np.ndarray
+    at: Callable
+
+
+def _minimum(q, res, rho, sides, objective="discord") -> Minimum:
+    # res of minimizing the objective of rho over bases on sides.
+    values = np.array([res.value, *(x for pair in res.argmin for x in pair),
+                       res.grid_best, res.evaluations, res.converged], dtype=float)
+
+    def at(angles):
+        bases = [q.qubit_basis(angles[2 * k], angles[2 * k + 1]) for k in range(len(sides))]
+        if objective == "nonlocality":
+            return q.nonlocality(*bases, rho)
+        return q.discord_like(rho, list(zip(bases, sides)))
+
+    return Minimum(values, at)
 
 
 def minimize_pair(q):
     for rho in _states(q):
         for objective in ("nonlocality", "discord"):
-            yield _result_values(q.minimize_pair(rho, objective))
+            yield _minimum(q, q.minimize_pair(rho, objective), rho, (0, 1), objective)
 
 
 def minimize_single(q):
     for rho in _states(q):
         for side in (0, 1):
-            yield _result_values(q.minimize_single(rho, side))
+            yield _minimum(q, q.minimize_single(rho, side), rho, (side,))
 
 
 def _qudit_states(q):
@@ -220,7 +242,7 @@ def qudit_side_grids(q):
 
 def qudit_minimize_single(q):
     for rho, side in _qudit_states(q):
-        yield _result_values(q.minimize_single(rho, side))
+        yield _minimum(q, q.minimize_single(rho, side), rho, (side,))
 
 
 def oracle_scans(q):
@@ -310,6 +332,8 @@ FAMILIES = {
 def _values(chunk) -> np.ndarray:
     if isinstance(chunk, str):
         return np.array([float(x) for x in NUMBER.findall(chunk)])
+    if isinstance(chunk, Minimum):
+        chunk = chunk.values
     return np.ascontiguousarray(chunk, dtype=float).reshape(-1)
 
 
@@ -336,7 +360,7 @@ KINDS = (VALUES, ARGMINS, COUNTS)
 
 def _result_kinds(chunk) -> list[str]:
     # value, the (theta, phi) of each side, grid best, evaluations, converged
-    return [VALUES] + [ARGMINS] * (len(chunk) - 4) + [VALUES, COUNTS, COUNTS]
+    return [VALUES] + [ARGMINS] * (_values(chunk).size - 4) + [VALUES, COUNTS, COUNTS]
 
 
 def _scan_kinds(chunk) -> list[str]:
@@ -386,6 +410,25 @@ def _verdict(changed: int, largest: float, tolerance: float) -> str:
     return f"moved, largest |delta| {largest:.3g}"
 
 
+def _split_verdict(by_kind, gap, tolerance: float) -> str:
+    # A split family's verdict from its (changed, largest |delta|) per kind
+    # in KINDS.  gap is the largest distance of the other checkout's
+    # objective at a moved argmin from its minimum, or None where argmins
+    # are judged by their angles.  A changed count or flag always moved.
+    (n_val, d_val), (n_arg, d_arg), (n_cnt, d_cnt) = by_kind
+    if n_val + n_arg + n_cnt == 0:
+        return "bitwise"
+    off = d_arg if gap is None else gap
+    moved = [kind for kind, n, d in ((VALUES, n_val, d_val), (ARGMINS, n_arg, off),
+                                     (COUNTS, n_cnt, math.inf)) if n and d > tolerance]
+    largest = max(d_val, d_cnt, d_arg if gap is None else 0.0)
+    text = f"moved ({', '.join(moved)})" if moved else f"within {tolerance:g}"
+    text += f", largest |delta| {largest:.3g}"
+    if gap is not None:
+        text += f", argmins by value {gap:.3g}"
+    return text
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
@@ -426,6 +469,9 @@ def main(argv=None) -> int:
         count = 0
         # (changed, largest |delta|) in all, then per kind when split
         tally = [(0, 0.0)] * (1 + len(KINDS) * (name in SPLIT))
+        # minimizer results whose argmin moved, and the largest |other's
+        # objective at this checkout's argmin - other's minimum| among them
+        judged, gap = 0, None
         for chunks in _run_family(packages, family):
             for h, chunk in zip(hashes, chunks):
                 h.update(_bytes(chunk))
@@ -434,7 +480,14 @@ def main(argv=None) -> int:
             if len(values) == 2:
                 found = [_changed(*values)]
                 if name in SPLIT:
-                    found += _changed_by_kind(SPLIT[name](chunks[0]), *values)
+                    kinds = SPLIT[name](chunks[0])
+                    split = _changed_by_kind(kinds, *values)
+                    found += split
+                    if isinstance(chunks[1], Minimum) and split[KINDS.index(ARGMINS)][0]:
+                        angles = values[0][np.array(kinds) == ARGMINS]
+                        off = abs(chunks[1].at(angles) - values[1][0])
+                        judged += 1
+                        gap = max(gap or 0.0, math.inf if math.isnan(off) else off)
                 tally = [(n + m, max(d, e)) for (n, d), (m, e) in zip(tally, found)]
         line = f"{name:<22} {hashes[0].hexdigest()}  {count} values"
         if len(hashes) == 2:
@@ -443,7 +496,11 @@ def main(argv=None) -> int:
                      f"largest |delta| {d:.3g}")
             for kind, (n, d) in zip(KINDS, by_kind):
                 line += f"\n{'':<24}{kind}: {n} changed, largest |delta| {d:.3g}"
-            verdict = _verdict(*tally[0], args.tolerance)
+            if gap is not None:
+                line += (f"\n{'':<24}argmins by value: {judged} moved, "
+                         f"largest gap to the other minimum {gap:.3g}")
+            verdict = (_split_verdict(by_kind, gap, args.tolerance) if by_kind
+                       else _verdict(*tally[0], args.tolerance))
             line += f"\n{'':<22} verdict: {verdict}"
             if verdict.startswith("moved"):
                 moved.append(name)

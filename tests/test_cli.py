@@ -2,7 +2,12 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from qreality import cli
 from qreality.cli import EXIT_CROSS_CHECK, _join_negative_values, main
 from qreality.linalg import DensityMatrix
 from qreality.statefile import save_state
-from qreality.states import werner
+from qreality.states import random_density, werner
 from qreality.sweep import SweepSpec, slit_rows
 
 LN2 = math.log(2.0)
@@ -573,3 +578,110 @@ def test_boundary_fuzz_maps_bad_input_to_documented_exits(tmp_path, capsys):
         assert not _NON_FINITE_OUTPUT.search(out), (argv, out)
         exits.append(code)
     assert {0, 2, 3} <= set(exits)
+
+
+# Invariants a malformed state is rejected by, and the values its census
+# writes into one entry or one Hermitian pair of entries.
+_INVARIANTS = {"finite-entries", "bounded-entries", "hermiticity", "unit-trace",
+               "positive-semidefinite", "layout-product"}
+# Entries of modulus at most 2 meet the other checks, larger ones the bound.
+_BAD = [1e308, -1e308, 1.7e308, 1e200, -5.0, 3.0, 1.5, -0.7]
+
+
+def _malformed(rng):
+    # One seeded malformed state: (matrix, dims, JSON text).  The matrix is
+    # None where only the JSON text can carry the fault.
+    mat = random_density(4, 1 + int(rng.integers(4)), int(rng.integers(10**6)),
+                         dims=(2, 2)).mat.copy()
+    i, j = (int(x) for x in rng.choice(4, size=2, replace=False))
+    big = _BAD[rng.integers(len(_BAD))]
+    dims = [2, 2]
+    kind = int(rng.integers(8))
+    if kind == 0:  # a non-finite number
+        mat[i, j] += [math.nan, math.inf, -math.inf, complex(0.0, math.inf)][i]
+    elif kind == 1:  # one entry
+        mat[i, i if j % 2 else j] = big
+    elif kind == 2:  # two diagonal entries that cancel in the trace
+        mat[i, i], mat[j, j] = big, -big
+    elif kind == 3:  # a Hermitian pair off the diagonal
+        mat[i, j], mat[j, i] = complex(big, big / 2), complex(big, -big / 2)
+    elif kind == 4:  # a layout that does not factor the matrix
+        dims = [[2, 3], [3], [2, 2, 2], [5]][i]
+    rows = [[[z.real, z.imag] for z in row] for row in mat]
+    doc = {"dims": dims, "matrix": rows}
+    if kind == 5:  # a number beyond the float range, as the JSON literal
+        rows[i][j][j % 2] = "1e400"
+    elif kind == 6:  # a boolean for a number
+        rows[i][j][j % 2] = bool(j % 2)
+    elif kind == 7:  # ragged rows
+        del rows[i][j]
+    text = json.dumps(doc).replace('"1e400"', "1e400")
+    return (mat if kind <= 4 else None), tuple(dims), text
+
+
+def test_malformed_state_census_names_an_invariant_with_no_warning(tmp_path, capsys):
+    # Seeded malformed states through all three routes a state comes in by,
+    # with every warning raised as an error: each ends in a rejection that
+    # names its invariant (exit 3) or a parse error (exit 2), with no warning
+    # and no traceback.  Non-finite entries report a non-finite residual,
+    # every other rejection a finite one.
+    from qreality.errors import SpecParseError, StateValidationError
+    from qreality.statefile import load_state
+
+    rng = np.random.default_rng(41011)
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(160):
+            mat, dims, text = _malformed(rng)
+            path = tmp_path / f"bad{k}.json"
+            path.write_text(text)
+            names = []
+            if mat is not None:
+                with pytest.raises(StateValidationError) as err:
+                    DensityMatrix(mat, dims)
+                names.append(err.value.invariant)
+                assert math.isfinite(err.value.residual) == (names[0] != "finite-entries"), k
+            with pytest.raises((StateValidationError, SpecParseError)) as err:
+                load_state(path)
+            if isinstance(err.value, StateValidationError):
+                names.append(err.value.invariant)
+            assert set(names) <= _INVARIANTS and len(set(names)) <= 1, (k, names)
+            seen.update(names)
+            code = main(["measure", f"file:{path}", "zbasis@0"])
+            out, stderr = capsys.readouterr()
+            want = ("invalid state: invariant '" if isinstance(err.value, StateValidationError)
+                    else "error: ")
+            assert (code, stderr.startswith(want), out) == (
+                3 if want.startswith("invalid") else 2, True, ""), (k, code, stderr)
+            assert "Traceback" not in stderr and "Warning" not in stderr
+    assert seen == _INVARIANTS
+
+
+@pytest.mark.parametrize("mat, dims", [
+    ([[0.5, 1e308], [1e308, 0.5]], (2,)),
+    (np.diag([1e308, -1e308, 1.0]), (3,)),
+])
+def test_entries_beyond_the_bound_are_rejected_before_they_overflow(mat, dims, tmp_path):
+    # Both pass the Hermiticity and trace checks, and mat + mat^H overflowed
+    # in the symmetrization: two RuntimeWarnings, then a NaN residual.  The
+    # entry bound rejects them first, with a finite residual; run as a
+    # console command under -W error, the rejection still exits 3.
+    from qreality.errors import StateValidationError
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateValidationError) as err:
+            DensityMatrix(np.asarray(mat, dtype=complex), dims)
+    assert err.value.invariant == "bounded-entries" and err.value.residual == 1e308
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dims": list(dims), "matrix": [
+        [[float(z), 0.0] for z in row] for row in np.asarray(mat, dtype=float)]}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "qreality.cli", "measure",
+                          f"file:{path}", "zbasis@0"], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith("invalid state: invariant 'bounded-entries' violated "
+                                 "(residual 1.000000e+308)")
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr

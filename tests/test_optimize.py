@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -665,6 +666,46 @@ def test_refine_converges_on_a_quadratic():
     assert abs(x[0] - 0.3) <= 1e-8 and abs(x[1] + 0.2) <= 1e-6
     assert value <= 1e-13
     assert nfev <= 40
+
+
+def test_first_step_is_the_unit_gradient_step_capped_at_half_a_grid_step():
+    # On a unit bowl the unit step along -g lands on the minimum.  A start
+    # whose gradient is small takes it at once, with no halving; a steep
+    # start's step is capped so that no coordinate moves by more than half a
+    # grid step, as before.
+    cfg = OptimizerConfig()
+    first_step = math.pi / cfg.grid_steps / 2.0
+    centre = (0.3, -0.2)
+    trials = []
+
+    def bowl(x):
+        trials.append(list(x))
+        d = [xk - ck for xk, ck in zip(x, centre)]
+        return 0.5 * (d[0] * d[0] + d[1] * d[1]), d
+
+    start = [0.3 + 1e-5, -0.2 - 2e-5]
+    x, value, nfev, converged = optimize._bfgs(bowl, start, math.inf, cfg)
+    assert trials[1] == pytest.approx(list(centre), abs=1e-15)
+    assert nfev == 2 and converged is True
+    assert value <= 1e-20
+
+    trials.clear()
+    steep = [0.3 + 5.0, -0.2 - 10.0]
+    optimize._bfgs(bowl, steep, math.inf, cfg)
+    moved = [b - a for a, b in zip(trials[0], trials[1])]
+    assert moved == pytest.approx([-first_step / 2.0, first_step], rel=1e-15)
+
+
+def test_pure_state_nonlocality_refines_without_wasted_halvings():
+    # A pure state's nonlocality starts lie near their zero minimum with
+    # gradients far below the old fixed first step's scale; that step was
+    # halved back 8-17 times per start, 59-88 refinement evaluations per
+    # call on these states, where the gradient-sized step takes at most 15.
+    cells = len(kernels.axis_grid(OptimizerConfig().grid_steps)[0]) ** 2
+    for seed in range(5000, 5020):
+        res = minimize_pair(random_density(4, 1, seed, dims=(2, 2)), "nonlocality")
+        assert res.evaluations - cells <= 30, seed
+        assert abs(res.value) <= 1e-12
 
 
 def test_bfgs_adds_left_to_right_on_every_python(monkeypatch):
@@ -1406,6 +1447,19 @@ def test_miss_census_runs_on_one_seed_of_each_block(monkeypatch, capsys):
     for kind in ("pair", "single", "qudit"):
         assert f"{kind}: 2 calls, 0 misses" in out
 
+    # A default minimizer that stops 1e-6 above its minimum misses, and the
+    # census then exits 1, so it can gate a change.
+    import qreality
+
+    def missing(rho, objective, cfg):
+        res = minimize_pair(rho, objective, cfg)
+        return dataclasses.replace(res, value=res.value + 1e-6) if cfg == OptimizerConfig() else res
+
+    monkeypatch.setattr(qreality, "minimize_pair", missing)
+    assert census.main([]) == 1
+    out = capsys.readouterr().out
+    assert "pair: 2 calls, 2 misses" in out and "single: 2 calls, 0 misses" in out
+
 
 def test_result_digest_tells_a_moved_argmin_from_a_moved_value(monkeypatch, tmp_path, capsys):
     # data/result_digest.py splits a minimizer result, a scan and a sweep CSV
@@ -1461,6 +1515,32 @@ def test_result_digest_tells_a_moved_argmin_from_a_moved_value(monkeypatch, tmp_
         assert digest.main(["--src", str(tmp_path), *argv]) == want
         out = capsys.readouterr().out.splitlines()
         assert all(any(line.endswith(text) for line in out) for text in lines), out
+
+    # A minimizer family whose argmin moved is judged by value: the other
+    # checkout's objective at this checkout's argmin against the other's
+    # minimum.  The stand-in objective is flat, or rises by 1e-6 off the
+    # other checkout's argmin; a changed count always moves.
+    def minimizer(rise, evaluations=143677.0):
+        def family(k):
+            result = parent.copy()
+            result[1] += 1.2 * (1 - k)
+            result[6] = evaluations if k == 0 else parent[6]
+            yield digest.Minimum(result, lambda angles: 0.25 + rise * (angles[0] != 0.1))
+        return family
+
+    assert digest._split_verdict([(0, 0.0)] * 3, None, 0.0) == "bitwise"
+    for family, want, verdict in (
+            (minimizer(0.0), 0, "within 1e-12, largest |delta| 0, argmins by value 0"),
+            (minimizer(1e-6), 1, "moved (argmins), largest |delta| 0, argmins by value 1e-06"),
+            (minimizer(0.0, 143600.0), 1,
+             "moved (counts and flags), largest |delta| 77, argmins by value 0")):
+        monkeypatch.setattr(digest, "FAMILIES", {"minimize_pair": family})
+        assert digest.main(["--src", str(tmp_path), "--tolerance", "1e-12"]) == want
+        out = capsys.readouterr().out.splitlines()
+        for text in ("argmins: 1 changed, largest |delta| 1.2", f"verdict: {verdict}",
+                     "argmins by value: 1 moved, largest gap to the other minimum "
+                     + ("1e-06" if "1e-06" in verdict else "0")):
+            assert any(line.endswith(text) for line in out), (text, out)
     with pytest.raises(SystemExit):
         digest.main(["--tolerance", "-1"])
     assert "must be a finite number >= 0, got -1" in capsys.readouterr().err
